@@ -33,6 +33,19 @@ class InvalidParams(ValueError):
     """Parameter combination outside the supported domain."""
 
 
+class ContractBreach(RuntimeError):
+    """A structural guarantee of the construction failed on this input."""
+
+    def __init__(self, message: str, *, detail: dict | None = None):
+        super().__init__(message)
+        self.detail = detail or {}
+        self.reproducer: str | None = None
+
+
+class InternalError(ContractBreach):
+    """A result failed a check that holds for every input when the code is correct."""
+
+
 def _build_binom_table() -> np.ndarray:
     tab = np.zeros((MAX_N + 1, _MAX_K + 2), dtype=np.int64)
     tab[:, 0] = 1

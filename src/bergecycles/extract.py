@@ -17,6 +17,7 @@ import numpy as np
 from .core import (
     BergeCertificate,
     ColoredHypergraph,
+    InternalError,
     TightCycleWitness,
     binom,
     edge_table,
@@ -52,11 +53,9 @@ class PositionEdgeBipartite:
     adj: list[np.ndarray]  # adj[i]: ascending ranks of edges covering window i
 
     def right_degrees(self) -> dict[int, int]:
-        degs: dict[int, int] = {}
-        for ranks in self.adj:
-            for e in ranks:
-                degs[int(e)] = degs.get(int(e), 0) + 1
-        return degs
+        """Edge rank -> number of positions it is a candidate for."""
+        ranks, degs = np.unique(np.concatenate(self.adj), return_counts=True)
+        return dict(zip(ranks.tolist(), degs.tolist()))
 
 
 def cycle_windows(core: tuple[int, ...], t: int) -> list[tuple[int, ...]]:
@@ -137,8 +136,10 @@ def extend_tight_cycle(w: TightCycleWitness, h: ColoredHypergraph,
                 position=i)
     g = build_position_bipartite(w, h)
     limit = p.r - w.t + 1
-    over = {e: d for e, d in g.right_degrees().items() if d > limit}
-    assert not over, f"covering bound violated: {over}"  # cannot happen for a cycle core
+    degs = g.right_degrees()
+    if degs and max(degs.values()) > limit:  # cannot happen for a cycle core
+        over = {e: d for e, d in degs.items() if d > limit}
+        raise InternalError(f"covering bound violated: {over}")
     matching = max_bipartite_matching(g)
     unmatched = [i for i in range(n) if matching[i] < 0]
     if unmatched:
@@ -148,5 +149,6 @@ def extend_tight_cycle(w: TightCycleWitness, h: ColoredHypergraph,
     edges = tuple(unrank_subset(int(k), n, p.r) for k in matching)
     cert = BergeCertificate(color=w.color, core=tuple(w.core), edges=edges, t=w.t)
     problem = verify_berge_certificate(cert, h)
-    assert problem is None, f"internal: assembled certificate invalid: {problem}"
+    if problem is not None:
+        raise InternalError(f"assembled certificate invalid: {problem}")
     return cert

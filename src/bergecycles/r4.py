@@ -34,6 +34,8 @@ import numpy as np
 from .core import (
     BergeCertificate,
     ColoredHypergraph,
+    ContractBreach,
+    InternalError,
     InvalidParams,
     Params,
     _BINOM,
@@ -52,20 +54,16 @@ from .hamilton import (
     find_hamiltonian_cycle,
     find_mono_ham_tight_cycle,
 )
-from .shadow import ShadowMulticoloring, _goodmask_from_counts, build_shadow
+from .shadow import (
+    ShadowMulticoloring,
+    _goodmask_from_counts,
+    build_shadow,
+    subset_color_counts,
+)
 
 MIN_N = 85
 
 _POPCOUNT3 = np.array([0, 1, 1, 2, 1, 2, 2, 3], dtype=np.uint8)
-
-
-class ContractBreach(RuntimeError):
-    """A structural guarantee of the construction failed on this input."""
-
-    def __init__(self, message: str, *, detail: dict | None = None):
-        super().__init__(message)
-        self.detail = detail or {}
-        self.reproducer: str | None = None
 
 
 class PivotInvariantViolation(ContractBreach):
@@ -230,14 +228,7 @@ def _quads_through(h: ColoredHypergraph, verts: tuple[int, ...]) -> tuple[np.nda
 
 def _incidence_counts(h: ColoredHypergraph) -> np.ndarray:
     """(n, c) matrix: per vertex, how many incident edges of each color."""
-    p = h.params
-    tab = edge_table(p.n, p.r)
-    cols = h.colors.astype(np.int64)
-    out = np.zeros(p.n * (p.c + 1), dtype=np.int64)
-    for j in range(p.r):
-        idx = tab[:, j].astype(np.int64) * (p.c + 1) + cols
-        out += np.bincount(idx, minlength=out.size)
-    return out.reshape(p.n, p.c + 1)[:, 1:]
+    return subset_color_counts(h, 1)
 
 
 def relabel_colors(h: ColoredHypergraph, s: ShadowMulticoloring,
@@ -1423,7 +1414,8 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> R4Result:
             out = BergeCertificate(color=inv[cert.color], core=cert.core,
                                    edges=cert.edges, t=2)
         err = verify_berge_certificate(out, h)
-        assert err is None, f"certificate failed final verification: {err}"
+        if err is not None:
+            raise InternalError(f"certificate failed final verification: {err}")
         return R4Result(out, trace)
 
     counts = _incidence_counts(h)

@@ -5,6 +5,12 @@ For a t-set e, color i is *t-good* when at least r-t+1 edges of color i
 contain e.  The multi-coloring assigns every t-set its set of t-good colors;
 S_i collects the t-sets where color i fails to be good.  Everything is stored
 densely, indexed by t-set colex rank.
+
+All counting goes through one kernel, `subset_color_counts`.  It walks the
+r-edge table in row chunks and, for each of the C(r,t) column subsets, runs
+one `np.bincount` over the key `colex_rank(t-subset) * c + (color - 1)`, so
+every (t-set, color) pair is one bin.  At t=1 the same kernel gives the
+per-vertex color incidence counts.
 """
 
 from __future__ import annotations
@@ -18,12 +24,14 @@ from .core import (
     ColoredHypergraph,
     InvalidParams,
     Params,
+    _BINOM,
     binom,
     edge_table,
-    rank_rows,
     rank_subset,
     unrank_subset,
 )
+
+_CHUNK_ROWS = 1 << 16  # edge-table rows per chunk; raised to the key range when larger
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,20 +59,41 @@ def _goodmask_from_counts(counts: np.ndarray, threshold: int) -> np.ndarray:
         axis=1, dtype=np.uint32)
 
 
+def subset_color_counts(h: ColoredHypergraph, t: int) -> np.ndarray:
+    """(C(n,t), c) int64: per t-set and color, the containing r-edges of that color.
+
+    A chunk holds at least as many rows as there are keys (C(n,t)*c), so the
+    `minlength` of each bincount never outweighs the rows it counts.  The
+    rank of a t-subset is summed from per-position tables C(v, j+1)*c, so no
+    rank array over the whole edge table is built.
+    """
+    p = h.params
+    if not 1 <= t <= p.r:
+        raise InvalidParams(f"need 1 <= t <= r={p.r}, got t={t}")
+    m_t = binom(p.n, t)
+    size = m_t * p.c
+    luts = [_BINOM[:p.n, j + 1] * p.c for j in range(t)]
+    subsets = list(itertools.combinations(range(p.r), t))
+    tab = edge_table(p.n, p.r)
+    step = max(_CHUNK_ROWS, size)
+    out = np.zeros(size, dtype=np.int64)
+    for lo in range(0, len(tab), step):
+        rows = tab[lo:lo + step].astype(np.intp)
+        key0 = h.colors[lo:lo + step].astype(np.int64) - 1
+        for cols in subsets:
+            key = key0 + luts[0][rows[:, cols[0]]]
+            for j in range(1, t):
+                key += luts[j][rows[:, cols[j]]]
+            out += np.bincount(key, minlength=size)
+    return out.reshape(m_t, p.c)
+
+
 def build_shadow(h: ColoredHypergraph, t: int) -> ShadowMulticoloring:
     """Count, for every t-set and color, the containing r-edges of that color."""
     p = h.params
     if not 2 <= t <= p.r:
         raise InvalidParams(f"need 2 <= t <= r={p.r}, got t={t}")
-    m_t = binom(p.n, t)
-    counts = np.zeros((m_t, p.c), dtype=np.int32)
-    tab = edge_table(p.n, p.r)
-    color_masks = [h.colors == gamma for gamma in range(1, p.c + 1)]
-    for cols in itertools.combinations(range(p.r), t):
-        ranks = rank_rows(tab[:, cols])
-        for gi, mask in enumerate(color_masks):
-            counts[:, gi] += np.bincount(
-                ranks[mask], minlength=m_t).astype(np.int32)
+    counts = subset_color_counts(h, t).astype(np.int32)
     goodmask = _goodmask_from_counts(counts, p.r - t + 1)
     counts.setflags(write=False)
     goodmask.setflags(write=False)

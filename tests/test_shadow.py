@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergecycles import shadow
 from bergecycles.core import (
     ColoredHypergraph,
     InvalidParams,
     Params,
+    binom,
+    edge_table,
     random_coloring,
     rank_subset,
 )
@@ -20,6 +23,7 @@ from bergecycles.shadow import (
     build_shadow,
     dump_shadow,
     recolor_edge,
+    subset_color_counts,
 )
 
 
@@ -32,6 +36,54 @@ def shadow_oracle(h, t):
         for sub in itertools.combinations(edge, t):
             counts[rank_subset(sub), col - 1] += 1
     return counts
+
+
+def incidence_oracle(h):
+    """Per-vertex color incidence, one whole-table bincount per edge column."""
+    p = h.params
+    tab = edge_table(p.n, p.r)
+    cols = h.colors.astype(np.int64)
+    out = np.zeros(p.n * (p.c + 1), dtype=np.int64)
+    for j in range(p.r):
+        idx = tab[:, j].astype(np.int64) * (p.c + 1) + cols
+        out += np.bincount(idx, minlength=out.size)
+    return out.reshape(p.n, p.c + 1)[:, 1:]
+
+
+@st.composite
+def small_instances(draw):
+    n = draw(st.integers(2, 9))
+    r = draw(st.integers(2, min(6, n)))
+    t = draw(st.integers(1, r))
+    c = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 10**6))
+    return random_coloring(Params(n=n, r=r, t=2, c=c), seed=seed), t
+
+
+@given(small_instances())
+@settings(max_examples=80, deadline=None)
+def test_subset_color_counts_match_oracle(case):
+    h, t = case
+    got = subset_color_counts(h, t)
+    assert np.array_equal(got, shadow_oracle(h, t))
+    if t == 1:
+        assert np.array_equal(got, incidence_oracle(h))
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_subset_color_counts_across_chunks(monkeypatch, t):
+    monkeypatch.setattr(shadow, "_CHUNK_ROWS", 5)
+    h = random_coloring(Params(n=14, r=5, t=2, c=2), seed=11)
+    # chunks are floored at the key range C(n,t)*c; make sure there are several
+    assert binom(14, 5) > 2 * max(5, binom(14, t) * 2)
+    assert np.array_equal(subset_color_counts(h, t), shadow_oracle(h, t))
+
+
+def test_subset_color_counts_rejects_bad_t():
+    h = random_coloring(Params(n=6, r=3, t=2, c=2), seed=0)
+    for t in (0, 4):
+        with pytest.raises(InvalidParams):
+            subset_color_counts(h, t)
 
 
 @pytest.mark.parametrize("n,r,t,c,seed", [
