@@ -35,27 +35,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _cert_to_json(cert: BergeCertificate) -> dict:
-    return {
-        "color": cert.color,
-        "core": list(cert.core),
-        "edges": [list(e) for e in cert.edges],
-        "t": cert.t,
-    }
-
-
-def _cert_from_json(blob: dict) -> BergeCertificate:
-    try:
-        return BergeCertificate(
-            color=int(blob["color"]),
-            core=tuple(int(v) for v in blob["core"]),
-            edges=tuple(tuple(int(v) for v in e) for e in blob["edges"]),
-            t=int(blob["t"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ColoringFormatError(f"bad certificate JSON: {exc}") from exc
-
-
 def _load_coloring(path: str):
     if not os.path.exists(path):
         raise ColoringFormatError(f"no such file: {path}")
@@ -80,7 +59,10 @@ def _cmd_verify(args) -> int:
             blob = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ColoringFormatError(f"bad certificate JSON: {exc}") from exc
-    cert = _cert_from_json(blob)
+    try:
+        cert = BergeCertificate.from_json_dict(blob)
+    except ValueError as exc:
+        raise ColoringFormatError(str(exc)) from exc
     t = _resolve_t(cert.t, args.t, args.force)
     err = verify_berge_certificate(cert, h, t=t)
     if err is None:
@@ -125,13 +107,13 @@ def _cmd_extract(args) -> int:
             if exc.reproducer:
                 print(f"reproducer: {exc.reproducer}")
             return 2
-        _write_json(cert_path, _cert_to_json(res.certificate), "certificate")
+        _write_json(cert_path, res.certificate.to_json_dict(), "certificate")
         _write_json(trace_path, res.trace.to_json_dict(), "trace")
         print(f"found: color {res.certificate.color} via {res.trace.branch}")
         return 0
     status, cert = find_certificate(h, budget=args.budget)
     if status == "found":
-        _write_json(cert_path, _cert_to_json(cert), "certificate")
+        _write_json(cert_path, cert.to_json_dict(), "certificate")
         _write_json(trace_path, {"branch": "generic-search", "subcase": {},
                                  "fallbacks": []}, "trace")
         print(f"found: color {cert.color}")
@@ -148,7 +130,7 @@ def _cmd_search(args) -> int:
     status, cert = find_certificate(h, budget=args.budget,
                                     use_oracle=not args.no_oracle)
     if status == "found":
-        _write_json(args.output, _cert_to_json(cert), "certificate")
+        _write_json(args.output, cert.to_json_dict(), "certificate")
         return 0
     if status == "nonexistent":
         print("nonexistent: exhaustive search found no cycle of any color")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -155,6 +156,8 @@ class Params:
             raise InvalidParams(f"need 2 <= t <= r <= n, got t={self.t} r={self.r} n={self.n}")
         if self.n > MAX_N:
             raise InvalidParams(f"n={self.n} exceeds supported maximum {MAX_N}")
+        if self.r > _MAX_K + 1:
+            raise InvalidParams(f"r={self.r} exceeds supported maximum {_MAX_K + 1}")
         if self.c < 1:
             raise InvalidParams(f"need at least one color, got c={self.c}")
 
@@ -296,25 +299,51 @@ def verify_berge_certificate(cert: BergeCertificate, h: ColoredHypergraph,
     return None
 
 
+_CHUNK_LINES = 1 << 16  # edge lines encoded per chunk
+
+
+@lru_cache(maxsize=1)
+def _codec_words() -> tuple[np.ndarray, np.ndarray, np.uint32]:
+    """Each text piece of an edge line as one zero-padded little-endian uint32.
+
+    Vertex v is `f"{v} "` (at most "127 "), color k is `f"{k}\\n"` for every
+    uint8 k (at most 4 bytes), and the separator is ": ".  No piece contains a
+    zero byte, so dropping the padding leaves exactly the text.
+    """
+    def pack(texts):
+        return np.frombuffer(b"".join(t.encode().ljust(4, b"\0") for t in texts),
+                             dtype="<u4")
+
+    return (pack(f"{v} " for v in range(MAX_N)),
+            pack(f"{k}\n" for k in range(256)),
+            pack([": "])[0])
+
+
+def _encode_chunks(n: int, r: int, colors: np.ndarray):
+    """The body of a coloring file, one `v1 .. vr : color` line per edge in
+    colex order, as bytes of at most _CHUNK_LINES lines each."""
+    vertex_words, color_words, sep = _codec_words()
+    tab = edge_table(n, r)
+    for lo in range(0, len(tab), _CHUNK_LINES):
+        rows = tab[lo:lo + _CHUNK_LINES]
+        words = np.empty((len(rows), r + 2), dtype="<u4")
+        words[:, :r] = np.take(vertex_words, rows)
+        words[:, r] = sep
+        words[:, r + 1] = np.take(color_words, colors[lo:lo + _CHUNK_LINES])
+        yield words.tobytes().translate(None, b"\0")
+
+
+def _header(p: Params) -> bytes:
+    return f"{COLORING_MAGIC}\nr={p.r} n={p.n} c={p.c}\n".encode()
+
+
 def write_coloring(h: ColoredHypergraph, path) -> None:
     """Write the line-oriented text format (header + one line per edge)."""
     p = h.params
-    tab = edge_table(p.n, p.r)
-    colors = h.colors
-    with open(path, "w") as fh:
-        fh.write(f"{COLORING_MAGIC}\n")
-        fh.write(f"r={p.r} n={p.n} c={p.c}\n")
-        chunk: list[str] = []
-        for i in range(p.num_edges):
-            row = tab[i]
-            chunk.append(f"{' '.join(str(int(v)) for v in row)} : {colors[i]}")
-            if len(chunk) >= 65536:
-                fh.write("\n".join(chunk))
-                fh.write("\n")
-                chunk = []
-        if chunk:
-            fh.write("\n".join(chunk))
-            fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(_header(p))
+        for chunk in _encode_chunks(p.n, p.r, h.colors):
+            fh.write(chunk)
 
 
 class ColoringFormatError(ValueError):
@@ -338,12 +367,66 @@ def _parse_header(line1: str, line2: str) -> tuple[int, int, int]:
     return vals["r"], vals["n"], vals["c"]
 
 
+# compiled on first use, not at import
+_CANONICAL_HEADER = re.escape(COLORING_MAGIC.encode()) + rb"\nr=(\d+) n=(\d+) c=(\d+)\n"
+
+
+def _read_canonical(data: bytes) -> ColoredHypergraph | None:
+    """The coloring if `data` is byte for byte what write_coloring writes
+    for it, else None.
+
+    Colors are taken from the byte before each newline, which is where a
+    single-digit color sits in the canonical layout (a wider color fails
+    the comparison); the body is accepted only if it equals the encoding of
+    those colors, so this accepts a subset of what _read_general accepts
+    and decodes it the same way.
+    """
+    head = re.match(_CANONICAL_HEADER, data)
+    if head is None:
+        return None
+    r, n, c = (int(g) for g in head.groups())
+    try:
+        params = Params(n=n, r=r, t=2, c=c)
+    except InvalidParams:
+        return None
+    if head.group() != _header(params):
+        return None
+    body = np.frombuffer(data, dtype=np.uint8, offset=head.end())
+    ends = np.flatnonzero(body == ord("\n"))
+    if len(ends) != params.num_edges:
+        return None
+    colors = body[ends - 1] - np.uint8(ord("0"))
+    if colors.min() < 1 or colors.max() > c:
+        return None
+    at = head.end()
+    for chunk in _encode_chunks(n, r, colors):
+        if not data.startswith(chunk, at):
+            return None
+        at += len(chunk)
+    return ColoredHypergraph(params, colors) if at == len(data) else None
+
+
 def read_coloring(path) -> ColoredHypergraph:
-    """Read the text format back; every edge must be listed exactly once."""
-    with open(path) as fh:
-        line1 = fh.readline()
-        line2 = fh.readline()
-        body = fh.read()
+    """Read the text format back; every edge must be listed exactly once.
+
+    A file in write_coloring's exact layout is checked byte for byte by
+    _read_canonical; any other layout goes through the general parser.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    h = _read_canonical(data)
+    if h is None:
+        # decoded as open(path) in text mode would: locale encoding,
+        # universal newlines
+        h = _read_general(io.TextIOWrapper(io.BytesIO(data)))
+    return h
+
+
+def _read_general(fh) -> ColoredHypergraph:
+    """Parse any valid layout: whitespace-separated fields, rows in any order."""
+    line1 = fh.readline()
+    line2 = fh.readline()
+    body = fh.read()
     r, n, c = _parse_header(line1, line2)
     try:
         params = Params(n=n, r=r, t=2, c=c)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -136,8 +137,23 @@ def test_malformed_certificate_json(tiny_coloring, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["verify", str(bad), tiny_coloring]) == 3
-    bad.write_text('{"color": 1}')
-    assert main(["verify", str(bad), tiny_coloring]) == 3
+    for blob in ('{"color": 1}', "[1, 2]",
+                 '{"color": 1, "core": [0, 1], "edges": [[0, "x"]], "t": 2}'):
+        bad.write_text(blob)
+        capsys.readouterr()
+        assert main(["verify", str(bad), tiny_coloring]) == 3
+        assert "certificate JSON" in capsys.readouterr().err
+
+
+def test_rank_beyond_the_binomial_table_is_a_usage_error(tmp_path, capsys):
+    # r=10 passes the header checks but has no column in the rank table
+    lines = [" ".join(map(str, e)) + " : 1"
+             for e in itertools.combinations(range(12), 10)]
+    path = tmp_path / "r10.txt"
+    path.write_text("berge-coloring v1\nr=10 n=12 c=2\n" + "\n".join(lines) + "\n")
+    assert main(["verify", str(path), str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "r=10" in err and "Traceback" not in err
 
 
 def test_bad_subcommand_usage(capsys):

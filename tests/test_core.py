@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergecycles import core
 from bergecycles.core import (
     BergeCertificate,
     ColoredHypergraph,
@@ -107,6 +108,9 @@ def test_params_validation():
         Params(n=5, r=3, t=2, c=0)
     with pytest.raises(InvalidParams):
         Params(n=300, r=3, t=2, c=2)
+    Params(n=12, r=9, t=2, c=2)  # widest rank the binomial table serves
+    with pytest.raises(InvalidParams):
+        Params(n=12, r=10, t=2, c=2)
 
 
 def test_hypergraph_validation_and_recolor():
@@ -215,6 +219,51 @@ def test_certificate_json_roundtrip():
         BergeCertificate.from_json_dict({"color": 1, "core": [0, 1]})
 
 
+def reference_write(h, path):
+    # the per-line writer the numpy encoder replaced; its bytes are the format
+    p = h.params
+    tab = edge_table(p.n, p.r)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"berge-coloring v1\nr={p.r} n={p.n} c={p.c}\n")
+        for row, color in zip(tab, h.colors):
+            fh.write(f"{' '.join(str(int(v)) for v in row)} : {color}\n")
+
+
+def check_codec(h, tmp_path):
+    """write_coloring matches the reference bytes and reads back to h."""
+    ours, ref = tmp_path / "ours.txt", tmp_path / "ref.txt"
+    write_coloring(h, ours)
+    reference_write(h, ref)
+    data = ours.read_bytes()
+    assert data == ref.read_bytes()
+    h2 = read_coloring(ours)
+    assert h2.params == h.params
+    assert np.array_equal(h2.colors, h.colors)
+    # single-digit colors take the byte-compare path, wider ones the parser
+    assert (core._read_canonical(data) is not None) == (h.colors.max() <= 9)
+    return data
+
+
+@st.composite
+def codec_instances(draw):
+    n = draw(st.integers(2, 12))
+    r = draw(st.integers(2, min(5, n)))
+    c = draw(st.sampled_from([1, 2, 3, 9, 12]))
+    return random_coloring(Params(n=n, r=r, t=2, c=c), seed=draw(st.integers(0, 2**16)))
+
+
+@given(codec_instances())
+@settings(max_examples=40, deadline=None)
+def test_coloring_codec_matches_reference(tmp_path_factory, h):
+    check_codec(h, tmp_path_factory.mktemp("codec"))
+
+
+@pytest.mark.parametrize("n", [101, 128])
+@pytest.mark.parametrize("c", [1, 3, 9, 12, 200])
+def test_coloring_codec_wide_vertices_and_colors(tmp_path, n, c):
+    check_codec(random_coloring(Params(n=n, r=2, t=2, c=c), seed=c), tmp_path)
+
+
 def test_coloring_file_roundtrip(tmp_path):
     p = Params(n=6, r=3, t=2, c=3)
     h = random_coloring(p, seed=11)
@@ -223,6 +272,35 @@ def test_coloring_file_roundtrip(tmp_path):
     h2 = read_coloring(path)
     assert h2.params == p
     assert np.array_equal(h.colors, h2.colors)
+
+
+def test_coloring_file_accepts_other_layouts(tmp_path):
+    h = random_coloring(Params(n=11, r=3, t=2, c=3), seed=5)
+    path = tmp_path / "coloring.txt"
+    write_coloring(h, path)
+    text = path.read_text().splitlines()
+    head, rows = text[:2], text[2:]
+    shuffled = rows[:]
+    np.random.default_rng(0).shuffle(shuffled)
+    variants = {
+        "shuffled rows": "\n".join(head + shuffled) + "\n",
+        "doubled spaces": "\n".join(head + [ln.replace(" ", "  ") for ln in rows]) + "\n",
+        "no final newline": "\n".join(head + rows),
+        "crlf": "\r\n".join(head + rows) + "\r\n",
+    }
+    for name, text in variants.items():
+        path.write_bytes(text.encode())
+        assert core._read_canonical(path.read_bytes()) is None, name
+        assert np.array_equal(read_coloring(path).colors, h.colors), name
+
+
+def swap_two_vertices(data: bytes, line: int) -> bytes:
+    """Same length, same line ends, different bytes: `0 3 7 : 1` -> `3 0 7 : 1`."""
+    lines = data.split(b"\n")
+    verts = lines[line].split(b" ")
+    verts[0], verts[1] = verts[1], verts[0]
+    lines[line] = b" ".join(verts)
+    return b"\n".join(lines)
 
 
 def test_coloring_file_rejects_corruption(tmp_path):
@@ -257,6 +335,31 @@ def test_coloring_file_rejects_corruption(tmp_path):
     bad.write_text("\n".join(mangled) + "\n")
     with pytest.raises(ColoringFormatError):
         read_coloring(bad)
+
+    # same length and line ends as the canonical file, different bytes
+    mangled = swap_two_vertices(path.read_bytes(), 2 + 5)
+    assert len(mangled) == len(path.read_bytes())
+    bad.write_bytes(mangled)
+    with pytest.raises(ColoringFormatError, match="strictly increasing"):
+        read_coloring(bad)
+
+
+def test_coloring_codec_across_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(core, "_CHUNK_LINES", 7)
+    h = random_coloring(Params(n=10, r=4, t=2, c=3), seed=4)   # 210 lines, 30 chunks
+    data = check_codec(h, tmp_path)
+    path = tmp_path / "ours.txt"
+
+    def no_general_parse(fh):
+        raise AssertionError("a canonical file fell back to the general parser")
+
+    with monkeypatch.context() as m:
+        m.setattr(core, "_read_general", no_general_parse)
+        assert np.array_equal(read_coloring(path).colors, h.colors)
+    # a corrupt line in the last chunk must still be caught
+    path.write_bytes(swap_two_vertices(data, 2 + 205))
+    with pytest.raises(ColoringFormatError, match="strictly increasing"):
+        read_coloring(path)
 
 
 @settings(max_examples=30)
