@@ -25,25 +25,26 @@ N = 85
 
 
 def fixtures():
-    yield "random seed=1", random_coloring(Params(n=N, r=4, t=2, c=3), seed=1)
-    yield "pair-lock (0,1)->2", next(structured_colorings(
-        "pair-lock", {"n": N, "r": 4, "c": 3, "pair": (0, 1), "lock": 2}))
-    yield "near-mono base=2", next(structured_colorings(
-        "near-mono", {"n": N, "r": 4, "c": 3, "base": 2, "off": 1}))
-    yield "near-mono base=3", next(structured_colorings(
-        "near-mono", {"n": N, "r": 4, "c": 3, "base": 3, "off": 1}))
+    """(label, make) pairs; make() builds the coloring on demand."""
+    def structured(kind, **params):
+        return lambda: next(structured_colorings(kind, {"n": N, **params}))
+
+    yield "random seed=1", lambda: random_coloring(Params(n=N, r=4, t=2, c=3),
+                                                   seed=1)
+    yield "pair-lock (0,1)->2", structured("pair-lock", r=4, c=3,
+                                           pair=(0, 1), lock=2)
+    for base in (2, 3):
+        yield f"near-mono base={base}", structured("near-mono", r=4, c=3,
+                                                   base=base, off=1)
     for deg in (0, 1):
-        yield f"u-profile split deg={deg}", next(structured_colorings(
-            "u-profile", {"n": N, "k23": 0, "k12": 1, "k13": 42,
-                          "deg_w": deg, "deg_w2": deg}))
+        yield f"u-profile split deg={deg}", structured(
+            "u-profile", k23=0, k12=1, k13=42, deg_w=deg, deg_w2=deg)
     for deg_w in (0, 1, 2):
         for deg_u23 in (0, 1, 2):
             yield (f"u-profile repair deg_w={deg_w} deg_u23={deg_u23}",
-                   next(structured_colorings(
-                       "u-profile", {"n": N, "k23": 1, "k12": 1, "k13": 41,
-                                     "deg_w": deg_w, "deg_u23": deg_u23})))
-    yield "u-profile window", next(structured_colorings(
-        "u-profile", {"n": N, "k23": 1, "k12": 1, "k13": 40}))
+                   structured("u-profile", k23=1, k12=1, k13=41,
+                              deg_w=deg_w, deg_u23=deg_u23))
+    yield "u-profile window", structured("u-profile", k23=1, k12=1, k13=40)
 
 
 def main(argv=None):
@@ -54,7 +55,8 @@ def main(argv=None):
 
     sink = open(args.json, "w") if args.json else None
     seen = set()
-    for label, h in fixtures():
+    for label, make in fixtures():
+        h = make()
         t0 = time.monotonic()
         res = r4_find(h)
         dt = time.monotonic() - t0

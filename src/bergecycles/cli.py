@@ -57,7 +57,7 @@ def _cmd_verify(args) -> int:
     with open(args.certificate) as fh:
         try:
             blob = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ColoringFormatError(f"bad certificate JSON: {exc}") from exc
     try:
         cert = BergeCertificate.from_json_dict(blob)

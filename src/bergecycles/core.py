@@ -131,6 +131,22 @@ def edge_table(n: int, k: int) -> np.ndarray:
     return tab
 
 
+def edges_containing(n: int, r: int,
+                     fixed: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The r-subsets of {0..n-1} containing `fixed` (any order), as
+    (sorted rows, ascending colex ranks).
+
+    The free vertices relabel edge_table(n - |fixed|, r - |fixed|) in order,
+    and the colex order of the free parts is that of the whole subsets.
+    """
+    fixed = np.array(sorted(fixed), dtype=np.int16)
+    rest = np.setdiff1d(np.arange(n, dtype=np.int16), fixed)
+    free = rest[edge_table(len(rest), r - len(fixed))]
+    rows = np.sort(np.hstack([free, np.broadcast_to(fixed, (len(free), len(fixed)))]),
+                   axis=1)
+    return rows, rank_rows(rows)
+
+
 def rank_rows(rows: np.ndarray) -> np.ndarray:
     """Vectorized colex rank of each row of an (m, k) array of sorted subsets."""
     rows = np.asarray(rows)
@@ -158,8 +174,8 @@ class Params:
             raise InvalidParams(f"n={self.n} exceeds supported maximum {MAX_N}")
         if self.r > _MAX_K + 1:
             raise InvalidParams(f"r={self.r} exceeds supported maximum {_MAX_K + 1}")
-        if self.c < 1:
-            raise InvalidParams(f"need at least one color, got c={self.c}")
+        if not 1 <= self.c <= 255:  # colors are stored as uint8
+            raise InvalidParams(f"need 1 <= c <= 255 colors, got c={self.c}")
 
     @property
     def num_edges(self) -> int:
@@ -418,7 +434,10 @@ def read_coloring(path) -> ColoredHypergraph:
     if h is None:
         # decoded as open(path) in text mode would: locale encoding,
         # universal newlines
-        h = _read_general(io.TextIOWrapper(io.BytesIO(data)))
+        try:
+            h = _read_general(io.TextIOWrapper(io.BytesIO(data)))
+        except UnicodeDecodeError as exc:
+            raise ColoringFormatError(f"coloring file is not text: {exc}") from exc
     return h
 
 

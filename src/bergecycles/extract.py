@@ -11,6 +11,7 @@ augmenting paths and re-verify the assembled certificate from scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -19,9 +20,7 @@ from .core import (
     ColoredHypergraph,
     InternalError,
     TightCycleWitness,
-    binom,
-    edge_table,
-    rank_rows,
+    edges_containing,
     rank_subset,
     unrank_subset,
     verify_berge_certificate,
@@ -50,7 +49,7 @@ class PositionEdgeBipartite:
     """Cycle positions vs. candidate hyperedge ranks of the target color."""
 
     n_positions: int
-    adj: list[np.ndarray]  # adj[i]: ascending ranks of edges covering window i
+    adj: list[Sequence[int]]  # adj[i]: ascending ranks of the edges for position i
 
     def right_degrees(self) -> dict[int, int]:
         """Edge rank -> number of positions it is a candidate for."""
@@ -68,34 +67,21 @@ def build_position_bipartite(w: TightCycleWitness,
                              h: ColoredHypergraph) -> PositionEdgeBipartite:
     """Candidate backing edges per position, ascending rank, color-filtered."""
     p = h.params
-    n, r, t = p.n, p.r, w.t
-    windows = cycle_windows(w.core, t)
-    fill = r - t
-    adj: list[np.ndarray] = []
-    if fill == 0:
-        for win in windows:
-            rank = rank_subset(win)
-            good = h.color_of_rank(rank) == w.color
-            adj.append(np.array([rank] if good else [], dtype=np.int64))
-        return PositionEdgeBipartite(n_positions=n, adj=adj)
-    others = edge_table(n, fill)
-    for win in windows:
-        win_arr = np.array(win, dtype=np.int16)
-        mask = ~np.isin(others, win_arr).any(axis=1)
-        rest = others[mask]
-        combined = np.sort(
-            np.hstack([np.broadcast_to(win_arr, (len(rest), t)), rest]), axis=1)
-        ranks = rank_rows(combined)
-        ranks = np.sort(ranks[h.colors[ranks] == w.color])
-        adj.append(ranks)
-    return PositionEdgeBipartite(n_positions=n, adj=adj)
+    adj = []
+    for win in cycle_windows(w.core, w.t):
+        _, ranks = edges_containing(p.n, p.r, win)
+        adj.append(ranks[h.colors[ranks] == w.color])
+    return PositionEdgeBipartite(n_positions=p.n, adj=adj)
 
 
 def max_bipartite_matching(g: PositionEdgeBipartite) -> np.ndarray:
     """Maximum matching, position -> edge rank (-1 if unmatched).
 
-    Augmenting paths, positions processed in cycle order and candidates in
-    ascending rank, so results are reproducible across runs.
+    Augmenting paths, positions processed in index order and candidates in
+    ascending rank, so results are reproducible across runs.  A failed
+    augment leaves the matching unchanged, so the first unmatched position
+    is the first one a stop-at-first-failure run would report.  This is the
+    package's only matcher (r4 and the harness oracle use it too).
     """
     owner: dict[int, int] = {}
     match_left = np.full(g.n_positions, -1, dtype=np.int64)

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import TightCycleWitness, edge_table, rank_subset
+from .core import InternalError, TightCycleWitness, edge_table, rank_subset
 from .shadow import ShadowMulticoloring
 
 DEFAULT_BUDGET = 10**7
@@ -285,13 +285,17 @@ def find_hamiltonian_cycle(g: SimpleGraph, budget: int = DEFAULT_BUDGET) -> Hami
     full = (1 << n) - 1
     if all(r == full ^ (1 << v) for v, r in enumerate(rows_closed)):
         cyc = _peel_closure_cycle(rows_closed, added, list(range(n)))
-        assert _is_hamiltonian_cycle(g, cyc)
-        return HamiltonSearch("found", tuple(cyc), 0)
+        return _checked_found(g, cyc, "closure peel")
     cyc = _rotation_extension(g, max_ops=4 * n * n)
     if cyc is not None:
-        assert _is_hamiltonian_cycle(g, cyc)
-        return HamiltonSearch("found", tuple(cyc), 0)
+        return _checked_found(g, cyc, "rotation-extension")
     return _backtrack_hamilton(g, budget)
+
+
+def _checked_found(g: SimpleGraph, cyc: list[int], route: str) -> HamiltonSearch:
+    if not _is_hamiltonian_cycle(g, cyc):
+        raise InternalError(f"{route} returned a non-Hamiltonian cycle: {cyc}")
+    return HamiltonSearch("found", tuple(cyc), 0)
 
 
 def good_pair_graph(s: ShadowMulticoloring, color: int) -> SimpleGraph:

@@ -25,6 +25,7 @@ import numpy as np
 from .core import (
     BergeCertificate,
     ColoredHypergraph,
+    InternalError,
     InvalidParams,
     Params,
     edge_table,
@@ -33,7 +34,12 @@ from .core import (
     verify_berge_certificate,
     write_coloring,
 )
-from .extract import MatchingIncomplete, extend_tight_cycle
+from .extract import (
+    MatchingIncomplete,
+    PositionEdgeBipartite,
+    extend_tight_cycle,
+    max_bipartite_matching,
+)
 from .hamilton import DEFAULT_BUDGET, find_mono_ham_tight_cycle
 from .r4 import Unresolved, _incidence_counts, _pair_rank_matrix, r4_find
 from .shadow import build_shadow
@@ -78,31 +84,10 @@ def brute_force_exists(h: ColoredHypergraph, t: int | None = None) -> BergeCerti
         cert = _oracle_color_search(n, tab, color, pools, t)
         if cert is not None:
             err = verify_berge_certificate(cert, h, t=t)
-            assert err is None, f"oracle produced a bad certificate: {err}"
+            if err is not None:
+                raise InternalError(f"oracle produced a bad certificate: {err}")
             return cert
     return None
-
-
-def _perfect_matching(poollist: list[list[int]]) -> list[int] | None:
-    owner: dict[int, int] = {}
-
-    def augment(i, seen):
-        for e in poollist[i]:
-            if e in seen:
-                continue
-            seen.add(e)
-            if e not in owner or augment(owner[e], seen):
-                owner[e] = i
-                return True
-        return False
-
-    for i in range(len(poollist)):
-        if not augment(i, set()):
-            return None
-    out: list[int] = [0] * len(poollist)
-    for e, i in owner.items():
-        out[i] = e
-    return out
 
 
 def _oracle_color_search(n, tab, color, pools, t):
@@ -118,8 +103,9 @@ def _oracle_color_search(n, tab, color, pools, t):
                   for i in range(n)]
             if any(w not in pools for w in ws):
                 return None
-            match = _perfect_matching([pools[w] for w in ws])
-            if match is None:
+            match = max_bipartite_matching(
+                PositionEdgeBipartite(n, [pools[w] for w in ws]))
+            if (match < 0).any():
                 return None
             edges = tuple(tuple(int(v) for v in tab[e]) for e in match)
             return BergeCertificate(color=color, core=tuple(seq),

@@ -40,13 +40,18 @@ from .core import (
     Params,
     _BINOM,
     edge_table,
-    rank_rows,
+    edges_containing,
     rank_subset,
     unrank_subset,
     verify_berge_certificate,
     write_coloring,
 )
-from .extract import MatchingIncomplete, extend_tight_cycle
+from .extract import (
+    MatchingIncomplete,
+    PositionEdgeBipartite,
+    extend_tight_cycle,
+    max_bipartite_matching,
+)
 from .hamilton import (
     DEFAULT_BUDGET,
     SimpleGraph,
@@ -213,17 +218,6 @@ def _pair_rank_matrix(n: int) -> np.ndarray:
     m[tab[:, 0], tab[:, 1]] = ranks
     m[tab[:, 1], tab[:, 0]] = ranks
     return m
-
-
-def _quads_through(h: ColoredHypergraph, verts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """All 4-sets containing `verts`, as (rows, ranks); rows in colex order."""
-    n = h.params.n
-    rest = np.array([v for v in range(n) if v not in verts], dtype=np.int16)
-    k = 4 - len(verts)
-    combos = rest[edge_table(len(rest), k)]
-    fixed = np.tile(np.array(verts, dtype=np.int16), (len(combos), 1))
-    quads = np.sort(np.hstack([combos, fixed]), axis=1)
-    return quads, rank_rows(quads)
 
 
 def _incidence_counts(h: ColoredHypergraph) -> np.ndarray:
@@ -405,7 +399,7 @@ def _reserve(h: ColoredHypergraph, contain: tuple[int, ...], count: int,
     the already-consumed backings."""
     if count <= 0:
         return []
-    quads, ranks = _quads_through(h, contain)
+    quads, ranks = edges_containing(h.params.n, 4, contain)
     hits = np.flatnonzero(h.colors[ranks] == 1)
     out: list[tuple[int, ...]] = []
     for i in hits:
@@ -428,6 +422,13 @@ def _max_repetition_pick(candidates: list[int], pools: list[tuple[int, ...]]) ->
 
 def _backings_at(gb: _GammaBuilder, v: int, tags: set[str]) -> set[tuple[int, ...]]:
     return {backing for _, backing in gb.neighbors_via(v, tags) if backing is not None}
+
+
+def _repair(gb: _GammaBuilder, D: set[int], x: int, w: int, t: int,
+            g: tuple[int, ...], *keep: int) -> None:
+    """Add the repair pair (w, t) backed by g; g's other vertices join D."""
+    gb.add(w, t, "E6", g)
+    D.update(u for u in g if u not in (x, w, t, *keep))
 
 
 def construct_gamma_case1(h: ColoredHypergraph, s: ShadowMulticoloring,
@@ -484,8 +485,7 @@ def construct_gamma_case1(h: ColoredHypergraph, s: ShadowMulticoloring,
             v_nbr = lone_neighbor(w2)
             g21 = W2[0]
             t1 = min(u for u in g21 if u not in (x, w2, v_nbr))
-            gb.add(w2, t1, "E6", g21)
-            D.update(u for u in g21 if u not in (x, w2, t1))
+            _repair(gb, D, x, w2, t1, g21)
         elif r2 == 3:
             # unreachable when degrees are sorted, but harmless to honor
             g21, g22 = W2[0], W2[1]
@@ -493,17 +493,14 @@ def construct_gamma_case1(h: ColoredHypergraph, s: ShadowMulticoloring,
                                       [g21, g22])
             t2 = _max_repetition_pick([u for u in g22 if u not in (x, w2, t1)],
                                       [g21, g22])
-            gb.add(w2, t1, "E6", g21)
-            gb.add(w2, t2, "E6", g22)
-            D.update(u for u in g21 if u not in (x, w2, t1))
-            D.update(u for u in g22 if u not in (x, w2, t2))
+            _repair(gb, D, x, w2, t1, g21)
+            _repair(gb, D, x, w2, t2, g22)
     else:
         subcase["variant"] = "ii"
         g11 = W1[0]
         if r2 <= 1:
             u1 = min(u for u in g11 if u not in (x, w1))
-            gb.add(w1, u1, "E6", g11)
-            D.update(u for u in g11 if u not in (x, w1, u1))
+            _repair(gb, D, x, w1, u1, g11)
         elif r2 == 2:
             v_nbr = lone_neighbor(w2)
             w2prime = set(W2) | _backings_at(gb, w2, tag14)
@@ -516,10 +513,8 @@ def construct_gamma_case1(h: ColoredHypergraph, s: ShadowMulticoloring,
             u1 = min(u for u in g13 if u not in (x, w1))
             g21 = W2[0]
             t1 = min(u for u in g21 if u not in (x, w2, v_nbr))
-            gb.add(w1, u1, "E6", g13)
-            gb.add(w2, t1, "E6", g21)
-            D.update(u for u in g13 if u not in (x, w1, u1))
-            D.update(u for u in g21 if u not in (x, w2, t1))
+            _repair(gb, D, x, w1, u1, g13)
+            _repair(gb, D, x, w2, t1, g21)
         else:
             common = [g for g in W1 if g in set(W2)]
             if not common:
@@ -530,21 +525,16 @@ def construct_gamma_case1(h: ColoredHypergraph, s: ShadowMulticoloring,
                                           [g21, g22])
                 t2 = _max_repetition_pick([u for u in g22 if u not in (x, w2, t1)],
                                           [g21, g22])
-                gb.add(w1, u1, "E6", g11)
-                gb.add(w2, t1, "E6", g21)
-                gb.add(w2, t2, "E6", g22)
-                D.update(u for u in g11 if u not in (x, w1, u1))
-                D.update(u for u in g21 if u not in (x, w2, t1))
-                D.update(u for u in g22 if u not in (x, w2, t2))
+                _repair(gb, D, x, w1, u1, g11)
+                _repair(gb, D, x, w2, t1, g21)
+                _repair(gb, D, x, w2, t2, g22)
             else:
                 subcase["intersecting"] = True
                 g11 = common[0]
                 g22 = next(g for g in W2 if g != g11)
                 t1 = min(u for u in g22 if u not in (x, w1, w2))
-                gb.add(w1, w2, "E6", g11)
-                gb.add(w2, t1, "E6", g22)
-                D.update(u for u in g11 if u not in (x, w1, w2))
-                D.update(u for u in g22 if u not in (x, w1, w2, t1))
+                _repair(gb, D, x, w1, w2, g11)
+                _repair(gb, D, x, w2, t1, g22, w1)
 
     for v in range(n):
         if v == x:
@@ -627,23 +617,19 @@ def construct_gamma_case2(h: ColoredHypergraph, s: ShadowMulticoloring,
             v_nbr = lone_neighbor(u23, tag13)
             g1 = U[0]
             t1 = min(u for u in g1 if u not in (x, u23, v_nbr))
-            gb.add(u23, t1, "E6", g1)
-            D.update(u for u in g1 if u not in (x, u23, t1))
+            _repair(gb, D, x, u23, t1, g1)
         elif l == 2:
             g1, g2 = U
             t1 = _max_repetition_pick([u for u in g1 if u not in (x, u23)], [g1, g2])
             t2 = _max_repetition_pick([u for u in g2 if u not in (x, u23, t1)], [g1, g2])
-            gb.add(u23, t1, "E6", g1)
-            gb.add(u23, t2, "E6", g2)
-            D.update(u for u in g1 if u not in (x, u23, t1))
-            D.update(u for u in g2 if u not in (x, u23, t2))
+            _repair(gb, D, x, u23, t1, g1)
+            _repair(gb, D, x, u23, t2, g2)
     elif r == 2:
         v_nbr = lone_neighbor(w1, tag14)
         if l == 0:
             h1 = W[0]
             u1 = min(u for u in h1 if u not in (x, w1, v_nbr))
-            gb.add(w1, u1, "E6", h1)
-            D.update(u for u in h1 if u not in (x, w1, u1))
+            _repair(gb, D, x, w1, u1, h1)
         elif l == 1:
             u_nbr = lone_neighbor(u23, tag13)
             # keep an edge through u23 in front, repair w1 from the other
@@ -652,10 +638,8 @@ def construct_gamma_case2(h: ColoredHypergraph, s: ShadowMulticoloring,
             u1 = min(u for u in h2 if u not in (x, w1, v_nbr))
             g1 = U[0]
             t1 = min(u for u in g1 if u not in (x, u23, u_nbr))
-            gb.add(w1, u1, "E6", h2)
-            gb.add(u23, t1, "E6", g1)
-            D.update(u for u in h2 if u not in (x, w1, u1))
-            D.update(u for u in g1 if u not in (x, u23, t1))
+            _repair(gb, D, x, w1, u1, h2)
+            _repair(gb, D, x, u23, t1, g1)
         else:
             wprime = set(W) | _backings_at(gb, w1, tag14)
             common = [g for g in U if g in wprime]
@@ -666,31 +650,24 @@ def construct_gamma_case2(h: ColoredHypergraph, s: ShadowMulticoloring,
                 u1 = min(u for u in h1 if u not in (x, w1, v_nbr))
                 t1 = _max_repetition_pick([u for u in g1 if u not in (x, u23)], [g1, g2])
                 t2 = _max_repetition_pick([u for u in g2 if u not in (x, u23, t1)], [g1, g2])
-                gb.add(w1, u1, "E6", h1)
-                gb.add(u23, t1, "E6", g1)
-                gb.add(u23, t2, "E6", g2)
-                D.update(u for u in h1 if u not in (x, w1, u1))
-                D.update(u for u in g1 if u not in (x, u23, t1))
-                D.update(u for u in g2 if u not in (x, u23, t2))
+                _repair(gb, D, x, w1, u1, h1)
+                _repair(gb, D, x, u23, t1, g1)
+                _repair(gb, D, x, u23, t2, g2)
             else:
                 subcase["intersecting"] = True
                 h1 = common[0]
                 g2 = next(g for g in U if g != h1)
                 t1 = _max_repetition_pick(
                     [u for u in g2 if u not in (x, u23, w1)], [U[0], g2])
-                gb.add(w1, u23, "E6", h1)
-                gb.add(u23, t1, "E6", g2)
-                D.update(u for u in h1 if u not in (x, w1, u23))
-                D.update(u for u in g2 if u not in (x, u23, t1))
+                _repair(gb, D, x, w1, u23, h1)
+                _repair(gb, D, x, u23, t1, g2)
     else:
         if l == 0:
             h1, h2 = W[0], W[1]
             u1 = _max_repetition_pick([u for u in h1 if u not in (x, w1)], [h1, h2])
             u2 = _max_repetition_pick([u for u in h2 if u not in (x, w1, u1)], [h1, h2])
-            gb.add(w1, u1, "E6", h1)
-            gb.add(w1, u2, "E6", h2)
-            D.update(u for u in h1 if u not in (x, w1, u1))
-            D.update(u for u in h2 if u not in (x, w1, u2))
+            _repair(gb, D, x, w1, u1, h1)
+            _repair(gb, D, x, w1, u2, h2)
         elif l == 1:
             u_nbr = lone_neighbor(u23, tag13)
             g1 = U[0]
@@ -700,12 +677,9 @@ def construct_gamma_case2(h: ColoredHypergraph, s: ShadowMulticoloring,
             u1 = _max_repetition_pick([u for u in h2 if u not in (x, w1)], [h2, h3])
             u2 = _max_repetition_pick([u for u in h3 if u not in (x, w1, u1)], [h2, h3])
             t1 = min(u for u in g1 if u not in (x, u23, u_nbr))
-            gb.add(w1, u1, "E6", h2)
-            gb.add(w1, u2, "E6", h3)
-            gb.add(u23, t1, "E6", g1)
-            D.update(u for u in h2 if u not in (x, w1, u1))
-            D.update(u for u in h3 if u not in (x, w1, u2))
-            D.update(u for u in g1 if u not in (x, u23, t1))
+            _repair(gb, D, x, w1, u1, h2)
+            _repair(gb, D, x, w1, u2, h3)
+            _repair(gb, D, x, u23, t1, g1)
         else:
             common = [g for g in W if g in set(U)]
             if not common:
@@ -716,14 +690,10 @@ def construct_gamma_case2(h: ColoredHypergraph, s: ShadowMulticoloring,
                 u2 = _max_repetition_pick([u for u in h2 if u not in (x, w1, u1)], [h1, h2])
                 t1 = _max_repetition_pick([u for u in g1 if u not in (x, u23)], [g1, g2])
                 t2 = _max_repetition_pick([u for u in g2 if u not in (x, u23, t1)], [g1, g2])
-                gb.add(w1, u1, "E6", h1)
-                gb.add(w1, u2, "E6", h2)
-                gb.add(u23, t1, "E6", g1)
-                gb.add(u23, t2, "E6", g2)
-                D.update(u for u in h1 if u not in (x, w1, u1))
-                D.update(u for u in h2 if u not in (x, w1, u2))
-                D.update(u for u in g1 if u not in (x, u23, t1))
-                D.update(u for u in g2 if u not in (x, u23, t2))
+                _repair(gb, D, x, w1, u1, h1)
+                _repair(gb, D, x, w1, u2, h2)
+                _repair(gb, D, x, u23, t1, g1)
+                _repair(gb, D, x, u23, t2, g2)
             else:
                 subcase["intersecting"] = True
                 h1 = common[0]
@@ -733,12 +703,9 @@ def construct_gamma_case2(h: ColoredHypergraph, s: ShadowMulticoloring,
                 u1 = min(u for u in h3 if u not in (x, w1))
                 t1 = _max_repetition_pick(
                     [u for u in g2 if u not in (x, u23, w1)], [h1, g2])
-                gb.add(w1, u23, "E6", h1)
-                gb.add(w1, u1, "E6", h3)
-                gb.add(u23, t1, "E6", g2)
-                D.update(u for u in h1 if u not in (x, w1, u23))
-                D.update(u for u in h3 if u not in (x, w1, u1))
-                D.update(u for u in g2 if u not in (x, u23, w1, t1))
+                _repair(gb, D, x, w1, u23, h1)
+                _repair(gb, D, x, w1, u1, h3)
+                _repair(gb, D, x, u23, t1, g2, w1)
 
     if w is not None:
         gm = s.goodmask
@@ -787,14 +754,6 @@ def _degree_report(degs: list[int], hard, info) -> dict:
 
 # ---------------------------------------------------------------------------
 # lifting a Hamiltonian cycle of Gamma to a Berge-cycle
-
-
-def _pair_pool(h: ColoredHypergraph, a: int, b: int,
-               used: set[int]) -> list[int]:
-    """Ranks of unused color-1 edges containing both a and b, ascending."""
-    _, ranks = _quads_through(h, (a, b))
-    hits = ranks[h.colors[ranks] == 1]
-    return [int(r) for r in hits if int(r) not in used]
 
 
 def extend_to_berge(h: ColoredHypergraph, s: ShadowMulticoloring,
@@ -869,33 +828,27 @@ def extend_to_berge(h: ColoredHypergraph, s: ShadowMulticoloring,
                         "candidates": sorted(u13 - nearby)})
 
     # star pairs: a small bipartite matching against the remaining pools
+    # of unused color-1 edges over each pair
     star = sorted(i for i, tag in deferred if tag != "E5")
-    pools = {i: _pair_pool(h, pairs[i][0], pairs[i][1], used) for i in star}
-    owner: dict[int, int] = {}
-
-    def augment(i, seen):
-        for rank in pools[i]:
-            if rank in seen:
-                continue
-            seen.add(rank)
-            if rank not in owner or augment(owner[rank], seen):
-                owner[rank] = i
-                return True
-        return False
-
+    taken = np.fromiter(used, dtype=np.int64, count=len(used))
+    pools = []
     for i in star:
-        if not augment(i, set()):
+        _, ranks = edges_containing(n, 4, pairs[i])
+        pools.append(ranks[(h.colors[ranks] == 1) & ~np.isin(ranks, taken)])
+    match = max_bipartite_matching(PositionEdgeBipartite(len(star), pools))
+    for j, i in enumerate(star):
+        if match[j] < 0:
             raise ExtensionFailed(
                 f"no assignment for star pair {pairs[i]} at position {i}",
                 detail={"position": i, "pair": list(pairs[i]),
-                        "pool_sizes": {j: len(pools[j]) for j in star}})
-    for rank, i in owner.items():
-        assigned[i] = rank
+                        "pool_sizes": dict(zip(star, map(len, pools)))})
+        assigned[i] = int(match[j])
 
     edges = tuple(unrank_subset(assigned[i], n, 4) for i in range(n))
     cert = BergeCertificate(color=1, core=tuple(core), edges=edges, t=2)
     err = verify_berge_certificate(cert, h)
-    assert err is None, f"internal extension error: {err}"
+    if err is not None:
+        raise InternalError(f"internal extension error: {err}")
     return cert
 
 
@@ -945,21 +898,6 @@ def _order_avoiding(pool, prev, nxt, blocked, cap: int = 200000):
             start = j + 1
 
 
-def _link_coloring(n: int, v: int,
-                   work: np.ndarray) -> tuple[ColoredHypergraph, list[int]]:
-    """Two-colored 3-graph on the other vertices induced by the edges
-    through v: work colors {2,3} become link colors {1,2}.  Returns the
-    link plus the id list mapping link vertex i back to the original."""
-    others = [u for u in range(n) if u != v]
-    arr = np.array(others, dtype=np.int16)
-    tab3 = edge_table(n - 1, 3)
-    quads = np.sort(np.hstack([arr[tab3],
-                               np.full((len(tab3), 1), v, dtype=np.int16)]),
-                    axis=1)
-    kcolors = (work[rank_rows(quads)] - 1).astype(np.uint8)
-    return ColoredHypergraph(Params(n=n - 1, r=3, t=2, c=2), kcolors), others
-
-
 def _mono_ham_berge_in_link(k: ColoredHypergraph, budget: int,
                             fallbacks: list) -> BergeCertificate:
     sk = build_shadow(k, 2)
@@ -987,36 +925,16 @@ def _mono_ham_berge_in_link(k: ColoredHypergraph, budget: int,
                           "status": res.status})
         if res.status != "found":
             continue
-        cyc = list(res.cycle)
-        pools = {}
+        cyc = res.cycle
+        pools = []
         for i in range(n1):
-            a, b = cyc[i], cyc[(i + 1) % n1]
-            pool = []
-            for u in range(n1):
-                if u in (a, b):
-                    continue
-                tri = tuple(sorted((a, b, u)))
-                if k.color_of(tri) == color:
-                    pool.append(rank_subset(tri))
-            pools[i] = sorted(pool)
-        owner: dict[int, int] = {}
-
-        def augment(i, seen):
-            for rk in pools[i]:
-                if rk in seen:
-                    continue
-                seen.add(rk)
-                if rk not in owner or augment(owner[rk], seen):
-                    owner[rk] = i
-                    return True
-            return False
-
-        if all(augment(i, set()) for i in range(n1)):
-            edges: list = [None] * n1
-            for rk, i in owner.items():
-                edges[i] = unrank_subset(rk, n1, 3)
+            _, ranks = edges_containing(n1, 3, (cyc[i], cyc[(i + 1) % n1]))
+            pools.append(ranks[k.colors[ranks] == color])
+        match = max_bipartite_matching(PositionEdgeBipartite(n1, pools))
+        if (match >= 0).all():
+            edges = tuple(unrank_subset(int(rk), n1, 3) for rk in match)
             return BergeCertificate(color=color, core=tuple(cyc),
-                                    edges=tuple(edges), t=2)
+                                    edges=edges, t=2)
         fallbacks.append({"stage": "link-weak-matching", "color": color,
                           "status": "incomplete"})
     raise FallbackExhausted("no monochromatic Hamiltonian cycle in the link")
@@ -1308,7 +1226,7 @@ def lemma_a_construct(h: ColoredHypergraph, vertex: int, color: int,
     lut[1], lut[color] = color, 1
     work = lut[h.colors]
 
-    quads, ranks = _quads_through(h, (vertex,))
+    quads, ranks = edges_containing(n, 4, (vertex,))
     ones = np.flatnonzero(work[ranks] == 1)
     if ones.size > 1:
         raise InvalidParams(
@@ -1326,7 +1244,10 @@ def lemma_a_construct(h: ColoredHypergraph, vertex: int, color: int,
         work = work.copy()
     work[rank_subset(e_v)] = 2
 
-    k, others = _link_coloring(n, vertex, work)
+    # the link of v: the edges through v, minus v, in the colex order of
+    # the other vertices; work colors {2,3} become link colors {1,2}
+    others = [u for u in range(n) if u != vertex]
+    k = ColoredHypergraph(Params(n=n - 1, r=3, t=2, c=2), work[ranks] - 1)
     link_cert = _mono_ham_berge_in_link(k, budget, detail["fallbacks"])
     core = [others[i] for i in link_cert.core]
     cedges = [tuple(sorted(others[i] for i in e)) for e in link_cert.edges]

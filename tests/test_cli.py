@@ -145,6 +145,15 @@ def test_malformed_certificate_json(tiny_coloring, tmp_path, capsys):
         assert "certificate JSON" in capsys.readouterr().err
 
 
+def test_non_text_input_is_a_usage_error(tiny_coloring, tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00" + bytes(range(256)))
+    assert main(["verify", str(bad), tiny_coloring]) == 3
+    assert "bad certificate JSON" in capsys.readouterr().err
+    assert main(["search", str(bad)]) == 3
+    assert "coloring file is not text" in capsys.readouterr().err
+
+
 def test_rank_beyond_the_binomial_table_is_a_usage_error(tmp_path, capsys):
     # r=10 passes the header checks but has no column in the rank table
     lines = [" ".join(map(str, e)) + " : 1"

@@ -111,6 +111,11 @@ def test_params_validation():
     Params(n=12, r=9, t=2, c=2)  # widest rank the binomial table serves
     with pytest.raises(InvalidParams):
         Params(n=12, r=10, t=2, c=2)
+    Params(n=5, r=3, t=2, c=255)  # colors are stored as uint8
+    with pytest.raises(InvalidParams):
+        Params(n=5, r=3, t=2, c=256)
+    with pytest.raises(InvalidParams):  # 300 would wrap to 44 as uint8
+        ColoredHypergraph(Params(n=3, r=2, t=2, c=300), np.array([300, 1, 1]))
 
 
 def test_hypergraph_validation_and_recolor():

@@ -68,3 +68,47 @@ def test_extend_tight_cycle_guards(patch, message):
     """)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip() == message
+
+
+@pytest.mark.parametrize("code,message", [
+    ("""
+        from bergecycles import r4, structured_colorings
+        h = next(structured_colorings("u-profile", {"n": 85, "k23": 0, "k12": 1,
+                                                    "k13": 42, "deg_w": 0,
+                                                    "deg_w2": 0}))  # case-1
+        r4.verify_berge_certificate = lambda cert, h, t=None: "forced failure"
+        r4._dump_reproducer = lambda h, trace, tag: None
+        r4.r4_find(h)
+    """, "internal extension error: forced failure"),
+    ("""
+        import numpy as np
+        from bergecycles import harness
+        from bergecycles.core import ColoredHypergraph, Params
+        h = ColoredHypergraph(Params(n=6, r=3, t=2, c=1), np.ones(20, np.uint8))
+        harness.verify_berge_certificate = lambda cert, h, t=None: "forced failure"
+        harness.brute_force_exists(h)
+    """, "oracle produced a bad certificate: forced failure"),
+    ("""
+        from bergecycles import hamilton
+        hamilton._peel_closure_cycle = lambda rows, added, cycle: [0, 1, 2, 3, 3]
+        hamilton.find_hamiltonian_cycle(hamilton.SimpleGraph.complete(5))
+    """, "closure peel returned a non-Hamiltonian cycle: [0, 1, 2, 3, 3]"),
+    ("""
+        from bergecycles import hamilton
+        c6 = hamilton.SimpleGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+        hamilton._rotation_extension = lambda g, max_ops: [0, 1, 2, 3, 5, 4]
+        hamilton.find_hamiltonian_cycle(c6)
+    """, "rotation-extension returned a non-Hamiltonian cycle: [0, 1, 2, 3, 5, 4]"),
+], ids=["r4-extension", "oracle", "closure-peel", "rotation-extension"])
+def test_returned_result_guards(code, message):
+    proc = run_optimized(f"""
+        from bergecycles.core import InternalError
+        try:
+{textwrap.indent(textwrap.dedent(code), " " * 12)}
+        except InternalError as exc:
+            print(exc)
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == message
