@@ -178,10 +178,9 @@ def _build_parser() -> _Parser:
     ap = _Parser(prog="berge", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, budget=False):
-        if budget:
-            sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                            help="search expansion budget")
+    def add_budget(sp):
+        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        help="search expansion budget")
 
     v = sub.add_parser("verify", help="check a certificate against a coloring")
     v.add_argument("certificate")
@@ -198,7 +197,7 @@ def _build_parser() -> _Parser:
                    help="certificate path (default: <coloring>.cert.json)")
     e.add_argument("--trace", default=None,
                    help="trace path (default: <coloring>.trace.json)")
-    common(e, budget=True)
+    add_budget(e)
     e.set_defaults(func=_cmd_extract)
 
     s = sub.add_parser("search", help="find a cycle, print the certificate")
@@ -207,7 +206,7 @@ def _build_parser() -> _Parser:
                    help="certificate path (default: stdout)")
     s.add_argument("--no-oracle", action="store_true",
                    help="skip the exhaustive fallback on tiny instances")
-    common(s, budget=True)
+    add_budget(s)
     s.set_defaults(func=_cmd_search)
 
     d = sub.add_parser("shadow-dump", help="dump the t-set color counts")
@@ -229,7 +228,7 @@ def _build_parser() -> _Parser:
     st.add_argument("--reproducer-dir", default=None)
     st.add_argument("-o", "--output", default=None,
                     help="report path (default: stdout)")
-    common(st, budget=True)
+    add_budget(st)
     st.set_defaults(func=_cmd_stress)
     return ap
 

@@ -15,7 +15,6 @@ a coloring and trusts nothing.
 from __future__ import annotations
 
 import io
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -261,17 +260,6 @@ class TightCycleWitness:
     color: int
     core: tuple[int, ...]
     t: int
-
-
-def write_certificate(cert: BergeCertificate, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(cert.to_json_dict(), fh)
-        fh.write("\n")
-
-
-def read_certificate(path) -> BergeCertificate:
-    with open(path) as fh:
-        return BergeCertificate.from_json_dict(json.load(fh))
 
 
 def verify_berge_certificate(cert: BergeCertificate, h: ColoredHypergraph,

@@ -68,14 +68,6 @@ class SimpleGraph:
     def degrees(self) -> list[int]:
         return [r.bit_count() for r in self.rows]
 
-    def neighbors(self, v: int) -> list[int]:
-        row = self.rows[v]
-        return [u for u in range(self.n) if row >> u & 1]
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
-                if self.rows[u] >> v & 1]
-
     def is_connected(self) -> bool:
         if self.n == 0:
             return True

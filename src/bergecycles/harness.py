@@ -41,8 +41,8 @@ from .extract import (
     max_bipartite_matching,
 )
 from .hamilton import DEFAULT_BUDGET, find_mono_ham_tight_cycle
-from .r4 import Unresolved, _incidence_counts, _pair_rank_matrix, r4_find
-from .shadow import build_shadow
+from .r4 import Unresolved, _pair_rank_matrix, r4_find
+from .shadow import build_shadow, subset_color_counts
 
 ORACLE_MAX_N = 10
 
@@ -497,7 +497,7 @@ def _check_u_profile(h, t_set, y_set, z_set, specials1, blocks):
         others = np.concatenate([np.arange(1, v), np.arange(v + 1, n)])
         if not np.all(gm[pr[v, others]] == 0b111):
             raise RuntimeError(f"vertex {v} is not fully covered")
-    if np.any(_incidence_counts(h) <= 1):
+    if np.any(subset_color_counts(h, 1) <= 1):
         raise RuntimeError("engineering left a sparse vertex behind")
     if t_set and y_set:
         t0, y0 = t_set[0], y_set[0]

@@ -17,6 +17,12 @@ certificate plus a trace of the construction route taken.  The dispatcher
      cycle is found, and `extend_to_berge` assigns a distinct color-1 edge
      over every consecutive pair.
 
+Both Gamma cases share one scaffold for the pair families E1-E5
+(`_gamma_base`); they differ only in which low-degree vertices receive E6
+repair pairs (`_repair`, `_repair_min`, `_repair_two`) and in the star at
+x.  In the vertex route, the opposite-color and terminal cycles through a
+hub vertex are closed by one helper (`_close_hub_cycle`).
+
 Everything is deterministic: vertex sets iterate in sorted order, candidate
 edges scan in colex order, and ties break toward smaller ids.
 """
@@ -162,15 +168,8 @@ class GammaConstruction:
     x: int
     y: int
     z: int
-    u12: int | None
-    u23: int | None
-    w: int | None                   # extra star vertex (case 2, large U123 only)
     w1: int | None
-    w2: int | None
-    U12: tuple[int, ...]
     U13: tuple[int, ...]
-    U123: tuple[int, ...]
-    D: frozenset[int]
     subcase: dict
     degree_report: dict
 
@@ -218,11 +217,6 @@ def _pair_rank_matrix(n: int) -> np.ndarray:
     m[tab[:, 0], tab[:, 1]] = ranks
     m[tab[:, 1], tab[:, 0]] = ranks
     return m
-
-
-def _incidence_counts(h: ColoredHypergraph) -> np.ndarray:
-    """(n, c) matrix: per vertex, how many incident edges of each color."""
-    return subset_color_counts(h, 1)
 
 
 def relabel_colors(h: ColoredHypergraph, s: ShadowMulticoloring,
@@ -382,7 +376,8 @@ class _GammaBuilder:
     def degree(self, v: int) -> int:
         return sum(1 for k in self.prov if v in k)
 
-    def neighbors_via(self, v: int, tags: set[str]) -> list[tuple[int, tuple[int, ...] | None]]:
+    def neighbors_via(self, v: int | None,
+                      tags: frozenset[str]) -> list[tuple[int, tuple[int, ...] | None]]:
         out = []
         for (a, b), (tag, backing) in self.prov.items():
             if tag in tags and v in (a, b):
@@ -391,6 +386,38 @@ class _GammaBuilder:
 
     def graph(self) -> SimpleGraph:
         return SimpleGraph.from_edges(self.n, self.prov.keys())
+
+
+_TAG14 = frozenset({"E1", "E2", "E3", "E4"})
+_TAG13 = frozenset({"E1", "E2", "E3"})
+
+
+def _fan(gb: _GammaBuilder, hub: tuple[int, int], a: int, tag: str, vs) -> None:
+    """Add the pair (a, v) for each v in vs whose 4-set hub + {a, v} has
+    color 1, backed by that 4-set."""
+    for v in vs:
+        if gb.color((*hub, a, v)) == 1:
+            gb.add(a, v, tag, tuple(sorted((*hub, a, v))))
+
+
+def _gamma_base(h: ColoredHypergraph, sel: PivotSelection,
+                a_set: set[int]) -> _GammaBuilder:
+    """Pair families E1-E5 around the pivot x, shared by both cases; a_set
+    holds the vertices that pair with y (E4) instead of with z (E3)."""
+    n = h.params.n
+    x, y, z = sel.x, sel.y, sel.z
+    gb = _GammaBuilder(h)
+    # |U23| = 1 forces |U12| <= 2 (classify_and_pivot), so case 2 fans one u12
+    for u in sorted(set(sel.U12) - {y}):
+        _fan(gb, (x, z), u, "E1", (v for v in range(n) if v not in (x, z, y, u)))
+    for u in sorted(set(sel.U13) - {z}):
+        _fan(gb, (x, y), u, "E2", (v for v in range(n) if v not in (x, y, u)))
+    _fan(gb, (x, y), z, "E3",
+         (v for v in range(n) if v not in (x, y, z) and v not in a_set))
+    _fan(gb, (x, z), y, "E4", sorted(a_set - {y}))
+    for v in sorted(set(sel.U13) - {z}):
+        gb.add(y, v, "E5", None)
+    return gb
 
 
 def _reserve(h: ColoredHypergraph, contain: tuple[int, ...], count: int,
@@ -420,8 +447,18 @@ def _max_repetition_pick(candidates: list[int], pools: list[tuple[int, ...]]) ->
     return max(sorted(candidates), key=lambda v: sum(v in g for g in pools))
 
 
-def _backings_at(gb: _GammaBuilder, v: int, tags: set[str]) -> set[tuple[int, ...]]:
+def _backings_at(gb: _GammaBuilder, v: int | None,
+                 tags: frozenset[str]) -> set[tuple[int, ...]]:
     return {backing for _, backing in gb.neighbors_via(v, tags) if backing is not None}
+
+
+def _deficit(gb: _GammaBuilder, v: int | None, target: int) -> int:
+    """How many pairs v lacks to reach degree `target` (0 for no vertex)."""
+    return 0 if v is None else max(target - gb.degree(v), 0)
+
+
+def _lone_neighbor(gb: _GammaBuilder, v: int, tags: frozenset[str]) -> int:
+    return gb.neighbors_via(v, tags)[0][0]
 
 
 def _repair(gb: _GammaBuilder, D: set[int], x: int, w: int, t: int,
@@ -431,110 +468,67 @@ def _repair(gb: _GammaBuilder, D: set[int], x: int, w: int, t: int,
     D.update(u for u in g if u not in (x, w, t, *keep))
 
 
+def _repair_min(gb: _GammaBuilder, D: set[int], x: int, w: int,
+                g: tuple[int, ...], *avoid: int) -> None:
+    """Repair w toward the smallest vertex of g outside x, w and `avoid`."""
+    _repair(gb, D, x, w, min(u for u in g if u not in (x, w, *avoid)), g)
+
+
+def _repair_two(gb: _GammaBuilder, D: set[int], x: int, w: int,
+                g1: tuple[int, ...], g2: tuple[int, ...]) -> None:
+    """Repair w from both edges, each toward the vertex repeated most
+    across the two; the second pick avoids the first."""
+    t1 = _max_repetition_pick([u for u in g1 if u not in (x, w)], [g1, g2])
+    t2 = _max_repetition_pick([u for u in g2 if u not in (x, w, t1)], [g1, g2])
+    _repair(gb, D, x, w, t1, g1)
+    _repair(gb, D, x, w, t2, g2)
+
+
 def construct_gamma_case1(h: ColoredHypergraph, s: ShadowMulticoloring,
                           sel: PivotSelection) -> GammaConstruction:
     """Auxiliary graph for an empty U23 (colors already renamed)."""
     n = h.params.n
     x, y, z = sel.x, sel.y, sel.z
-    gb = _GammaBuilder(h)
-    aa = set(sel.A) | set(sel.A2)
-    for u in sorted(set(sel.U12) - {y}):
-        for v in range(n):
-            if v in (x, z, y, u):
-                continue
-            if gb.color((x, z, u, v)) == 1:
-                gb.add(u, v, "E1", tuple(sorted((x, z, u, v))))
-    for u in sorted(set(sel.U13) - {z}):
-        for v in range(n):
-            if v in (x, y, u):
-                continue
-            if gb.color((x, y, u, v)) == 1:
-                gb.add(u, v, "E2", tuple(sorted((x, y, u, v))))
-    for v in range(n):
-        if v in (x, y, z) or v in aa:
-            continue
-        if gb.color((x, y, z, v)) == 1:
-            gb.add(z, v, "E3", tuple(sorted((x, y, z, v))))
-    for v in sorted(aa - {y}):
-        if gb.color((x, y, z, v)) == 1:
-            gb.add(y, v, "E4", tuple(sorted((x, y, z, v))))
-    for v in sorted(set(sel.U13) - {z}):
-        gb.add(y, v, "E5", None)
+    gb = _gamma_base(h, sel, set(sel.A) | set(sel.A2))
 
     # repair the two least-covered U123 vertices up to degree 3
     wsorted = sorted(sel.U123, key=lambda v: (gb.degree(v), v))
-    w1 = wsorted[0] if wsorted else None
-    w2 = wsorted[1] if len(wsorted) > 1 else None
-    r1 = max(3 - gb.degree(w1), 0) if w1 is not None else 0
-    r2 = max(3 - gb.degree(w2), 0) if w2 is not None else 0
-    tag14 = {"E1", "E2", "E3", "E4"}
-    W1 = _reserve(h, (x, w1), r1, _backings_at(gb, w1, tag14),
-                  f"x,w1={w1}") if w1 is not None else []
-    W2 = _reserve(h, (x, w2), r2, _backings_at(gb, w2, tag14),
-                  f"x,w2={w2}") if w2 is not None else []
+    w1, w2 = (wsorted + [None, None])[:2]
+    r1, r2 = _deficit(gb, w1, 3), _deficit(gb, w2, 3)
+    W1 = _reserve(h, (x, w1), r1, _backings_at(gb, w1, _TAG14), f"x,w1={w1}")
+    W2 = _reserve(h, (x, w2), r2, _backings_at(gb, w2, _TAG14), f"x,w2={w2}")
     D: set[int] = set()
     subcase = {"case": 1, "r1": r1, "r2": r2, "w1": w1, "w2": w2,
-               "variant": None, "intersecting": None}
-
-    def lone_neighbor(w):
-        return gb.neighbors_via(w, tag14)[0][0]
+               "variant": "i" if r1 <= 2 else "ii", "intersecting": None}
 
     if r1 <= 2:
-        subcase["variant"] = "i"
         if r2 == 2:
-            v_nbr = lone_neighbor(w2)
-            g21 = W2[0]
-            t1 = min(u for u in g21 if u not in (x, w2, v_nbr))
-            _repair(gb, D, x, w2, t1, g21)
+            _repair_min(gb, D, x, w2, W2[0], _lone_neighbor(gb, w2, _TAG14))
         elif r2 == 3:
             # unreachable when degrees are sorted, but harmless to honor
-            g21, g22 = W2[0], W2[1]
-            t1 = _max_repetition_pick([u for u in g21 if u not in (x, w2)],
-                                      [g21, g22])
-            t2 = _max_repetition_pick([u for u in g22 if u not in (x, w2, t1)],
-                                      [g21, g22])
-            _repair(gb, D, x, w2, t1, g21)
-            _repair(gb, D, x, w2, t2, g22)
+            _repair_two(gb, D, x, w2, W2[0], W2[1])
+    elif r2 <= 1:
+        _repair_min(gb, D, x, w1, W1[0])
+    elif r2 == 2:
+        w2prime = set(W2) | _backings_at(gb, w2, _TAG14)
+        free = [g for g in W1 if g not in w2prime]
+        if not free:
+            raise ReservationUnsatisfiable(
+                "every repair edge for w1 collides with w2's",
+                detail={"w1": w1, "w2": w2})
+        _repair_min(gb, D, x, w1, free[0])
+        _repair_min(gb, D, x, w2, W2[0], _lone_neighbor(gb, w2, _TAG14))
     else:
-        subcase["variant"] = "ii"
-        g11 = W1[0]
-        if r2 <= 1:
-            u1 = min(u for u in g11 if u not in (x, w1))
-            _repair(gb, D, x, w1, u1, g11)
-        elif r2 == 2:
-            v_nbr = lone_neighbor(w2)
-            w2prime = set(W2) | _backings_at(gb, w2, tag14)
-            free = [g for g in W1 if g not in w2prime]
-            if not free:
-                raise ReservationUnsatisfiable(
-                    "every repair edge for w1 collides with w2's",
-                    detail={"w1": w1, "w2": w2})
-            g13 = free[0]
-            u1 = min(u for u in g13 if u not in (x, w1))
-            g21 = W2[0]
-            t1 = min(u for u in g21 if u not in (x, w2, v_nbr))
-            _repair(gb, D, x, w1, u1, g13)
-            _repair(gb, D, x, w2, t1, g21)
+        common = [g for g in W1 if g in set(W2)]
+        subcase["intersecting"] = bool(common)
+        if not common:
+            _repair_min(gb, D, x, w1, W1[0])
+            _repair_two(gb, D, x, w2, W2[0], W2[1])
         else:
-            common = [g for g in W1 if g in set(W2)]
-            if not common:
-                subcase["intersecting"] = False
-                g21, g22 = W2[0], W2[1]
-                u1 = min(u for u in g11 if u not in (x, w1))
-                t1 = _max_repetition_pick([u for u in g21 if u not in (x, w2)],
-                                          [g21, g22])
-                t2 = _max_repetition_pick([u for u in g22 if u not in (x, w2, t1)],
-                                          [g21, g22])
-                _repair(gb, D, x, w1, u1, g11)
-                _repair(gb, D, x, w2, t1, g21)
-                _repair(gb, D, x, w2, t2, g22)
-            else:
-                subcase["intersecting"] = True
-                g11 = common[0]
-                g22 = next(g for g in W2 if g != g11)
-                t1 = min(u for u in g22 if u not in (x, w1, w2))
-                _repair(gb, D, x, w1, w2, g11)
-                _repair(gb, D, x, w2, t1, g22, w1)
+            g22 = next(g for g in W2 if g != common[0])
+            _repair(gb, D, x, w1, w2, common[0])
+            _repair(gb, D, x, w2, min(u for u in g22 if u not in (x, w1, w2)),
+                    g22, w1)
 
     for v in range(n):
         if v == x:
@@ -554,12 +548,10 @@ def construct_gamma_case1(h: ColoredHypergraph, s: ShadowMulticoloring,
         info.append(("w1", w1, 2))
     if w2 is not None:
         info.append(("w2", w2, 3))
-    report = _degree_report(degs, hard, info)
     return GammaConstruction(case=1, graph=graph, provenance=gb.prov,
-                             x=x, y=y, z=z, u12=None, u23=None, w=None,
-                             w1=w1, w2=w2, U12=sel.U12, U13=sel.U13,
-                             U123=sel.U123, D=frozenset(D), subcase=subcase,
-                             degree_report=report)
+                             x=x, y=y, z=z, w1=w1, U13=sel.U13,
+                             subcase=subcase,
+                             degree_report=_degree_report(degs, hard, info))
 
 
 def construct_gamma_case2(h: ColoredHypergraph, s: ShadowMulticoloring,
@@ -570,142 +562,66 @@ def construct_gamma_case2(h: ColoredHypergraph, s: ShadowMulticoloring,
     near-half window; its star covers pairs that stay good in color 1.
     """
     n = h.params.n
-    x, y, z, u23, u12 = sel.x, sel.y, sel.z, sel.u23, sel.u12
-    gb = _GammaBuilder(h)
-    a_set = set(sel.A)
-    if u12 is not None:
-        for v in range(n):
-            if v in (x, z, u12, y):
-                continue
-            if gb.color((x, z, u12, v)) == 1:
-                gb.add(u12, v, "E1", tuple(sorted((x, z, u12, v))))
-    for u in sorted(set(sel.U13) - {z}):
-        for v in range(n):
-            if v in (x, y, u):
-                continue
-            if gb.color((x, y, u, v)) == 1:
-                gb.add(u, v, "E2", tuple(sorted((x, y, u, v))))
-    for v in range(n):
-        if v in (x, y, z) or v in a_set:
-            continue
-        if gb.color((x, y, z, v)) == 1:
-            gb.add(z, v, "E3", tuple(sorted((x, y, z, v))))
-    for v in sorted(a_set):
-        if gb.color((x, y, z, v)) == 1:
-            gb.add(y, v, "E4", tuple(sorted((x, y, z, v))))
-    for v in sorted(set(sel.U13) - {z}):
-        gb.add(y, v, "E5", None)
+    x, y, z, u23 = sel.x, sel.y, sel.z, sel.u23
+    gb = _gamma_base(h, sel, set(sel.A))
 
-    wsorted = sorted(sel.U123, key=lambda v: (gb.degree(v), v))
-    w1 = wsorted[0] if wsorted else None
-    tag14 = {"E1", "E2", "E3", "E4"}
-    tag13 = {"E1", "E2", "E3"}
-    r = max(3 - gb.degree(w1), 0) if w1 is not None else 0
-    l = max(2 - gb.degree(u23), 0)
-    W = _reserve(h, (x, w1), r, _backings_at(gb, w1, tag14),
-                 f"x,w1={w1}") if w1 is not None else []
-    U = _reserve(h, (u23,), l, _backings_at(gb, u23, tag13), f"u23={u23}")
+    w1 = min(sel.U123, key=lambda v: (gb.degree(v), v), default=None)
+    r, l = _deficit(gb, w1, 3), _deficit(gb, u23, 2)
+    W = _reserve(h, (x, w1), r, _backings_at(gb, w1, _TAG14), f"x,w1={w1}")
+    U = _reserve(h, (u23,), l, _backings_at(gb, u23, _TAG13), f"u23={u23}")
     D: set[int] = set()
     subcase = {"case": 2, "early_exit": False, "r": r, "l": l, "w1": w1,
                "u23": u23, "w": w, "intersecting": None}
 
-    def lone_neighbor(v, tags):
-        return gb.neighbors_via(v, tags)[0][0]
-
     if r <= 1:
         if l == 1:
-            v_nbr = lone_neighbor(u23, tag13)
-            g1 = U[0]
-            t1 = min(u for u in g1 if u not in (x, u23, v_nbr))
-            _repair(gb, D, x, u23, t1, g1)
+            _repair_min(gb, D, x, u23, U[0], _lone_neighbor(gb, u23, _TAG13))
         elif l == 2:
-            g1, g2 = U
-            t1 = _max_repetition_pick([u for u in g1 if u not in (x, u23)], [g1, g2])
-            t2 = _max_repetition_pick([u for u in g2 if u not in (x, u23, t1)], [g1, g2])
-            _repair(gb, D, x, u23, t1, g1)
-            _repair(gb, D, x, u23, t2, g2)
+            _repair_two(gb, D, x, u23, U[0], U[1])
     elif r == 2:
-        v_nbr = lone_neighbor(w1, tag14)
+        v_nbr = _lone_neighbor(gb, w1, _TAG14)
         if l == 0:
-            h1 = W[0]
-            u1 = min(u for u in h1 if u not in (x, w1, v_nbr))
-            _repair(gb, D, x, w1, u1, h1)
+            _repair_min(gb, D, x, w1, W[0], v_nbr)
         elif l == 1:
-            u_nbr = lone_neighbor(u23, tag13)
             # keep an edge through u23 in front, repair w1 from the other
             wo = sorted(W, key=lambda g: (u23 not in g, W.index(g)))
-            h2 = wo[1]
-            u1 = min(u for u in h2 if u not in (x, w1, v_nbr))
-            g1 = U[0]
-            t1 = min(u for u in g1 if u not in (x, u23, u_nbr))
-            _repair(gb, D, x, w1, u1, h2)
-            _repair(gb, D, x, u23, t1, g1)
+            _repair_min(gb, D, x, w1, wo[1], v_nbr)
+            _repair_min(gb, D, x, u23, U[0], _lone_neighbor(gb, u23, _TAG13))
         else:
-            wprime = set(W) | _backings_at(gb, w1, tag14)
+            wprime = set(W) | _backings_at(gb, w1, _TAG14)
             common = [g for g in U if g in wprime]
+            subcase["intersecting"] = bool(common)
             if not common:
-                subcase["intersecting"] = False
-                h1 = W[0]
-                g1, g2 = U
-                u1 = min(u for u in h1 if u not in (x, w1, v_nbr))
-                t1 = _max_repetition_pick([u for u in g1 if u not in (x, u23)], [g1, g2])
-                t2 = _max_repetition_pick([u for u in g2 if u not in (x, u23, t1)], [g1, g2])
-                _repair(gb, D, x, w1, u1, h1)
-                _repair(gb, D, x, u23, t1, g1)
-                _repair(gb, D, x, u23, t2, g2)
+                _repair_min(gb, D, x, w1, W[0], v_nbr)
+                _repair_two(gb, D, x, u23, U[0], U[1])
             else:
-                subcase["intersecting"] = True
-                h1 = common[0]
-                g2 = next(g for g in U if g != h1)
+                g2 = next(g for g in U if g != common[0])
                 t1 = _max_repetition_pick(
                     [u for u in g2 if u not in (x, u23, w1)], [U[0], g2])
-                _repair(gb, D, x, w1, u23, h1)
+                _repair(gb, D, x, w1, u23, common[0])
                 _repair(gb, D, x, u23, t1, g2)
+    elif l == 0:
+        _repair_two(gb, D, x, w1, W[0], W[1])
+    elif l == 1:
+        # repairs for w1 must dodge the edge reserved for u23
+        wo = sorted(W, key=lambda g: (g != U[0], W.index(g)))
+        _repair_two(gb, D, x, w1, wo[1], wo[2])
+        _repair_min(gb, D, x, u23, U[0], _lone_neighbor(gb, u23, _TAG13))
     else:
-        if l == 0:
-            h1, h2 = W[0], W[1]
-            u1 = _max_repetition_pick([u for u in h1 if u not in (x, w1)], [h1, h2])
-            u2 = _max_repetition_pick([u for u in h2 if u not in (x, w1, u1)], [h1, h2])
-            _repair(gb, D, x, w1, u1, h1)
-            _repair(gb, D, x, w1, u2, h2)
-        elif l == 1:
-            u_nbr = lone_neighbor(u23, tag13)
-            g1 = U[0]
-            # repairs for w1 must dodge the edge reserved for u23
-            wo = sorted(W, key=lambda g: (g != g1, W.index(g)))
-            h2, h3 = wo[1], wo[2]
-            u1 = _max_repetition_pick([u for u in h2 if u not in (x, w1)], [h2, h3])
-            u2 = _max_repetition_pick([u for u in h3 if u not in (x, w1, u1)], [h2, h3])
-            t1 = min(u for u in g1 if u not in (x, u23, u_nbr))
-            _repair(gb, D, x, w1, u1, h2)
-            _repair(gb, D, x, w1, u2, h3)
-            _repair(gb, D, x, u23, t1, g1)
+        common = [g for g in W if g in set(U)]
+        subcase["intersecting"] = bool(common)
+        if not common:
+            _repair_two(gb, D, x, w1, W[0], W[1])
+            _repair_two(gb, D, x, u23, U[0], U[1])
         else:
-            common = [g for g in W if g in set(U)]
-            if not common:
-                subcase["intersecting"] = False
-                h1, h2 = W[0], W[1]
-                g1, g2 = U
-                u1 = _max_repetition_pick([u for u in h1 if u not in (x, w1)], [h1, h2])
-                u2 = _max_repetition_pick([u for u in h2 if u not in (x, w1, u1)], [h1, h2])
-                t1 = _max_repetition_pick([u for u in g1 if u not in (x, u23)], [g1, g2])
-                t2 = _max_repetition_pick([u for u in g2 if u not in (x, u23, t1)], [g1, g2])
-                _repair(gb, D, x, w1, u1, h1)
-                _repair(gb, D, x, w1, u2, h2)
-                _repair(gb, D, x, u23, t1, g1)
-                _repair(gb, D, x, u23, t2, g2)
-            else:
-                subcase["intersecting"] = True
-                h1 = common[0]
-                g2 = next(g for g in U if g != h1)
-                outside = [g for g in W if g != h1 and g not in set(U)]
-                h3 = outside[0]
-                u1 = min(u for u in h3 if u not in (x, w1))
-                t1 = _max_repetition_pick(
-                    [u for u in g2 if u not in (x, u23, w1)], [h1, g2])
-                _repair(gb, D, x, w1, u23, h1)
-                _repair(gb, D, x, w1, u1, h3)
-                _repair(gb, D, x, u23, t1, g2, w1)
+            h1 = common[0]
+            g2 = next(g for g in U if g != h1)
+            h3 = [g for g in W if g != h1 and g not in set(U)][0]
+            t1 = _max_repetition_pick(
+                [u for u in g2 if u not in (x, u23, w1)], [h1, g2])
+            _repair(gb, D, x, w1, u23, h1)
+            _repair_min(gb, D, x, w1, h3)
+            _repair(gb, D, x, u23, t1, g2, w1)
 
     if w is not None:
         gm = s.goodmask
@@ -726,18 +642,16 @@ def construct_gamma_case2(h: ColoredHypergraph, s: ShadowMulticoloring,
     degs = graph.degrees()
     hard = [("x", x, n - 11)]
     hard += [(f"U13-rest:{u}", u, n - 7) for u in sel.U13 if u != z]
-    if u12 is not None:
-        hard.append((f"u12:{u12}", u12, n - 8))
+    if sel.u12 is not None:
+        hard.append((f"u12:{sel.u12}", sel.u12, n - 8))
     info = [("u23", u23, 2), ("z", z, n - len(sel.A) - 7),
             ("y", y, n - len(sel.B) - 9)]
     if w1 is not None:
         info.append(("w1", w1, 3))
-    report = _degree_report(degs, hard, info)
     return GammaConstruction(case=2, graph=graph, provenance=gb.prov,
-                             x=x, y=y, z=z, u12=u12, u23=u23, w=w,
-                             w1=w1, w2=None, U12=sel.U12, U13=sel.U13,
-                             U123=sel.U123, D=frozenset(D), subcase=subcase,
-                             degree_report=report)
+                             x=x, y=y, z=z, w1=w1, U13=sel.U13,
+                             subcase=subcase,
+                             degree_report=_degree_report(degs, hard, info))
 
 
 def _degree_report(degs: list[int], hard, info) -> dict:
@@ -856,10 +770,10 @@ def extend_to_berge(h: ColoredHypergraph, s: ShadowMulticoloring,
 # the low-color-degree vertex route
 
 
-def _order_avoiding(pool, prev, nxt, blocked, cap: int = 200000):
+def _order_avoiding(pool, prev, nxt, blocked):
     """Arrange `pool` so no consecutive pair (including prev->first and
     last->nxt when given) lands in `blocked`.  Smallest-first backtracking;
-    None when the cap runs out or no arrangement exists."""
+    None after 200000 steps or when no arrangement exists."""
     items = sorted(pool)
     k = len(items)
 
@@ -870,11 +784,7 @@ def _order_avoiding(pool, prev, nxt, blocked, cap: int = 200000):
     in_use = [False] * k
     stack: list[int] = []
     start = 0
-    iters = 0
-    while True:
-        iters += 1
-        if iters > cap:
-            return None
+    for _ in range(200000):
         before = prev if not seq else seq[-1]
         j = start
         while j < k:
@@ -896,6 +806,7 @@ def _order_avoiding(pool, prev, nxt, blocked, cap: int = 200000):
             in_use[j] = False
             seq.pop()
             start = j + 1
+    return None
 
 
 def _mono_ham_berge_in_link(k: ColoredHypergraph, budget: int,
@@ -1040,46 +951,64 @@ def _lemma_opposite_cycle(work: np.ndarray, v: int, xs: list[int],
     if tail is None:
         raise FallbackExhausted("could not arrange the opposite-color cycle")
     ys = [v, y2, xlast, y4, y5, x2, y7] + tail + [x1]   # ys[j-1] is y_j
-    for j in range(2, n - 1):
-        if col(ys[j - 1], ys[j], x1) != other:
-            raise FallbackExhausted(
-                f"pair ({ys[j - 1]},{ys[j]}) breaks the opposite pattern")
-
     allowed = [q for q in range(4, n - 2) if q != 6]   # slot 6 is pinned x2
-    y_last = ys[n - 2]
+    cert = _close_hub_cycle(work, ys, other, cadj, allowed,
+                            "opposite", "opposite-color cycle")
+    detail["insertion"] = "opposite-cycle"
+    return cert
 
-    def picks(exclude, extra=None, needs=None):
+
+def _close_hub_cycle(work: np.ndarray, ys: list[int], color: int,
+                     cadj: set[frozenset], allowed: list[int], pattern: str,
+                     cycle: str) -> BergeCertificate:
+    """Close the `color` cycle ys = v, y2, ..., y_{n-1}, hub whose edges all
+    contain v and the hub.
+
+    Positions 2..n-2 take {v, y_j, y_{j+1}, hub}.  The three wrap positions
+    take partners from the 1-based slots `allowed`: p pairs with y_{n-1},
+    hh with kk, and ll with y2; the picks sit two slots apart and are
+    non-adjacent on the old cycle (cadj).
+    """
+    n = len(ys)
+    v, hub = ys[0], ys[-1]
+
+    def col(a, b):
+        return _color4(work, v, a, b, hub)
+
+    def adj(a, b):
+        return frozenset((a, b)) in cadj
+
+    for j in range(2, n - 1):
+        if col(ys[j - 1], ys[j]) != color:
+            raise FallbackExhausted(
+                f"pair ({ys[j - 1]},{ys[j]}) breaks the {pattern} pattern")
+    y2, y_last = ys[1], ys[n - 2]
+
+    def picks(exclude, partner=None):
         for q in allowed:
             if any(abs(q - e) < 2 for e in exclude):
                 continue
             u = ys[q - 1]
             if any(adj(u, ys[e - 1]) for e in exclude):
                 continue
-            if extra is not None and (u == extra or adj(u, extra)):
-                continue
-            if needs is not None and col(u, needs, x1) != other:
+            if partner is not None and (u == partner or adj(u, partner)
+                                        or col(u, partner) != color):
                 continue
             yield q
 
     try:
-        p = next(picks([], extra=y_last, needs=y_last))
+        p = next(picks([], y_last))
         hh = next(picks([p]))
-        kk = next(q for q in picks([p, hh])
-                  if col(ys[q - 1], ys[hh - 1], x1) == other)
-        ll = next(picks([p, hh, kk], extra=y2, needs=y2))
+        kk = next(picks([p, hh], ys[hh - 1]))
+        ll = next(picks([p, hh, kk], y2))
     except StopIteration:
-        raise FallbackExhausted("no wrap picks for the opposite-color cycle")
-    per = {}
-    for j in range(2, n - 1):
-        per[j] = tuple(sorted((v, ys[j - 1], ys[j], x1)))
-    per[n - 1] = tuple(sorted((v, ys[p - 1], y_last, x1)))
-    per[n] = tuple(sorted((v, ys[hh - 1], ys[kk - 1], x1)))
-    per[1] = tuple(sorted((v, y2, ys[ll - 1], x1)))
-    edges = tuple(per[j] for j in range(1, n + 1))
+        raise FallbackExhausted(f"no wrap picks for the {cycle}")
+    pairs = ([(y2, ys[ll - 1])] + [(ys[j - 1], ys[j]) for j in range(2, n - 1)]
+             + [(ys[p - 1], y_last), (ys[hh - 1], ys[kk - 1])])
+    edges = tuple(tuple(sorted((v, a, b, hub))) for a, b in pairs)
     if len(set(edges)) != n:
-        raise FallbackExhausted("edge collision in the opposite-color cycle")
-    detail["insertion"] = "opposite-cycle"
-    return BergeCertificate(color=other, core=tuple(ys), edges=edges, t=2)
+        raise FallbackExhausted(f"edge collision in the {cycle}")
+    return BergeCertificate(color=color, core=tuple(ys), edges=edges, t=2)
 
 
 def _color2_spares(work: np.ndarray, v: int, u: int, verts: list[int],
@@ -1143,8 +1072,7 @@ def _lemma_terminal_cycle(work: np.ndarray, v: int, xs: list[int], u: int,
                           e_core: tuple[int, ...], e_other: tuple[int, ...],
                           spares: list[tuple[int, ...]]) -> BergeCertificate:
     """Color-3 cycle v, y2, ..., y_{n-1}, u with edges {v, y_i, y_{i+1}, u}."""
-    n1 = len(xs)
-    n = n1 + 1
+    n = len(xs) + 1
     cadj = _cycle_adjacency(xs)
     blocked = set(cadj)
     for e in (e_core, e_other):
@@ -1153,58 +1081,15 @@ def _lemma_terminal_cycle(work: np.ndarray, v: int, xs: list[int], u: int,
             blocked.add(frozenset(pair))
     for tri in spares:               # the rare color-2 leftovers through u
         blocked.add(frozenset(w for w in tri if w != u))
-
-    def col(a, b, c):
-        return _color4(work, v, a, b, c)
-
     pool = [w for w in xs if w != u]
     seq = _order_avoiding(pool, None, u, blocked)
     if seq is None:
         raise FallbackExhausted("could not arrange the terminal cycle")
     ys = [v] + seq + [u]
-    for j in range(2, n - 1):
-        if col(ys[j - 1], ys[j], u) != 3:
-            raise FallbackExhausted(
-                f"pair ({ys[j - 1]},{ys[j]}) breaks the terminal pattern")
-
-    def adj(a, b):
-        return frozenset((a, b)) in cadj
-
     excl_verts = set(e_core) | set(e_other)
     allowed = [q for q in range(4, n - 2) if ys[q - 1] not in excl_verts]
-    y2, y_last = ys[1], ys[n - 2]
-
-    def picks(exclude, extra=None):
-        for q in allowed:
-            if any(abs(q - e) < 2 for e in exclude):
-                continue
-            w = ys[q - 1]
-            if any(adj(w, ys[e - 1]) for e in exclude):
-                continue
-            if extra is not None and (w == extra or adj(w, extra)):
-                continue
-            yield q
-
-    try:
-        p = next(q for q in picks([], extra=y_last)
-                 if col(ys[q - 1], y_last, u) == 3)
-        hh = next(picks([p]))
-        kk = next(q for q in picks([p, hh])
-                  if col(ys[q - 1], ys[hh - 1], u) == 3)
-        ll = next(q for q in picks([p, hh, kk], extra=y2)
-                  if col(ys[q - 1], y2, u) == 3)
-    except StopIteration:
-        raise FallbackExhausted("no wrap picks for the terminal cycle")
-    per = {}
-    for j in range(2, n - 1):
-        per[j] = tuple(sorted((v, ys[j - 1], ys[j], u)))
-    per[n - 1] = tuple(sorted((v, ys[p - 1], y_last, u)))
-    per[n] = tuple(sorted((v, ys[hh - 1], ys[kk - 1], u)))
-    per[1] = tuple(sorted((v, y2, ys[ll - 1], u)))
-    edges = tuple(per[j] for j in range(1, n + 1))
-    if len(set(edges)) != n:
-        raise FallbackExhausted("edge collision in the terminal cycle")
-    return BergeCertificate(color=3, core=tuple(ys), edges=edges, t=2)
+    return _close_hub_cycle(work, ys, 3, cadj, allowed,
+                            "terminal", "terminal cycle")
 
 
 def lemma_a_construct(h: ColoredHypergraph, vertex: int, color: int,
@@ -1339,7 +1224,7 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> R4Result:
             raise InternalError(f"certificate failed final verification: {err}")
         return R4Result(out, trace)
 
-    counts = _incidence_counts(h)
+    counts = subset_color_counts(h, 1)
     sparse = [(v, c) for v in range(p.n) for c in (1, 2, 3)
               if counts[v, c - 1] <= 1]
     for v, c in sparse:

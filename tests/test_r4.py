@@ -1,22 +1,34 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from bergecycles.core import (
     ColoredHypergraph,
     Params,
+    edge_table,
     random_coloring,
     rank_subset,
     verify_berge_certificate,
 )
 from bergecycles.harness import structured_colorings
 from bergecycles.r4 import (
+    FallbackExhausted,
     PivotInvariantViolation,
+    PivotSelection,
+    ReservationUnsatisfiable,
     SingleGoodEdge,
     UProfile,
+    _alternating_split,
     _GammaBuilder,
+    _lemma_opposite_cycle,
+    _lemma_terminal_cycle,
     _repair,
     classify_and_pivot,
     compute_u_profiles,
+    construct_gamma_case1,
+    construct_gamma_case2,
     r4_find,
     relabel_colors,
 )
@@ -269,3 +281,119 @@ def test_trace_serializes_to_json():
     back = json.loads(blob)
     assert back["branch"] == "case-2"
     assert set(back) >= {"branch", "subcase", "fallbacks", "steps", "pivot"}
+
+
+# ---------------------------------------------------------------------------
+# sweeps pinning the Gamma repair leaves and the vertex route's hub cycles;
+# no census fixture reaches most of these leaves.  The digests were recorded
+# on the per-case code that _gamma_base and _close_hub_cycle replaced.
+
+
+def _digest(blob):
+    text = json.dumps(blob, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _sweep_pivot(u23):
+    """Pivot 0 of K_9^4 with U12 = {4, 5}, U13 = {6, 7, 8} and U23 = u23."""
+    u12, u13 = (4, 5), (6, 7, 8)
+    u123 = tuple(v for v in range(1, 9) if v not in u12 + u13 + u23)
+    a, b = _alternating_split(u123)
+    a2, b2 = _alternating_split(u12)
+    return PivotSelection(x=0, pi=len(u23), sigma=(1, 2, 3), U12=u12, U13=u13,
+                          U23=u23, U123=u123, y=4, z=6,
+                          u23=u23[0] if u23 else None, u12=5,
+                          A=a, B=b, A2=a2, B2=b2)
+
+
+def _gamma_outcome(build):
+    """(hashable outcome, leaf) of one Gamma construction."""
+    try:
+        g = build()
+    except Exception as exc:
+        name = type(exc).__name__
+        return [name, str(exc), getattr(exc, "detail", None)], name
+    sub = g.subcase
+    leaf = ((sub["variant"], sub["r2"], sub["intersecting"]) if sub["case"] == 1
+            else (sub["r"], sub["l"], sub["intersecting"]))
+    prov = sorted([list(k), tag, backing] for k, (tag, backing)
+                  in g.provenance.items())
+    return [sub, prov, g.graph.rows, g.degree_report, g.w1], (sub["case"], *leaf)
+
+
+def test_gamma_sweep_reaches_every_repair_leaf():
+    # the digest covers every pair of Gamma with its tag and backing edge,
+    # the subcase and degree report, or the exception and its detail
+    case1, case2 = _sweep_pivot(()), _sweep_pivot((1,))
+    outcomes, leaves = [], set()
+    for seed in range(600):
+        h = random_coloring(Params(9, 4, 2, 3), seed=seed)
+        s = build_shadow(h, 2)
+        for build in (lambda: construct_gamma_case1(h, s, case1),
+                      lambda: construct_gamma_case2(h, s, case2, None),
+                      lambda: construct_gamma_case2(h, s, case2, 2)):
+            out, leaf = _gamma_outcome(build)
+            outcomes.append(out)
+            leaves.add(leaf)
+    want = {(1, "i", r2, None) for r2 in range(3)}
+    want |= {(1, "ii", r2, None) for r2 in range(3)}
+    want |= {(1, "ii", 3, both) for both in (False, True)}
+    want |= {(2, r, l, None) for r in range(4) for l in range(3)
+             if (r, l) not in ((2, 2), (3, 2))}
+    want |= {(2, r, 2, both) for r in (2, 3) for both in (False, True)}
+    want.add(ReservationUnsatisfiable.__name__)
+    assert want <= leaves
+    assert _digest(outcomes) == GAMMA_SWEEP_DIGEST
+
+
+GAMMA_SWEEP_DIGEST = "99154664eac820e19e03fefad0b4d989f907b5c372c7666c4e35b19405ae1226"
+
+
+def _hub_coloring(n, seed, color):
+    """A seeded order xs of 1..n-1 and a random 3-coloring of K_n^4 whose
+    edges through {0, xs[0]} get `color`, except a seeded 3% of them."""
+    rng = np.random.default_rng(seed)
+    xs = [int(u) for u in rng.permutation(np.arange(1, n))]
+    tab = edge_table(n, 4)
+    work = rng.integers(1, 4, size=len(tab), dtype=np.uint8)
+    through = (tab == 0).any(axis=1) & (tab == xs[0]).any(axis=1)
+    work[through & (rng.random(len(tab)) >= 0.03)] = color
+    return work, xs
+
+
+def _hub_outcome(work, n, build):
+    try:
+        cert = build()
+    except FallbackExhausted as exc:
+        return ["fail", str(exc)], False
+    h = ColoredHypergraph(Params(n, 4, 2, 3), work)
+    assert verify_berge_certificate(cert, h) is None
+    return ["ok", cert.to_json_dict()], True
+
+
+def test_hub_cycle_sweep():
+    outcomes, tally = [], {}
+    for n in (20, 40):
+        for seed in range(30):
+            for chi in (2, 3):
+                work, xs = _hub_coloring(n, seed, 5 - chi)
+                detail: dict = {}
+                out, ok = _hub_outcome(work, n, lambda: _lemma_opposite_cycle(
+                    work, 0, xs, chi, detail))
+                outcomes.append(out + [detail])
+                tally[("opposite", ok)] = tally.get(("opposite", ok), 0) + 1
+            work, xs = _hub_coloring(n, seed, 3)
+            u = xs[0]
+            e_core = tuple(sorted((u, xs[1], xs[5])))
+            e_other = tuple(sorted((xs[-1], u, xs[7])))
+            spares = [tuple(sorted((u, xs[3], xs[9])))]
+            out, ok = _hub_outcome(work, n, lambda: _lemma_terminal_cycle(
+                work, 0, xs, u, e_core, e_other, spares))
+            outcomes.append(out)
+            tally[("terminal", ok)] = tally.get(("terminal", ok), 0) + 1
+    assert set(tally) == {(route, ok) for route in ("opposite", "terminal")
+                          for ok in (False, True)}
+    assert _digest(outcomes) == HUB_SWEEP_DIGEST, tally
+
+
+HUB_SWEEP_DIGEST = "455edeb5763f692853d4d172ffcfd3c272ffe317d914c0b31ce3f928807e9801"
