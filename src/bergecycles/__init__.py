@@ -26,7 +26,7 @@ from .harness import (
 )
 from .r4 import (
     ContractBreach,
-    R4Result,
+    SearchResult,
     Unresolved,
     r4_find,
 )
@@ -38,7 +38,7 @@ __all__ = [
     "InstanceTooLarge",
     "InvalidParams",
     "Params",
-    "R4Result",
+    "SearchResult",
     "TightCycleWitness",
     "TrialReport",
     "Unresolved",

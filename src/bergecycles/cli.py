@@ -2,9 +2,10 @@
 
 Subcommands: verify, extract, search, shadow-dump, stress.  Exit codes:
 0 success / verification pass, 1 verification failure or a verified
-counterexample, 2 unresolved (search or budget gave up), 3 usage errors
-and malformed input.  Values read from input files win over flags unless
---force is given.  All randomness flows from --seed.
+counterexample, 2 unresolved (search or budget gave up) or a contract
+breach, 3 usage errors and malformed input.  Values read from input
+files win over flags unless --force is given.  All randomness flows from
+--seed.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 from .core import (
     BergeCertificate,
     ColoringFormatError,
+    ContractBreach,
     InvalidParams,
     Params,
     read_coloring,
@@ -24,7 +26,6 @@ from .core import (
 )
 from .hamilton import DEFAULT_BUDGET
 from .harness import find_certificate, stress_theorem
-from .r4 import ContractBreach, Unresolved, r4_find
 from .shadow import build_shadow, dump_shadow
 
 USAGE_ERROR = 3
@@ -89,54 +90,40 @@ def _default_out(coloring_path: str, suffix: str) -> str:
     return stem + suffix
 
 
-def _cmd_extract(args) -> int:
-    h = _load_coloring(args.coloring)
-    p = h.params
-    cert_path = args.output or _default_out(args.coloring, ".cert.json")
-    trace_path = args.trace or _default_out(args.coloring, ".trace.json")
-    if p.r == 4 and p.c == 3 and p.n >= 85:
-        try:
-            res = r4_find(h, args.budget)
-        except Unresolved as exc:
-            if exc.trace is not None:
-                _write_json(trace_path, exc.trace.to_json_dict(), "trace")
-            print(f"unresolved: {exc}")
-            return 2
-        except ContractBreach as exc:
-            print(f"contract breach: {exc}")
-            if exc.reproducer:
-                print(f"reproducer: {exc.reproducer}")
-            return 2
-        _write_json(cert_path, res.certificate.to_json_dict(), "certificate")
-        _write_json(trace_path, res.trace.to_json_dict(), "trace")
-        print(f"found: color {res.certificate.color} via {res.trace.branch}")
-        return 0
-    status, cert = find_certificate(h, budget=args.budget)
-    if status == "found":
-        _write_json(cert_path, cert.to_json_dict(), "certificate")
-        _write_json(trace_path, {"branch": "generic-search", "subcase": {},
-                                 "fallbacks": []}, "trace")
-        print(f"found: color {cert.color}")
-        return 0
+def _not_found(status: str) -> int:
     if status == "nonexistent":
         print("nonexistent: exhaustive search found no cycle of any color")
         return 1
     print("unresolved: search gave up within budget")
     return 2
+
+
+def _cmd_extract(args) -> int:
+    h = _load_coloring(args.coloring)
+    cert_path = args.output or _default_out(args.coloring, ".cert.json")
+    trace_path = args.trace or _default_out(args.coloring, ".trace.json")
+    try:
+        res = find_certificate(h, budget=args.budget)
+    except ContractBreach as exc:
+        if exc.trace is not None:
+            _write_json(trace_path, exc.trace.to_json_dict(), "trace")
+        raise
+    _write_json(trace_path, res.trace.to_json_dict(), "trace")
+    if res.status != "found":
+        return _not_found(res.status)
+    _write_json(cert_path, res.certificate.to_json_dict(), "certificate")
+    print(f"found: color {res.certificate.color} via {res.trace.branch}")
+    return 0
 
 
 def _cmd_search(args) -> int:
     h = _load_coloring(args.coloring)
     status, cert = find_certificate(h, budget=args.budget,
                                     use_oracle=not args.no_oracle)
-    if status == "found":
-        _write_json(args.output, cert.to_json_dict(), "certificate")
-        return 0
-    if status == "nonexistent":
-        print("nonexistent: exhaustive search found no cycle of any color")
-        return 1
-    print("unresolved: search gave up within budget")
-    return 2
+    if status != "found":
+        return _not_found(status)
+    _write_json(args.output, cert.to_json_dict(), "certificate")
+    return 0
 
 
 def _cmd_shadow_dump(args) -> int:
@@ -245,7 +232,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ContractBreach as exc:
-        print(f"contract breach: {exc}", file=sys.stderr)
+        print(f"contract breach: {exc}")
         return 2
 
 

@@ -39,7 +39,7 @@ class ContractBreach(RuntimeError):
     def __init__(self, message: str, *, detail: dict | None = None):
         super().__init__(message)
         self.detail = detail or {}
-        self.reproducer: str | None = None
+        self.trace = None           # r4_find sets its ConstructionTrace
 
 
 class InternalError(ContractBreach):

@@ -281,13 +281,17 @@ def find_hamiltonian_cycle(g: SimpleGraph, budget: int = DEFAULT_BUDGET) -> Hami
     cyc = _rotation_extension(g, max_ops=4 * n * n)
     if cyc is not None:
         return _checked_found(g, cyc, "rotation-extension")
-    return _backtrack_hamilton(g, budget)
+    res = _backtrack_hamilton(g, budget)
+    if res.status == "found":
+        return _checked_found(g, res.cycle, "backtracking", res.expansions)
+    return res
 
 
-def _checked_found(g: SimpleGraph, cyc: list[int], route: str) -> HamiltonSearch:
+def _checked_found(g: SimpleGraph, cyc: Sequence[int], route: str,
+                   expansions: int = 0) -> HamiltonSearch:
     if not _is_hamiltonian_cycle(g, cyc):
         raise InternalError(f"{route} returned a non-Hamiltonian cycle: {cyc}")
-    return HamiltonSearch("found", tuple(cyc), 0)
+    return HamiltonSearch("found", tuple(cyc), expansions)
 
 
 def good_pair_graph(s: ShadowMulticoloring, color: int) -> SimpleGraph:

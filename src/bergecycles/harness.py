@@ -14,6 +14,7 @@ colorings only.
 from __future__ import annotations
 
 import itertools
+import json
 import multiprocessing
 import os
 import tempfile
@@ -25,6 +26,7 @@ import numpy as np
 from .core import (
     BergeCertificate,
     ColoredHypergraph,
+    ContractBreach,
     InternalError,
     InvalidParams,
     Params,
@@ -34,14 +36,17 @@ from .core import (
     verify_berge_certificate,
     write_coloring,
 )
-from .extract import (
-    MatchingIncomplete,
-    PositionEdgeBipartite,
-    extend_tight_cycle,
-    max_bipartite_matching,
+from .extract import PositionEdgeBipartite, max_bipartite_matching
+from .hamilton import DEFAULT_BUDGET
+from .r4 import (
+    MIN_N,
+    ConstructionTrace,
+    SearchResult,
+    Unresolved,
+    _pair_rank_matrix,
+    r4_find,
+    shadow_guided_cert,
 )
-from .hamilton import DEFAULT_BUDGET, find_mono_ham_tight_cycle
-from .r4 import Unresolved, _pair_rank_matrix, r4_find
 from .shadow import build_shadow, subset_color_counts
 
 ORACLE_MAX_N = 10
@@ -127,36 +132,34 @@ def _oracle_color_search(n, tab, color, pools, t):
 
 
 # ---------------------------------------------------------------------------
-# the general pipeline (shadow-guided search, then the K_n^4 construction,
-# then brute force when the instance is small enough)
+# the one search entry point: the K_n^4 construction where it applies,
+# otherwise shadow-guided search, then brute force on small instances
 
 
 def find_certificate(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET,
-                     use_oracle: bool = True) -> tuple[str, BergeCertificate | None]:
-    """(status, certificate) with status in found/unresolved/nonexistent.
+                     use_oracle: bool = True) -> SearchResult:
+    """Status found/unresolved/nonexistent, certificate and trace.
 
-    "nonexistent" only ever comes from the exhaustive oracle; heuristic
-    failure is always "unresolved".
+    3-colorings of K_n^4 at t=2 with n >= MIN_N go to `r4_find` alone, whose
+    ContractBreach propagates with its trace.  "nonexistent" only ever comes
+    from the exhaustive oracle; heuristic failure is always "unresolved".
     """
     p = h.params
-    s = build_shadow(h, p.t)
-    for color in range(1, p.c + 1):
-        res = find_mono_ham_tight_cycle(s, p.t, color, budget)
-        if res.status != "found":
-            continue
+    if (p.r, p.c, p.t) == (4, 3, 2) and p.n >= MIN_N:
         try:
-            return "found", extend_tight_cycle(res.witness, h, s)
-        except MatchingIncomplete:
-            continue
-    if p.r == 4 and p.c == 3 and p.t == 2 and p.n >= 85:
-        try:
-            return "found", r4_find(h, budget).certificate
-        except Unresolved:
-            pass
+            return r4_find(h, budget)
+        except Unresolved as exc:
+            return SearchResult("unresolved", None, exc.trace)
+    trace = ConstructionTrace(branch="generic-search")
+    cert = shadow_guided_cert(h, build_shadow(h, p.t), range(1, p.c + 1),
+                              budget, trace.fallbacks)
+    if cert is not None:
+        return SearchResult("found", cert, trace)
     if use_oracle and p.n <= ORACLE_MAX_N:
+        trace.branch = "oracle"
         cert = brute_force_exists(h)
-        return ("found", cert) if cert is not None else ("nonexistent", None)
-    return "unresolved", None
+        return SearchResult("found" if cert else "nonexistent", cert, trace)
+    return SearchResult("unresolved", None, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +216,7 @@ def _coloring_for_trial(params: Params, generator: str, master: int,
                         index: int) -> ColoredHypergraph:
     if generator == "random":
         return random_coloring(params, seed=_trial_seed(master, index))
-    gp = {"n": params.n, "r": params.r, "c": params.c}
+    gp = {"n": params.n, "r": params.r, "t": params.t, "c": params.c}
     stream = structured_colorings(generator, gp)
     got = next(itertools.islice(stream, index, None), None)
     if got is None:                      # finite stream: cycle through it
@@ -225,15 +228,23 @@ def _coloring_for_trial(params: Params, generator: str, master: int,
 def _run_trial(args) -> tuple[str, str | None]:
     params, generator, master, index, budget, outdir = args
     h = _coloring_for_trial(params, generator, master, index)
-    status, cert = find_certificate(h, budget=budget)
+    name = f"{generator}-{master}-{index}.coloring"
+    try:
+        status, cert = find_certificate(h, budget=budget)
+    except ContractBreach as exc:
+        path = os.path.join(outdir, f"breach-{name}")
+        write_coloring(h, path)
+        if exc.trace is not None:
+            with open(path + ".trace.json", "w") as fh:
+                json.dump(exc.trace.to_json_dict(), fh, indent=2)
+        raise
     if status == "found":
         err = verify_berge_certificate(cert, h)
         if err is not None:
             raise RuntimeError(f"trial {index}: bad certificate: {err}")
         return "success", None
     if status == "nonexistent":
-        path = os.path.join(
-            outdir, f"counterexample-{generator}-{master}-{index}.coloring")
+        path = os.path.join(outdir, f"counterexample-{name}")
         write_coloring(h, path)
         return "counterexample", path
     return "unresolved", None
@@ -247,6 +258,8 @@ def stress_theorem(params: Params, generator: str = "random",
 
     Each trial's coloring depends only on (params, generator, seed, index),
     so reports are reproducible and jobs only changes the wall time.
+    Counterexamples go to reproducer_dir (default: the temp dir); a trial
+    that raises a ContractBreach leaves breach-*.coloring and its trace there.
     """
     t0 = time.monotonic()
     outdir = reproducer_dir or tempfile.gettempdir()

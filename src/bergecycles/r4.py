@@ -1,16 +1,18 @@
 """Monochromatic Hamiltonian Berge-cycles in 3-colored complete 4-graphs.
 
-Input: a 3-coloring of K_n^4 with n >= 85.  Output: a verified Berge
-certificate plus a trace of the construction route taken.  The dispatcher
+Input: a 3-coloring of K_n^4 with n >= 85.  Output: a `SearchResult`
+holding a verified Berge certificate and the trace of the construction
+route taken; a ContractBreach carries the trace so far.  The dispatcher
 `r4_find` tries, in order:
 
   1. a vertex that touches at most one edge of some color -- the cycle is
      built inside that vertex's link and the vertex is re-inserted
      (`lemma_a_construct`);
   2. a pair with at most one good color in the pair shadow -- signalled as
-     `SingleGoodEdge` and handled by a guided shadow search;
+     `SingleGoodEdge` and handled by `shadow_guided_cert`;
   3. every vertex lands in a dominance class (B-cover) -- one of the three
-     good-pair graphs is Hamiltonian and lifts through the shadow;
+     good-pair graphs is Hamiltonian and lifts through the shadow
+     (`shadow_guided_cert`, also the generic search of `find_certificate`);
   4. otherwise a pivot vertex x with small mixed classes exists.  Colors are
      renamed so |U23| <= |U12| <= |U13|, an auxiliary graph Gamma is built
      (`construct_gamma_case1` / `construct_gamma_case2`), its Hamiltonian
@@ -30,9 +32,6 @@ edges scan in colex order, and ties break toward smaller ids.
 from __future__ import annotations
 
 import itertools
-import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +49,6 @@ from .core import (
     rank_subset,
     unrank_subset,
     verify_berge_certificate,
-    write_coloring,
 )
 from .extract import (
     MatchingIncomplete,
@@ -195,9 +193,15 @@ class ConstructionTrace:
 
 
 @dataclass(frozen=True)
-class R4Result:
-    certificate: BergeCertificate
+class SearchResult:
+    """found/unresolved/nonexistent; unpacks as (status, certificate)."""
+
+    status: str
+    certificate: BergeCertificate | None
     trace: ConstructionTrace
+
+    def __iter__(self):
+        return iter((self.status, self.certificate))
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +466,10 @@ def _lone_neighbor(gb: _GammaBuilder, v: int, tags: frozenset[str]) -> int:
 
 
 def _repair(gb: _GammaBuilder, D: set[int], x: int, w: int, t: int,
-            g: tuple[int, ...], *keep: int) -> None:
+            g: tuple[int, ...]) -> None:
     """Add the repair pair (w, t) backed by g; g's other vertices join D."""
     gb.add(w, t, "E6", g)
-    D.update(u for u in g if u not in (x, w, t, *keep))
+    D.update(u for u in g if u not in (x, w, t))
 
 
 def _repair_min(gb: _GammaBuilder, D: set[int], x: int, w: int,
@@ -527,8 +531,7 @@ def construct_gamma_case1(h: ColoredHypergraph, s: ShadowMulticoloring,
         else:
             g22 = next(g for g in W2 if g != common[0])
             _repair(gb, D, x, w1, w2, common[0])
-            _repair(gb, D, x, w2, min(u for u in g22 if u not in (x, w1, w2)),
-                    g22, w1)
+            _repair(gb, D, x, w2, min(u for u in g22 if u not in (x, w1, w2)), g22)
 
     for v in range(n):
         if v == x:
@@ -621,7 +624,7 @@ def construct_gamma_case2(h: ColoredHypergraph, s: ShadowMulticoloring,
                 [u for u in g2 if u not in (x, u23, w1)], [h1, g2])
             _repair(gb, D, x, w1, u23, h1)
             _repair_min(gb, D, x, w1, h3)
-            _repair(gb, D, x, u23, t1, g2, w1)
+            _repair(gb, D, x, u23, t1, g2)
 
     if w is not None:
         gm = s.goodmask
@@ -1169,11 +1172,13 @@ def lemma_a_construct(h: ColoredHypergraph, vertex: int, color: int,
 # dispatcher
 
 
-def _shadow_guided_cert(h: ColoredHypergraph, s: ShadowMulticoloring,
-                        color_order, budget: int,
-                        fallbacks: list) -> BergeCertificate | None:
+def shadow_guided_cert(h: ColoredHypergraph, s: ShadowMulticoloring,
+                       color_order, budget: int,
+                       fallbacks: list) -> BergeCertificate | None:
+    """First color in `color_order` whose Hamiltonian s.t-tight shadow cycle
+    lifts to a certificate, or None; each attempt is logged in `fallbacks`."""
     for color in color_order:
-        res = find_mono_ham_tight_cycle(s, 2, color, budget)
+        res = find_mono_ham_tight_cycle(s, s.t, color, budget)
         fallbacks.append({"stage": "good-graph", "color": color,
                           "status": res.status, "expansions": res.expansions})
         if res.status != "found":
@@ -1187,24 +1192,13 @@ def _shadow_guided_cert(h: ColoredHypergraph, s: ShadowMulticoloring,
     return None
 
 
-def _dump_reproducer(h: ColoredHypergraph, trace: ConstructionTrace,
-                     tag: str) -> str:
-    fd, path = tempfile.mkstemp(prefix=f"berge-breach-{tag}-",
-                                suffix=".coloring")
-    os.close(fd)
-    write_coloring(h, path)
-    with open(path + ".trace.json", "w") as fh:
-        json.dump(trace.to_json_dict(), fh, indent=2)
-    return path
-
-
-def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> R4Result:
+def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Monochromatic Hamiltonian Berge-cycle in a 3-colored K_n^4, n >= 85.
 
     Returns the verified certificate and the construction trace.  Raises
     Unresolved when every applicable route exhausts its budget, and a
-    ContractBreach subclass (with a reproducer dumped to disk) if the input
-    falsifies a structural guarantee.
+    ContractBreach carrying the trace so far (`exc.trace`) if the input
+    falsifies a structural guarantee or a result fails its final check.
     """
     p = h.params
     if p.r != 4 or p.c != 3:
@@ -1213,64 +1207,63 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> R4Result:
         raise InvalidParams(f"need n >= {MIN_N}, got n={p.n}")
     trace = ConstructionTrace()
 
-    def finish(cert: BergeCertificate, sigma=None) -> R4Result:
-        out = cert
-        if sigma is not None and sigma != (1, 2, 3):
+    def finish(cert: BergeCertificate, sigma=(1, 2, 3)) -> SearchResult:
+        if sigma != (1, 2, 3):
             inv = {sigma[i]: i + 1 for i in range(3)}
-            out = BergeCertificate(color=inv[cert.color], core=cert.core,
-                                   edges=cert.edges, t=2)
-        err = verify_berge_certificate(out, h)
+            cert = BergeCertificate(color=inv[cert.color], core=cert.core,
+                                    edges=cert.edges, t=2)
+        err = verify_berge_certificate(cert, h)
         if err is not None:
             raise InternalError(f"certificate failed final verification: {err}")
-        return R4Result(out, trace)
+        return SearchResult("found", cert, trace)
 
-    counts = subset_color_counts(h, 1)
-    sparse = [(v, c) for v in range(p.n) for c in (1, 2, 3)
-              if counts[v, c - 1] <= 1]
-    for v, c in sparse:
-        trace.steps.append({"step": "sparse-vertex", "vertex": v, "color": c})
+    try:
+        counts = subset_color_counts(h, 1)
+        sparse = [(v, c) for v in range(p.n) for c in (1, 2, 3)
+                  if counts[v, c - 1] <= 1]
+        for v, c in sparse:
+            trace.steps.append({"step": "sparse-vertex", "vertex": v, "color": c})
+            try:
+                cert, detail = lemma_a_construct(h, v, c, budget)
+                trace.branch = "lemma-3.1"
+                trace.subcase = detail
+                return finish(cert)
+            except FallbackExhausted as exc:
+                trace.fallbacks.append({"stage": "sparse-vertex", "vertex": v,
+                                        "color": c, "status": str(exc)})
+
+        s = build_shadow(h, 2)
         try:
-            cert, detail = lemma_a_construct(h, v, c, budget)
-            trace.branch = "lemma-3.1"
-            trace.subcase = detail
+            profiles = compute_u_profiles(s)
+        except SingleGoodEdge as exc:
+            trace.branch = "single-good-fallback"
+            trace.subcase = {"pair": list(exc.pair), "goodset": list(exc.goodset)}
+            cert = shadow_guided_cert(h, s, (1, 2, 3), budget, trace.fallbacks)
+            if cert is None:
+                raise Unresolved("single-good fallback found no cycle in budget",
+                                 trace) from exc
             return finish(cert)
-        except FallbackExhausted as exc:
-            trace.fallbacks.append({"stage": "sparse-vertex", "vertex": v,
-                                    "color": c, "status": str(exc)})
 
-    s = build_shadow(h, 2)
-    try:
-        profiles = compute_u_profiles(s)
-    except SingleGoodEdge as exc:
-        trace.branch = "single-good-fallback"
-        trace.subcase = {"pair": list(exc.pair), "goodset": list(exc.goodset)}
-        cert = _shadow_guided_cert(h, s, (1, 2, 3), budget, trace.fallbacks)
-        if cert is None:
-            raise Unresolved("single-good fallback found no cycle in budget",
-                             trace) from exc
-        return finish(cert)
+        bc, sel = classify_and_pivot(profiles)
+        if sel is None:
+            trace.branch = "B-cover"
+            trace.subcase = {"B_sizes": [len(bc.B1), len(bc.B2), len(bc.B3),
+                                         len(bc.B4)]}
+            cert = shadow_guided_cert(h, s, (1, 2, 3), budget, trace.fallbacks)
+            if cert is None:
+                raise Unresolved("B-cover search found no cycle in budget", trace)
+            return finish(cert)
 
-    bc, sel = classify_and_pivot(profiles)
-    if sel is None:
-        trace.branch = "B-cover"
-        trace.subcase = {"B_sizes": [len(bc.B1), len(bc.B2), len(bc.B3),
-                                     len(bc.B4)]}
-        cert = _shadow_guided_cert(h, s, (1, 2, 3), budget, trace.fallbacks)
-        if cert is None:
-            raise Unresolved("B-cover search found no cycle in budget", trace)
-        return finish(cert)
+        trace.pivot = {"x": sel.x, "pi": sel.pi, "sigma": list(sel.sigma),
+                       "sizes": {"U23": len(sel.U23), "U12": len(sel.U12),
+                                 "U13": len(sel.U13), "U123": len(sel.U123)}}
+        if sel.sigma != (1, 2, 3):
+            trace.steps.append({"step": "color-relabel-reduction",
+                                "sigma": list(sel.sigma)})
+            h2, s2 = relabel_colors(h, s, sel.sigma)
+        else:
+            h2, s2 = h, s
 
-    trace.pivot = {"x": sel.x, "pi": sel.pi, "sigma": list(sel.sigma),
-                   "sizes": {"U23": len(sel.U23), "U12": len(sel.U12),
-                             "U13": len(sel.U13), "U123": len(sel.U123)}}
-    if sel.sigma != (1, 2, 3):
-        trace.steps.append({"step": "color-relabel-reduction",
-                            "sigma": list(sel.sigma)})
-        h2, s2 = relabel_colors(h, s, sel.sigma)
-    else:
-        h2, s2 = h, s
-
-    try:
         if not sel.U23:
             trace.branch = "case-1"
             gamma = construct_gamma_case1(h2, s2, sel)
@@ -1285,8 +1278,8 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> R4Result:
                 outside = [u for u in sel.U123 if u not in b1]
                 if not outside:
                     trace.subcase = {"case": 2, "early_exit": True}
-                    cert = _shadow_guided_cert(h2, s2, (2,), budget,
-                                               trace.fallbacks)
+                    cert = shadow_guided_cert(h2, s2, (2,), budget,
+                                              trace.fallbacks)
                     if cert is None:
                         raise Unresolved("early-exit good graph was not "
                                          "Hamiltonian in budget", trace)
@@ -1311,5 +1304,5 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> R4Result:
         cert = extend_to_berge(h2, s2, gamma, res.cycle)
         return finish(cert, sel.sigma)
     except ContractBreach as exc:
-        exc.reproducer = _dump_reproducer(h, trace, type(exc).__name__.lower())
+        exc.trace = trace
         raise

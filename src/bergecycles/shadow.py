@@ -100,13 +100,6 @@ def build_shadow(h: ColoredHypergraph, t: int) -> ShadowMulticoloring:
     return ShadowMulticoloring(params=p, t=t, counts=counts, goodmask=goodmask)
 
 
-def bad_edge_set(s: ShadowMulticoloring, i: int) -> np.ndarray:
-    """Ranks of the t-sets for which color i is not t-good (the set S_i)."""
-    if not 1 <= i <= s.params.c:
-        raise InvalidParams(f"color {i} out of range 1..{s.params.c}")
-    return np.flatnonzero((s.goodmask >> np.uint32(i - 1)) & 1 == 0)
-
-
 def recolor_edge(h: ColoredHypergraph, s: ShadowMulticoloring,
                  edge_rank: int, new_color: int) -> tuple[ColoredHypergraph,
                                                           ShadowMulticoloring]:

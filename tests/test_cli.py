@@ -62,6 +62,8 @@ def test_extract_writes_certificate_and_trace(tiny_coloring, tmp_path, capsys):
     assert {"color", "core", "edges", "t"} <= set(blob)
     tr = json.load(open(trace))
     assert {"branch", "subcase", "fallbacks"} <= set(tr)
+    assert tr["branch"] == "generic-search"
+    assert any(f["stage"] == "good-graph" for f in tr["fallbacks"])
 
 
 def test_extract_default_paths_sit_next_to_the_input(tiny_coloring, capsys):

@@ -1,4 +1,5 @@
-"""Golden certificates: r4_find must keep producing byte-identical output.
+"""Golden certificates: r4_find, and find_certificate on the same inputs,
+must keep producing byte-identical output.
 
 Each case pins the construction branch and the sha256 of the certificate's
 and the trace's canonical JSON for one fixed K_85^4 coloring: every
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from bergecycles import Params, r4, r4_find, random_coloring
+from bergecycles import Params, find_certificate, r4, r4_find, random_coloring
 from bergecycles.hamilton import TightCycleSearch
 
 
@@ -144,7 +145,10 @@ def test_every_case_is_pinned():
 
 @pytest.mark.parametrize("label", list(PINNED), ids=list(PINNED))
 def test_golden_certificate(label):
-    check_pinned(r4_find(CASES[label]()), PINNED[label])
+    # the package's one entry point must return the construction's answer
+    h = CASES[label]()
+    check_pinned(r4_find(h), PINNED[label])
+    check_pinned(find_certificate(h), PINNED[label])
 
 
 @pytest.mark.parametrize("label", list(WEAK_ROUTE), ids=list(WEAK_ROUTE))

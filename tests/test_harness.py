@@ -1,25 +1,33 @@
+import hashlib
 import itertools
+import json
+import tempfile
 
 import numpy as np
 import pytest
 
+from bergecycles import harness
 from bergecycles.core import (
     ColoredHypergraph,
+    ContractBreach,
     InvalidParams,
     Params,
     random_coloring,
     rank_subset,
+    read_coloring,
     verify_berge_certificate,
 )
 from bergecycles.extract import extend_tight_cycle
 from bergecycles.harness import (
     InstanceTooLarge,
     TrialReport,
+    _coloring_for_trial,
     brute_force_exists,
     find_certificate,
     stress_theorem,
     structured_colorings,
 )
+from bergecycles.r4 import ConstructionTrace
 from bergecycles.shadow import build_shadow
 
 
@@ -114,6 +122,30 @@ def test_find_certificate_without_oracle_never_claims_nonexistent():
         assert status in ("found", "unresolved")
 
 
+# (r, t, c) shapes of the small grid; each is run at n = 5-8, seeds 0-14,
+# with and without the oracle
+GRID_SHAPES = [(3, 2, 2), (3, 2, 3), (4, 2, 2), (4, 2, 3), (4, 3, 2),
+               (4, 4, 2), (5, 3, 1)]
+
+
+def test_find_certificate_small_grid_digest():
+    # one sha256 over every (status, certificate JSON) of 840 calls; a
+    # change means the generic search or the oracle changed an answer
+    rows = []
+    for r, t, c in GRID_SHAPES:
+        for n in range(5, 9):
+            for seed in range(15):
+                h = random_coloring(Params(n=n, r=r, t=t, c=c), seed=seed)
+                for oracle in (True, False):
+                    status, cert = find_certificate(h, use_oracle=oracle)
+                    rows.append([status, None if cert is None
+                                 else cert.to_json_dict()])
+    assert len(rows) == 840
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "6741ba2c17822837494e65fbcf9268b3765bbe81ccb8f2a990c7a00fec48b7f5"
+
+
 # ---------------------------------------------------------------------------
 # stress trials
 
@@ -138,6 +170,38 @@ def test_stress_jobs_do_not_change_counts():
     b = stress_theorem(Params(n=8, r=4, t=2, c=2), trials=16, seed=5, jobs=2)
     assert (a.successes, a.unresolved, a.counterexamples) == \
         (b.successes, b.unresolved, b.counterexamples)
+
+
+@pytest.mark.parametrize("generator",
+                         ["partition", "majority", "near-mono", "pair-lock"])
+def test_structured_trials_keep_the_requested_t(generator):
+    p = Params(n=8, r=5, t=3, c=2)
+    assert _coloring_for_trial(p, generator, 0, 0).params == p
+
+
+def test_stress_breach_reproducer_goes_to_reproducer_dir(tmp_path,
+                                                         monkeypatch):
+    def breach(h, budget=0):
+        exc = ContractBreach("forced breach")
+        exc.trace = ConstructionTrace(branch="case-1")
+        raise exc
+
+    monkeypatch.setattr(harness, "r4_find", breach)
+    tmp, out = tmp_path / "tmp", tmp_path / "out"
+    tmp.mkdir()
+    out.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    p = Params(n=85, r=4, t=2, c=3)
+    with pytest.raises(ContractBreach, match="forced breach"):
+        stress_theorem(p, trials=1, seed=0, reproducer_dir=str(out))
+    name = "breach-random-0-0.coloring"
+    assert sorted(f.name for f in out.iterdir()) == [name,
+                                                     name + ".trace.json"]
+    assert np.array_equal(read_coloring(out / name).colors,
+                          _coloring_for_trial(p, "random", 0, 0).colors)
+    assert json.loads((out / (name + ".trace.json")).read_text())["branch"] \
+        == "case-1"
+    assert list(tmp.iterdir()) == []
 
 
 def test_trial_report_rejects_inconsistent_counts():

@@ -77,7 +77,6 @@ def test_extend_tight_cycle_guards(patch, message):
                                                     "k13": 42, "deg_w": 0,
                                                     "deg_w2": 0}))  # case-1
         r4.verify_berge_certificate = lambda cert, h, t=None: "forced failure"
-        r4._dump_reproducer = lambda h, trace, tag: None
         r4.r4_find(h)
     """, "internal extension error: forced failure"),
     ("""
@@ -99,7 +98,16 @@ def test_extend_tight_cycle_guards(patch, message):
         hamilton._rotation_extension = lambda g, max_ops: [0, 1, 2, 3, 5, 4]
         hamilton.find_hamiltonian_cycle(c6)
     """, "rotation-extension returned a non-Hamiltonian cycle: [0, 1, 2, 3, 5, 4]"),
-], ids=["r4-extension", "oracle", "closure-peel", "rotation-extension"])
+    ("""
+        from bergecycles import hamilton
+        c6 = hamilton.SimpleGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+        hamilton._rotation_extension = lambda g, max_ops: None
+        hamilton._backtrack_hamilton = lambda g, budget: hamilton.HamiltonSearch(
+            "found", (0, 1, 2, 3, 5, 4), 7)
+        hamilton.find_hamiltonian_cycle(c6)
+    """, "backtracking returned a non-Hamiltonian cycle: (0, 1, 2, 3, 5, 4)"),
+], ids=["r4-extension", "oracle", "closure-peel", "rotation-extension",
+        "backtracking"])
 def test_returned_result_guards(code, message):
     proc = run_optimized(f"""
         from bergecycles.core import InternalError

@@ -253,14 +253,12 @@ def test_construction_case2_half_cover_window():
 
 
 def test_repair_adds_the_pair_and_sends_the_rest_of_its_edge_to_d():
-    # the intersecting repair variants pass extra vertices to keep out of D;
-    # no census fixture reaches them
     gb = _GammaBuilder(random_coloring(Params(n=6, r=4, t=2, c=3), seed=0))
     D: set[int] = set()
     _repair(gb, D, 0, 1, 2, (0, 1, 2, 3))
-    _repair(gb, D, 0, 4, 5, (0, 2, 4, 5), 2)
+    _repair(gb, D, 0, 4, 5, (0, 2, 4, 5))
     assert gb.prov == {(1, 2): ("E6", (0, 1, 2, 3)), (4, 5): ("E6", (0, 2, 4, 5))}
-    assert D == {3}
+    assert D == {2, 3}
 
 
 def test_color_relabel_round_trip():

@@ -19,7 +19,6 @@ from bergecycles.core import (
 )
 from bergecycles.shadow import (
     ShadowMulticoloring,
-    bad_edge_set,
     build_shadow,
     dump_shadow,
     recolor_edge,
@@ -111,8 +110,6 @@ def test_monochromatic_k5_triples():
     assert (s.counts[:, 0] == 3).all()
     assert (s.counts[:, 1] == 0).all()
     assert all(s.good_colors(k) == (1,) for k in range(10))
-    assert len(bad_edge_set(s, 1)) == 0
-    assert len(bad_edge_set(s, 2)) == 10
 
 
 def test_single_edge_instance_has_empty_goodsets():
@@ -142,20 +139,6 @@ def test_goodness_boundary_single_case():
     s2 = build_shadow(h2, 2)
     assert s2.counts[pair, 1] == 2
     assert not s2.is_good(pair, 2)
-
-
-def test_bad_edge_set_consistency_and_validation():
-    h = random_coloring(Params(n=7, r=4, t=2, c=3), seed=9)
-    s = build_shadow(h, 2)
-    for i in (1, 2, 3):
-        bad = set(bad_edge_set(s, i).tolist())
-        good = {k for k in range(len(s.goodmask)) if s.is_good(k, i)}
-        assert bad.isdisjoint(good)
-        assert len(bad) + len(good) == math.comb(7, 2)
-    with pytest.raises(InvalidParams):
-        bad_edge_set(s, 0)
-    with pytest.raises(InvalidParams):
-        bad_edge_set(s, 4)
 
 
 @given(st.integers(0, 10**6))
