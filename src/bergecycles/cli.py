@@ -105,8 +105,7 @@ def _cmd_extract(args) -> int:
     try:
         res = find_certificate(h, budget=args.budget)
     except ContractBreach as exc:
-        if exc.trace is not None:
-            _write_json(trace_path, exc.trace.to_json_dict(), "trace")
+        _write_json(trace_path, exc.trace.to_json_dict(), "trace")
         raise
     _write_json(trace_path, res.trace.to_json_dict(), "trace")
     if res.status != "found":

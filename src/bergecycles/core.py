@@ -39,7 +39,7 @@ class ContractBreach(RuntimeError):
     def __init__(self, message: str, *, detail: dict | None = None):
         super().__init__(message)
         self.detail = detail or {}
-        self.trace = None           # r4_find sets its ConstructionTrace
+        self.trace = None           # set by r4_find and find_certificate
 
 
 class InternalError(ContractBreach):
@@ -130,20 +130,50 @@ def edge_table(n: int, k: int) -> np.ndarray:
     return tab
 
 
+def edges_through(n: int, r: int, fixed_sets) -> np.ndarray:
+    """Colex ranks of the r-subsets of {0..n-1} through each of P fixed
+    k-sets (any order), as a (P, C(n-k, r-k)) array ascending in each row.
+
+    The free vertices relabel edge_table(n - k, r - k) through the ascending
+    complement `rest`, and the colex order of the free parts is that of the
+    whole subsets.  Nothing is sorted.  rest[i] - i fixed vertices lie below
+    rest[i], so a free vertex in column j sits at index j + rest[i] - i of
+    its r-set.  The i-th fixed vertex x sits at index i + d, where d counts
+    the free columns whose rest index is below x - i; as the columns ascend,
+    C(x, i+d+1) is C(x, i+1) plus one step C(x, i+j+2) - C(x, i+j+1) for each
+    such column j, so every rank is a sum of one lookup per free column.
+    """
+    fixed = np.sort(np.asarray(fixed_sets, dtype=np.intp), axis=1)
+    p, k = fixed.shape
+    keep = np.ones((p, n), dtype=bool)
+    np.put_along_axis(keep, fixed, False, axis=1)
+    rest = np.nonzero(keep)[1].reshape(p, n - k)
+    idx, at = np.arange(n - k), np.arange(k)
+    below = idx < (fixed - at)[:, :, None]       # (P, k, n-k): rest index below x - i
+    ranks = _BINOM[fixed, at + 1].sum(axis=1, keepdims=True)
+    for j, col in enumerate(edge_table(n - k, r - k).T):
+        step = _BINOM[fixed, at + j + 2] - _BINOM[fixed, at + j + 1]
+        lut = _BINOM[rest, rest - idx + j + 1] + (below * step[:, :, None]).sum(axis=1)
+        ranks = ranks + lut[:, col]
+    return ranks
+
+
 def edges_containing(n: int, r: int,
                      fixed: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
     """The r-subsets of {0..n-1} containing `fixed` (any order), as
-    (sorted rows, ascending colex ranks).
-
-    The free vertices relabel edge_table(n - |fixed|, r - |fixed|) in order,
-    and the colex order of the free parts is that of the whole subsets.
-    """
-    fixed = np.array(sorted(fixed), dtype=np.int16)
+    (sorted rows, ascending colex ranks); the ranks are one set of
+    `edges_through`, and the free vertices fill the rows at the indices
+    j + rest[i] - i it describes."""
+    fixed = sorted(fixed)
     rest = np.setdiff1d(np.arange(n, dtype=np.int16), fixed)
-    free = rest[edge_table(len(rest), r - len(fixed))]
-    rows = np.sort(np.hstack([free, np.broadcast_to(fixed, (len(free), len(fixed)))]),
-                   axis=1)
-    return rows, rank_rows(rows)
+    free = edge_table(len(rest), r - len(fixed))
+    rows = np.empty((len(free), r), dtype=np.int16)
+    slots = (rest - np.arange(len(rest)))[free] + np.arange(free.shape[1])
+    at_free = np.zeros(rows.shape, dtype=bool)
+    np.put_along_axis(at_free, slots, True, axis=1)
+    rows[at_free] = rest[free].ravel()
+    rows[~at_free] = np.tile(np.array(fixed, dtype=np.int16), len(rows))
+    return rows, edges_through(n, r, [fixed])[0]
 
 
 def rank_rows(rows: np.ndarray) -> np.ndarray:

@@ -20,9 +20,9 @@ from .core import (
     ColoredHypergraph,
     InternalError,
     TightCycleWitness,
-    edges_containing,
+    edge_table,
+    edges_through,
     rank_subset,
-    unrank_subset,
     verify_berge_certificate,
 )
 from .shadow import ShadowMulticoloring
@@ -51,10 +51,12 @@ class PositionEdgeBipartite:
     n_positions: int
     adj: list[Sequence[int]]  # adj[i]: ascending ranks of the edges for position i
 
-    def right_degrees(self) -> dict[int, int]:
-        """Edge rank -> number of positions it is a candidate for."""
+    def right_degrees(self, above: int = 0) -> dict[int, int]:
+        """Edge rank -> number of positions it is a candidate for, over the
+        edges that are candidates for more than `above` positions."""
         ranks, degs = np.unique(np.concatenate(self.adj), return_counts=True)
-        return dict(zip(ranks.tolist(), degs.tolist()))
+        keep = degs > above
+        return dict(zip(ranks[keep].tolist(), degs[keep].tolist()))
 
 
 def cycle_windows(core: tuple[int, ...], t: int) -> list[tuple[int, ...]]:
@@ -65,13 +67,13 @@ def cycle_windows(core: tuple[int, ...], t: int) -> list[tuple[int, ...]]:
 
 def build_position_bipartite(w: TightCycleWitness,
                              h: ColoredHypergraph) -> PositionEdgeBipartite:
-    """Candidate backing edges per position, ascending rank, color-filtered."""
+    """Candidate backing edges per position, ascending rank, color-filtered;
+    one `edges_through` call enumerates every window."""
     p = h.params
-    adj = []
-    for win in cycle_windows(w.core, w.t):
-        _, ranks = edges_containing(p.n, p.r, win)
-        adj.append(ranks[h.colors[ranks] == w.color])
-    return PositionEdgeBipartite(n_positions=p.n, adj=adj)
+    ranks = edges_through(p.n, p.r, cycle_windows(w.core, w.t))
+    hit = h.colors[ranks] == w.color
+    return PositionEdgeBipartite(n_positions=p.n,
+                                 adj=[row[keep] for row, keep in zip(ranks, hit)])
 
 
 def max_bipartite_matching(g: PositionEdgeBipartite) -> np.ndarray:
@@ -121,10 +123,8 @@ def extend_tight_cycle(w: TightCycleWitness, h: ColoredHypergraph,
                 f"window {win} at position {i} is not {w.t}-good in color {w.color}",
                 position=i)
     g = build_position_bipartite(w, h)
-    limit = p.r - w.t + 1
-    degs = g.right_degrees()
-    if degs and max(degs.values()) > limit:  # cannot happen for a cycle core
-        over = {e: d for e, d in degs.items() if d > limit}
+    over = g.right_degrees(above=p.r - w.t + 1)
+    if over:  # cannot happen for a cycle core
         raise InternalError(f"covering bound violated: {over}")
     matching = max_bipartite_matching(g)
     unmatched = [i for i in range(n) if matching[i] < 0]
@@ -132,7 +132,7 @@ def extend_tight_cycle(w: TightCycleWitness, h: ColoredHypergraph,
         raise MatchingIncomplete(
             f"{len(unmatched)} positions lack distinct backing edges "
             f"(first: {unmatched[0]})", unmatched)
-    edges = tuple(unrank_subset(int(k), n, p.r) for k in matching)
+    edges = tuple(map(tuple, edge_table(n, p.r)[matching].tolist()))
     cert = BergeCertificate(color=w.color, core=tuple(w.core), edges=edges, t=w.t)
     problem = verify_berge_certificate(cert, h)
     if problem is not None:

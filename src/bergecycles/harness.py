@@ -47,7 +47,7 @@ from .r4 import (
     r4_find,
     shadow_guided_cert,
 )
-from .shadow import build_shadow, subset_color_counts
+from .shadow import build_shadow, vertex_color_counts
 
 ORACLE_MAX_N = 10
 
@@ -140,9 +140,10 @@ def find_certificate(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET,
                      use_oracle: bool = True) -> SearchResult:
     """Status found/unresolved/nonexistent, certificate and trace.
 
-    3-colorings of K_n^4 at t=2 with n >= MIN_N go to `r4_find` alone, whose
-    ContractBreach propagates with its trace.  "nonexistent" only ever comes
-    from the exhaustive oracle; heuristic failure is always "unresolved".
+    3-colorings of K_n^4 at t=2 with n >= MIN_N go to `r4_find` alone.  A
+    ContractBreach from either route propagates with the trace so far
+    (`exc.trace`).  "nonexistent" only ever comes from the exhaustive
+    oracle; heuristic failure is always "unresolved".
     """
     p = h.params
     if (p.r, p.c, p.t) == (4, 3, 2) and p.n >= MIN_N:
@@ -151,14 +152,18 @@ def find_certificate(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET,
         except Unresolved as exc:
             return SearchResult("unresolved", None, exc.trace)
     trace = ConstructionTrace(branch="generic-search")
-    cert = shadow_guided_cert(h, build_shadow(h, p.t), range(1, p.c + 1),
-                              budget, trace.fallbacks)
-    if cert is not None:
-        return SearchResult("found", cert, trace)
-    if use_oracle and p.n <= ORACLE_MAX_N:
-        trace.branch = "oracle"
-        cert = brute_force_exists(h)
-        return SearchResult("found" if cert else "nonexistent", cert, trace)
+    try:
+        cert = shadow_guided_cert(h, build_shadow(h, p.t), range(1, p.c + 1),
+                                  budget, trace.fallbacks)
+        if cert is not None:
+            return SearchResult("found", cert, trace)
+        if use_oracle and p.n <= ORACLE_MAX_N:
+            trace.branch = "oracle"
+            cert = brute_force_exists(h)
+            return SearchResult("found" if cert else "nonexistent", cert, trace)
+    except ContractBreach as exc:
+        exc.trace = trace
+        raise
     return SearchResult("unresolved", None, trace)
 
 
@@ -234,9 +239,8 @@ def _run_trial(args) -> tuple[str, str | None]:
     except ContractBreach as exc:
         path = os.path.join(outdir, f"breach-{name}")
         write_coloring(h, path)
-        if exc.trace is not None:
-            with open(path + ".trace.json", "w") as fh:
-                json.dump(exc.trace.to_json_dict(), fh, indent=2)
+        with open(path + ".trace.json", "w") as fh:
+            json.dump(exc.trace.to_json_dict(), fh, indent=2)
         raise
     if status == "found":
         err = verify_berge_certificate(cert, h)
@@ -510,7 +514,7 @@ def _check_u_profile(h, t_set, y_set, z_set, specials1, blocks):
         others = np.concatenate([np.arange(1, v), np.arange(v + 1, n)])
         if not np.all(gm[pr[v, others]] == 0b111):
             raise RuntimeError(f"vertex {v} is not fully covered")
-    if np.any(subset_color_counts(h, 1) <= 1):
+    if np.any(vertex_color_counts(s) <= 1):
         raise RuntimeError("engineering left a sparse vertex behind")
     if t_set and y_set:
         t0, y0 = t_set[0], y_set[0]

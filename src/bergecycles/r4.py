@@ -43,9 +43,11 @@ from .core import (
     InternalError,
     InvalidParams,
     Params,
+    TightCycleWitness,
     _BINOM,
     edge_table,
     edges_containing,
+    edges_through,
     rank_subset,
     unrank_subset,
     verify_berge_certificate,
@@ -53,6 +55,7 @@ from .core import (
 from .extract import (
     MatchingIncomplete,
     PositionEdgeBipartite,
+    build_position_bipartite,
     extend_tight_cycle,
     max_bipartite_matching,
 )
@@ -67,7 +70,7 @@ from .shadow import (
     ShadowMulticoloring,
     _goodmask_from_counts,
     build_shadow,
-    subset_color_counts,
+    vertex_color_counts,
 )
 
 MIN_N = 85
@@ -749,9 +752,10 @@ def extend_to_berge(h: ColoredHypergraph, s: ShadowMulticoloring,
     star = sorted(i for i, tag in deferred if tag != "E5")
     taken = np.fromiter(used, dtype=np.int64, count=len(used))
     pools = []
-    for i in star:
-        _, ranks = edges_containing(n, 4, pairs[i])
-        pools.append(ranks[(h.colors[ranks] == 1) & ~np.isin(ranks, taken)])
+    if star:
+        ranks = edges_through(n, 4, [pairs[i] for i in star])
+        fresh = (h.colors[ranks] == 1) & ~np.isin(ranks, taken)
+        pools = [row[keep] for row, keep in zip(ranks, fresh)]
     match = max_bipartite_matching(PositionEdgeBipartite(len(star), pools))
     for j, i in enumerate(star):
         if match[j] < 0:
@@ -840,11 +844,8 @@ def _mono_ham_berge_in_link(k: ColoredHypergraph, budget: int,
         if res.status != "found":
             continue
         cyc = res.cycle
-        pools = []
-        for i in range(n1):
-            _, ranks = edges_containing(n1, 3, (cyc[i], cyc[(i + 1) % n1]))
-            pools.append(ranks[k.colors[ranks] == color])
-        match = max_bipartite_matching(PositionEdgeBipartite(n1, pools))
+        match = max_bipartite_matching(build_position_bipartite(
+            TightCycleWitness(color=color, core=tuple(cyc), t=2), k))
         if (match >= 0).all():
             edges = tuple(unrank_subset(int(rk), n1, 3) for rk in match)
             return BergeCertificate(color=color, core=tuple(cyc),
@@ -1218,7 +1219,8 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
         return SearchResult("found", cert, trace)
 
     try:
-        counts = subset_color_counts(h, 1)
+        s = build_shadow(h, 2)
+        counts = vertex_color_counts(s)
         sparse = [(v, c) for v in range(p.n) for c in (1, 2, 3)
                   if counts[v, c - 1] <= 1]
         for v, c in sparse:
@@ -1232,7 +1234,6 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
                 trace.fallbacks.append({"stage": "sparse-vertex", "vertex": v,
                                         "color": c, "status": str(exc)})
 
-        s = build_shadow(h, 2)
         try:
             profiles = compute_u_profiles(s)
         except SingleGoodEdge as exc:

@@ -9,8 +9,12 @@ densely, indexed by t-set colex rank.
 All counting goes through one kernel, `subset_color_counts`.  It walks the
 r-edge table in row chunks and, for each of the C(r,t) column subsets, runs
 one `np.bincount` over the key `colex_rank(t-subset) * c + (color - 1)`, so
-every (t-set, color) pair is one bin.  At t=1 the same kernel gives the
-per-vertex color incidence counts.
+every (t-set, color) pair is one bin.
+
+Per-vertex color incidence comes from a built shadow: `vertex_color_counts`
+sums the counts over the t-sets through each vertex and divides by
+C(r-1, t-1), so a solve that builds a shadow makes no second pass over the
+edge table for it.  (`subset_color_counts(h, 1)` gives the same counts.)
 """
 
 from __future__ import annotations
@@ -98,6 +102,20 @@ def build_shadow(h: ColoredHypergraph, t: int) -> ShadowMulticoloring:
     counts.setflags(write=False)
     goodmask.setflags(write=False)
     return ShadowMulticoloring(params=p, t=t, counts=counts, goodmask=goodmask)
+
+
+def vertex_color_counts(s: ShadowMulticoloring) -> np.ndarray:
+    """(n, c) int64: per vertex and color, the r-edges of that color through it.
+
+    Each such edge holds C(r-1, t-1) of the t-sets through the vertex, so
+    summing the shadow counts over those t-sets counts it that many times.
+    """
+    p = s.params
+    tab = edge_table(p.n, s.t)
+    out = np.zeros((p.n, p.c), dtype=np.int64)
+    for j in range(s.t):
+        np.add.at(out, tab[:, j], s.counts)
+    return out // binom(p.r - 1, s.t - 1)
 
 
 def recolor_edge(h: ColoredHypergraph, s: ShadowMulticoloring,

@@ -73,6 +73,20 @@ def test_extract_default_paths_sit_next_to_the_input(tiny_coloring, capsys):
     assert "branch" in json.load(open(base + ".trace.json"))
 
 
+def test_extract_breach_on_generic_path_writes_its_trace(tiny_coloring, tmp_path,
+                                                         monkeypatch, capsys):
+    from bergecycles import extract
+    monkeypatch.setattr(extract, "verify_berge_certificate",
+                        lambda cert, h, t=None: "forced failure")
+    cert = tmp_path / "b.cert.json"
+    trace = tmp_path / "b.trace.json"
+    assert main(["extract", tiny_coloring, "-o", str(cert),
+                 "--trace", str(trace)]) == 2
+    assert "assembled certificate invalid: forced failure" in capsys.readouterr().out
+    assert json.load(open(trace))["branch"] == "generic-search"
+    assert not cert.exists()
+
+
 def _two_star_coloring(n):
     # Every color's good-pair graph is non-Hamiltonian by design: edges
     # through 0 (not 1) are color 1, through 1 (not 0) color 2, the rest

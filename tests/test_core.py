@@ -15,6 +15,8 @@ from bergecycles.core import (
     Params,
     binom,
     edge_table,
+    edges_containing,
+    edges_through,
     random_coloring,
     rank_rows,
     rank_subset,
@@ -94,6 +96,29 @@ def test_edge_table_matches_enumeration(n, k):
     assert [tuple(int(v) for v in row) for row in tab] == expected
     assert not tab.flags.writeable
     assert np.array_equal(rank_rows(tab), np.arange(len(expected)))
+
+
+@st.composite
+def fixed_set_batches(draw):
+    n = draw(st.integers(1, 12))
+    r = draw(st.integers(1, min(6, n)))
+    k = draw(st.integers(0, r))
+    sets = draw(st.lists(st.permutations(list(range(n))).map(lambda q: q[:k]),
+                         min_size=1, max_size=4))
+    return n, r, sets
+
+
+@given(fixed_set_batches())
+@settings(max_examples=120, deadline=None)
+def test_edges_through_matches_enumeration(case):
+    n, r, sets = case
+    ranks = edges_through(n, r, sets)
+    for fixed, got in zip(sets, ranks):
+        want = [s for s in colex_order(n, r) if set(fixed) <= set(s)]
+        assert got.tolist() == [rank_subset(s) for s in want]
+        rows, single = edges_containing(n, r, fixed)
+        assert [tuple(int(v) for v in row) for row in rows] == want
+        assert np.array_equal(single, got)
 
 
 def test_params_validation():

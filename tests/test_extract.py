@@ -95,6 +95,8 @@ def test_right_degree_bound_holds():
         g = build_position_bipartite(w, h)
         degs = g.right_degrees()
         assert degs and max(degs.values()) <= 3
+        assert g.right_degrees(above=1) == {e: d for e, d in degs.items() if d > 1}
+        assert g.right_degrees(above=3) == {}
 
 
 def test_tight_t_equals_r_extraction():
@@ -114,6 +116,34 @@ def test_any_core_extracts_on_monochromatic(core):
     s = build_shadow(h, 2)
     cert = extend_tight_cycle(TightCycleWitness(1, tuple(core), 2), h, s)
     assert verify_berge_certificate(cert, h) is None
+
+
+@st.composite
+def cycle_instances(draw):
+    r = draw(st.integers(3, 6))
+    t = draw(st.integers(2, r - 1))
+    n = draw(st.integers(r, 12))
+    c = draw(st.integers(1, 3))
+    h = random_coloring(Params(n=n, r=r, t=t, c=c), seed=draw(st.integers(0, 10**6)))
+    core = tuple(draw(st.permutations(list(range(n)))))
+    return h, TightCycleWitness(color=draw(st.integers(1, c)), core=core, t=t)
+
+
+@given(cycle_instances())
+@settings(max_examples=80, deadline=None)
+def test_position_pools_match_per_window_enumeration(case):
+    # each pool is the color-filtered ascending ranks of the r-sets through
+    # its window, enumerated here one window at a time
+    h, w = case
+    p = h.params
+    g = build_position_bipartite(w, h)
+    assert g.n_positions == p.n and len(g.adj) == p.n
+    for win, got in zip(cycle_windows(w.core, w.t), g.adj):
+        rest = [v for v in range(p.n) if v not in win]
+        ranks = sorted(rank_subset(tuple(sorted(win + extra)))
+                       for extra in itertools.combinations(rest, p.r - w.t))
+        assert np.asarray(got).tolist() == [k for k in ranks
+                                            if h.colors[k] == w.color]
 
 
 def test_matching_deterministic():

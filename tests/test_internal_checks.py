@@ -45,7 +45,7 @@ def test_r4_final_verify_reaches_cli_breach_handler(tmp_path):
 @pytest.mark.parametrize("patch,message", [
     ("extract.verify_berge_certificate = lambda cert, h, t=None: 'forced failure'",
      "assembled certificate invalid: forced failure"),
-    ("extract.PositionEdgeBipartite.right_degrees = lambda self: {0: 99}",
+    ("extract.PositionEdgeBipartite.right_degrees = lambda self, above=0: {0: 99}",
      "covering bound violated: {0: 99}"),
 ], ids=["verify", "covering-bound"])
 def test_extend_tight_cycle_guards(patch, message):

@@ -23,6 +23,7 @@ from bergecycles.shadow import (
     dump_shadow,
     recolor_edge,
     subset_color_counts,
+    vertex_color_counts,
 )
 
 
@@ -50,10 +51,10 @@ def incidence_oracle(h):
 
 
 @st.composite
-def small_instances(draw):
+def small_instances(draw, t_min=1):
     n = draw(st.integers(2, 9))
     r = draw(st.integers(2, min(6, n)))
-    t = draw(st.integers(1, r))
+    t = draw(st.integers(t_min, r))
     c = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 10**6))
     return random_coloring(Params(n=n, r=r, t=2, c=c), seed=seed), t
@@ -67,6 +68,14 @@ def test_subset_color_counts_match_oracle(case):
     assert np.array_equal(got, shadow_oracle(h, t))
     if t == 1:
         assert np.array_equal(got, incidence_oracle(h))
+
+
+@given(small_instances(t_min=2))
+@settings(max_examples=80, deadline=None)
+def test_vertex_color_counts_match_incidence_pass(case):
+    h, t = case
+    s = build_shadow(h, t)
+    assert np.array_equal(vertex_color_counts(s), subset_color_counts(h, 1))
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
