@@ -33,7 +33,7 @@ def main(argv=None):
     n_from = args.n_from if args.n_from is not None else args.r + 2
     if not args.json:
         print(f"{'n':>4} {'found':>7} {'unresolved':>11} "
-              f"{'counterexamples':>16} {'wall':>8}")
+              f"{'counterexamples':>16} {'distinct':>9} {'wall':>8}")
     for n in range(n_from, args.n_to + 1):
         p = Params(n=n, r=args.r, t=args.t, c=args.c)
         rep = stress_theorem(p, generator=args.generator, trials=args.trials,
@@ -42,7 +42,8 @@ def main(argv=None):
             print(json.dumps(rep.to_json_dict()))
         else:
             print(f"{n:>4} {rep.successes:>7} {rep.unresolved:>11} "
-                  f"{rep.counterexamples:>16} {rep.wall_time:>7.1f}s")
+                  f"{rep.counterexamples:>16} {rep.distinct_colorings:>9} "
+                  f"{rep.wall_time:>7.1f}s")
         if rep.counterexamples:
             print(f"verified counterexample at n={n}; reproducers written",
                   file=sys.stderr)

@@ -181,6 +181,7 @@ class TrialReport:
     unresolved: int
     counterexamples: int
     counterexample_files: tuple[str, ...]
+    distinct_colorings: int              # a finite generator repeats itself
     wall_time: float
 
     def __post_init__(self):
@@ -188,6 +189,8 @@ class TrialReport:
             raise ValueError("trial counts do not add up")
         if len(self.counterexample_files) != self.counterexamples:
             raise ValueError("every counterexample needs a reproducer file")
+        if not min(self.trials, 1) <= self.distinct_colorings <= self.trials:
+            raise ValueError("distinct colorings must be 1..trials")
 
     def to_json_dict(self) -> dict:
         p = self.params
@@ -200,13 +203,15 @@ class TrialReport:
             "unresolved": self.unresolved,
             "counterexamples": self.counterexamples,
             "counterexample_files": list(self.counterexample_files),
+            "distinct_colorings": self.distinct_colorings,
             "wall_time": self.wall_time,
         }
 
     def summary(self) -> str:
         p = self.params
         return (f"{self.generator} n={p.n} r={p.r} t={p.t} c={p.c}: "
-                f"{self.successes}/{self.trials} found, "
+                f"{self.successes}/{self.trials} found "
+                f"({self.distinct_colorings} distinct), "
                 f"{self.unresolved} unresolved, "
                 f"{self.counterexamples} counterexamples "
                 f"[{self.wall_time:.1f}s]")
@@ -222,17 +227,16 @@ def _coloring_for_trial(params: Params, generator: str, master: int,
     if generator == "random":
         return random_coloring(params, seed=_trial_seed(master, index))
     gp = {"n": params.n, "r": params.r, "t": params.t, "c": params.c}
-    stream = structured_colorings(generator, gp)
-    got = next(itertools.islice(stream, index, None), None)
-    if got is None:                      # finite stream: cycle through it
-        items = list(structured_colorings(generator, gp))
-        got = items[index % len(items)]
-    return got
+    size, make = _family(generator, gp)
+    return make(index if size is None else index % size)
 
 
-def _run_trial(args) -> tuple[str, str | None]:
+def _run_trial(args) -> tuple[str, str | None, str]:
+    """(outcome, counterexample path or None, digest of the trial's colors)."""
+    import hashlib                       # loads OpenSSL: kept out of the package import
     params, generator, master, index, budget, outdir = args
     h = _coloring_for_trial(params, generator, master, index)
+    digest = hashlib.sha256(h.colors.tobytes()).hexdigest()
     name = f"{generator}-{master}-{index}.coloring"
     try:
         status, cert = find_certificate(h, budget=budget)
@@ -246,12 +250,12 @@ def _run_trial(args) -> tuple[str, str | None]:
         err = verify_berge_certificate(cert, h)
         if err is not None:
             raise RuntimeError(f"trial {index}: bad certificate: {err}")
-        return "success", None
+        return "success", None, digest
     if status == "nonexistent":
         path = os.path.join(outdir, f"counterexample-{name}")
         write_coloring(h, path)
-        return "counterexample", path
-    return "unresolved", None
+        return "counterexample", path, digest
+    return "unresolved", None, digest
 
 
 def stress_theorem(params: Params, generator: str = "random",
@@ -274,12 +278,14 @@ def stress_theorem(params: Params, generator: str = "random",
             results = pool.map(_run_trial, work)
     else:
         results = [_run_trial(w) for w in work]
-    files = tuple(path for kind, path in results if kind == "counterexample")
+    files = tuple(path for kind, path, _ in results
+                  if kind == "counterexample")
     return TrialReport(
         params=params, generator=generator, seed=seed, trials=trials,
-        successes=sum(kind == "success" for kind, _ in results),
-        unresolved=sum(kind == "unresolved" for kind, _ in results),
+        successes=sum(kind == "success" for kind, _, _ in results),
+        unresolved=sum(kind == "unresolved" for kind, _, _ in results),
         counterexamples=len(files), counterexample_files=files,
+        distinct_colorings=len({digest for _, _, digest in results}),
         wall_time=time.monotonic() - t0)
 
 
@@ -295,19 +301,27 @@ def structured_colorings(kind: str, params: dict):
     (one off-color edge, streaming over its position), "pair-lock" (every
     edge through one pair gets a single color), and "u-profile"
     (engineered pivot profiles for the K_n^4 construction; 4-uniform,
-    3 colors only).
+    3 colors only).  "partition" and "majority" yield one coloring and
+    "near-mono" one per edge; the others never end.
     """
-    if kind == "partition":
-        return _partition_stream(params)
-    if kind == "majority":
-        return _majority_stream(params)
-    if kind == "near-mono":
-        return _near_mono_stream(params)
-    if kind == "pair-lock":
-        return _pair_lock_stream(params)
-    if kind == "u-profile":
-        return _u_profile_stream(params)
-    raise InvalidParams(f"unknown generator kind: {kind!r}")
+    size, make = _family(kind, params)
+    return map(make, itertools.count() if size is None else range(size))
+
+
+def _family(kind: str, params: dict):
+    """(number of colorings, or None if endless; index -> coloring).
+
+    Any coloring of a stream is made from its index alone, so a stress trial
+    never replays the stream before it.
+    """
+    families = {"partition": _partition_family,
+                "majority": _majority_family,
+                "near-mono": _near_mono_family,
+                "pair-lock": _pair_lock_family,
+                "u-profile": _u_profile_family}
+    if kind not in families:
+        raise InvalidParams(f"unknown generator kind: {kind!r}")
+    return families[kind](params)
 
 
 def _base_params(params: dict) -> Params:
@@ -322,61 +336,71 @@ def _hash_colors(tab: np.ndarray, c: int, offset: int) -> np.ndarray:
     return (1 + mix % c).astype(np.uint8)
 
 
-def _partition_stream(params: dict):
-    p = _base_params(params)
+def _parts(params: dict, p: Params) -> int:
     parts = params.get("parts", p.c)
     if not 1 <= parts <= p.c:
         raise InvalidParams(f"need 1 <= parts <= c, got parts={parts}")
-    tab = edge_table(p.n, p.r)
-    colors = (tab[:, -1].astype(np.int64) * parts // p.n + 1).astype(np.uint8)
-    yield ColoredHypergraph(p, colors)
+    return parts
 
 
-def _majority_stream(params: dict):
+def _partition_family(params: dict):
     p = _base_params(params)
-    parts = params.get("parts", p.c)
-    if not 1 <= parts <= p.c:
-        raise InvalidParams(f"need 1 <= parts <= c, got parts={parts}")
-    tab = edge_table(p.n, p.r).astype(np.int64)
-    label = tab * parts // p.n
-    counts = np.stack([(label == k).sum(axis=1) for k in range(parts)],
-                      axis=1)
-    colors = (np.argmax(counts, axis=1) + 1).astype(np.uint8)
-    yield ColoredHypergraph(p, colors)
+    parts = _parts(params, p)
+
+    def make(_):
+        tab = edge_table(p.n, p.r)
+        return ColoredHypergraph(
+            p, (tab[:, -1].astype(np.int64) * parts // p.n + 1).astype(np.uint8))
+    return 1, make
 
 
-def _near_mono_stream(params: dict):
+def _majority_family(params: dict):
+    p = _base_params(params)
+    parts = _parts(params, p)
+
+    def make(_):
+        label = edge_table(p.n, p.r).astype(np.int64) * parts // p.n
+        counts = np.stack([(label == k).sum(axis=1) for k in range(parts)],
+                          axis=1)
+        return ColoredHypergraph(
+            p, (np.argmax(counts, axis=1) + 1).astype(np.uint8))
+    return 1, make
+
+
+def _near_mono_family(params: dict):
     p = _base_params(params)
     base = params.get("base", 1)
     off = params.get("off", 2 if base != 2 else 1)
     if not (1 <= base <= p.c and 1 <= off <= p.c) or base == off:
         raise InvalidParams(f"bad base/off pair ({base}, {off}) for c={p.c}")
-    m = len(edge_table(p.n, p.r))
-    for k in range(m):
-        colors = np.full(m, base, dtype=np.uint8)
+
+    def make(k):
+        colors = np.full(p.num_edges, base, dtype=np.uint8)
         colors[k] = off
-        yield ColoredHypergraph(p, colors)
+        return ColoredHypergraph(p, colors)
+    return p.num_edges, make
 
 
-def _pair_lock_stream(params: dict):
+def _pair_lock_family(params: dict):
     p = _base_params(params)
     a, b = params.get("pair", (0, 1))
     lock = params.get("lock", 2)
     if not (0 <= a < b < p.n and 1 <= lock <= p.c):
         raise InvalidParams(f"bad pair-lock parameters ({a}, {b}, {lock})")
-    tab = edge_table(p.n, p.r)
-    hit = (tab == a).any(axis=1) & (tab == b).any(axis=1)
-    for offset in itertools.count():
+
+    def make(offset):
+        tab = edge_table(p.n, p.r)
         colors = _hash_colors(tab, p.c, offset)
-        colors[hit] = lock
-        yield ColoredHypergraph(p, colors)
+        colors[(tab == a).any(axis=1) & (tab == b).any(axis=1)] = lock
+        return ColoredHypergraph(p, colors)
+    return None, make
 
 
 # pivot-profile engineering: vertex classes around the designated pivot 0
 _W, _T, _Y, _Z = 0, 1, 2, 3
 
 
-def _u_profile_stream(params: dict):
+def _u_profile_family(params: dict):
     """Colorings of K_n^4 (3 colors) whose pivot 0 has a chosen profile.
 
     k23/k12/k13 set the mixed-class sizes at vertex 0; every other vertex
@@ -384,7 +408,7 @@ def _u_profile_stream(params: dict):
     deg_u23 fixes how many {0, t, y, z'} edges are color 1, and deg_w /
     deg_w2 cap the color-1 edges of the {0, y, z', w} family at the one or
     two lowest designated-class vertices, which steers the construction's
-    repair sub-cases.  Every yielded coloring is re-verified against the
+    repair sub-cases.  Every coloring made is re-verified against the
     recomputed shadow before it leaves the generator.
     """
     n = params["n"]
@@ -435,12 +459,13 @@ def _u_profile_stream(params: dict):
         blocks[w_lo + 1] = set(z_set[:len(z_set) - deg_w2])
 
     p = Params(n=n, r=4, t=2, c=3)
-    for offset in itertools.count():
-        colors = _u_profile_colors(n, t_set, y_set, z_set, specials1,
-                                   blocks, offset)
-        h = ColoredHypergraph(p, colors)
+
+    def make(offset):
+        h = ColoredHypergraph(p, _u_profile_colors(
+            n, t_set, y_set, z_set, specials1, blocks, offset))
         _check_u_profile(h, t_set, y_set, z_set, specials1, blocks)
-        yield h
+        return h
+    return None, make
 
 
 def _u_profile_colors(n, t_set, y_set, z_set, specials1, blocks, offset):

@@ -9,7 +9,10 @@ densely, indexed by t-set colex rank.
 All counting goes through one kernel, `subset_color_counts`.  It walks the
 r-edge table in row chunks and, for each of the C(r,t) column subsets, runs
 one `np.bincount` over the key `colex_rank(t-subset) * c + (color - 1)`, so
-every (t-set, color) pair is one bin.
+every (t-set, color) pair is one bin.  The rows are split into contiguous
+spans, one per usable CPU; each span counts into its own bins on a thread
+started and joined within the call, and the bins are summed at the end.  A
+table of fewer than two chunks runs inline on the calling thread.
 
 Per-vertex color incidence comes from a built shadow: `vertex_color_counts`
 sums the counts over the t-sets through each vertex and divides by
@@ -20,6 +23,8 @@ edge table for it.  (`subset_color_counts(h, 1)` gives the same counts.)
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +40,15 @@ from .core import (
     unrank_subset,
 )
 
-_CHUNK_ROWS = 1 << 16  # edge-table rows per chunk; raised to the key range when larger
+_CHUNK_ROWS = 1 << 15  # edge-table rows per chunk; raised to the key range when larger
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the most row spans a count uses."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:               # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +82,9 @@ def subset_color_counts(h: ColoredHypergraph, t: int) -> np.ndarray:
     A chunk holds at least as many rows as there are keys (C(n,t)*c), so the
     `minlength` of each bincount never outweighs the rows it counts.  The
     rank of a t-subset is summed from per-position tables C(v, j+1)*c, so no
-    rank array over the whole edge table is built.
+    rank array over the whole edge table is built.  The chunks are dealt out
+    in order to at most one span per usable CPU and per whole chunk; integer
+    sums do not depend on order, so the span count never changes a result.
     """
     p = h.params
     if not 1 <= t <= p.r:
@@ -80,16 +95,37 @@ def subset_color_counts(h: ColoredHypergraph, t: int) -> np.ndarray:
     subsets = list(itertools.combinations(range(p.r), t))
     tab = edge_table(p.n, p.r)
     step = max(_CHUNK_ROWS, size)
-    out = np.zeros(size, dtype=np.int64)
-    for lo in range(0, len(tab), step):
-        rows = tab[lo:lo + step].astype(np.intp)
-        key0 = h.colors[lo:lo + step].astype(np.int64) - 1
-        for cols in subsets:
-            key = key0 + luts[0][rows[:, cols[0]]]
-            for j in range(1, t):
-                key += luts[j][rows[:, cols[j]]]
-            out += np.bincount(key, minlength=size)
-    return out.reshape(m_t, p.c)
+    chunks = -(-len(tab) // step)
+    workers = max(1, min(_usable_cpus(), len(tab) // step))
+    # span k holds whole chunks, so every chunk but the table's last is full
+    cuts = [min(len(tab), chunks * k // workers * step)
+            for k in range(workers + 1)]
+    outs = [np.zeros(size, dtype=np.int64) for _ in range(workers)]
+    errors: list[BaseException] = []
+
+    def count_span(k: int) -> None:
+        try:
+            for lo in range(cuts[k], cuts[k + 1], step):
+                rows = tab[lo:lo + step].astype(np.intp)
+                key0 = h.colors[lo:lo + step].astype(np.int64) - 1
+                for cols in subsets:
+                    key = key0 + luts[0][rows[:, cols[0]]]
+                    for j in range(1, t):
+                        key += luts[j][rows[:, cols[j]]]
+                    outs[k] += np.bincount(key, minlength=size)
+        except BaseException as exc:     # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=count_span, args=(k,))
+               for k in range(1, workers)]
+    for th in threads:
+        th.start()
+    count_span(0)
+    for th in threads:
+        th.join()
+    if errors:
+        raise errors[0]
+    return sum(outs[1:], outs[0]).reshape(m_t, p.c)
 
 
 def build_shadow(h: ColoredHypergraph, t: int) -> ShadowMulticoloring:

@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import itertools
 import json
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +181,69 @@ def test_structured_trials_keep_the_requested_t(generator):
     assert _coloring_for_trial(p, generator, 0, 0).params == p
 
 
+def _replayed_trial(params, generator, index):
+    """A trial's coloring by replaying its stream from the start, cycling a
+    finite one: the definition every trial coloring must keep."""
+    if generator == "random":
+        return random_coloring(params, seed=harness._trial_seed(0, index))
+    gp = {"n": params.n, "r": params.r, "t": params.t, "c": params.c}
+    got = next(itertools.islice(structured_colorings(generator, gp), index,
+                                None), None)
+    if got is None:
+        items = list(structured_colorings(generator, gp))
+        got = items[index % len(items)]
+    return got
+
+
+# sha256 over the colors of trials 0-11 (master seed 0), recorded from the
+# stream replay; near-mono at (6, 5) has 6 colorings, so it cycles twice
+TRIAL_DIGESTS = {
+    ((8, 4, 2, 2), "random"):
+        "5abed35b4dc6bf56894aadcf37ad125998b41741d20c2cb48fbd527d4b7e12cc",
+    ((8, 4, 2, 2), "partition"):
+        "407bbc4c0e6c5dd324e3ca18c6770261cd359525936adc42e7e0a95c3991fb4c",
+    ((8, 4, 2, 2), "majority"):
+        "9e113330f5076c3a7cf0fa918b4941a5de0cdb8507094d5696f4ffc45e086fce",
+    ((8, 4, 2, 2), "near-mono"):
+        "63316b27ea6adb6703836b38a9c26ab98d4b362436dafc74e88ca07a9ad15e0a",
+    ((8, 4, 2, 2), "pair-lock"):
+        "f3f9189676332f263dd7260ebf1a4d9df4cc853698affdf7933fb0bc164f0c59",
+    ((6, 5, 3, 2), "random"):
+        "472e3c6c10a4e1b6a33fef5b5a28914cf8b868eb4304c1ab8acbabdaa97f410c",
+    ((6, 5, 3, 2), "partition"):
+        "c6f392711fffabbea5986f8e2cef7f6bad3bc4bda1664259406e4675fc66ed8e",
+    ((6, 5, 3, 2), "majority"):
+        "7e9afe00fc2d9bfa92f6b5023277d0cc2bdeadfb69e584f472676085d2636f63",
+    ((6, 5, 3, 2), "near-mono"):
+        "2cd634f29fb6a63f9450d56639ce8f8a17523c3c872b0fa61133ecedec6e9f80",
+    ((6, 5, 3, 2), "pair-lock"):
+        "4b126f9f7afb4b8af707e5eb9bde41ce5f65204a997a3d6bebb54afa246182db",
+}
+
+
+@pytest.mark.parametrize("key", sorted(TRIAL_DIGESTS))
+def test_trial_colorings_match_the_stream_replay(key):
+    (n, r, t, c), generator = key
+    p = Params(n=n, r=r, t=t, c=c)
+    digest = hashlib.sha256()
+    for i in range(12):
+        h = _coloring_for_trial(p, generator, 0, i)
+        assert h.params == p
+        assert np.array_equal(h.colors, _replayed_trial(p, generator, i).colors)
+        digest.update(h.colors.tobytes())
+    assert digest.hexdigest() == TRIAL_DIGESTS[key]
+
+
+def test_u_profile_stream_is_pinned():
+    stream = structured_colorings(
+        "u-profile", {"n": 30, "k23": 1, "k12": 1, "k13": 18})
+    digest = hashlib.sha256()
+    for h in itertools.islice(stream, 3):
+        digest.update(h.colors.tobytes())
+    assert digest.hexdigest() == \
+        "8f8ccd3213514d94d4648ab56300aa979de0bb31a9a4e28ec7d88ecf8eebd92b"
+
+
 def test_stress_breach_reproducer_goes_to_reproducer_dir(tmp_path,
                                                          monkeypatch):
     def breach(h, budget=0):
@@ -209,12 +274,47 @@ def test_trial_report_rejects_inconsistent_counts():
         TrialReport(params=Params(n=6, r=3, t=2, c=1), generator="random",
                     seed=0, trials=3, successes=1, unresolved=1,
                     counterexamples=0, counterexample_files=(),
-                    wall_time=0.0)
+                    distinct_colorings=1, wall_time=0.0)
     with pytest.raises(ValueError):
         TrialReport(params=Params(n=6, r=3, t=2, c=1), generator="random",
                     seed=0, trials=1, successes=0, unresolved=0,
                     counterexamples=1, counterexample_files=(),
-                    wall_time=0.0)
+                    distinct_colorings=1, wall_time=0.0)
+    for distinct in (0, 3):
+        with pytest.raises(ValueError):
+            TrialReport(params=Params(n=6, r=3, t=2, c=1), generator="random",
+                        seed=0, trials=2, successes=2, unresolved=0,
+                        counterexamples=0, counterexample_files=(),
+                        distinct_colorings=distinct, wall_time=0.0)
+
+
+@pytest.mark.parametrize("generator,distinct", [
+    ("partition", 1), ("majority", 1), ("near-mono", 5), ("pair-lock", 2),
+    ("random", 5)])
+def test_stress_reports_distinct_colorings(generator, distinct):
+    # partition and majority yield one coloring: five trials, one instance;
+    # pair-lock's hash offset enters its colors mod c, so it repeats every c
+    rep = stress_theorem(Params(n=8, r=4, t=2, c=2), generator=generator,
+                         trials=5, seed=0)
+    assert rep.distinct_colorings == distinct
+    assert rep.to_json_dict()["distinct_colorings"] == distinct
+    assert f"{generator} n=8 r=4 t=2 c=2: 5/5 found ({distinct} distinct)," \
+        in rep.summary()
+
+
+def test_run_stress_script_reports_distinct_colorings(capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_stress.py"
+    spec = importlib.util.spec_from_file_location("run_stress", script)
+    run_stress = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_stress)
+    argv = ["--r", "4", "--t", "2", "--c", "2", "--n-from", "7", "--n-to",
+            "7", "--trials", "3", "--generator", "partition"]
+    assert run_stress.main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["distinct_colorings"] == 1
+    assert run_stress.main(argv) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split()[-2:] == ["distinct", "wall"]
+    assert row.split()[-2] == "1"
 
 
 def test_stress_summary_mentions_counts():

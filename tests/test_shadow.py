@@ -1,6 +1,11 @@
+import contextlib
 import io
 import itertools
 import math
+import os
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -60,14 +65,49 @@ def small_instances(draw, t_min=1):
     return random_coloring(Params(n=n, r=r, t=2, c=c), seed=seed), t
 
 
+@contextlib.contextmanager
+def spans(cpus=None, chunk_rows=None):
+    """Count as if `cpus` CPUs were usable (default: the host's); yields the
+    threads the kernel starts."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    with contextlib.ExitStack() as stack:
+        if cpus is not None:
+            stack.enter_context(mock.patch.object(shadow, "_usable_cpus",
+                                                  lambda: cpus))
+        stack.enter_context(mock.patch.object(threading, "Thread", Recorded))
+        if chunk_rows is not None:
+            stack.enter_context(mock.patch.object(shadow, "_CHUNK_ROWS",
+                                                  chunk_rows))
+        yield started
+
+
+def expected_spans(h, t, cpus):
+    """One span per CPU and per whole chunk of the edge table."""
+    p = h.params
+    step = max(shadow._CHUNK_ROWS, binom(p.n, t) * p.c)
+    return max(1, min(cpus, p.num_edges // step))
+
+
 @given(small_instances())
 @settings(max_examples=80, deadline=None)
 def test_subset_color_counts_match_oracle(case):
     h, t = case
+    expected = shadow_oracle(h, t)
     got = subset_color_counts(h, t)
-    assert np.array_equal(got, shadow_oracle(h, t))
+    assert np.array_equal(got, expected)
     if t == 1:
         assert np.array_equal(got, incidence_oracle(h))
+    # chunks floored at the key range alone, so small tables split too
+    for cpus in (1, 3):
+        with spans(cpus, chunk_rows=1) as started:
+            assert np.array_equal(subset_color_counts(h, t), expected)
+            assert len(started) == expected_spans(h, t, cpus) - 1
 
 
 @given(small_instances(t_min=2))
@@ -84,7 +124,78 @@ def test_subset_color_counts_across_chunks(monkeypatch, t):
     h = random_coloring(Params(n=14, r=5, t=2, c=2), seed=11)
     # chunks are floored at the key range C(n,t)*c; make sure there are several
     assert binom(14, 5) > 2 * max(5, binom(14, t) * 2)
-    assert np.array_equal(subset_color_counts(h, t), shadow_oracle(h, t))
+    expected = shadow_oracle(h, t)
+    for cpus in (1, 3):
+        with spans(cpus) as started:
+            assert np.array_equal(subset_color_counts(h, t), expected)
+        # t = 3 has 728 keys, so its 2002 rows make only two whole chunks
+        assert len(started) == (0 if cpus == 1 else 2 if t < 3 else 1)
+
+
+def test_build_shadow_is_byte_identical_across_span_counts():
+    h = random_coloring(Params(n=20, r=4, t=2, c=3), seed=3)
+    ref = build_shadow(h, 2)
+    for cpus in (1, 3):
+        with spans(cpus, chunk_rows=1) as started:
+            s = build_shadow(h, 2)
+        assert len(started) == cpus - 1
+        assert s.counts.tobytes() == ref.counts.tobytes()
+        assert s.goodmask.tobytes() == ref.goodmask.tobytes()
+
+
+@pytest.mark.parametrize("n,cpus,threads", [
+    (40, 1, 0),    # two chunks, one CPU: inline
+    (40, 8, 1),    # two chunks: two spans, however many CPUs
+    (20, 8, 0),    # under one chunk: inline
+])
+def test_span_count_follows_cpus_and_whole_chunks(n, cpus, threads):
+    h = random_coloring(Params(n=n, r=4, t=2, c=3), seed=0)
+    with spans(cpus) as started:
+        got = subset_color_counts(h, 2)
+    assert len(started) == threads
+    with spans(1):
+        assert np.array_equal(got, subset_color_counts(h, 2))
+
+
+def test_host_cpu_count_sets_the_spans():
+    # under `taskset -c 0` this is the inline path: one CPU, no thread
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count()
+    assert shadow._usable_cpus() == cpus
+    h = random_coloring(Params(n=40, r=4, t=2, c=3), seed=0)
+    with spans() as started:
+        got = subset_color_counts(h, 2)
+    assert len(started) == min(cpus, 2) - 1
+    with spans(1):
+        assert np.array_equal(got, subset_color_counts(h, 2))
+
+
+def test_many_spans_under_fast_thread_switching():
+    # more spans than cores and a switch every microsecond: a lost update to
+    # any span's bins would change the counts
+    h = random_coloring(Params(n=14, r=5, t=2, c=2), seed=11)
+    expected = shadow_oracle(h, 2)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with spans(8, chunk_rows=1) as started:
+            for _ in range(5):
+                assert np.array_equal(subset_color_counts(h, 2), expected)
+    finally:
+        sys.setswitchinterval(old)
+    assert len(started) == 5 * 7
+    assert not any(th.is_alive() for th in started)
+
+
+def test_error_in_a_span_thread_reaches_the_caller():
+    h = random_coloring(Params(n=14, r=5, t=2, c=2), seed=11)
+    bad = h.colors.copy()
+    bad[-1] = 3        # color c+1 on the last edge: a bin past the last key
+    object.__setattr__(h, "colors", bad)
+    with spans(3, chunk_rows=1) as started:
+        with pytest.raises(ValueError):
+            subset_color_counts(h, 2)
+    assert len(started) == 2 and not any(th.is_alive() for th in started)
 
 
 def test_subset_color_counts_rejects_bad_t():
