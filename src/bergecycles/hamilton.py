@@ -1,6 +1,7 @@
 """Hamiltonicity: degree-condition checks and cycle search.
 
-Three engines, tried in order of cost:
+After a degree/connectivity shortcut for "none", two engines, tried in
+order of cost:
 
 1. Bondy-Chvátal closure: repeatedly join non-adjacent pairs with degree sum
    >= n.  If the closure becomes complete, take the trivial Hamiltonian cycle
@@ -9,8 +10,7 @@ Three engines, tried in order of cost:
    This makes the Chvátal degree condition constructive: any graph satisfying
    it has a complete closure, so the search below never runs for the dense
    graphs this package builds.
-2. A deterministic rotation-extension pass for sparse-but-easy graphs.
-3. Exhaustive backtracking with a node-expansion budget, reporting
+2. Exhaustive backtracking with a node-expansion budget, reporting
    "budget" distinctly from a completed unsuccessful search ("none").
 
 Adjacency is stored as one Python int bitmask per vertex, which keeps the
@@ -87,20 +87,9 @@ class SimpleGraph:
         return seen == (1 << self.n) - 1
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
-    """Ascending degree sequence d_1 <= ... <= d_n."""
-
-    degrees: tuple[int, ...]
-
-    @classmethod
-    def from_graph(cls, g: SimpleGraph) -> "DegreeSequence":
-        return cls(tuple(sorted(g.degrees())))
-
-
-def chvatal_holds(d: DegreeSequence | Sequence[int]) -> bool:
+def chvatal_holds(d: Sequence[int]) -> bool:
     """Chvátal's Hamiltonicity condition: for 1 <= i < n/2, d_i > i or d_{n-i} >= n-i."""
-    degs = d.degrees if isinstance(d, DegreeSequence) else tuple(sorted(d))
+    degs = sorted(d)
     n = len(degs)
     if n < 3:
         raise ValueError(f"degree condition needs n >= 3, got n={n}")
@@ -168,45 +157,9 @@ def _peel_closure_cycle(rows_closed: list[int], added: list[tuple[int, int]],
                 cyc = path[:j + 1] + path[j + 1:][::-1]
                 break
         else:
-            raise AssertionError("closure peel found no crossing chord")
+            raise InternalError(
+                f"closure peel found no crossing chord for added edge ({u}, {v})")
     return cyc
-
-
-def _rotation_extension(g: SimpleGraph, max_ops: int) -> list[int] | None:
-    """Deterministic Pósa-style longest-path heuristic; None when it stalls."""
-    n = g.n
-    rows = g.rows
-    start = max(range(n), key=lambda v: (rows[v].bit_count(), -v))
-    path = [start]
-    in_path = 1 << start
-    ops = 0
-    while ops < max_ops:
-        ops += 1
-        tail = path[-1]
-        ext = rows[tail] & ~in_path
-        if ext:
-            v = (ext & -ext).bit_length() - 1  # smallest fresh neighbor
-            path.append(v)
-            in_path |= 1 << v
-            continue
-        if len(path) == n:
-            head = path[0]
-            if rows[tail] >> head & 1:
-                return path
-        # rotate: pick the smallest neighbor of tail that is not its precursor
-        row = rows[tail]
-        rotated = False
-        for u_pos in range(len(path) - 2):
-            if row >> path[u_pos] & 1:
-                path[u_pos + 1:] = path[u_pos + 1:][::-1]
-                rotated = True
-                break
-        if not rotated:
-            return None
-        # after a rotation with a full path, try to close on the new tail
-        if len(path) == n and rows[path[-1]] >> path[0] & 1:
-            return path
-    return None
 
 
 def _backtrack_hamilton(g: SimpleGraph, budget: int) -> HamiltonSearch:
@@ -278,9 +231,6 @@ def find_hamiltonian_cycle(g: SimpleGraph, budget: int = DEFAULT_BUDGET) -> Hami
     if all(r == full ^ (1 << v) for v, r in enumerate(rows_closed)):
         cyc = _peel_closure_cycle(rows_closed, added, list(range(n)))
         return _checked_found(g, cyc, "closure peel")
-    cyc = _rotation_extension(g, max_ops=4 * n * n)
-    if cyc is not None:
-        return _checked_found(g, cyc, "rotation-extension")
     res = _backtrack_hamilton(g, budget)
     if res.status == "found":
         return _checked_found(g, res.cycle, "backtracking", res.expansions)
@@ -313,17 +263,15 @@ class TightCycleSearch:
     expansions: int
 
 
-def find_mono_ham_tight_cycle(s: ShadowMulticoloring, t: int, color: int,
+def find_mono_ham_tight_cycle(s: ShadowMulticoloring, color: int,
                               budget: int = DEFAULT_BUDGET) -> TightCycleSearch:
-    """Hamiltonian tight cycle in the shadow graph, all windows good in `color`.
+    """Hamiltonian s.t-tight cycle in the shadow graph, all windows good in `color`.
 
     t = 2 reduces to graph Hamiltonicity on the good-pair graph; t >= 3 runs a
     window-constrained DFS over core sequences with the start fixed at vertex 0
     and orientation canonicalized (core[1] < core[n-1]).
     """
-    if t != s.t:
-        raise ValueError(f"shadow built for t={s.t}, asked for t={t}")
-    n = s.params.n
+    n, t = s.params.n, s.t
     if t == 2:
         res = find_hamiltonian_cycle(good_pair_graph(s, color), budget)
         wit = None

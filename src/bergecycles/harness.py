@@ -60,7 +60,7 @@ class InstanceTooLarge(RuntimeError):
 # brute-force oracle
 
 
-def brute_force_exists(h: ColoredHypergraph, t: int | None = None) -> BergeCertificate | None:
+def brute_force_exists(h: ColoredHypergraph) -> BergeCertificate | None:
     """Exhaustive existence check; None means proven-nonexistent.
 
     Core sequences are enumerated with v_1 = 0 and orientation fixed by
@@ -69,12 +69,11 @@ def brute_force_exists(h: ColoredHypergraph, t: int | None = None) -> BergeCerti
     (color, core sequence), so None is a proof, not a search failure.
     """
     p = h.params
-    t = p.t if t is None else t
     if p.n > ORACLE_MAX_N:
         raise InstanceTooLarge(
             f"brute force needs n <= {ORACLE_MAX_N}, got n={p.n}")
-    n, r = p.n, p.r
-    if n < 3 or t < 1 or t > r:
+    n, r, t = p.n, p.r, p.t
+    if n < 3:
         return None
     tab = edge_table(n, r)
     for color in range(1, p.c + 1):
@@ -88,7 +87,7 @@ def brute_force_exists(h: ColoredHypergraph, t: int | None = None) -> BergeCerti
                 pools.setdefault(frozenset(sub), []).append(int(e))
         cert = _oracle_color_search(n, tab, color, pools, t)
         if cert is not None:
-            err = verify_berge_certificate(cert, h, t=t)
+            err = verify_berge_certificate(cert, h)
             if err is not None:
                 raise InternalError(f"oracle produced a bad certificate: {err}")
             return cert

@@ -509,11 +509,9 @@ def construct_gamma_case1(h: ColoredHypergraph, s: ShadowMulticoloring,
                "variant": "i" if r1 <= 2 else "ii", "intersecting": None}
 
     if r1 <= 2:
+        # w1 has the lower degree, so r2 <= r1 <= 2
         if r2 == 2:
             _repair_min(gb, D, x, w2, W2[0], _lone_neighbor(gb, w2, _TAG14))
-        elif r2 == 3:
-            # unreachable when degrees are sorted, but harmless to honor
-            _repair_two(gb, D, x, w2, W2[0], W2[1])
     elif r2 <= 1:
         _repair_min(gb, D, x, w1, W1[0])
     elif r2 == 2:
@@ -819,17 +817,9 @@ def _order_avoiding(pool, prev, nxt, blocked):
 def _mono_ham_berge_in_link(k: ColoredHypergraph, budget: int,
                             fallbacks: list) -> BergeCertificate:
     sk = build_shadow(k, 2)
-    for color in (1, 2):
-        res = find_mono_ham_tight_cycle(sk, 2, color, budget)
-        fallbacks.append({"stage": "link-good-graph", "color": color,
-                          "status": res.status})
-        if res.status != "found":
-            continue
-        try:
-            return extend_tight_cycle(res.witness, k, sk)
-        except MatchingIncomplete:
-            fallbacks.append({"stage": "link-extract", "color": color,
-                              "status": "matching-incomplete"})
+    cert = shadow_guided_cert(k, sk, (1, 2), budget, fallbacks)
+    if cert is not None:
+        return cert
     # weaker route: a Hamiltonian cycle over the pairs covered at least
     # once, then a direct position -> edge matching
     n1 = k.params.n
@@ -1179,7 +1169,7 @@ def shadow_guided_cert(h: ColoredHypergraph, s: ShadowMulticoloring,
     """First color in `color_order` whose Hamiltonian s.t-tight shadow cycle
     lifts to a certificate, or None; each attempt is logged in `fallbacks`."""
     for color in color_order:
-        res = find_mono_ham_tight_cycle(s, s.t, color, budget)
+        res = find_mono_ham_tight_cycle(s, color, budget)
         fallbacks.append({"stage": "good-graph", "color": color,
                           "status": res.status, "expansions": res.expansions})
         if res.status != "found":

@@ -48,7 +48,7 @@ def _mono_certificate(r, t, n):
     p = Params(n=n, r=r, t=t, c=2)
     h = ColoredHypergraph(p, np.ones(p.num_edges, dtype=np.uint8))
     s = build_shadow(h, t)
-    res = find_mono_ham_tight_cycle(s, t, 1)
+    res = find_mono_ham_tight_cycle(s, 1)
     if res.status != "found":
         return None, None
     try:
@@ -220,7 +220,7 @@ def test_criterion_2_witness_extension_never_drops_a_position():
             h = random_coloring(Params(n=n, r=r, t=t, c=c), seed=seed)
             s = build_shadow(h, t)
             for color in range(1, c + 1):
-                res = find_mono_ham_tight_cycle(s, t, color)
+                res = find_mono_ham_tight_cycle(s, color)
                 if res.status != "found":
                     continue
                 w = res.witness

@@ -46,10 +46,10 @@ PINNED = {
         "b3d4abe04cb69b4f90a5b889d45dbe09f92770ae781fb1913df1358f4acd6c8a"),
     "near-mono base=2": ("lemma-3.1",
         "a77d96d65b6c03f1892c49213d74565e2ba9c9003eb688ccf14d050e5b3ceb76",
-        "eb3e33c0e5468ce9bf6a466253626a5924988dd3f2e30ee03b34d8d903b850cb"),
+        "406cd7a1b8a01e3244ddbeb640193b73f48f8ebf01f676e8df48642badec36fb"),
     "near-mono base=3": ("lemma-3.1",
         "197acb6384fe1a5e22b11bc5623494bc2472af3df94b7d6f1798504c02ce019a",
-        "2ba54b70fd4abb243edc14887b9cc3c887ec957a8f151581e0fbb049182d7169"),
+        "e41746d806be8ec1380720e7d0b49b8ef8c7b039b75aa71d2272e1d6841a0648"),
     "u-profile split deg=0": ("case-1",
         "f785551d79d02b528a7db228f2fc8e99829c0f95d4fd4a5ad1eea91dcd0c747e",
         "b812be347e304ee7aa30fcdc54b850dd378fbcf2739c48de33574d3f5c8da02d"),
@@ -120,10 +120,10 @@ PINNED = {
 WEAK_ROUTE = {
     "near-mono base=2": ("lemma-3.1",
         "a77d96d65b6c03f1892c49213d74565e2ba9c9003eb688ccf14d050e5b3ceb76",
-        "a8216eebf36202f6544325b3d3f9f61b6fbf764517535e3cb820bba0e2ad1bc6"),
+        "40d64fdfac3c555e7e01ee9cbd35c426391ba6c6191666cf2e7f1cd640a334be"),
     "near-mono base=3": ("lemma-3.1",
         "197acb6384fe1a5e22b11bc5623494bc2472af3df94b7d6f1798504c02ce019a",
-        "936c54bd42271aa93b684be8978868748e9d495b22e20247bc44b6dc6cf8ddbe"),
+        "b334d5d007390036087e86d3f8b581f2334ef0fad758467ad2ffe9bffd144aa3"),
 }
 
 
@@ -154,7 +154,7 @@ def test_golden_certificate(label):
 @pytest.mark.parametrize("label", list(WEAK_ROUTE), ids=list(WEAK_ROUTE))
 def test_golden_link_weak_route(label, monkeypatch):
     monkeypatch.setattr(r4, "find_mono_ham_tight_cycle",
-                        lambda s, t, color, budget=0: TightCycleSearch("none", None, 0))
+                        lambda s, color, budget=0: TightCycleSearch("none", None, 0))
     res = r4_find(CASES[label]())
     steps = [(f["stage"], f["status"]) for f in res.trace.subcase["fallbacks"]]
     assert ("link-weak-graph", "found") in steps

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from bergecycles.core import ColoredHypergraph, Params, random_coloring, rank_subset
 from bergecycles.hamilton import (
-    DegreeSequence,
     SimpleGraph,
     bondy_chvatal_closure,
     chvatal_holds,
@@ -52,7 +51,7 @@ def test_chvatal_reference_values():
     assert chvatal_holds((3, 3, 3, 3)) is True           # K_4
     assert chvatal_holds((2, 2, 2, 2, 2)) is False       # C_5: sufficient, not necessary
     assert chvatal_holds((1, 1, 2)) is False             # path on 3 vertices
-    assert chvatal_holds(DegreeSequence.from_graph(SimpleGraph.complete(6)))
+    assert chvatal_holds(SimpleGraph.complete(6).degrees())
     with pytest.raises(ValueError):
         chvatal_holds((1, 1))
 
@@ -113,7 +112,7 @@ def test_closure_route_on_dense_graph():
     for v in range(0, n, 2):
         g.rows[v] &= ~(1 << (v + 1))
         g.rows[v + 1] &= ~(1 << v)
-    assert chvatal_holds(DegreeSequence.from_graph(g))
+    assert chvatal_holds(g.degrees())
     res = find_hamiltonian_cycle(g)
     assert res.status == "found" and is_cycle_of(g, res.cycle)
     assert res.expansions == 0  # never reached the backtracker
@@ -145,7 +144,7 @@ def test_search_agrees_with_permutation_oracle_n6(mask):
 @settings(max_examples=60, deadline=None)
 def test_chvatal_implies_found_n7(mask):
     g = _graph_from_mask(7, mask)
-    degs = DegreeSequence.from_graph(g)
+    degs = g.degrees()
     if chvatal_holds(degs):
         res = find_hamiltonian_cycle(g)
         assert res.status == "found" and is_cycle_of(g, res.cycle)
@@ -165,11 +164,11 @@ def test_good_pair_graph_mono():
     assert good_pair_graph(s, 1).degrees() == [4] * 5
     assert good_pair_graph(s, 2).degrees() == [0] * 5
 
-    found = find_mono_ham_tight_cycle(s, 2, 1)
+    found = find_mono_ham_tight_cycle(s, 1)
     assert found.status == "found"
     assert sorted(found.witness.core) == list(range(5))
 
-    assert find_mono_ham_tight_cycle(s, 2, 2).status == "none"
+    assert find_mono_ham_tight_cycle(s, 2).status == "none"
 
 
 def test_tight_cycle_t3_single_color():
@@ -177,7 +176,7 @@ def test_tight_cycle_t3_single_color():
     p = Params(n=6, r=3, t=2, c=1)
     h = ColoredHypergraph(p, np.ones(p.num_edges, dtype=np.uint8))
     s = build_shadow(h, 3)
-    res = find_mono_ham_tight_cycle(s, 3, 1)
+    res = find_mono_ham_tight_cycle(s, 1)
     assert res.status == "found"
     w = res.witness
     assert w.core[0] == 0 and w.core[1] < w.core[-1]
@@ -193,7 +192,7 @@ def test_tight_cycle_t3_respects_bad_windows():
     h = random_coloring(p, seed=13)
     s = build_shadow(h, 3)
     for color in (1, 2):
-        res = find_mono_ham_tight_cycle(s, 3, color, budget=10**6)
+        res = find_mono_ham_tight_cycle(s, color, budget=10**6)
         if res.status == "found":
             w = res.witness
             for i in range(7):
@@ -205,7 +204,7 @@ def test_tight_cycle_budget_report():
     p = Params(n=8, r=4, t=2, c=2)
     h = random_coloring(p, seed=3)
     s = build_shadow(h, 3)
-    res = find_mono_ham_tight_cycle(s, 3, 1, budget=2)
+    res = find_mono_ham_tight_cycle(s, 1, budget=2)
     assert res.status in ("budget", "found", "none")
     if res.status == "budget":
         assert res.witness is None

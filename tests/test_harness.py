@@ -91,7 +91,7 @@ def test_oracle_needs_n_edges_of_one_color():
 
 def test_oracle_t3_mono():
     h = mono(6, 4, t=3)
-    cert = brute_force_exists(h, t=3)
+    cert = brute_force_exists(h)
     assert cert is not None and cert.t == 3
     assert verify_berge_certificate(cert, h, t=3) is None
 

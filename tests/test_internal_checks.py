@@ -94,19 +94,21 @@ def test_extend_tight_cycle_guards(patch, message):
     """, "closure peel returned a non-Hamiltonian cycle: [0, 1, 2, 3, 3]"),
     ("""
         from bergecycles import hamilton
-        c6 = hamilton.SimpleGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
-        hamilton._rotation_extension = lambda g, max_ops: [0, 1, 2, 3, 5, 4]
-        hamilton.find_hamiltonian_cycle(c6)
-    """, "rotation-extension returned a non-Hamiltonian cycle: [0, 1, 2, 3, 5, 4]"),
+        # two triangles sharing vertex 2, with a closure that claims K_5
+        bowtie = hamilton.SimpleGraph.from_edges(
+            5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+        hamilton.bondy_chvatal_closure = lambda g: (
+            hamilton.SimpleGraph.complete(5).rows, [(0, 3), (0, 4), (1, 3), (1, 4)])
+        hamilton.find_hamiltonian_cycle(bowtie)
+    """, "closure peel found no crossing chord for added edge (0, 3)"),
     ("""
         from bergecycles import hamilton
         c6 = hamilton.SimpleGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
-        hamilton._rotation_extension = lambda g, max_ops: None
         hamilton._backtrack_hamilton = lambda g, budget: hamilton.HamiltonSearch(
             "found", (0, 1, 2, 3, 5, 4), 7)
         hamilton.find_hamiltonian_cycle(c6)
     """, "backtracking returned a non-Hamiltonian cycle: (0, 1, 2, 3, 5, 4)"),
-], ids=["r4-extension", "oracle", "closure-peel", "rotation-extension",
+], ids=["r4-extension", "oracle", "closure-peel", "closure-peel-no-chord",
         "backtracking"])
 def test_returned_result_guards(code, message):
     proc = run_optimized(f"""

@@ -271,6 +271,31 @@ def test_color_relabel_round_trip():
     assert res.trace.branch == "case-2"
 
 
+@pytest.fixture(scope="module", params=[0, 1], ids=["deg=0", "deg=1"])
+def split_case(request):
+    # a case-1 split fixture, whose pivot needs no color renaming
+    h = u_profile(n=85, k23=0, k12=1, k13=42, deg_w=request.param,
+                  deg_w2=request.param)
+    return h, found(h)
+
+
+@pytest.mark.parametrize("perm", [(1, 3, 2), (2, 1, 3), (2, 3, 1),
+                                  (3, 1, 2), (3, 2, 1)])
+def test_renamed_colors_give_the_renamed_certificate(split_case, perm):
+    # color c of the input becomes perm[c - 1]; the pivot must rename the
+    # colors back, and finish() must map the certificate to the input's names
+    base, base_res = split_case
+    assert base_res.trace.pivot["sigma"] == [1, 2, 3]
+    lut = np.array((0,) + perm, dtype=np.uint8)
+    res = found(ColoredHypergraph(base.params, lut[base.colors]))
+    sigma = res.trace.pivot["sigma"]
+    assert [sigma[c - 1] for c in perm] == [1, 2, 3]
+    assert res.trace.branch == "case-1"
+    assert res.certificate.color == perm[base_res.certificate.color - 1]
+    assert res.certificate.core == base_res.certificate.core
+    assert res.certificate.edges == base_res.certificate.edges
+
+
 def test_trace_serializes_to_json():
     import json
     h = u_profile(n=85, k23=1, k12=1, k13=41, deg_w=2, deg_u23=2)
