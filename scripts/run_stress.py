@@ -5,13 +5,16 @@ instances grow past the small-n regime, e.g.:
 
     python3 scripts/run_stress.py --r 4 --t 2 --c 2 --n-from 6 --n-to 12
     python3 scripts/run_stress.py --r 5 --t 3 --c 1 --trials 50 --jobs 4
+
+Exits 1 on a verified counterexample and 3, with a one-line error, on
+parameters or a generator outside the supported domain.
 """
 
 import argparse
 import json
 import sys
 
-from bergecycles import Params, stress_theorem
+from bergecycles import InvalidParams, Params, stress_theorem
 
 
 def main(argv=None):
@@ -35,9 +38,14 @@ def main(argv=None):
         print(f"{'n':>4} {'found':>7} {'unresolved':>11} "
               f"{'counterexamples':>16} {'distinct':>9} {'wall':>8}")
     for n in range(n_from, args.n_to + 1):
-        p = Params(n=n, r=args.r, t=args.t, c=args.c)
-        rep = stress_theorem(p, generator=args.generator, trials=args.trials,
-                             seed=args.seed, jobs=args.jobs)
+        try:
+            p = Params(n=n, r=args.r, t=args.t, c=args.c)
+            rep = stress_theorem(p, generator=args.generator,
+                                 trials=args.trials, seed=args.seed,
+                                 jobs=args.jobs)
+        except InvalidParams as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
         if args.json:
             print(json.dumps(rep.to_json_dict()))
         else:

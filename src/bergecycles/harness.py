@@ -301,7 +301,8 @@ def structured_colorings(kind: str, params: dict):
     edge through one pair gets a single color), and "u-profile"
     (engineered pivot profiles for the K_n^4 construction; 4-uniform,
     3 colors only).  "partition" and "majority" yield one coloring and
-    "near-mono" one per edge; the others never end.
+    "near-mono" one per edge (one, the monochromatic coloring, at c = 1);
+    the others never end.
     """
     size, make = _family(kind, params)
     return map(make, itertools.count() if size is None else range(size))
@@ -369,6 +370,10 @@ def _majority_family(params: dict):
 def _near_mono_family(params: dict):
     p = _base_params(params)
     base = params.get("base", 1)
+    if p.c == 1 and base == 1 and "off" not in params:
+        # no second color for the off edge: the one member is monochromatic
+        return 1, lambda _: ColoredHypergraph(
+            p, np.ones(p.num_edges, dtype=np.uint8))
     off = params.get("off", 2 if base != 2 else 1)
     if not (1 <= base <= p.c and 1 <= off <= p.c) or base == off:
         raise InvalidParams(f"bad base/off pair ({base}, {off}) for c={p.c}")

@@ -98,6 +98,30 @@ def test_edge_table_matches_enumeration(n, k):
     assert np.array_equal(rank_rows(tab), np.arange(len(expected)))
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_colex_table_up_to_k9(data):
+    # the shadow kernel reads lower-level tables as prefixes of the n-table
+    k = data.draw(st.integers(0, 9), label="k")
+    n = data.draw(st.integers(k, min(k + 5, 14)), label="n")
+    m = data.draw(st.integers(0, n), label="m")
+    tab = edge_table(n, k)
+    expected = colex_order(n, k)
+    assert [tuple(int(v) for v in row) for row in tab] == expected
+    assert np.array_equal(edge_table(m, k), tab[:binom(m, k)])
+    for i in data.draw(st.lists(st.integers(0, len(tab) - 1), max_size=20),
+                       label="ranks"):
+        s = expected[i]
+        assert rank_subset(s, n) == i
+        assert unrank_subset(i, n, k) == s
+    wide = tuple(sorted(data.draw(st.sets(st.integers(0, core.MAX_N - 1),
+                                          min_size=k, max_size=k),
+                                  label="wide")))
+    rank = rank_subset(wide, core.MAX_N)
+    assert 0 <= rank < binom(core.MAX_N, k)
+    assert unrank_subset(rank, core.MAX_N, k) == wide
+
+
 @st.composite
 def fixed_set_batches(draw):
     n = draw(st.integers(1, 12))

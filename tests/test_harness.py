@@ -302,11 +302,16 @@ def test_stress_reports_distinct_colorings(generator, distinct):
         in rep.summary()
 
 
-def test_run_stress_script_reports_distinct_colorings(capsys):
+def load_run_stress():
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_stress.py"
     spec = importlib.util.spec_from_file_location("run_stress", script)
     run_stress = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run_stress)
+    return run_stress
+
+
+def test_run_stress_script_reports_distinct_colorings(capsys):
+    run_stress = load_run_stress()
     argv = ["--r", "4", "--t", "2", "--c", "2", "--n-from", "7", "--n-to",
             "7", "--trials", "3", "--generator", "partition"]
     assert run_stress.main(argv + ["--json"]) == 0
@@ -315,6 +320,36 @@ def test_run_stress_script_reports_distinct_colorings(capsys):
     header, row = capsys.readouterr().out.splitlines()
     assert header.split()[-2:] == ["distinct", "wall"]
     assert row.split()[-2] == "1"
+
+
+def test_near_mono_at_one_color_is_the_monochromatic_coloring(capsys):
+    # c = 1 is floor((r-2)/(t-1)) for r=5, t=3: no off color to place
+    p = Params(n=7, r=5, t=3, c=1)
+    colorings = list(structured_colorings("near-mono",
+                                          {"n": 7, "r": 5, "t": 3, "c": 1}))
+    assert len(colorings) == 1
+    assert colorings[0].params == p and (colorings[0].colors == 1).all()
+    rep = stress_theorem(p, generator="near-mono", trials=3, seed=0)
+    assert (rep.successes, rep.distinct_colorings) == (3, 1)
+    argv = ["--r", "5", "--t", "3", "--c", "1", "--generator", "near-mono",
+            "--n-from", "7", "--n-to", "7", "--trials", "3", "--json"]
+    assert load_run_stress().main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["distinct_colorings"] == 1
+    with pytest.raises(InvalidParams):
+        structured_colorings("near-mono", {"n": 7, "r": 5, "c": 1, "off": 2})
+
+
+@pytest.mark.parametrize("argv", [
+    ["--r", "10", "--n-to", "12"],                       # r past the ceiling
+    ["--c", "0", "--n-from", "6", "--n-to", "6"],        # no color
+    ["--generator", "bogus", "--n-from", "6", "--n-to", "6"],
+    ["--c", "1", "--generator", "pair-lock", "--n-from", "6", "--n-to", "6"],
+])
+def test_run_stress_script_reports_bad_params_in_one_line(capsys, argv):
+    assert load_run_stress().main(argv + ["--trials", "2", "--json"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
 def test_stress_summary_mentions_counts():

@@ -57,8 +57,9 @@ def incidence_oracle(h):
 
 @st.composite
 def small_instances(draw, t_min=1):
-    n = draw(st.integers(2, 9))
-    r = draw(st.integers(2, min(6, n)))
+    # r up to the Params ceiling of 9, so the peel carries down r-t <= 8 levels
+    n = draw(st.integers(2, 11))
+    r = draw(st.integers(2, min(9, n)))
     t = draw(st.integers(t_min, r))
     c = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 10**6))
@@ -110,6 +111,16 @@ def test_subset_color_counts_match_oracle(case):
             assert len(started) == expected_spans(h, t, cpus) - 1
 
 
+@pytest.mark.parametrize("t", range(1, 10))
+def test_every_peel_depth_matches_oracle(t):
+    # r - t carry levels, from none (t = r, one-hot) up to eight
+    h = random_coloring(Params(n=11, r=9, t=2, c=3), seed=t)
+    expected = shadow_oracle(h, t)
+    for cpus in (1, 3):
+        with spans(cpus, chunk_rows=1):
+            assert np.array_equal(subset_color_counts(h, t), expected)
+
+
 @given(small_instances(t_min=2))
 @settings(max_examples=80, deadline=None)
 def test_vertex_color_counts_match_incidence_pass(case):
@@ -130,6 +141,47 @@ def test_subset_color_counts_across_chunks(monkeypatch, t):
             assert np.array_equal(subset_color_counts(h, t), expected)
         # t = 3 has 728 keys, so its 2002 rows make only two whole chunks
         assert len(started) == (0 if cpus == 1 else 2 if t < 3 else 1)
+
+
+def chunk_geometry(h, t):
+    """For each chunk of the edge table, one flag per top-vertex block it
+    meets: whether it holds that block whole."""
+    p = h.params
+    step = max(shadow._CHUNK_ROWS, binom(p.n, t) * p.c)
+    first = [binom(d, p.r) for d in range(p.n + 1)]
+    out = []
+    for lo in range(0, p.num_edges, step):
+        hi = min(lo + step, p.num_edges)
+        out.append([lo <= first[d] and first[d + 1] <= hi
+                    for d in range(p.r - 1, p.n)
+                    if first[d] < hi and first[d + 1] > lo])
+    return out
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_chunks_inside_one_block_and_across_whole_blocks(monkeypatch, t):
+    # rows with top vertex d are the colex block [C(d,r), C(d+1,r)); the
+    # lower-set weights add each chunk's piece of a block at its offset
+    monkeypatch.setattr(shadow, "_CHUNK_ROWS", 200)
+    h = random_coloring(Params(n=14, r=6, t=2, c=2), seed=7)
+    geometry = chunk_geometry(h, t)
+    assert any(whole == [False] for whole in geometry)
+    assert any(sum(whole) >= 2 for whole in geometry)
+    expected = shadow_oracle(h, t)
+    for cpus in (1, 3):
+        with spans(cpus) as started:
+            assert np.array_equal(subset_color_counts(h, t), expected)
+        assert len(started) == expected_spans(h, t, cpus) - 1
+
+
+@pytest.mark.parametrize("n,r,c", [(9, 4, 3), (10, 6, 2), (11, 9, 4)])
+def test_counts_at_t_equal_r_are_the_colors_one_hot(n, r, c):
+    h = random_coloring(Params(n=n, r=r, t=2, c=c), seed=n)
+    one_hot = np.eye(c, dtype=np.int64)[h.colors.astype(np.intp) - 1]
+    with spans(3, chunk_rows=1) as started:
+        got = subset_color_counts(h, h.params.r)
+    assert started == []
+    assert got.dtype == np.int64 and np.array_equal(got, one_hot)
 
 
 def test_build_shadow_is_byte_identical_across_span_counts():
