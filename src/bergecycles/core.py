@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import io
 import math
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -26,7 +25,8 @@ import numpy as np
 MAX_N = 128          # vertex-count ceiling baked into the binomial table
 _MAX_K = 8           # widest subset size served by the vectorized table
 
-COLORING_MAGIC = "berge-coloring v1"
+COLORING_MAGIC = "berge-coloring v2"   # what write_coloring writes
+_MAGIC_V1 = "berge-coloring v1"        # still read, at t=2
 
 
 class InvalidParams(ValueError):
@@ -333,142 +333,83 @@ def verify_berge_certificate(cert: BergeCertificate, h: ColoredHypergraph,
     return None
 
 
-_CHUNK_LINES = 1 << 16  # edge lines encoded per chunk
-
-
-@lru_cache(maxsize=1)
-def _codec_words() -> tuple[np.ndarray, np.ndarray, np.uint32]:
-    """Each text piece of an edge line as one zero-padded little-endian uint32.
-
-    Vertex v is `f"{v} "` (at most "127 "), color k is `f"{k}\\n"` for every
-    uint8 k (at most 4 bytes), and the separator is ": ".  No piece contains a
-    zero byte, so dropping the padding leaves exactly the text.
-    """
-    def pack(texts):
-        return np.frombuffer(b"".join(t.encode().ljust(4, b"\0") for t in texts),
-                             dtype="<u4")
-
-    return (pack(f"{v} " for v in range(MAX_N)),
-            pack(f"{k}\n" for k in range(256)),
-            pack([": "])[0])
-
-
-def _encode_chunks(n: int, r: int, colors: np.ndarray):
-    """The body of a coloring file, one `v1 .. vr : color` line per edge in
-    colex order, as bytes of at most _CHUNK_LINES lines each."""
-    vertex_words, color_words, sep = _codec_words()
-    tab = edge_table(n, r)
-    for lo in range(0, len(tab), _CHUNK_LINES):
-        rows = tab[lo:lo + _CHUNK_LINES]
-        words = np.empty((len(rows), r + 2), dtype="<u4")
-        words[:, :r] = np.take(vertex_words, rows)
-        words[:, r] = sep
-        words[:, r + 1] = np.take(color_words, colors[lo:lo + _CHUNK_LINES])
-        yield words.tobytes().translate(None, b"\0")
-
-
-def _header(p: Params) -> bytes:
-    return f"{COLORING_MAGIC}\nr={p.r} n={p.n} c={p.c}\n".encode()
-
-
 def write_coloring(h: ColoredHypergraph, path) -> None:
-    """Write the line-oriented text format (header + one line per edge)."""
+    """Write the v2 format: the magic line, an `r= n= t= c=` line, then
+    C(n, r) bytes, the color of each edge in colex order."""
     p = h.params
     with open(path, "wb") as fh:
-        fh.write(_header(p))
-        for chunk in _encode_chunks(p.n, p.r, h.colors):
-            fh.write(chunk)
+        fh.write(f"{COLORING_MAGIC}\nr={p.r} n={p.n} t={p.t} c={p.c}\n".encode())
+        fh.write(h.colors.tobytes())
 
 
 class ColoringFormatError(ValueError):
     """Malformed coloring file."""
 
 
-def _parse_header(line1: str, line2: str) -> tuple[int, int, int]:
-    if line1.strip() != COLORING_MAGIC:
-        raise ColoringFormatError(f"bad magic line: {line1.strip()!r}")
-    fields = line2.split()
-    if len(fields) != 3:
-        raise ColoringFormatError(f"bad header line: {line2.strip()!r}")
-    vals = {}
-    for field, key in zip(fields, ("r", "n", "c")):
+def _parse_header(line: str, keys: tuple[str, ...]) -> list[int]:
+    """The values of a `key=<int> ..` header line holding exactly `keys`."""
+    fields = line.split()
+    if len(fields) != len(keys):
+        raise ColoringFormatError(f"bad header line: {line.strip()!r}")
+    vals = []
+    for field, key in zip(fields, keys):
         if not field.startswith(key + "="):
             raise ColoringFormatError(f"expected {key}=<int>, got {field!r}")
         try:
-            vals[key] = int(field[len(key) + 1:])
+            vals.append(int(field[len(key) + 1:]))
         except ValueError as exc:
             raise ColoringFormatError(f"non-integer {key} in header: {field!r}") from exc
-    return vals["r"], vals["n"], vals["c"]
+    return vals
 
 
-# compiled on first use, not at import
-_CANONICAL_HEADER = re.escape(COLORING_MAGIC.encode()) + rb"\nr=(\d+) n=(\d+) c=(\d+)\n"
-
-
-def _read_canonical(data: bytes) -> ColoredHypergraph | None:
-    """The coloring if `data` is byte for byte what write_coloring writes
-    for it, else None.
-
-    Colors are taken from the byte before each newline, which is where a
-    single-digit color sits in the canonical layout (a wider color fails
-    the comparison); the body is accepted only if it equals the encoding of
-    those colors, so this accepts a subset of what _read_general accepts
-    and decodes it the same way.
-    """
-    head = re.match(_CANONICAL_HEADER, data)
-    if head is None:
-        return None
-    r, n, c = (int(g) for g in head.groups())
+def _file_params(**kw) -> Params:
     try:
-        params = Params(n=n, r=r, t=2, c=c)
-    except InvalidParams:
-        return None
-    if head.group() != _header(params):
-        return None
-    body = np.frombuffer(data, dtype=np.uint8, offset=head.end())
-    ends = np.flatnonzero(body == ord("\n"))
-    if len(ends) != params.num_edges:
-        return None
-    colors = body[ends - 1] - np.uint8(ord("0"))
-    if colors.min() < 1 or colors.max() > c:
-        return None
-    at = head.end()
-    for chunk in _encode_chunks(n, r, colors):
-        if not data.startswith(chunk, at):
-            return None
-        at += len(chunk)
-    return ColoredHypergraph(params, colors) if at == len(data) else None
+        return Params(**kw)
+    except InvalidParams as exc:
+        raise ColoringFormatError(str(exc)) from exc
 
 
 def read_coloring(path) -> ColoredHypergraph:
-    """Read the text format back; every edge must be listed exactly once.
+    """Read a coloring file.
 
-    A file in write_coloring's exact layout is checked byte for byte by
-    _read_canonical; any other layout goes through the general parser.
+    A v2 file, the only format write_coloring writes, must hold exactly
+    C(n, r) color bytes after its header, each in 1..c.  Any other file is
+    parsed as v1 text by _read_general; v1 carries no t and reads at t=2.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    h = _read_canonical(data)
-    if h is None:
+    magic = COLORING_MAGIC.encode() + b"\n"
+    if not data.startswith(magic):
         # decoded as open(path) in text mode would: locale encoding,
         # universal newlines
         try:
-            h = _read_general(io.TextIOWrapper(io.BytesIO(data)))
+            return _read_general(io.TextIOWrapper(io.BytesIO(data)))
         except UnicodeDecodeError as exc:
             raise ColoringFormatError(f"coloring file is not text: {exc}") from exc
-    return h
+    end = data.find(b"\n", len(magic))
+    if end < 0:
+        raise ColoringFormatError("header line has no end")
+    r, n, t, c = _parse_header(data[len(magic):end].decode("ascii", "replace"),
+                               ("r", "n", "t", "c"))
+    params = _file_params(n=n, r=r, t=t, c=c)
+    colors = np.frombuffer(data, dtype=np.uint8, offset=end + 1)
+    if len(colors) != params.num_edges:
+        raise ColoringFormatError(
+            f"expected {params.num_edges} color bytes, found {len(colors)}")
+    if colors.min() < 1 or colors.max() > c:
+        raise ColoringFormatError("color out of range")
+    return ColoredHypergraph(params, colors)
 
 
 def _read_general(fh) -> ColoredHypergraph:
-    """Parse any valid layout: whitespace-separated fields, rows in any order."""
+    """Parse any valid v1 layout: whitespace-separated fields, rows in any order."""
     line1 = fh.readline()
     line2 = fh.readline()
     body = fh.read()
-    r, n, c = _parse_header(line1, line2)
-    try:
-        params = Params(n=n, r=r, t=2, c=c)
-    except InvalidParams as exc:
-        raise ColoringFormatError(str(exc)) from exc
+    if line1.strip() != _MAGIC_V1:
+        raise ColoringFormatError(f"bad magic line: {line1.strip()!r}")
+    r, n, c = _parse_header(line2, ("r", "n", "c"))
+    params = _file_params(n=n, r=r, t=2, c=c)
     m = params.num_edges
     if body.count(":") != m:
         raise ColoringFormatError(

@@ -330,7 +330,7 @@ def _base_params(params: dict) -> Params:
 
 
 def _hash_colors(tab: np.ndarray, c: int, offset: int) -> np.ndarray:
-    weights = np.array([3, 5, 7, 11, 13, 17, 19][:tab.shape[1]],
+    weights = np.array([3, 5, 7, 11, 13, 17, 19, 23, 29][:tab.shape[1]],
                        dtype=np.int64)
     mix = tab.astype(np.int64) @ weights + offset
     return (1 + mix % c).astype(np.uint8)

@@ -38,8 +38,6 @@ from .core import (
     _BINOM,
     binom,
     edge_table,
-    rank_subset,
-    unrank_subset,
 )
 
 _CHUNK_ROWS = 1 << 15  # edge-table rows per chunk; raised to the key range when larger
@@ -217,34 +215,6 @@ def vertex_color_counts(s: ShadowMulticoloring) -> np.ndarray:
     for j in range(s.t):
         np.add.at(out, tab[:, j], s.counts)
     return out // binom(p.r - 1, s.t - 1)
-
-
-def recolor_edge(h: ColoredHypergraph, s: ShadowMulticoloring,
-                 edge_rank: int, new_color: int) -> tuple[ColoredHypergraph,
-                                                          ShadowMulticoloring]:
-    """Recolor one r-edge and update the shadow incrementally.
-
-    Inputs are immutable; returns the updated (hypergraph, shadow) pair.
-    Only the C(r,t) t-sets inside the edge change, each by -1/+1.
-    """
-    p = h.params
-    old_color = h.color_of_rank(edge_rank)
-    h2 = h.with_color(edge_rank, new_color)
-    if new_color == old_color:
-        return h2, s
-    verts = unrank_subset(edge_rank, p.n, p.r)
-    sub_ranks = [rank_subset(c) for c in itertools.combinations(verts, s.t)]
-    counts = s.counts.copy()
-    counts[sub_ranks, old_color - 1] -= 1
-    counts[sub_ranks, new_color - 1] += 1
-    goodmask = s.goodmask.copy()
-    rows = counts[sub_ranks]
-    bits = (rows >= s.threshold).astype(np.uint32)
-    goodmask[sub_ranks] = (bits << np.arange(p.c, dtype=np.uint32)).sum(
-        axis=1, dtype=np.uint32)
-    counts.setflags(write=False)
-    goodmask.setflags(write=False)
-    return h2, ShadowMulticoloring(params=p, t=s.t, counts=counts, goodmask=goodmask)
 
 
 def dump_shadow(s: ShadowMulticoloring, fh) -> None:

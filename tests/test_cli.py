@@ -119,12 +119,34 @@ def test_search_no_oracle_flag(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["color"] == 3
 
 
-def test_shadow_dump_layout(tiny_coloring, capsys):
+def test_shadow_dump_layout(tiny_coloring, tmp_path, capsys):
     assert main(["shadow-dump", tiny_coloring]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    stdout = capsys.readouterr().out
+    lines = stdout.strip().splitlines()
     assert len(lines) == 28                       # C(8,2) pairs
     first = lines[0].split(" : ")
     assert first[0] == "0 1" and len(first[1].split()) == 2
+    dump = tmp_path / "shadow.txt"
+    assert main(["shadow-dump", tiny_coloring, "-o", str(dump)]) == 0
+    assert capsys.readouterr().out == f"shadow: {dump}\n"
+    assert dump.read_text() == stdout
+
+
+def test_t3_file_runs_search_extract_and_verify(tmp_path, capsys):
+    # search, extract and shadow-dump take t from the file; no flag sets it
+    path = tmp_path / "t3.coloring"
+    write_coloring(random_coloring(Params(n=9, r=6, t=3, c=2), seed=1), path)
+    assert main(["search", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["t"] == 3
+    cert = tmp_path / "t3.cert.json"
+    assert main(["extract", str(path), "-o", str(cert),
+                 "--trace", str(tmp_path / "t3.trace.json")]) == 0
+    assert json.load(open(cert))["t"] == 3
+    capsys.readouterr()
+    assert main(["verify", str(cert), str(path)]) == 0
+    assert capsys.readouterr().out.startswith("valid:")
+    assert main(["shadow-dump", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 84   # C(9,3) triples
 
 
 def test_file_params_win_without_force(tiny_coloring, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergecycles import core
+from bergecycles.cli import main
 from bergecycles.core import (
     BergeCertificate,
     ColoredHypergraph,
@@ -274,7 +275,7 @@ def test_certificate_json_roundtrip():
 
 
 def reference_write(h, path):
-    # the per-line writer the numpy encoder replaced; its bytes are the format
+    # the per-line v1 text layout the package once wrote; still read, at t=2
     p = h.params
     tab = edge_table(p.n, p.r)
     with open(path, "w", newline="\n") as fh:
@@ -283,27 +284,31 @@ def reference_write(h, path):
             fh.write(f"{' '.join(str(int(v)) for v in row)} : {color}\n")
 
 
+def v2_header(p):
+    return f"berge-coloring v2\nr={p.r} n={p.n} t={p.t} c={p.c}\n".encode()
+
+
 def check_codec(h, tmp_path):
-    """write_coloring matches the reference bytes and reads back to h."""
-    ours, ref = tmp_path / "ours.txt", tmp_path / "ref.txt"
-    write_coloring(h, ours)
-    reference_write(h, ref)
-    data = ours.read_bytes()
-    assert data == ref.read_bytes()
-    h2 = read_coloring(ours)
-    assert h2.params == h.params
+    """write_coloring writes the v2 header and one byte per edge, in colex
+    order of an independent enumeration, and reads back to h, t included."""
+    p = h.params
+    path = tmp_path / "ours.coloring"
+    write_coloring(h, path)
+    data = path.read_bytes()
+    assert len(data) == len(v2_header(p)) + math.comb(p.n, p.r)
+    assert data == v2_header(p) + bytes(h.color_of(e) for e in colex_order(p.n, p.r))
+    h2 = read_coloring(path)
+    assert h2.params == p
     assert np.array_equal(h2.colors, h.colors)
-    # single-digit colors take the byte-compare path, wider ones the parser
-    assert (core._read_canonical(data) is not None) == (h.colors.max() <= 9)
-    return data
 
 
 @st.composite
 def codec_instances(draw):
     n = draw(st.integers(2, 12))
     r = draw(st.integers(2, min(5, n)))
-    c = draw(st.sampled_from([1, 2, 3, 9, 12]))
-    return random_coloring(Params(n=n, r=r, t=2, c=c), seed=draw(st.integers(0, 2**16)))
+    t = draw(st.integers(2, r))
+    c = draw(st.integers(1, 255))
+    return random_coloring(Params(n=n, r=r, t=t, c=c), seed=draw(st.integers(0, 2**16)))
 
 
 @given(codec_instances())
@@ -328,15 +333,44 @@ def test_coloring_file_roundtrip(tmp_path):
     assert np.array_equal(h.colors, h2.colors)
 
 
+def test_coloring_v2_rejects_corruption(tmp_path, capsys):
+    p = Params(n=6, r=4, t=3, c=2)
+    h = random_coloring(p, seed=2)
+    head, body = v2_header(p), h.colors.tobytes()
+    path = tmp_path / "c.coloring"
+    path.write_bytes(head + body)
+    assert read_coloring(path).params == p
+    bad = {
+        "short body": head + body[:-1],
+        "long body": head + body + b"\x01",
+        "trailing newline": head + body + b"\n",
+        "color 0": head + b"\x00" + body[1:],
+        "color c+1": head + body[:-1] + b"\x03",
+        "missing t=": b"berge-coloring v2\nr=4 n=6 c=2\n" + body,
+        "t=1": b"berge-coloring v2\nr=4 n=6 t=1 c=2\n" + body,
+        "t > r": b"berge-coloring v2\nr=4 n=6 t=5 c=2\n" + body,
+        "no header end": b"berge-coloring v2\nr=4 n=6 t=3 c=2",
+    }
+    for name, data in bad.items():
+        path.write_bytes(data)
+        with pytest.raises(ColoringFormatError):
+            read_coloring(path)
+        capsys.readouterr()
+        assert main(["search", str(path)]) == 3, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, name
+
+
 def test_coloring_file_accepts_other_layouts(tmp_path):
     h = random_coloring(Params(n=11, r=3, t=2, c=3), seed=5)
     path = tmp_path / "coloring.txt"
-    write_coloring(h, path)
+    reference_write(h, path)
     text = path.read_text().splitlines()
     head, rows = text[:2], text[2:]
     shuffled = rows[:]
     np.random.default_rng(0).shuffle(shuffled)
     variants = {
+        "reference bytes": "\n".join(head + rows) + "\n",
         "shuffled rows": "\n".join(head + shuffled) + "\n",
         "doubled spaces": "\n".join(head + [ln.replace(" ", "  ") for ln in rows]) + "\n",
         "no final newline": "\n".join(head + rows),
@@ -344,8 +378,9 @@ def test_coloring_file_accepts_other_layouts(tmp_path):
     }
     for name, text in variants.items():
         path.write_bytes(text.encode())
-        assert core._read_canonical(path.read_bytes()) is None, name
-        assert np.array_equal(read_coloring(path).colors, h.colors), name
+        h2 = read_coloring(path)
+        assert h2.params == h.params, name
+        assert np.array_equal(h2.colors, h.colors), name
 
 
 def swap_two_vertices(data: bytes, line: int) -> bytes:
@@ -361,7 +396,7 @@ def test_coloring_file_rejects_corruption(tmp_path):
     p = Params(n=5, r=3, t=2, c=2)
     h = random_coloring(p, seed=3)
     path = tmp_path / "coloring.txt"
-    write_coloring(h, path)
+    reference_write(h, path)
     text = path.read_text().splitlines()
 
     bad = tmp_path / "bad.txt"
@@ -390,30 +425,12 @@ def test_coloring_file_rejects_corruption(tmp_path):
     with pytest.raises(ColoringFormatError):
         read_coloring(bad)
 
-    # same length and line ends as the canonical file, different bytes
+    # same length and line ends as the reference file, different bytes
     mangled = swap_two_vertices(path.read_bytes(), 2 + 5)
     assert len(mangled) == len(path.read_bytes())
     bad.write_bytes(mangled)
     with pytest.raises(ColoringFormatError, match="strictly increasing"):
         read_coloring(bad)
-
-
-def test_coloring_codec_across_chunks(tmp_path, monkeypatch):
-    monkeypatch.setattr(core, "_CHUNK_LINES", 7)
-    h = random_coloring(Params(n=10, r=4, t=2, c=3), seed=4)   # 210 lines, 30 chunks
-    data = check_codec(h, tmp_path)
-    path = tmp_path / "ours.txt"
-
-    def no_general_parse(fh):
-        raise AssertionError("a canonical file fell back to the general parser")
-
-    with monkeypatch.context() as m:
-        m.setattr(core, "_read_general", no_general_parse)
-        assert np.array_equal(read_coloring(path).colors, h.colors)
-    # a corrupt line in the last chunk must still be caught
-    path.write_bytes(swap_two_vertices(data, 2 + 205))
-    with pytest.raises(ColoringFormatError, match="strictly increasing"):
-        read_coloring(path)
 
 
 @settings(max_examples=30)

@@ -181,6 +181,15 @@ def test_structured_trials_keep_the_requested_t(generator):
     assert _coloring_for_trial(p, generator, 0, 0).params == p
 
 
+@pytest.mark.parametrize("r", range(2, 10))
+def test_first_trial_coloring_at_every_rank(r):
+    # Params serves r <= 9, so every generator must too
+    p = Params(n=r + 3, r=r, t=2, c=2)
+    for generator in ("random", "partition", "majority", "near-mono",
+                      "pair-lock"):
+        assert _coloring_for_trial(p, generator, 0, 0).params == p
+
+
 def _replayed_trial(params, generator, index):
     """A trial's coloring by replaying its stream from the start, cycling a
     finite one: the definition every trial coloring must keep."""
@@ -267,6 +276,16 @@ def test_stress_breach_reproducer_goes_to_reproducer_dir(tmp_path,
     assert json.loads((out / (name + ".trace.json")).read_text())["branch"] \
         == "case-1"
     assert list(tmp.iterdir()) == []
+
+
+def test_t3_counterexample_reproducer_reads_back_at_t3(tmp_path):
+    # K_4^4 has one edge, so no coloring has a Hamiltonian Berge-cycle
+    p = Params(n=4, r=4, t=3, c=2)
+    rep = stress_theorem(p, trials=1, seed=0, reproducer_dir=str(tmp_path))
+    assert rep.counterexamples == 1
+    h = read_coloring(rep.counterexample_files[0])
+    assert h.params == p and h.params.t == 3
+    assert np.array_equal(h.colors, _coloring_for_trial(p, "random", 0, 0).colors)
 
 
 def test_trial_report_rejects_inconsistent_counts():

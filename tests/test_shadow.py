@@ -26,7 +26,6 @@ from bergecycles.shadow import (
     ShadowMulticoloring,
     build_shadow,
     dump_shadow,
-    recolor_edge,
     subset_color_counts,
     vertex_color_counts,
 )
@@ -319,37 +318,6 @@ def test_conservation(seed):
     h = random_coloring(Params(n=7, r=4, t=2, c=3), seed=seed)
     s = build_shadow(h, 2)
     assert (s.counts.sum(axis=1) == math.comb(5, 2)).all()
-
-
-@given(st.integers(0, 10**6), st.data())
-@settings(max_examples=40, deadline=None)
-def test_recolor_matches_rebuild(seed, data):
-    p = Params(n=6, r=4, t=2, c=3)
-    h = random_coloring(p, seed=seed)
-    s = build_shadow(h, 2)
-    rank = data.draw(st.integers(0, p.num_edges - 1))
-    color = data.draw(st.integers(1, 3))
-    h2, s2 = recolor_edge(h, s, rank, color)
-    fresh = build_shadow(h2, 2)
-    assert np.array_equal(s2.counts, fresh.counts)
-    assert np.array_equal(s2.goodmask, fresh.goodmask)
-    # original shadow untouched
-    assert np.array_equal(s.counts, build_shadow(h, 2).counts)
-
-
-def test_recolor_touches_only_inside_tsets():
-    p = Params(n=7, r=4, t=2, c=2)
-    h = random_coloring(p, seed=5)
-    s = build_shadow(h, 2)
-    rank = rank_subset((1, 3, 4, 6))
-    old = h.color_of_rank(rank)
-    new = 1 if old == 2 else 2
-    _, s2 = recolor_edge(h, s, rank, new)
-    diff = np.flatnonzero((s.counts != s2.counts).any(axis=1))
-    inside = sorted(rank_subset(q) for q in itertools.combinations((1, 3, 4, 6), 2))
-    assert sorted(diff.tolist()) == inside
-    delta = s2.counts[inside].astype(int) - s.counts[inside].astype(int)
-    assert (delta[:, old - 1] == -1).all() and (delta[:, new - 1] == 1).all()
 
 
 def test_dump_shadow_format():
