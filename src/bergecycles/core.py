@@ -158,24 +158,6 @@ def edges_through(n: int, r: int, fixed_sets) -> np.ndarray:
     return ranks
 
 
-def edges_containing(n: int, r: int,
-                     fixed: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The r-subsets of {0..n-1} containing `fixed` (any order), as
-    (sorted rows, ascending colex ranks); the ranks are one set of
-    `edges_through`, and the free vertices fill the rows at the indices
-    j + rest[i] - i it describes."""
-    fixed = sorted(fixed)
-    rest = np.setdiff1d(np.arange(n, dtype=np.int16), fixed)
-    free = edge_table(len(rest), r - len(fixed))
-    rows = np.empty((len(free), r), dtype=np.int16)
-    slots = (rest - np.arange(len(rest)))[free] + np.arange(free.shape[1])
-    at_free = np.zeros(rows.shape, dtype=bool)
-    np.put_along_axis(at_free, slots, True, axis=1)
-    rows[at_free] = rest[free].ravel()
-    rows[~at_free] = np.tile(np.array(fixed, dtype=np.int16), len(rows))
-    return rows, edges_through(n, r, [fixed])[0]
-
-
 def rank_rows(rows: np.ndarray) -> np.ndarray:
     """Vectorized colex rank of each row of an (m, k) array of sorted subsets."""
     rows = np.asarray(rows)

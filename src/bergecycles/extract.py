@@ -6,6 +6,11 @@ A window that is t-good offers at least r-t+1 candidate edges, while a single
 r-edge can cover at most r-t+1 consecutive windows, so a perfect matching of
 positions to edges exists whenever the witness is valid; we find one with
 augmenting paths and re-verify the assembled certificate from scratch.
+
+`extend_tight_cycle` checks the witness and then calls `lift_to_berge`, the
+matching step alone.  Cycles whose windows need not be t-good (r4's Gamma
+cycle, the vertex link's weak route) go to `lift_to_berge` directly; for
+them MatchingIncomplete means no distinct backing edges exist at all.
 """
 
 from __future__ import annotations
@@ -110,10 +115,9 @@ def extend_tight_cycle(w: TightCycleWitness, h: ColoredHypergraph,
                        s: ShadowMulticoloring) -> BergeCertificate:
     """Lift a validated tight-cycle witness to a full Berge certificate."""
     p = h.params
-    n = p.n
     if s.t != w.t:
         raise WitnessInvalid(f"shadow built for t={s.t}, witness has t={w.t}")
-    if len(w.core) != n or sorted(w.core) != list(range(n)):
+    if len(w.core) != p.n or sorted(w.core) != list(range(p.n)):
         raise WitnessInvalid("witness core is not a permutation of the vertex set")
     if not 1 <= w.color <= p.c:
         raise WitnessInvalid(f"witness color {w.color} out of range 1..{p.c}")
@@ -122,17 +126,29 @@ def extend_tight_cycle(w: TightCycleWitness, h: ColoredHypergraph,
             raise WitnessInvalid(
                 f"window {win} at position {i} is not {w.t}-good in color {w.color}",
                 position=i)
+    return lift_to_berge(w, h)
+
+
+def lift_to_berge(w: TightCycleWitness, h: ColoredHypergraph) -> BergeCertificate:
+    """Back every window of the cyclic core w.core with its own w.color edge.
+
+    The one lift from a cycle to a certificate: a maximum matching of
+    positions to the w.color edges through their windows.  Raises
+    MatchingIncomplete when no system of distinct representatives exists,
+    and InternalError if the assembled certificate fails verification.
+    """
+    p = h.params
     g = build_position_bipartite(w, h)
     over = g.right_degrees(above=p.r - w.t + 1)
     if over:  # cannot happen for a cycle core
         raise InternalError(f"covering bound violated: {over}")
     matching = max_bipartite_matching(g)
-    unmatched = [i for i in range(n) if matching[i] < 0]
+    unmatched = [i for i in range(p.n) if matching[i] < 0]
     if unmatched:
         raise MatchingIncomplete(
             f"{len(unmatched)} positions lack distinct backing edges "
             f"(first: {unmatched[0]})", unmatched)
-    edges = tuple(map(tuple, edge_table(n, p.r)[matching].tolist()))
+    edges = tuple(map(tuple, edge_table(p.n, p.r)[matching].tolist()))
     cert = BergeCertificate(color=w.color, core=tuple(w.core), edges=edges, t=w.t)
     problem = verify_berge_certificate(cert, h)
     if problem is not None:

@@ -31,6 +31,7 @@ from .core import (
     InvalidParams,
     Params,
     edge_table,
+    edges_through,
     random_coloring,
     rank_subset,
     verify_berge_certificate,
@@ -236,7 +237,8 @@ def _run_trial(args) -> tuple[str, str | None, str]:
     params, generator, master, index, budget, outdir = args
     h = _coloring_for_trial(params, generator, master, index)
     digest = hashlib.sha256(h.colors.tobytes()).hexdigest()
-    name = f"{generator}-{master}-{index}.coloring"
+    name = (f"{generator}-n{params.n}-r{params.r}-t{params.t}-c{params.c}"
+            f"-{master}-{index}.coloring")
     try:
         status, cert = find_certificate(h, budget=budget)
     except ContractBreach as exc:
@@ -267,6 +269,8 @@ def stress_theorem(params: Params, generator: str = "random",
     so reports are reproducible and jobs only changes the wall time.
     Counterexamples go to reproducer_dir (default: the temp dir); a trial
     that raises a ContractBreach leaves breach-*.coloring and its trace there.
+    File names carry the generator, n, r, t, c, seed and trial index, so the
+    files of a sweep over n do not overwrite each other.
     """
     t0 = time.monotonic()
     outdir = reproducer_dir or tempfile.gettempdir()
@@ -393,9 +397,8 @@ def _pair_lock_family(params: dict):
         raise InvalidParams(f"bad pair-lock parameters ({a}, {b}, {lock})")
 
     def make(offset):
-        tab = edge_table(p.n, p.r)
-        colors = _hash_colors(tab, p.c, offset)
-        colors[(tab == a).any(axis=1) & (tab == b).any(axis=1)] = lock
+        colors = _hash_colors(edge_table(p.n, p.r), p.c, offset)
+        colors[edges_through(p.n, p.r, [(a, b)])[0]] = lock
         return ColoredHypergraph(p, colors)
     return None, make
 

@@ -16,8 +16,9 @@ route taken; a ContractBreach carries the trace so far.  The dispatcher
   4. otherwise a pivot vertex x with small mixed classes exists.  Colors are
      renamed so |U23| <= |U12| <= |U13|, an auxiliary graph Gamma is built
      (`construct_gamma_case1` / `construct_gamma_case2`), its Hamiltonian
-     cycle is found, and `extend_to_berge` assigns a distinct color-1 edge
-     over every consecutive pair.
+     cycle is found, and `extend_to_berge` lifts it through the shared
+     `extract.lift_to_berge`: a matching gives every consecutive pair its
+     own color-1 edge.
 
 Both Gamma cases share one scaffold for the pair families E1-E5
 (`_gamma_base`); they differ only in which low-degree vertices receive E6
@@ -46,19 +47,12 @@ from .core import (
     TightCycleWitness,
     _BINOM,
     edge_table,
-    edges_containing,
     edges_through,
     rank_subset,
     unrank_subset,
     verify_berge_certificate,
 )
-from .extract import (
-    MatchingIncomplete,
-    PositionEdgeBipartite,
-    build_position_bipartite,
-    extend_tight_cycle,
-    max_bipartite_matching,
-)
+from .extract import MatchingIncomplete, extend_tight_cycle, lift_to_berge
 from .hamilton import (
     DEFAULT_BUDGET,
     SimpleGraph,
@@ -87,7 +81,7 @@ class ReservationUnsatisfiable(ContractBreach):
 
 
 class ExtensionFailed(ContractBreach):
-    """A cycle position could not be assigned a fresh color-1 edge."""
+    """Gamma's Hamiltonian cycle has no distinct color-1 backing edges."""
 
 
 class SingleGoodEdge(Exception):
@@ -163,14 +157,9 @@ class PivotSelection:
 class GammaConstruction:
     """Auxiliary graph whose Hamiltonian cycles lift to color-1 Berge-cycles."""
 
-    case: int
     graph: SimpleGraph
     provenance: dict                # (u, v) u < v -> (tag, backing 4-tuple | None)
-    x: int
-    y: int
-    z: int
     w1: int | None
-    U13: tuple[int, ...]
     subcase: dict
     degree_report: dict
 
@@ -433,11 +422,10 @@ def _reserve(h: ColoredHypergraph, contain: tuple[int, ...], count: int,
     the already-consumed backings."""
     if count <= 0:
         return []
-    quads, ranks = edges_containing(h.params.n, 4, contain)
-    hits = np.flatnonzero(h.colors[ranks] == 1)
+    ranks = edges_through(h.params.n, 4, [contain])[0]
     out: list[tuple[int, ...]] = []
-    for i in hits:
-        quad = tuple(int(v) for v in quads[i])
+    for rank in ranks[h.colors[ranks] == 1].tolist():
+        quad = unrank_subset(rank, h.params.n, 4)
         if quad in excluded:
             continue
         out.append(quad)
@@ -552,8 +540,7 @@ def construct_gamma_case1(h: ColoredHypergraph, s: ShadowMulticoloring,
         info.append(("w1", w1, 2))
     if w2 is not None:
         info.append(("w2", w2, 3))
-    return GammaConstruction(case=1, graph=graph, provenance=gb.prov,
-                             x=x, y=y, z=z, w1=w1, U13=sel.U13,
+    return GammaConstruction(graph=graph, provenance=gb.prov, w1=w1,
                              subcase=subcase,
                              degree_report=_degree_report(degs, hard, info))
 
@@ -652,8 +639,7 @@ def construct_gamma_case2(h: ColoredHypergraph, s: ShadowMulticoloring,
             ("y", y, n - len(sel.B) - 9)]
     if w1 is not None:
         info.append(("w1", w1, 3))
-    return GammaConstruction(case=2, graph=graph, provenance=gb.prov,
-                             x=x, y=y, z=z, w1=w1, U13=sel.U13,
+    return GammaConstruction(graph=graph, provenance=gb.prov, w1=w1,
                              subcase=subcase,
                              degree_report=_degree_report(degs, hard, info))
 
@@ -674,101 +660,21 @@ def _degree_report(degs: list[int], hard, info) -> dict:
 # lifting a Hamiltonian cycle of Gamma to a Berge-cycle
 
 
-def extend_to_berge(h: ColoredHypergraph, s: ShadowMulticoloring,
-                    g: GammaConstruction, cycle) -> BergeCertificate:
-    """Assign a distinct color-1 edge over every consecutive pair of `cycle`.
+def extend_to_berge(h: ColoredHypergraph, cycle) -> BergeCertificate:
+    """Lift a Hamiltonian cycle of Gamma to a color-1 Berge-cycle on h.
 
-    Pairs inherited from the constrained classes get their predetermined
-    backing ({x,z,.,.} or {x,y,.,.} or a reserved repair edge); the star
-    pairs at x (and at the extra vertex w in case 2) are matched against
-    their remaining pools at the end.
+    Sound: the construction's backings ({x,z,.,.}, {x,y,.,.}, a reserved
+    repair edge, or an E5 or star edge) are distinct color-1 edges, one
+    through each pair of the cycle.  So they are a perfect matching in the
+    bipartite graph of positions x all color-1 edges through each
+    position's pair, and `lift_to_berge`'s maximum matching is perfect on
+    every input where that assignment exists.  ExtensionFailed (detail: the
+    unmatched positions) means no system of distinct representatives exists.
     """
-    n = h.params.n
-    cyc = list(cycle)
-    if sorted(cyc) != list(range(n)):
-        raise ExtensionFailed("cycle is not a permutation of the vertices")
-    pos = cyc.index(g.x)
-    core = cyc[pos + 1:] + cyc[:pos + 1]          # x sits last
-    if g.case == 1 and g.w1 is not None and core[0] == g.w1:
-        core = core[:-1][::-1] + [g.x]            # flip so v1 != w1
-    pairs = [(core[i], core[(i + 1) % n]) for i in range(n)]
-
-    def tag_of(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key not in g.provenance:
-            raise ExtensionFailed(f"cycle edge {key} is not in Gamma")
-        return g.provenance[key]
-
-    used: set[int] = set()
-    assigned: dict[int, int] = {}
-
-    def commit(i, quad):
-        quad = tuple(sorted(quad))
-        if len(set(quad)) != 4:
-            raise ExtensionFailed(f"degenerate edge {quad} at position {i}")
-        rank = rank_subset(quad)
-        if int(h.colors[rank]) != 1:
-            raise ExtensionFailed(f"edge {quad} at position {i} is not color 1")
-        if rank in used:
-            raise ExtensionFailed(f"edge {quad} reused at position {i}")
-        used.add(rank)
-        assigned[i] = rank
-
-    deferred: list[tuple[int, str]] = []
-    for i, (a, b) in enumerate(pairs):
-        tag, backing = tag_of(a, b)
-        if tag in ("E1", "E4"):
-            commit(i, (g.x, g.z, a, b))
-        elif tag in ("E2", "E3"):
-            commit(i, (g.x, g.y, a, b))
-        elif tag == "E6":
-            commit(i, backing)
-        else:
-            deferred.append((i, tag))
-
-    u13 = set(g.U13) - {g.z}
-    for i, tag in [d for d in deferred if d[1] == "E5"]:
-        a, b = pairs[i]
-        nearby = {core[(i - 1) % n], a, b, core[(i + 2) % n],
-                  core[0], core[n - 2]}
-        placed = False
-        for u in sorted(u13 - nearby):
-            quad = tuple(sorted((g.x, a, b, u)))
-            rank = rank_subset(quad)
-            if int(h.colors[rank]) == 1 and rank not in used:
-                commit(i, quad)
-                placed = True
-                break
-        if not placed:
-            raise ExtensionFailed(
-                f"no fresh color-1 edge over pair {(a, b)} at position {i}",
-                detail={"position": i, "pair": [a, b],
-                        "candidates": sorted(u13 - nearby)})
-
-    # star pairs: a small bipartite matching against the remaining pools
-    # of unused color-1 edges over each pair
-    star = sorted(i for i, tag in deferred if tag != "E5")
-    taken = np.fromiter(used, dtype=np.int64, count=len(used))
-    pools = []
-    if star:
-        ranks = edges_through(n, 4, [pairs[i] for i in star])
-        fresh = (h.colors[ranks] == 1) & ~np.isin(ranks, taken)
-        pools = [row[keep] for row, keep in zip(ranks, fresh)]
-    match = max_bipartite_matching(PositionEdgeBipartite(len(star), pools))
-    for j, i in enumerate(star):
-        if match[j] < 0:
-            raise ExtensionFailed(
-                f"no assignment for star pair {pairs[i]} at position {i}",
-                detail={"position": i, "pair": list(pairs[i]),
-                        "pool_sizes": dict(zip(star, map(len, pools)))})
-        assigned[i] = int(match[j])
-
-    edges = tuple(unrank_subset(assigned[i], n, 4) for i in range(n))
-    cert = BergeCertificate(color=1, core=tuple(core), edges=edges, t=2)
-    err = verify_berge_certificate(cert, h)
-    if err is not None:
-        raise InternalError(f"internal extension error: {err}")
-    return cert
+    try:
+        return lift_to_berge(TightCycleWitness(1, tuple(cycle), 2), h)
+    except MatchingIncomplete as exc:
+        raise ExtensionFailed(str(exc), detail={"unmatched": exc.unmatched}) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +727,7 @@ def _mono_ham_berge_in_link(k: ColoredHypergraph, budget: int,
     if cert is not None:
         return cert
     # weaker route: a Hamiltonian cycle over the pairs covered at least
-    # once, then a direct position -> edge matching
+    # once, lifted by the position -> edge matching
     n1 = k.params.n
     tab2 = edge_table(n1, 2)
     for color in (1, 2):
@@ -833,15 +739,11 @@ def _mono_ham_berge_in_link(k: ColoredHypergraph, budget: int,
                           "status": res.status})
         if res.status != "found":
             continue
-        cyc = res.cycle
-        match = max_bipartite_matching(build_position_bipartite(
-            TightCycleWitness(color=color, core=tuple(cyc), t=2), k))
-        if (match >= 0).all():
-            edges = tuple(unrank_subset(int(rk), n1, 3) for rk in match)
-            return BergeCertificate(color=color, core=tuple(cyc),
-                                    edges=edges, t=2)
-        fallbacks.append({"stage": "link-weak-matching", "color": color,
-                          "status": "incomplete"})
+        try:
+            return lift_to_berge(TightCycleWitness(color, tuple(res.cycle), 2), k)
+        except MatchingIncomplete:
+            fallbacks.append({"stage": "link-weak-matching", "color": color,
+                              "status": "incomplete"})
     raise FallbackExhausted("no monochromatic Hamiltonian cycle in the link")
 
 
@@ -1105,13 +1007,13 @@ def lemma_a_construct(h: ColoredHypergraph, vertex: int, color: int,
     lut[1], lut[color] = color, 1
     work = lut[h.colors]
 
-    quads, ranks = edges_containing(n, 4, (vertex,))
+    ranks = edges_through(n, 4, [(vertex,)])[0]
     ones = np.flatnonzero(work[ranks] == 1)
     if ones.size > 1:
         raise InvalidParams(
             f"vertex {vertex} touches {ones.size} edges of color {color}")
     if ones.size == 1:
-        e_v = tuple(int(a) for a in quads[ones[0]])
+        e_v = unrank_subset(int(ranks[ones[0]]), n, 4)
     else:
         low = [a for a in range(n) if a != vertex][:3]
         e_v = tuple(sorted([vertex] + low))
@@ -1292,7 +1194,7 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
             raise ContractBreach(
                 "Gamma fails the degree condition and no cycle was found",
                 detail={"degrees": sorted(gamma.graph.degrees())})
-        cert = extend_to_berge(h2, s2, gamma, res.cycle)
+        cert = extend_to_berge(h2, res.cycle)
         return finish(cert, sel.sigma)
     except ContractBreach as exc:
         exc.trace = trace

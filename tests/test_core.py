@@ -16,7 +16,6 @@ from bergecycles.core import (
     Params,
     binom,
     edge_table,
-    edges_containing,
     edges_through,
     random_coloring,
     rank_rows,
@@ -141,9 +140,6 @@ def test_edges_through_matches_enumeration(case):
     for fixed, got in zip(sets, ranks):
         want = [s for s in colex_order(n, r) if set(fixed) <= set(s)]
         assert got.tolist() == [rank_subset(s) for s in want]
-        rows, single = edges_containing(n, r, fixed)
-        assert [tuple(int(v) for v in row) for row in rows] == want
-        assert np.array_equal(single, got)
 
 
 def test_params_validation():

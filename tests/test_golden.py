@@ -15,16 +15,23 @@ from pathlib import Path
 
 import pytest
 
-from bergecycles import Params, find_certificate, r4, r4_find, random_coloring
-from bergecycles.hamilton import TightCycleSearch
+from bergecycles import (
+    Params,
+    find_certificate,
+    r4,
+    r4_find,
+    random_coloring,
+    verify_berge_certificate,
+)
+from bergecycles.hamilton import TightCycleSearch, find_hamiltonian_cycle
 
 
-def _census_fixtures():
+def _census_module():
     path = Path(__file__).resolve().parents[1] / "scripts" / "branch_census.py"
     spec = importlib.util.spec_from_file_location("branch_census", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.fixtures()
+    return module
 
 
 def _random(seed):
@@ -32,7 +39,7 @@ def _random(seed):
 
 
 # label -> make
-CASES = dict(_census_fixtures())
+CASES = dict(_census_module().fixtures())
 for _seed in range(10):
     CASES.setdefault(f"random seed={_seed}", _random(_seed))
 
@@ -50,41 +57,43 @@ PINNED = {
     "near-mono base=3": ("lemma-3.1",
         "197acb6384fe1a5e22b11bc5623494bc2472af3df94b7d6f1798504c02ce019a",
         "e41746d806be8ec1380720e7d0b49b8ef8c7b039b75aa71d2272e1d6841a0648"),
+    # case-1/case-2: Gamma's cycle as found, each pair backed by the
+    # position matching of extract.lift_to_berge
     "u-profile split deg=0": ("case-1",
-        "f785551d79d02b528a7db228f2fc8e99829c0f95d4fd4a5ad1eea91dcd0c747e",
+        "f735f80c1c698ae0abe196276f9351165e52a58465c022d21538ac8efc6168d9",
         "b812be347e304ee7aa30fcdc54b850dd378fbcf2739c48de33574d3f5c8da02d"),
     "u-profile split deg=1": ("case-1",
-        "94fca8684e52238f59cd1313e3a0fd767fede3c5590d4c60830f6050fd851b28",
+        "79d3ee6ef13b0eeb6fb33b23322784dfba56989f8e96eda718db3bb090883721",
         "ddcca35d6d86b7780fc75e3d13f5c5e661fff33b29e1f7f045c6f79b50ce1cc9"),
     "u-profile repair deg_w=0 deg_u23=0": ("case-2",
-        "4aecba2f4158b7a76bc115a34d0f18ac375f09d920b98175bfbd7db604392282",
+        "bc65e6cc443a763fda820164d8f4487c8e4f07a056f5f5cd5ed27990e12fd200",
         "b4e67e9e21dddec40ba06afb639fad360eeefa5fb2e952a8516fdb0dbdba4f58"),
     "u-profile repair deg_w=0 deg_u23=1": ("case-2",
-        "75778a0ca78b918d220c3dcdd7b161fe1bd800e321cd5ed17b74e9948a307943",
+        "bdf70adcfb349e55e78e390a407fde1c5e24053c258906885c3aab9f9bd86db0",
         "0e486d0d4e7c14e1d41f86a2f67ef6f1e65b52b11d2e37cf6e9d9fa3b731690a"),
     "u-profile repair deg_w=0 deg_u23=2": ("case-2",
-        "407905f4f34b9fb067f15823e0bbb2bddd2035c923cde5f96b1a84fedc20bb57",
+        "5ddbe604016f590e8ab120addd8815bfd9a75316d2fe100e055c9b9a06fbcb1b",
         "d02c40c31f2681159bd227655f8ee22c7a85758e2b1663485eee8456d77884e1"),
     "u-profile repair deg_w=1 deg_u23=0": ("case-2",
-        "b8b2941f0ff45ff2db209b3e176871a98f95f6dea41ad51cbf50613736db0fec",
+        "fe82763e0c770cf87fe41458bb1047ec95d1874fcca9e427f285bb5bf7432d63",
         "fc18ff441c57982558c1a369151d6ac4545b6f72ffec718ae12f5069e4700fd0"),
     "u-profile repair deg_w=1 deg_u23=1": ("case-2",
-        "c5eadfd25204b5c43044e9230729b153199d3168aab9598fe2ccde62fa9c31a8",
+        "8d503d61abb36cc35c59da26c7acc86f53b1d9dc916c737daf6e50dbe3b4a371",
         "db68e1d95fe8a7d83769ca8554c2dbc9dd7f09f269f6be0e829c8f1ccc0eb17a"),
     "u-profile repair deg_w=1 deg_u23=2": ("case-2",
-        "65c41c9ff9cc0865281af0cf32df1aa45a30eaa3220f14d50c130d7ccb60d96f",
+        "1b02e0226bd89fac40e106aaece968f3d2b633757add99c639fe49f3e695adec",
         "a0fc87ffed335d50869e5cd9fd4556b51265f1bd328991b94128f3063745cec8"),
     "u-profile repair deg_w=2 deg_u23=0": ("case-2",
-        "6ad0dcf5280603b97dc662be817c74ac1b43b5b28c6f9e82eeb9f2fb2c2ffef0",
+        "8571af8c9b63a8777bd51d0c7c2ce5c72087fd0818311dfc161c6abd64be6901",
         "719c8c157d790e0e81337cfb06ed63e46dd4d5b814869194a59f32b7823cfa9a"),
     "u-profile repair deg_w=2 deg_u23=1": ("case-2",
-        "30c54187bfe06f31bf6936e1563f8141048257af7053ae637a0789c743db093f",
+        "bce916a08cc9858a6b7e8615a12fd6a2235f21eb06a34ea8c5724f1569fcca61",
         "2b3e5f7428fe43807833da95c04192a83b80a2264a4ffc94beff41756afeabd0"),
     "u-profile repair deg_w=2 deg_u23=2": ("case-2",
-        "799d3bd5cdd77e30d672e1c6a59386435f7360bc91624b81885f2c671c473109",
+        "7144b0b3ef8abffadfec41a3595bfa078a77e30a8d77ef3ea52eed2405d12ab4",
         "862085401cd5ba29cf64184bb88152fc42ab0c1215d74b66fd7f3b0c86ccc608"),
     "u-profile window": ("case-2",
-        "c605c191f7fc6e8dceb3ce3d7aa05e5b5698af3f2264a7ce38f4194ad2f5bced",
+        "296f4434a0b90d4cc788682e5c1e83d6167fb3b0e53c0af9bf0a55f20494348a",
         "2eb5454e1e5a9ffe6f34c653da295cd254bdf170326456820c59b934b8e7c2db"),
     "random seed=0": ("B-cover",
         "97d194fc576e9161b7f0d68225b5a4fd3e69e3ed3509b8e64e7e2706021d3ab8",
@@ -159,3 +168,36 @@ def test_golden_link_weak_route(label, monkeypatch):
     steps = [(f["stage"], f["status"]) for f in res.trace.subcase["fallbacks"]]
     assert ("link-weak-graph", "found") in steps
     check_pinned(res, WEAK_ROUTE[label])
+
+
+GAMMA_CASES = [label for label, (branch, _, _) in PINNED.items()
+               if branch in ("case-1", "case-2")]
+
+
+@pytest.mark.parametrize("label", GAMMA_CASES, ids=GAMMA_CASES)
+def test_gamma_cycle_is_the_certificate_core(label, monkeypatch):
+    # the lift keeps Gamma's Hamiltonian cycle as found and only picks edges
+    calls = []
+
+    def record(graph, budget):
+        res = find_hamiltonian_cycle(graph, budget)
+        calls.append((graph, res.cycle))
+        return res
+
+    monkeypatch.setattr(r4, "find_hamiltonian_cycle", record)
+    h = CASES[label]()
+    cert = r4_find(h).certificate
+    [(graph, cycle)] = calls
+    assert cert.core == tuple(cycle)
+    n = len(cycle)
+    assert all(graph.has_edge(cycle[i], cycle[(i + 1) % n]) for i in range(n))
+    assert verify_berge_certificate(cert, h) is None
+
+
+def test_census_exits_1_on_an_invalid_certificate(monkeypatch, capsys):
+    census = _census_module()
+    monkeypatch.setattr(census, "verify_berge_certificate",
+                        lambda cert, h, t=None: "forced failure")
+    assert census.main([]) == 1
+    assert "random seed=1: certificate invalid: forced failure" in \
+        capsys.readouterr().err

@@ -268,7 +268,7 @@ def test_stress_breach_reproducer_goes_to_reproducer_dir(tmp_path,
     p = Params(n=85, r=4, t=2, c=3)
     with pytest.raises(ContractBreach, match="forced breach"):
         stress_theorem(p, trials=1, seed=0, reproducer_dir=str(out))
-    name = "breach-random-0-0.coloring"
+    name = "breach-random-n85-r4-t2-c3-0-0.coloring"
     assert sorted(f.name for f in out.iterdir()) == [name,
                                                      name + ".trace.json"]
     assert np.array_equal(read_coloring(out / name).colors,
@@ -286,6 +286,20 @@ def test_t3_counterexample_reproducer_reads_back_at_t3(tmp_path):
     h = read_coloring(rep.counterexample_files[0])
     assert h.params == p and h.params.t == 3
     assert np.array_equal(h.colors, _coloring_for_trial(p, "random", 0, 0).colors)
+
+
+def test_reproducer_names_differ_across_a_sweep(tmp_path):
+    # K_n^n has one edge, so every trial is a counterexample; the sweep's
+    # n = 4 file must survive the n = 5 trial with the same seed and index
+    files = []
+    for n in (4, 5):
+        rep = stress_theorem(Params(n, n, 3, 2), trials=1, seed=0,
+                             reproducer_dir=str(tmp_path))
+        files += rep.counterexample_files
+    assert len(set(files)) == 2
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+        Path(f).name for f in files)
+    assert [read_coloring(f).params.n for f in files] == [4, 5]
 
 
 def test_trial_report_rejects_inconsistent_counts():

@@ -72,13 +72,13 @@ def test_extend_tight_cycle_guards(patch, message):
 
 @pytest.mark.parametrize("code,message", [
     ("""
-        from bergecycles import r4, structured_colorings
+        from bergecycles import extract, r4, structured_colorings
         h = next(structured_colorings("u-profile", {"n": 85, "k23": 0, "k12": 1,
                                                     "k13": 42, "deg_w": 0,
                                                     "deg_w2": 0}))  # case-1
-        r4.verify_berge_certificate = lambda cert, h, t=None: "forced failure"
+        extract.verify_berge_certificate = lambda cert, h, t=None: "forced failure"
         r4.r4_find(h)
-    """, "internal extension error: forced failure"),
+    """, "assembled certificate invalid: forced failure"),
     ("""
         import numpy as np
         from bergecycles import harness

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from bergecycles import r4
 from bergecycles.core import (
     ColoredHypergraph,
     Params,
@@ -12,8 +13,10 @@ from bergecycles.core import (
     rank_subset,
     verify_berge_certificate,
 )
+from bergecycles.extract import MatchingIncomplete
 from bergecycles.harness import structured_colorings
 from bergecycles.r4 import (
+    ExtensionFailed,
     FallbackExhausted,
     PivotInvariantViolation,
     PivotSelection,
@@ -294,6 +297,19 @@ def test_renamed_colors_give_the_renamed_certificate(split_case, perm):
     assert res.certificate.color == perm[base_res.certificate.color - 1]
     assert res.certificate.core == base_res.certificate.core
     assert res.certificate.edges == base_res.certificate.edges
+
+
+def test_gamma_matching_failure_is_a_traced_extension_breach(monkeypatch):
+    def incomplete(w, h):
+        raise MatchingIncomplete("1 positions lack distinct backing edges "
+                                 "(first: 7)", [7])
+
+    monkeypatch.setattr(r4, "lift_to_berge", incomplete)
+    h = u_profile(n=85, k23=0, k12=1, k13=42, deg_w=0, deg_w2=0)
+    with pytest.raises(ExtensionFailed) as exc:
+        r4_find(h)
+    assert exc.value.detail == {"unmatched": [7]}
+    assert exc.value.trace.branch == "case-1"
 
 
 def test_trace_serializes_to_json():
