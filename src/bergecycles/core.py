@@ -22,8 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-MAX_N = 128          # vertex-count ceiling baked into the binomial table
+MAX_N = 128          # vertex-count ceiling; edge_table's uint8 ids need MAX_N <= 255
 _MAX_K = 8           # widest subset size served by the vectorized table
+_THROUGH_ROWS = 16   # edges_through's row block: a 1 MB temporary at n=128, r=4
 
 COLORING_MAGIC = "berge-coloring v2"   # what write_coloring writes
 _MAGIC_V1 = "berge-coloring v1"        # still read, at t=2
@@ -106,26 +107,23 @@ def unrank_subset(rank: int, n: int, size: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=64)
 def edge_table(n: int, k: int) -> np.ndarray:
-    """All k-subsets of {0..n-1} as a read-only (C(n,k), k) int16 array in colex order.
+    """All k-subsets of {0..n-1} as a read-only (C(n,k), k) uint8 array in colex order.
 
-    Colex nesting makes this buildable level by level: the k-subsets of
-    {0..m-1} are exactly the first C(m,k) rows of the table for any larger
-    ground set.
+    One array, filled in place block by block through colex nesting: the
+    k-subsets of {0..m-1} are the first C(m,k) rows of the table for any
+    larger ground set, so the rows with top vertex m, [C(m,k), C(m+1,k)),
+    are the first C(m,k-1) rows of the (cached) (k-1)-table with m appended.
+    Entries wrap past 255: cast before doing arithmetic on them.
     """
     if n > MAX_N:
         raise InvalidParams(f"n={n} exceeds table bound {MAX_N}")
-    if k == 0:
-        tab = np.zeros((1, 0), dtype=np.int16)
-    elif k > n:
-        tab = np.zeros((0, k), dtype=np.int16)
-    else:
-        tab = np.arange(n, dtype=np.int16).reshape(-1, 1)
-        for j in range(2, k + 1):
-            blocks = []
-            for m in range(j - 1, n):
-                cnt = binom(m, j - 1)
-                blocks.append(np.hstack([tab[:cnt], np.full((cnt, 1), m, np.int16)]))
-            tab = np.vstack(blocks)
+    tab = np.empty((binom(n, k), k), dtype=np.uint8)
+    if k:                                # the one 0-subset has no columns
+        low = edge_table(n, k - 1)
+        for m in range(k - 1, n):
+            rows = slice(binom(m, k), binom(m + 1, k))
+            tab[rows, :-1] = low[:binom(m, k - 1)]
+            tab[rows, -1] = m
     tab.setflags(write=False)
     return tab
 
@@ -142,6 +140,7 @@ def edges_through(n: int, r: int, fixed_sets) -> np.ndarray:
     the free columns whose rest index is below x - i; as the columns ascend,
     C(x, i+d+1) is C(x, i+1) plus one step C(x, i+j+2) - C(x, i+j+1) for each
     such column j, so every rank is a sum of one lookup per free column.
+    The lookups are added in place, _THROUGH_ROWS rows at a time.
     """
     fixed = np.sort(np.asarray(fixed_sets, dtype=np.intp), axis=1)
     p, k = fixed.shape
@@ -150,11 +149,13 @@ def edges_through(n: int, r: int, fixed_sets) -> np.ndarray:
     rest = np.nonzero(keep)[1].reshape(p, n - k)
     idx, at = np.arange(n - k), np.arange(k)
     below = idx < (fixed - at)[:, :, None]       # (P, k, n-k): rest index below x - i
-    ranks = _BINOM[fixed, at + 1].sum(axis=1, keepdims=True)
-    for j, col in enumerate(edge_table(n - k, r - k).T):
+    ranks = np.empty((p, binom(n - k, r - k)), dtype=np.int64)
+    ranks[:] = _BINOM[fixed, at + 1].sum(axis=1, keepdims=True)
+    for j, col in enumerate(edge_table(n - k, r - k).T.astype(np.intp)):
         step = _BINOM[fixed, at + j + 2] - _BINOM[fixed, at + j + 1]
         lut = _BINOM[rest, rest - idx + j + 1] + (below * step[:, :, None]).sum(axis=1)
-        ranks = ranks + lut[:, col]
+        for a in range(0, p, _THROUGH_ROWS):
+            ranks[a:a + _THROUGH_ROWS] += np.take(lut[a:a + _THROUGH_ROWS], col, axis=1)
     return ranks
 
 

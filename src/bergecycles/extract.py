@@ -108,6 +108,7 @@ def max_bipartite_matching(g: PositionEdgeBipartite) -> np.ndarray:
 
     for pos in range(g.n_positions):
         augment(pos, set())
+    del augment      # it refers to itself: keeping it would keep g past return
     return match_left
 
 

@@ -320,6 +320,7 @@ def find_mono_ham_tight_cycle(s: ShadowMulticoloring, color: int,
     # orientation canonicalization: explore with core[1] < core[n-1] only;
     # a window is a vertex set, so reversal preserves validity.
     status = dfs(1)
+    del dfs          # it refers to itself: keeping it would keep `good` past return
     if status == "found":
         return TightCycleSearch(
             "found", TightCycleWitness(color=color, core=tuple(core), t=t), expansions)

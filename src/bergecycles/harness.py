@@ -128,7 +128,9 @@ def _oracle_color_search(n, tab, color, pools, t):
                 return got
         return None
 
-    return dfs()
+    cert = dfs()
+    del dfs          # it refers to itself: keeping it would keep `pools` past return
+    return cert
 
 
 # ---------------------------------------------------------------------------

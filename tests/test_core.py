@@ -122,6 +122,28 @@ def test_colex_table_up_to_k9(data):
     assert unrank_subset(rank, core.MAX_N, k) == wide
 
 
+# the widest tables the next test builds: every k-table up to k = 3 at MAX_N
+_ROW_CAP = binom(core.MAX_N, 3)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_edge_table_rows_are_unranks_up_to_max_n(data):
+    # uint8 vertex ids: rows anywhere up to n = MAX_N hold their exact subset
+    k = data.draw(st.integers(0, 9), label="k")
+    top = max(m for m in range(k, core.MAX_N + 1) if binom(m, k) <= _ROW_CAP)
+    n = data.draw(st.integers(k, top), label="n")
+    m = data.draw(st.integers(0, n), label="m")
+    tab = edge_table(n, k)
+    assert tab.shape == (binom(n, k), k)
+    assert tab.dtype == np.uint8 and not tab.flags.writeable
+    assert np.array_equal(edge_table(m, k), tab[:binom(m, k)])
+    ranks = data.draw(st.lists(st.integers(0, len(tab) - 1), max_size=30),
+                      label="ranks")
+    for i in [0, len(tab) - 1, *ranks]:
+        assert tuple(tab[i].tolist()) == unrank_subset(i, n, k)
+
+
 @st.composite
 def fixed_set_batches(draw):
     n = draw(st.integers(1, 12))
@@ -136,6 +158,16 @@ def fixed_set_batches(draw):
 @settings(max_examples=120, deadline=None)
 def test_edges_through_matches_enumeration(case):
     n, r, sets = case
+    ranks = edges_through(n, r, sets)
+    for fixed, got in zip(sets, ranks):
+        want = [s for s in colex_order(n, r) if set(fixed) <= set(s)]
+        assert got.tolist() == [rank_subset(s) for s in want]
+
+
+def test_edges_through_spans_several_row_blocks():
+    n, r = 11, 4
+    sets = list(itertools.combinations(range(n), 2))
+    assert len(sets) > 2 * core._THROUGH_ROWS
     ranks = edges_through(n, r, sets)
     for fixed, got in zip(sets, ranks):
         want = [s for s in colex_order(n, r) if set(fixed) <= set(s)]

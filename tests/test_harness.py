@@ -243,6 +243,29 @@ def test_trial_colorings_match_the_stream_replay(key):
     assert digest.hexdigest() == TRIAL_DIGESTS[key]
 
 
+# sha256 of each generator's first K_85^4 coloring (master seed 0).  The
+# generators do arithmetic on uint8 edge-table entries (11 * 84 > 255), so a
+# lost cast before it moves one of these digests.
+FIRST_K85_DIGESTS = {
+    "random": "46955497254b9e8a2dc54aaccb597976972ac72ea48cc62143f4304c35cbe1d8",
+    "partition": "e32e744b6fe836074a5f4c4b010a011a35ee9b74a099b9122b04ec4a1e520802",
+    "majority": "31765b8de3827122733feb1c022c59b9bf67aaf54442bcabcb802135bf3936cb",
+    "pair-lock": "2ac94df7e8b92ae04a7de45e9cf58dbb3c849897e7ac46b46881a2ec75201098",
+    "u-profile": "a392c62d110996d3ee3d3ac4760d6699c462c9d8aface2fa7f47bd4da59db83b",
+}
+
+
+@pytest.mark.parametrize("generator", sorted(FIRST_K85_DIGESTS))
+def test_first_k85_coloring_is_pinned(generator):
+    if generator == "u-profile":
+        h = next(structured_colorings(
+            "u-profile", {"n": 85, "k23": 1, "k12": 1, "k13": 40}))
+    else:
+        h = _coloring_for_trial(Params(n=85, r=4, t=2, c=3), generator, 0, 0)
+    digest = hashlib.sha256(h.colors.tobytes()).hexdigest()
+    assert digest == FIRST_K85_DIGESTS[generator]
+
+
 def test_u_profile_stream_is_pinned():
     stream = structured_colorings(
         "u-profile", {"n": 30, "k23": 1, "k12": 1, "k13": 18})

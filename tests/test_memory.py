@@ -1,0 +1,107 @@
+"""Memory: what the paper's regime allocates, and what each call leaves behind.
+
+A nested helper that calls itself holds itself through its closure cell, so
+every call would leave a reference cycle that keeps the helper's whole scope
+(the lift's candidate graph, the t >= 3 search's good set, the oracle's
+pools) alive until a full collection.  The cycle tests run one call with the
+collector off and then expect a collection to find nothing unreachable.
+"""
+
+import gc
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+from bergecycles.core import (
+    ColoredHypergraph,
+    Params,
+    TightCycleWitness,
+    edges_through,
+)
+from bergecycles.extract import cycle_windows, lift_to_berge
+from bergecycles.hamilton import find_mono_ham_tight_cycle
+from bergecycles.harness import brute_force_exists
+from bergecycles.shadow import build_shadow
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def mono(n, r, t=2):
+    p = Params(n=n, r=r, t=t, c=1)
+    return ColoredHypergraph(p, np.ones(p.num_edges, dtype=np.uint8))
+
+
+def unreachable_after(call):
+    """Objects one call leaves in reference cycles, as a collection counts them."""
+    call()                      # fill every cache the call uses first
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_lift_leaves_no_cycle():
+    h = mono(10, 4)
+    w = TightCycleWitness(1, tuple(range(10)), 2)
+    assert unreachable_after(lambda: lift_to_berge(w, h)) == 0
+
+
+def test_t3_tight_cycle_search_leaves_no_cycle():
+    s = build_shadow(mono(8, 4, t=3), 3)
+    assert unreachable_after(lambda: find_mono_ham_tight_cycle(s, 1)) == 0
+
+
+def test_oracle_leaves_no_cycle():
+    h = mono(6, 3)
+    assert brute_force_exists(h) is not None
+    assert unreachable_after(lambda: brute_force_exists(h)) == 0
+
+
+def test_edge_table_build_peaks_near_its_size():
+    # a fresh interpreter, so no earlier table or cache hides the build
+    code = textwrap.dedent("""
+        import resource, sys
+        import numpy as np
+        from bergecycles.core import binom, edge_table, unrank_subset
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        tab = edge_table(128, 4)
+        grew = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+        scale = 1 if sys.platform == "darwin" else 1024   # bytes vs KiB
+        rng = np.random.default_rng(0)
+        ranks = [0, len(tab) - 1, *rng.integers(0, len(tab), 200).tolist()]
+        print(grew * scale, tab.nbytes, flush=True)
+        assert all(tuple(tab[i].tolist()) == unrank_subset(i, 128, 4) for i in ranks)
+        assert tab.dtype == np.uint8 and not tab.flags.writeable
+        assert np.array_equal(edge_table(85, 4), tab[:binom(85, 4)])
+    """)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout, proc.stderr
+    grew, nbytes = map(int, proc.stdout.split())
+    assert grew <= 1.25 * 4 * 10_668_000, (grew, nbytes)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_edges_through_peaks_near_its_result():
+    n = 128
+    core = tuple(np.random.default_rng(1).permutation(n).tolist())
+    windows = cycle_windows(core, 2)
+    edges_through(n, 4, windows)          # the (126, 2) table is cached now
+    tracemalloc.start()
+    try:
+        ranks = edges_through(n, 4, windows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ranks.shape == (n, 7875)
+    assert peak <= 1.5 * ranks.nbytes, (peak, ranks.nbytes)
