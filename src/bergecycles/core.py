@@ -217,14 +217,6 @@ class ColoredHypergraph:
     def color_of(self, edge: Iterable[int]) -> int:
         return int(self.colors[rank_subset(tuple(sorted(edge)))])
 
-    def with_color(self, rank: int, color: int) -> "ColoredHypergraph":
-        """Copy with one edge recolored (colorings are immutable)."""
-        if not 1 <= color <= self.params.c:
-            raise InvalidParams(f"color {color} out of range 1..{self.params.c}")
-        colors = self.colors.copy()
-        colors[rank] = color
-        return ColoredHypergraph(self.params, colors)
-
 
 def random_coloring(params: Params, seed) -> ColoredHypergraph:
     """Uniform random coloring, deterministic for a given seed."""

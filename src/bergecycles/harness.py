@@ -335,11 +335,17 @@ def _base_params(params: dict) -> Params:
                   c=params["c"])
 
 
+def _hash_mix(tab: np.ndarray, offset: int) -> np.ndarray:
+    """Weighted vertex sum of each row plus offset, one column at a time
+    (no int64 copy of the whole table)."""
+    mix = np.full(len(tab), offset, dtype=np.int64)
+    for col, w in zip(tab.T, (3, 5, 7, 11, 13, 17, 19, 23, 29)):
+        mix += col.astype(np.int64) * w
+    return mix
+
+
 def _hash_colors(tab: np.ndarray, c: int, offset: int) -> np.ndarray:
-    weights = np.array([3, 5, 7, 11, 13, 17, 19, 23, 29][:tab.shape[1]],
-                       dtype=np.int64)
-    mix = tab.astype(np.int64) @ weights + offset
-    return (1 + mix % c).astype(np.uint8)
+    return (1 + _hash_mix(tab, offset) % c).astype(np.uint8)
 
 
 def _parts(params: dict, p: Params) -> int:
@@ -478,11 +484,11 @@ def _u_profile_family(params: dict):
 
 
 def _u_profile_colors(n, t_set, y_set, z_set, specials1, blocks, offset):
-    tab = edge_table(n, 4).astype(np.int64)
-    mix = tab @ np.array([3, 5, 7, 11], dtype=np.int64) + offset
-    colors = (1 + mix % 3).astype(np.uint8)
-    m = tab[:, 0] == 0
-    b, c_, d = tab[m, 1], tab[m, 2], tab[m, 3]
+    tab = edge_table(n, 4)
+    colors = _hash_colors(tab, 3, offset)
+    m = edges_through(n, 4, [(0,)])[0]          # the edges at the pivot
+    piv = tab[m].astype(np.int64)
+    b, c_, d = piv[:, 1], piv[:, 2], piv[:, 3]
     cls = np.full(n, _W, dtype=np.int8)
     cls[t_set] = _T
     cls[y_set] = _Y
@@ -491,7 +497,7 @@ def _u_profile_colors(n, t_set, y_set, z_set, specials1, blocks, offset):
     hasT = (cb == _T) | (cc == _T) | (cd == _T)
     hasY = (cb == _Y) | (cc == _Y) | (cd == _Y)
     hasZ = (cb == _Z) | (cc == _Z) | (cd == _Z)
-    mixx = mix[m]
+    mixx = _hash_mix(piv, offset)
     h23 = (2 + mixx % 2).astype(np.uint8)
     h12 = (1 + mixx % 2).astype(np.uint8)
     h13 = np.where(mixx % 2 == 0, 1, 3).astype(np.uint8)
@@ -525,7 +531,6 @@ def _u_profile_colors(n, t_set, y_set, z_set, specials1, blocks, offset):
         for w_id, zblock in sorted(blocks.items()):
             bm = yzw & (wmem == w_id) & np.isin(zmem, sorted(zblock))
             sub = np.where(bm, np.uint8(2), sub)
-    colors = colors.copy()
     colors[m] = sub
     return colors
 

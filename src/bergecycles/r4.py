@@ -23,8 +23,10 @@ route taken; a ContractBreach carries the trace so far.  The dispatcher
 Both Gamma cases share one scaffold for the pair families E1-E5
 (`_gamma_base`); they differ only in which low-degree vertices receive E6
 repair pairs (`_repair`, `_repair_min`, `_repair_two`) and in the star at
-x.  In the vertex route, the opposite-color and terminal cycles through a
-hub vertex are closed by one helper (`_close_hub_cycle`).
+x.  Every vertex-route construction only decides a core: `_lift_core` backs
+its pairs through `extract.lift_to_berge` on the renamed coloring, and the
+opposite-color and terminal cycles through a hub vertex share one pattern
+check (`_close_hub_cycle`).
 
 Everything is deterministic: vertex sets iterate in sorted order, candidate
 edges scan in colex order, and ties break toward smaller ids.
@@ -752,17 +754,25 @@ def _cycle_adjacency(core: list[int]) -> set[frozenset]:
     return {frozenset((core[i], core[(i + 1) % k])) for i in range(k)}
 
 
-def _lemma_insert(work: np.ndarray, v: int, xs: list[int],
-                  es: list[tuple[int, ...]], chi: int,
+def _lift_core(hw: ColoredHypergraph, color: int, core) -> BergeCertificate:
+    """Back each consecutive pair of the cyclic `core` with its own `color`
+    edge of hw; FallbackExhausted when no distinct backing edges exist."""
+    try:
+        return lift_to_berge(TightCycleWitness(color, tuple(core), 2), hw)
+    except MatchingIncomplete as exc:
+        raise FallbackExhausted(f"no distinct backing edges: {exc}") from exc
+
+
+def _lemma_insert(work: np.ndarray, hw: ColoredHypergraph, v: int,
+                  xs: list[int], es: list[tuple[int, ...]], chi: int,
                   detail: dict) -> BergeCertificate | None:
     """Insert v into the link cycle using a chi-colored chord at x1.
 
     xs is already rotated so x1 avoids the companion edge of v.  Tries an
     inner chord {x1, xk, xk'} first, then a wrap chord next to x1 on either
-    side.  Returns None when no usable chord exists.
+    side, and lifts the new core.  Returns None when no usable chord exists.
     """
     n1 = len(xs)
-    n = n1 + 1
     x1 = xs[0]
 
     def col(a, b, c):
@@ -773,51 +783,29 @@ def _lemma_insert(work: np.ndarray, v: int, xs: list[int],
         for kj in range(ki + 2, n1 - 1):
             if col(x1, xs[ki], xs[kj]) == chi:
                 detail["insertion"] = "chord"
-                new_core = [x1, v] + xs[1:]
-                edges = ([tuple(sorted((v, x1, xs[ki], xs[kj])))]
-                         + [tuple(sorted(e + (v,))) for e in es])
-                return BergeCertificate(color=chi, core=tuple(new_core),
-                                        edges=tuple(edges), t=2)
+                return _lift_core(hw, chi, [x1, v] + xs[1:])
     e_last, e_first = es[-1], es[0]
     for li in range(2, n1 - 2):
         tri = tuple(sorted((xs[-1], x1, xs[li])))
         if col(*tri) == chi and tri != e_last:
             detail["insertion"] = "wrap-left"
-            new_core = [v] + xs
-            per = {(v, x1): tuple(sorted(e_last + (v,))),
-                   (xs[-1], v): tuple(sorted(tri + (v,)))}
-            for i in range(n1 - 1):
-                per[(xs[i], xs[i + 1])] = tuple(sorted(es[i] + (v,)))
-            edges = tuple(per[(new_core[i], new_core[(i + 1) % n])]
-                          for i in range(n))
-            return BergeCertificate(color=chi, core=tuple(new_core),
-                                    edges=edges, t=2)
+            return _lift_core(hw, chi, [v] + xs)
     for li in range(3, n1 - 1):
         tri = tuple(sorted((x1, xs[1], xs[li])))
         if col(*tri) == chi and tri != e_first:
             detail["insertion"] = "wrap-right"
-            new_core = [x1, v] + xs[1:]
-            per = {(x1, v): tuple(sorted(tri + (v,))),
-                   (v, xs[1]): tuple(sorted(e_first + (v,)))}
-            for i in range(1, n1):
-                per[(xs[i], xs[(i + 1) % n1])] = tuple(sorted(es[i] + (v,)))
-            edges = tuple(per[(new_core[i], new_core[(i + 1) % n])]
-                          for i in range(n))
-            return BergeCertificate(color=chi, core=tuple(new_core),
-                                    edges=edges, t=2)
+            return _lift_core(hw, chi, [x1, v] + xs[1:])
     return None
 
 
-def _lemma_opposite_cycle(work: np.ndarray, v: int, xs: list[int],
-                          chi: int, detail: dict) -> BergeCertificate:
+def _lemma_opposite_cycle(work: np.ndarray, hw: ColoredHypergraph, v: int,
+                          xs: list[int], chi: int, detail: dict) -> BergeCertificate:
     """Opposite-color cycle through x1 when no chi-chord at x1 exists.
 
     Core order v, y2, x_last, y4, y5, x2, y7, ..., x1 with consecutive
-    pairs non-adjacent on the old cycle; every edge is {v, ., ., x1}.
+    pairs non-adjacent on the old cycle, closed at the hub x1.
     """
     other = 5 - chi
-    n1 = len(xs)
-    n = n1 + 1
     x1 = xs[0]
     cadj = _cycle_adjacency(xs)
     xlast, x2 = xs[-1], xs[1]
@@ -847,64 +835,24 @@ def _lemma_opposite_cycle(work: np.ndarray, v: int, xs: list[int],
     if tail is None:
         raise FallbackExhausted("could not arrange the opposite-color cycle")
     ys = [v, y2, xlast, y4, y5, x2, y7] + tail + [x1]   # ys[j-1] is y_j
-    allowed = [q for q in range(4, n - 2) if q != 6]   # slot 6 is pinned x2
-    cert = _close_hub_cycle(work, ys, other, cadj, allowed,
-                            "opposite", "opposite-color cycle")
+    cert = _close_hub_cycle(work, hw, ys, other, "opposite")
     detail["insertion"] = "opposite-cycle"
     return cert
 
 
-def _close_hub_cycle(work: np.ndarray, ys: list[int], color: int,
-                     cadj: set[frozenset], allowed: list[int], pattern: str,
-                     cycle: str) -> BergeCertificate:
-    """Close the `color` cycle ys = v, y2, ..., y_{n-1}, hub whose edges all
-    contain v and the hub.
+def _close_hub_cycle(work: np.ndarray, hw: ColoredHypergraph, ys: list[int],
+                     color: int, pattern: str) -> BergeCertificate:
+    """Close the `color` cycle ys = v, y2, ..., y_{n-1}, hub.
 
-    Positions 2..n-2 take {v, y_j, y_{j+1}, hub}.  The three wrap positions
-    take partners from the 1-based slots `allowed`: p pairs with y_{n-1},
-    hh with kk, and ll with y2; the picks sit two slots apart and are
-    non-adjacent on the old cycle (cadj).
+    Every inner pair y_j y_{j+1} (2 <= j <= n-2) must span the `color` edge
+    {v, y_j, y_{j+1}, hub}; then the lift backs every pair of ys.
     """
-    n = len(ys)
     v, hub = ys[0], ys[-1]
-
-    def col(a, b):
-        return _color4(work, v, a, b, hub)
-
-    def adj(a, b):
-        return frozenset((a, b)) in cadj
-
-    for j in range(2, n - 1):
-        if col(ys[j - 1], ys[j]) != color:
+    for j in range(2, len(ys) - 1):
+        if _color4(work, v, ys[j - 1], ys[j], hub) != color:
             raise FallbackExhausted(
                 f"pair ({ys[j - 1]},{ys[j]}) breaks the {pattern} pattern")
-    y2, y_last = ys[1], ys[n - 2]
-
-    def picks(exclude, partner=None):
-        for q in allowed:
-            if any(abs(q - e) < 2 for e in exclude):
-                continue
-            u = ys[q - 1]
-            if any(adj(u, ys[e - 1]) for e in exclude):
-                continue
-            if partner is not None and (u == partner or adj(u, partner)
-                                        or col(u, partner) != color):
-                continue
-            yield q
-
-    try:
-        p = next(picks([], y_last))
-        hh = next(picks([p]))
-        kk = next(picks([p, hh], ys[hh - 1]))
-        ll = next(picks([p, hh, kk], y2))
-    except StopIteration:
-        raise FallbackExhausted(f"no wrap picks for the {cycle}")
-    pairs = ([(y2, ys[ll - 1])] + [(ys[j - 1], ys[j]) for j in range(2, n - 1)]
-             + [(ys[p - 1], y_last), (ys[hh - 1], ys[kk - 1])])
-    edges = tuple(tuple(sorted((v, a, b, hub))) for a, b in pairs)
-    if len(set(edges)) != n:
-        raise FallbackExhausted(f"edge collision in the {cycle}")
-    return BergeCertificate(color=color, core=tuple(ys), edges=edges, t=2)
+    return _lift_core(hw, color, ys)
 
 
 def _color2_spares(work: np.ndarray, v: int, u: int, verts: list[int],
@@ -921,9 +869,9 @@ def _color2_spares(work: np.ndarray, v: int, u: int, verts: list[int],
     return out
 
 
-def _lemma_in_cycle(work: np.ndarray, v: int, core: list[int],
-                    cedges: list[tuple[int, ...]], e_core: tuple[int, ...],
-                    detail: dict) -> BergeCertificate:
+def _lemma_in_cycle(work: np.ndarray, hw: ColoredHypergraph, v: int,
+                    core: list[int], cedges: list[tuple[int, ...]],
+                    e_core: tuple[int, ...], detail: dict) -> BergeCertificate:
     """The companion edge of v lies on C, covering a consecutive pair."""
     j = cedges.index(e_core)
     xs = core[j:] + core[:j]
@@ -933,28 +881,15 @@ def _lemma_in_cycle(work: np.ndarray, v: int, core: list[int],
 
     p2 = _color2_spares(work, v, v2, xs, cset)
     p3 = _color2_spares(work, v, v3, xs, cset)
-    pick = None
-    for g2 in p2[:2]:
-        for g3 in p3[:2]:
-            if g2 != g3:
-                pick = (g2, g3)
-                break
-        if pick:
-            break
-    if pick:
+    if any(g2 != g3 for g2 in p2[:2] for g3 in p3[:2]):
         detail["insertion"] = "two-chords"
-        g2, g3 = pick
-        new_core = [v2, v, v3] + xs[2:]
-        edges = ([tuple(sorted(g2 + (v,))), tuple(sorted(g3 + (v,)))]
-                 + [tuple(sorted(e + (v,))) for e in es[1:]])
-        return BergeCertificate(color=2, core=tuple(new_core),
-                                edges=tuple(edges), t=2)
+        return _lift_core(hw, 2, [v2, v, v3] + xs[2:])
 
     # nearly every spare pair at v2 (or v3) is the other color: build the
     # cycle ending at that vertex with all edges {v, ., ., u} of color 3
     for u, e_other, spares in ((v2, es[-1], p2), (v3, es[1], p3)):
         try:
-            cert = _lemma_terminal_cycle(work, v, xs, u, e_core, e_other,
+            cert = _lemma_terminal_cycle(work, hw, v, xs, u, e_core, e_other,
                                          spares)
             detail["insertion"] = ("terminal-cycle-at-v2" if u == v2
                                    else "terminal-cycle-at-v3")
@@ -964,13 +899,12 @@ def _lemma_in_cycle(work: np.ndarray, v: int, core: list[int],
     raise FallbackExhausted("in-cycle companion: both terminal cycles failed")
 
 
-def _lemma_terminal_cycle(work: np.ndarray, v: int, xs: list[int], u: int,
-                          e_core: tuple[int, ...], e_other: tuple[int, ...],
+def _lemma_terminal_cycle(work: np.ndarray, hw: ColoredHypergraph, v: int,
+                          xs: list[int], u: int, e_core: tuple[int, ...],
+                          e_other: tuple[int, ...],
                           spares: list[tuple[int, ...]]) -> BergeCertificate:
-    """Color-3 cycle v, y2, ..., y_{n-1}, u with edges {v, y_i, y_{i+1}, u}."""
-    n = len(xs) + 1
-    cadj = _cycle_adjacency(xs)
-    blocked = set(cadj)
+    """Color-3 cycle v, y2, ..., y_{n-1}, u closed at the hub u."""
+    blocked = _cycle_adjacency(xs)
     for e in (e_core, e_other):
         pair = [w for w in e if w != u]
         if len(pair) == 2:
@@ -981,21 +915,19 @@ def _lemma_terminal_cycle(work: np.ndarray, v: int, xs: list[int], u: int,
     seq = _order_avoiding(pool, None, u, blocked)
     if seq is None:
         raise FallbackExhausted("could not arrange the terminal cycle")
-    ys = [v] + seq + [u]
-    excl_verts = set(e_core) | set(e_other)
-    allowed = [q for q in range(4, n - 2) if ys[q - 1] not in excl_verts]
-    return _close_hub_cycle(work, ys, 3, cadj, allowed,
-                            "terminal", "terminal cycle")
+    return _close_hub_cycle(work, hw, [v] + seq + [u], 3, "terminal")
 
 
 def lemma_a_construct(h: ColoredHypergraph, vertex: int, color: int,
                       budget: int = DEFAULT_BUDGET) -> tuple[BergeCertificate, dict]:
     """Certificate for a vertex touching at most one edge of `color`.
 
-    The coloring is renamed so the sparse color is 1 and the exceptional
-    edge, if any, counts as color 2; a monochromatic Hamiltonian cycle of
-    the vertex's link then absorbs the vertex back in.  Returns the
-    certificate (in the original colors) plus a detail dict for the trace.
+    The coloring is renamed so the sparse color is 1 (hw); the route
+    conditions read a copy (work) where the companion edge e_v, if any,
+    counts as color 2.  A monochromatic Hamiltonian cycle of the vertex's
+    link then absorbs the vertex back in, and the new core lifts on hw, so
+    e_v never backs a pair.  Returns the certificate (in the original
+    colors) plus a detail dict for the trace.
     """
     p = h.params
     if p.r != 4 or p.c != 3:
@@ -1003,12 +935,10 @@ def lemma_a_construct(h: ColoredHypergraph, vertex: int, color: int,
     n = p.n
     detail: dict = {"vertex": vertex, "color": color, "fallbacks": []}
 
-    lut = np.arange(4, dtype=np.uint8)
+    lut = np.arange(4, dtype=np.uint8)      # color in h -> color in hw
     lut[1], lut[color] = color, 1
-    work = lut[h.colors]
-
     ranks = edges_through(n, 4, [(vertex,)])[0]
-    ones = np.flatnonzero(work[ranks] == 1)
+    ones = np.flatnonzero(lut[h.colors[ranks]] == 1)
     if ones.size > 1:
         raise InvalidParams(
             f"vertex {vertex} touches {ones.size} edges of color {color}")
@@ -1018,11 +948,10 @@ def lemma_a_construct(h: ColoredHypergraph, vertex: int, color: int,
         low = [a for a in range(n) if a != vertex][:3]
         e_v = tuple(sorted([vertex] + low))
     detail["companion_edge"] = list(e_v)
-    swapped_23 = _color4(work, *e_v) == 3
-    if swapped_23:
-        work = np.array([0, 1, 3, 2], dtype=np.uint8)[work]
-    else:
-        work = work.copy()
+    if lut[h.color_of(e_v)] == 3:
+        lut = np.array([0, 1, 3, 2], dtype=np.uint8)[lut]
+    hw = ColoredHypergraph(p, lut[h.colors])
+    work = hw.colors.copy()
     work[rank_subset(e_v)] = 2
 
     # the link of v: the edges through v, minus v, in the colex order of
@@ -1038,27 +967,17 @@ def lemma_a_construct(h: ColoredHypergraph, vertex: int, color: int,
 
     if chi == 2 and frozenset(e_core) in set(map(frozenset, cedges)):
         detail["case"] = "in-cycle"
-        cert = _lemma_in_cycle(work, vertex, core, cedges, e_core, detail)
+        cert = _lemma_in_cycle(work, hw, vertex, core, cedges, e_core, detail)
     else:
         detail["case"] = "off-cycle" if chi == 2 else "companion-free"
         rot = next(i for i in range(len(core)) if core[i] not in e_core)
         xs = core[rot:] + core[:rot]
         es = cedges[rot:] + cedges[:rot]
-        cert = _lemma_insert(work, vertex, xs, es, chi, detail)
+        cert = _lemma_insert(work, hw, vertex, xs, es, chi, detail)
         if cert is None:
-            cert = _lemma_opposite_cycle(work, vertex, xs, chi, detail)
-
-    out_color = cert.color
-    if swapped_23:
-        out_color = {1: 1, 2: 3, 3: 2}[out_color]
-    if color != 1:
-        out_color = {1: color, color: 1}.get(out_color, out_color)
-    final = BergeCertificate(color=out_color, core=cert.core,
-                             edges=cert.edges, t=2)
-    err = verify_berge_certificate(final, h)
-    if err is not None:
-        raise FallbackExhausted(f"vertex-route certificate failed: {err}")
-    return final, detail
+            cert = _lemma_opposite_cycle(work, hw, vertex, xs, chi, detail)
+    return BergeCertificate(color=lut.tolist().index(cert.color), core=cert.core,
+                            edges=cert.edges, t=2), detail
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,9 @@ def test_hypergraph_validation_and_recolor():
         ColoredHypergraph(p, np.zeros(10, dtype=np.uint8))
     h = ColoredHypergraph(p, np.ones(10, dtype=np.uint8))
     assert h.color_of((0, 1, 2)) == 1
-    h2 = h.with_color(0, 2)
+    recolored = h.colors.copy()
+    recolored[0] = 2
+    h2 = ColoredHypergraph(p, recolored)
     assert h.color_of_rank(0) == 1 and h2.color_of_rank(0) == 2
     assert h2.color_of((2, 1, 0)) == 2  # unsorted input is sorted internally
     with pytest.raises(ValueError):
@@ -261,7 +263,9 @@ def test_verify_first_violation_messages():
     badcore = BergeCertificate(1, (0, 1, 2, 3, 3), good.edges, t=2)
     assert "permutation" in verify_berge_certificate(badcore, h)
 
-    h2 = _mono_graph(5, 3, c=2).with_color(rank_subset(good.edges[0]), 2)
+    recolored = np.ones(10, dtype=np.uint8)
+    recolored[rank_subset(good.edges[0])] = 2
+    h2 = ColoredHypergraph(Params(n=5, r=3, t=2, c=2), recolored)
     assert "color" in verify_berge_certificate(good, h2)
 
     assert "match" in verify_berge_certificate(good, h, t=3)

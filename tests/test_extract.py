@@ -69,8 +69,9 @@ def test_k5_mono_extraction():
 def test_witness_invalid_when_window_below_threshold():
     # demote pair {0,1}: leave only 1 color-1 triple containing it (threshold 2)
     h = mono(5, 3, c=2)
-    for e in [(0, 1, 2), (0, 1, 3)]:
-        h = h.with_color(rank_subset(e), 2)
+    colors = h.colors.copy()
+    colors[[rank_subset(e) for e in [(0, 1, 2), (0, 1, 3)]]] = 2
+    h = ColoredHypergraph(h.params, colors)
     s = build_shadow(h, 2)
     w = TightCycleWitness(color=1, core=(0, 1, 2, 3, 4), t=2)
     with pytest.raises(WitnessInvalid) as exc:

@@ -51,11 +51,13 @@ PINNED = {
     "pair-lock (0,1)->2": ("single-good-fallback",
         "4a490d79004299b7c710467f7c0c934dcdd123774afa859fe1dfc7883180e90c",
         "b3d4abe04cb69b4f90a5b889d45dbe09f92770ae781fb1913df1358f4acd6c8a"),
+    # lemma-3.1: the link's cycle with the vertex re-inserted, each pair
+    # backed by the position matching of extract.lift_to_berge
     "near-mono base=2": ("lemma-3.1",
-        "a77d96d65b6c03f1892c49213d74565e2ba9c9003eb688ccf14d050e5b3ceb76",
+        "a351f7a0c268b51fced7f2463c94a6ab00fd8924e4e4e1b7b3a402e681923173",
         "406cd7a1b8a01e3244ddbeb640193b73f48f8ebf01f676e8df48642badec36fb"),
     "near-mono base=3": ("lemma-3.1",
-        "197acb6384fe1a5e22b11bc5623494bc2472af3df94b7d6f1798504c02ce019a",
+        "78724c741bbfd3e2dfd90f485bce67930364c10e5ff9a09c300096c9d07eee0c",
         "e41746d806be8ec1380720e7d0b49b8ef8c7b039b75aa71d2272e1d6841a0648"),
     # case-1/case-2: Gamma's cycle as found, each pair backed by the
     # position matching of extract.lift_to_berge
@@ -128,10 +130,10 @@ PINNED = {
 # so the link of the sparse vertex is solved by the weak route
 WEAK_ROUTE = {
     "near-mono base=2": ("lemma-3.1",
-        "a77d96d65b6c03f1892c49213d74565e2ba9c9003eb688ccf14d050e5b3ceb76",
+        "a351f7a0c268b51fced7f2463c94a6ab00fd8924e4e4e1b7b3a402e681923173",
         "40d64fdfac3c555e7e01ee9cbd35c426391ba6c6191666cf2e7f1cd640a334be"),
     "near-mono base=3": ("lemma-3.1",
-        "197acb6384fe1a5e22b11bc5623494bc2472af3df94b7d6f1798504c02ce019a",
+        "78724c741bbfd3e2dfd90f485bce67930364c10e5ff9a09c300096c9d07eee0c",
         "b334d5d007390036087e86d3f8b581f2334ef0fad758467ad2ffe9bffd144aa3"),
 }
 

@@ -21,11 +21,12 @@ from bergecycles.core import (
     ColoredHypergraph,
     Params,
     TightCycleWitness,
+    edge_table,
     edges_through,
 )
 from bergecycles.extract import cycle_windows, lift_to_berge
 from bergecycles.hamilton import find_mono_ham_tight_cycle
-from bergecycles.harness import brute_force_exists
+from bergecycles.harness import _u_profile_colors, brute_force_exists
 from bergecycles.shadow import build_shadow
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -105,3 +106,19 @@ def test_edges_through_peaks_near_its_result():
         tracemalloc.stop()
     assert ranks.shape == (n, 7875)
     assert peak <= 1.5 * ranks.nbytes, (peak, ranks.nbytes)
+
+
+def test_u_profile_coloring_peaks_at_two_int64_columns():
+    # the hash mixes one table column at a time, and only the pivot's rows
+    # are mixed again; a whole-table int64 copy peaked at ~99 MB here
+    n = 85
+    args = (n, [1], [2], list(range(3, 43)), set(), {}, 0)
+    edge_table(n, 4)                      # the table is cached now
+    tracemalloc.start()
+    try:
+        colors = _u_profile_colors(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    column = 8 * colors.size
+    assert peak <= 2.25 * column, (peak, column)

@@ -211,6 +211,20 @@ def test_near_mono_base3_inserts_via_chord():
     assert sub["cycle_color"] == 3
 
 
+def test_color3_companion_swaps_colors_2_and_3():
+    # vertex 0 touches no color-1 edge, so its companion is the color-3 edge
+    # {0, 1, 2, 3}: the route runs with colors 2 and 3 swapped and the
+    # certificate comes back in color 3
+    p = Params(n=85, r=4, t=2, c=3)
+    colors = np.full(p.num_edges, 3, dtype=np.uint8)
+    colors[-1] = 1
+    res = found(ColoredHypergraph(p, colors))
+    sub = res.trace.subcase
+    assert res.trace.branch == "lemma-3.1"
+    assert (sub["vertex"], sub["color"], sub["companion_edge"]) == (0, 1, [0, 1, 2, 3])
+    assert (sub["cycle_color"], res.certificate.color) == (2, 3)
+
+
 def test_construction_case1_variant_two():
     h = u_profile(n=85, k23=0, k12=1, k13=42, deg_w=0, deg_w2=0)
     res = found(h)
@@ -324,8 +338,9 @@ def test_trace_serializes_to_json():
 
 # ---------------------------------------------------------------------------
 # sweeps pinning the Gamma repair leaves and the vertex route's hub cycles;
-# no census fixture reaches most of these leaves.  The digests were recorded
-# on the per-case code that _gamma_base and _close_hub_cycle replaced.
+# no census fixture reaches most of these leaves.  The Gamma digest was
+# recorded on the per-case code that _gamma_base replaced.  The hub digest
+# pins each core and the edges extract.lift_to_berge backs it with.
 
 
 def _digest(blob):
@@ -400,14 +415,33 @@ def _hub_coloring(n, seed, color):
     return work, xs
 
 
-def _hub_outcome(work, n, build):
+def _hub_outcome(hw, build):
     try:
         cert = build()
     except FallbackExhausted as exc:
         return ["fail", str(exc)], False
-    h = ColoredHypergraph(Params(n, 4, 2, 3), work)
-    assert verify_berge_certificate(cert, h) is None
+    assert verify_berge_certificate(cert, hw) is None
     return ["ok", cert.to_json_dict()], True
+
+
+def _opposite_outcome(n, seed, chi):
+    work, xs = _hub_coloring(n, seed, 5 - chi)
+    hw = ColoredHypergraph(Params(n, 4, 2, 3), work)
+    detail: dict = {}
+    out, ok = _hub_outcome(hw, lambda: _lemma_opposite_cycle(
+        work, hw, 0, xs, chi, detail))
+    return out + [detail], ok
+
+
+def _terminal_outcome(n, seed):
+    work, xs = _hub_coloring(n, seed, 3)
+    hw = ColoredHypergraph(Params(n, 4, 2, 3), work)
+    u = xs[0]
+    e_core = tuple(sorted((u, xs[1], xs[5])))
+    e_other = tuple(sorted((xs[-1], u, xs[7])))
+    spares = [tuple(sorted((u, xs[3], xs[9])))]
+    return _hub_outcome(hw, lambda: _lemma_terminal_cycle(
+        work, hw, 0, xs, u, e_core, e_other, spares))
 
 
 def test_hub_cycle_sweep():
@@ -415,19 +449,10 @@ def test_hub_cycle_sweep():
     for n in (20, 40):
         for seed in range(30):
             for chi in (2, 3):
-                work, xs = _hub_coloring(n, seed, 5 - chi)
-                detail: dict = {}
-                out, ok = _hub_outcome(work, n, lambda: _lemma_opposite_cycle(
-                    work, 0, xs, chi, detail))
-                outcomes.append(out + [detail])
+                out, ok = _opposite_outcome(n, seed, chi)
+                outcomes.append(out)
                 tally[("opposite", ok)] = tally.get(("opposite", ok), 0) + 1
-            work, xs = _hub_coloring(n, seed, 3)
-            u = xs[0]
-            e_core = tuple(sorted((u, xs[1], xs[5])))
-            e_other = tuple(sorted((xs[-1], u, xs[7])))
-            spares = [tuple(sorted((u, xs[3], xs[9])))]
-            out, ok = _hub_outcome(work, n, lambda: _lemma_terminal_cycle(
-                work, 0, xs, u, e_core, e_other, spares))
+            out, ok = _terminal_outcome(n, seed)
             outcomes.append(out)
             tally[("terminal", ok)] = tally.get(("terminal", ok), 0) + 1
     assert set(tally) == {(route, ok) for route in ("opposite", "terminal")
@@ -435,4 +460,50 @@ def test_hub_cycle_sweep():
     assert _digest(outcomes) == HUB_SWEEP_DIGEST, tally
 
 
-HUB_SWEEP_DIGEST = "455edeb5763f692853d4d172ffcfd3c272ffe317d914c0b31ce3f928807e9801"
+HUB_SWEEP_DIGEST = "b5a1718f1e977ef3c1a72a7bbdf72b3ad05a8e9dd1e1d2a5ec706cd8d13384e3"
+
+
+@pytest.mark.parametrize("route, seed, chi", [("terminal", 3, None),
+                                              ("opposite", 27, 3)])
+def test_hub_cycle_lifts_without_wrap_picks(route, seed, chi):
+    # one K_20^4 hub cycle per route that closes only through the lift
+    out, ok = (_terminal_outcome(20, seed) if route == "terminal"
+               else _opposite_outcome(20, seed, chi))
+    assert ok, out
+    _, xs = _hub_coloring(20, seed, 3 if chi is None else 5 - chi)
+    core = out[1]["core"]
+    assert (core[0], core[-1]) == (0, xs[0])
+
+
+# ---------------------------------------------------------------------------
+# the wrap insertions of the vertex route, which no census fixture reaches
+
+
+def _insert_fixture(block_left):
+    """K_10^4 in color 2 around v = 0 with link cycle 1..9, every inner
+    chord {0, 1, xk, xk'} in color 3, and with block_left also every
+    wrap-left triple {0, 9, 1, xk}; returns the lifted core and the
+    insertion tag."""
+    n, xs = 10, list(range(1, 10))
+    es = [tuple(sorted(xs[(i + j) % 9] for j in range(3))) for i in range(9)]
+    work = np.full(len(edge_table(n, 4)), 2, dtype=np.uint8)
+    for ki in range(2, 7):
+        for kj in range(ki + 2, 8):
+            work[rank_subset((0, 1, xs[ki], xs[kj]))] = 3
+    if block_left:
+        for li in range(2, 7):
+            work[rank_subset((0, 1, xs[li], 9))] = 3
+    hw = ColoredHypergraph(Params(n, 4, 2, 3), work)
+    detail: dict = {}
+    cert = r4._lemma_insert(work, hw, 0, xs, es, 2, detail)
+    assert cert is not None and cert.color == 2
+    assert verify_berge_certificate(cert, hw) is None
+    return cert.core, detail["insertion"]
+
+
+def test_lemma_insert_wrap_left():
+    assert _insert_fixture(False) == ((0, *range(1, 10)), "wrap-left")
+
+
+def test_lemma_insert_wrap_right():
+    assert _insert_fixture(True) == ((1, 0, *range(2, 10)), "wrap-right")

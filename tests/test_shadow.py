@@ -297,16 +297,18 @@ def test_single_edge_instance_has_empty_goodsets():
 def test_goodness_boundary_single_case():
     # engineer pair {0,1} to have exactly r-t+1 = 3 edges of color 2, rest color 1
     p = Params(n=7, r=4, t=2, c=2)
-    h = ColoredHypergraph(p, np.ones(p.num_edges, dtype=np.uint8))
+    colors = np.ones(p.num_edges, dtype=np.uint8)
     target = [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5)]
-    for e in target:
-        h = h.with_color(rank_subset(e), 2)
+    colors[[rank_subset(e) for e in target]] = 2
+    h = ColoredHypergraph(p, colors)
     s = build_shadow(h, 2)
     pair = rank_subset((0, 1))
     assert s.counts[pair, 1] == 3
     assert s.is_good(pair, 2)
     # drop one: exactly r-t = 2 edges -> no longer good
-    h2 = h.with_color(rank_subset(target[-1]), 1)
+    colors = colors.copy()
+    colors[rank_subset(target[-1])] = 1
+    h2 = ColoredHypergraph(p, colors)
     s2 = build_shadow(h2, 2)
     assert s2.counts[pair, 1] == 2
     assert not s2.is_good(pair, 2)
