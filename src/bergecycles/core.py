@@ -170,6 +170,24 @@ def rank_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def unrank_rows(ranks, n: int, k: int) -> np.ndarray:
+    """Inverse of rank_rows: the k-subsets of {0..n-1} with the given colex
+    ranks, as an (m, k) array of sorted rows.
+
+    Column j-1 holds the largest v with C(v, j) <= the rank left after the
+    columns above it, found by one searchsorted per column over C(., j).
+    """
+    rest = np.array(ranks, dtype=np.int64)
+    if rest.size and not (0 <= rest.min() and rest.max() < binom(n, k)):
+        raise ValueError(f"ranks out of range for C({n},{k})")
+    out = np.empty((len(rest), k), dtype=np.intp)
+    for j in range(k, 0, -1):
+        col = _BINOM[:n, j]
+        out[:, j - 1] = np.searchsorted(col, rest, side="right") - 1
+        rest -= col[out[:, j - 1]]
+    return out
+
+
 @dataclass(frozen=True)
 class Params:
     """Instance shape: K_n^r with a c-coloring, searched at tightness t."""
@@ -203,7 +221,11 @@ class ColoredHypergraph:
 
     def __post_init__(self) -> None:
         m = self.params.num_edges
-        colors = np.asarray(self.colors, dtype=np.uint8)
+        colors = self.colors
+        # share only an array no one can write through; copy anything else
+        if not (isinstance(colors, np.ndarray) and colors.dtype == np.uint8
+                and not colors.flags.writeable):
+            colors = np.array(colors, dtype=np.uint8)
         if colors.shape != (m,):
             raise InvalidParams(f"colors must have shape ({m},), got {colors.shape}")
         if m and (colors.min() < 1 or colors.max() > self.params.c):
@@ -222,6 +244,7 @@ def random_coloring(params: Params, seed) -> ColoredHypergraph:
     """Uniform random coloring, deterministic for a given seed."""
     rng = np.random.default_rng(seed)
     colors = rng.integers(1, params.c + 1, size=params.num_edges, dtype=np.uint8)
+    colors.setflags(write=False)        # so the hypergraph shares it uncopied
     return ColoredHypergraph(params, colors)
 
 

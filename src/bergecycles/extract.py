@@ -25,9 +25,9 @@ from .core import (
     ColoredHypergraph,
     InternalError,
     TightCycleWitness,
-    edge_table,
     edges_through,
     rank_subset,
+    unrank_rows,
     verify_berge_certificate,
 )
 from .shadow import ShadowMulticoloring
@@ -149,7 +149,7 @@ def lift_to_berge(w: TightCycleWitness, h: ColoredHypergraph) -> BergeCertificat
         raise MatchingIncomplete(
             f"{len(unmatched)} positions lack distinct backing edges "
             f"(first: {unmatched[0]})", unmatched)
-    edges = tuple(map(tuple, edge_table(p.n, p.r)[matching].tolist()))
+    edges = tuple(map(tuple, unrank_rows(matching, p.n, p.r).tolist()))
     cert = BergeCertificate(color=w.color, core=tuple(w.core), edges=edges, t=w.t)
     problem = verify_berge_certificate(cert, h)
     if problem is not None:

@@ -245,15 +245,20 @@ def _checked_found(g: SimpleGraph, cyc: Sequence[int], route: str,
 
 
 def good_pair_graph(s: ShadowMulticoloring, color: int) -> SimpleGraph:
-    """Graph on the vertex set whose edges are pairs with `color` 2-good."""
+    """Graph on the vertex set whose edges are pairs with `color` 2-good.
+
+    The good pairs fill an n x n bool adjacency matrix, and each row packs
+    little-endian into the bitmask int of its vertex.
+    """
     if s.t != 2:
         raise ValueError(f"pair graph needs a t=2 shadow, got t={s.t}")
-    g = SimpleGraph.empty(s.params.n)
-    pairs = edge_table(s.params.n, 2)
-    for k in np.flatnonzero((s.goodmask >> np.uint32(color - 1)) & 1):
-        u, v = pairs[k]
-        g.add_edge(int(u), int(v))
-    return g
+    n = s.params.n
+    good = edge_table(n, 2)[((s.goodmask >> np.uint32(color - 1)) & 1).astype(bool)]
+    adj = np.zeros((n, n), dtype=bool)
+    adj[good[:, 0], good[:, 1]] = True
+    adj |= adj.T
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return SimpleGraph(n, [int.from_bytes(row.tobytes(), "little") for row in packed])
 
 
 @dataclass(frozen=True)

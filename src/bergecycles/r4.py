@@ -258,10 +258,10 @@ def compute_u_profiles(s: ShadowMulticoloring) -> list[UProfile]:
         masks = gm[ranks[v, others]]
         profiles.append(UProfile(
             vertex=v,
-            U12=tuple(int(u) for u in others[masks == 0b011]),
-            U13=tuple(int(u) for u in others[masks == 0b101]),
-            U23=tuple(int(u) for u in others[masks == 0b110]),
-            U123=tuple(int(u) for u in others[masks == 0b111]),
+            U12=tuple(others[masks == 0b011].tolist()),
+            U13=tuple(others[masks == 0b101].tolist()),
+            U23=tuple(others[masks == 0b110].tolist()),
+            U123=tuple(others[masks == 0b111].tolist()),
         ))
     return profiles
 

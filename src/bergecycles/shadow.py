@@ -6,14 +6,13 @@ contain e.  The multi-coloring assigns every t-set its set of t-good colors;
 S_i collects the t-sets where color i fails to be good.  Everything is stored
 densely, indexed by t-set colex rank.
 
-All counting goes through one kernel, `subset_color_counts`, which peels the
-top column: one `np.bincount` per column subset through the edge's top
-column, over the key `colex_rank(t-subset) * c + (color - 1)`, and
-contiguous per-block weights for the edges' lower sets, carried down level
-by level.  The rows are split into contiguous spans, one per usable CPU;
-each span counts into its own bins and weights on a thread started and
-joined within the call, and they are summed at the end.  A table of fewer
-than two chunks runs inline on the calling thread.
+All counting goes through one kernel, `subset_color_counts`, a block peel.
+The edges with top vertex d are one colex block and the t-sets through d
+one contiguous rank range, so each block adds one `np.bincount` per
+(t-1)-subset of its lower columns, over cached keys `colex_rank * c - 1`
+plus the block's colors, straight into that range.  The edges' lower sets
+get per-block weights, carried down level by level with weighted bincounts
+in the same way.  The count reads no r-edge table and starts no thread.
 
 Per-vertex color incidence comes from a built shadow: `vertex_color_counts`
 sums the counts over the t-sets through each vertex and divides by
@@ -23,11 +22,9 @@ edge table for it.  (`subset_color_counts(h, 1)` gives the same counts.)
 
 from __future__ import annotations
 
-import bisect
 import itertools
-import os
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,16 +36,6 @@ from .core import (
     binom,
     edge_table,
 )
-
-_CHUNK_ROWS = 1 << 15  # edge-table rows per chunk; raised to the key range when larger
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: the most row spans a count uses."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:               # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,42 +63,46 @@ def _goodmask_from_counts(counts: np.ndarray, threshold: int) -> np.ndarray:
         axis=1, dtype=np.uint32)
 
 
-def _top_column_keys(rows: np.ndarray, top: int, t: int, luts: list,
-                     base: np.ndarray):
-    """`base` plus the rank keys of each t-subset of `rows`' columns 0..top
-    that holds column `top`, one key array per subset."""
-    key_top = base + luts[t - 1][rows[:, top]]
-    for cols in itertools.combinations(range(top), t - 1):
-        key = key_top
-        for j, col in enumerate(cols):
-            key = key + luts[j][rows[:, col]]
-        yield key
+@lru_cache(maxsize=64)
+def _subset_keys(n: int, k: int, cols: tuple[int, ...], c: int) -> np.ndarray:
+    """Read-only `colex_rank(row[cols]) * c - 1` for each k-subset row of
+    {0..n-2}, in the smallest signed type that also holds a key plus a
+    color 1..c (every such sum is below C(n-1, len(cols)) * c).
+
+    The rows are a prefix of the cached edge_table(n, k).
+    """
+    top = binom(n - 1, len(cols)) * c - 1
+    dtype = next(d for d in (np.int16, np.int32, np.int64)
+                 if top <= np.iinfo(d).max)
+    rows = edge_table(n, k)[:binom(n - 1, k)]
+    keys = np.full(len(rows), -1, dtype=np.int64)
+    for j, col in enumerate(cols):
+        keys += _BINOM[rows[:, col], j + 1] * c
+    keys = keys.astype(dtype)
+    keys.setflags(write=False)
+    return keys
 
 
 def subset_color_counts(h: ColoredHypergraph, t: int) -> np.ndarray:
     """(C(n,t), c) int64: per t-set and color, the containing r-edges of that color.
 
     At t = r each edge holds one r-set, itself, so the counts are its color
-    one-hot.  Below r, one top-column peel:
+    one-hot.  Below r, a block peel:
 
-    - The C(r-1, t-1) t-subsets of an edge that hold its top column r-1 are
-      counted with one bincount each over `colex_rank * c + (color - 1)`.
-    - Every other t-subset lies in the edge's lower (r-1)-set.  In colex
-      order the edges with top vertex d are the rows [C(d,r), C(d+1,r)),
-      and row C(d,r)+q has lower-set rank q, so the per-color weights of
-      the lower sets are one contiguous `colors == i+1` add per block piece
-      and color.
-    - The weights are carried down one level at a time: at level k the
-      t-subsets through column k-1 get a weighted bincount over the k-sets,
-      and block sums over equal top vertex give the (k-1)-set weights.  At
-      k = t the weights are the counts of the first C(n-1, t) t-sets.
-
-    A chunk holds at least as many rows as there are keys (C(n,t)*c), so the
-    `minlength` of each bincount never outweighs the rows it counts.  The
-    rank of a t-subset is summed from per-position tables C(v, j+1)*c, so no
-    rank array over the whole edge table is built.  The chunks are dealt out
-    in order to at most one span per usable CPU and per whole chunk; integer
-    sums do not depend on order, so the span count never changes a result.
+    - In colex order the edges with top vertex d are the rows
+      [C(d,r), C(d+1,r)), and row C(d,r)+q has lower (r-1)-set rank q, so
+      the lower sets of the block are the first C(d,r-1) rows of the
+      (r-1)-table.  The t-sets through d are the ranks [C(d,t), C(d+1,t)).
+    - So the t-subsets of the block's edges that hold d are counted with one
+      bincount per (t-1)-subset J of the lower columns, over the cached key
+      `rank(J) * c - 1` plus the edge's color, added into that rank range.
+    - Every other t-subset lies in the edge's lower set.  The per-color
+      weights of the lower sets are one contiguous `colors == i+1` add per
+      block and color.
+    - The weights are carried down one level at a time in the same way: at
+      level k the k-sets with top d get one weighted bincount per J, and
+      their block sums are the (k-1)-set weights.  At k = t the weights are
+      the counts of the first C(n-1, t) t-sets.
     """
     p = h.params
     if not 1 <= t <= p.r:
@@ -120,73 +111,44 @@ def subset_color_counts(h: ColoredHypergraph, t: int) -> np.ndarray:
         out = np.zeros((p.num_edges, p.c), dtype=np.int64)
         out[np.arange(p.num_edges), h.colors.astype(np.intp) - 1] = 1
         return out
-    m_t = binom(p.n, t)
-    size = m_t * p.c
-    luts = [_BINOM[:p.n, j + 1] * p.c for j in range(t)]
-    first = [binom(d, p.r) for d in range(p.n + 1)]   # first row with top d
-    tab = edge_table(p.n, p.r)
-    step = max(_CHUNK_ROWS, size)
-    chunks = -(-len(tab) // step)
-    workers = max(1, min(_usable_cpus(), len(tab) // step))
-    # span k holds whole chunks, so every chunk but the table's last is full
-    cuts = [min(len(tab), chunks * k // workers * step)
-            for k in range(workers + 1)]
-    outs = [np.zeros(size, dtype=np.int64) for _ in range(workers)]
+    n, r, c = p.n, p.r, p.c
+    out = np.zeros(binom(n, t) * c, dtype=np.int64)
+
+    def through(d: int) -> np.ndarray:
+        """The bins of the t-sets whose top vertex is d."""
+        return out[binom(d, t) * c:binom(d + 1, t) * c]
+
+    def subset_keys(k: int) -> list[np.ndarray]:
+        return [_subset_keys(n, k, cols, c)
+                for cols in itertools.combinations(range(k), t - 1)]
+
     # per lower (r-1)-set and color, its edges of that color: one per top
     # vertex above the set, so at most n - r + 1 < 256
-    lows = [np.zeros((p.c, binom(p.n - 1, p.r - 1)), dtype=np.uint8)
-            for _ in range(workers)]
-    errors: list[BaseException] = []
-
-    def count_span(k: int) -> None:
-        try:
-            for lo in range(cuts[k], cuts[k + 1], step):
-                hi = min(lo + step, len(tab))
-                colors = h.colors[lo:hi]
-                rows = tab[lo:hi].astype(np.intp)
-                for key in _top_column_keys(rows, p.r - 1, t, luts,
-                                            colors.astype(np.int64) - 1):
-                    outs[k] += np.bincount(key, minlength=size)
-                d = bisect.bisect_right(first, lo) - 1
-                a = lo
-                while a < hi:
-                    b = min(hi, first[d + 1])
-                    q = a - first[d]
-                    for i in range(p.c):
-                        lows[k][i, q:q + b - a] += colors[a - lo:b - lo] == i + 1
-                    a, d = b, d + 1
-        except BaseException as exc:     # re-raised on the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=count_span, args=(k,))
-               for k in range(1, workers)]
-    for th in threads:
-        th.start()
-    count_span(0)
-    for th in threads:
-        th.join()
-    if errors:
-        raise errors[0]
-    out = sum(outs[1:], outs[0])
-    weights = lows[0]
-    for low in lows[1:]:
-        weights += low
-    color_keys = np.arange(p.c)[:, None]     # one key row per weight row
-    for k in range(p.r - 1, t, -1):
-        # the k-sets of {0..n-2}: a prefix of the k-table by colex nesting
-        tab_k = edge_table(p.n, k)[:weights.shape[1]]
-        for lo in range(0, len(tab_k), step):
-            rows = tab_k[lo:lo + step].astype(np.intp)
-            flat = weights[:, lo:lo + step].ravel().astype(np.float64)
-            for key in _top_column_keys(rows, k - 1, t, luts, color_keys):
-                out += np.bincount(key.ravel(), weights=flat,
-                                   minlength=size).astype(np.int64)
-        below = np.zeros((p.c, binom(p.n - 1, k - 1)), dtype=np.int64)
-        for d in range(k - 1, p.n - 1):
+    weights = np.zeros((c, binom(n - 1, r - 1)), dtype=np.uint8)
+    keys = subset_keys(r - 1)
+    for d in range(r - 1, n):
+        m = binom(d, r - 1)
+        colors = h.colors[binom(d, r):binom(d + 1, r)]
+        bins = through(d)
+        for key in keys:
+            bins += np.bincount(key[:m] + colors, minlength=len(bins))
+        for i in range(c):
+            weights[i, :m] += colors == i + 1
+    offsets = np.arange(1, c + 1, dtype=np.uint8)[:, None]   # the colors, one per weight row
+    for k in range(r - 1, t, -1):
+        keys = subset_keys(k - 1)
+        below = np.zeros((c, binom(n - 1, k - 1)), dtype=np.int64)
+        for d in range(k - 1, n - 1):
             m = binom(d, k - 1)
-            below[:, :m] += weights[:, binom(d, k):binom(d, k) + m]
+            block = weights[:, binom(d, k):binom(d, k) + m]
+            flat = block.ravel().astype(np.float64)
+            bins = through(d)
+            for key in keys:
+                bins += np.bincount((key[:m] + offsets).ravel(), weights=flat,
+                                    minlength=len(bins)).astype(np.int64)
+            below[:, :m] += block
         weights = below
-    out = out.reshape(m_t, p.c)
+    out = out.reshape(-1, c)
     out[:weights.shape[1]] += weights.T
     return out
 
@@ -211,10 +173,14 @@ def vertex_color_counts(s: ShadowMulticoloring) -> np.ndarray:
     """
     p = s.params
     tab = edge_table(p.n, s.t)
-    out = np.zeros((p.n, p.c), dtype=np.int64)
+    flat = s.counts.ravel().astype(np.float64)
+    lanes = np.arange(p.c)
+    out = np.zeros(p.n * p.c, dtype=np.int64)
     for j in range(s.t):
-        np.add.at(out, tab[:, j], s.counts)
-    return out // binom(p.r - 1, s.t - 1)
+        key = tab[:, j].astype(np.intp)[:, None] * p.c + lanes   # vertex * c + color - 1
+        out += np.bincount(key.ravel(), weights=flat,
+                           minlength=out.size).astype(np.int64)
+    return out.reshape(p.n, p.c) // binom(p.r - 1, s.t - 1)
 
 
 def dump_shadow(s: ShadowMulticoloring, fh) -> None:

@@ -21,6 +21,7 @@ from bergecycles.core import (
     rank_rows,
     rank_subset,
     read_coloring,
+    unrank_rows,
     unrank_subset,
     verify_berge_certificate,
     write_coloring,
@@ -70,6 +71,9 @@ def test_rank_rejects_bad_input():
         unrank_subset(10, 5, 3)
     with pytest.raises(ValueError):
         unrank_subset(-1, 5, 3)
+    for ranks in ([10], [0, -1]):
+        with pytest.raises(ValueError):
+            unrank_rows(ranks, 5, 3)
 
 
 @given(st.sets(st.integers(0, 60), min_size=1, max_size=6))
@@ -129,7 +133,8 @@ _ROW_CAP = binom(core.MAX_N, 3)
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_edge_table_rows_are_unranks_up_to_max_n(data):
-    # uint8 vertex ids: rows anywhere up to n = MAX_N hold their exact subset
+    # uint8 vertex ids: rows anywhere up to n = MAX_N hold their exact subset,
+    # and unrank_rows gives the same rows without the table
     k = data.draw(st.integers(0, 9), label="k")
     top = max(m for m in range(k, core.MAX_N + 1) if binom(m, k) <= _ROW_CAP)
     n = data.draw(st.integers(k, top), label="n")
@@ -140,8 +145,10 @@ def test_edge_table_rows_are_unranks_up_to_max_n(data):
     assert np.array_equal(edge_table(m, k), tab[:binom(m, k)])
     ranks = data.draw(st.lists(st.integers(0, len(tab) - 1), max_size=30),
                       label="ranks")
-    for i in [0, len(tab) - 1, *ranks]:
+    picked = [0, len(tab) - 1, *ranks]
+    for i in picked:
         assert tuple(tab[i].tolist()) == unrank_subset(i, n, k)
+    assert np.array_equal(unrank_rows(picked, n, k), tab[picked])
 
 
 @st.composite
@@ -213,6 +220,17 @@ def test_hypergraph_validation_and_recolor():
     assert h2.color_of((2, 1, 0)) == 2  # unsorted input is sorted internally
     with pytest.raises(ValueError):
         h.colors[0] = 2  # immutable storage
+
+
+def test_hypergraph_copies_a_writeable_input():
+    p = Params(n=5, r=3, t=2, c=2)
+    colors = np.ones(10, dtype=np.uint8)
+    h = ColoredHypergraph(p, colors)
+    colors[0] = 2                       # the caller's array stays its own
+    assert colors.flags.writeable and not np.shares_memory(colors, h.colors)
+    assert h.color_of_rank(0) == 1 and not h.colors.flags.writeable
+    frozen = h.colors
+    assert ColoredHypergraph(p, frozen).colors is frozen   # read-only: shared
 
 
 def test_random_coloring_deterministic():

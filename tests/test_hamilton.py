@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergecycles.core import ColoredHypergraph, Params, random_coloring, rank_subset
+from bergecycles.core import (
+    ColoredHypergraph,
+    Params,
+    binom,
+    random_coloring,
+    rank_subset,
+    unrank_subset,
+)
 from bergecycles.hamilton import (
     SimpleGraph,
     bondy_chvatal_closure,
@@ -169,6 +176,25 @@ def test_good_pair_graph_mono():
     assert sorted(found.witness.core) == list(range(5))
 
     assert find_mono_ham_tight_cycle(s, 2).status == "none"
+
+
+@pytest.mark.parametrize("n,r,c", [(3, 2, 2), (8, 3, 2), (9, 2, 3), (85, 4, 3),
+                                   (128, 4, 3)])
+def test_good_pair_graph_matches_edge_by_edge(n, r, c):
+    # n = 3 and 9 leave padding bits in the packed rows; at n = 3 every edge
+    # has color 1, so color 1 takes every pair and color 2 none
+    p = Params(n=n, r=r, t=2, c=c)
+    h = (ColoredHypergraph(p, np.ones(p.num_edges, dtype=np.uint8)) if n == 3
+         else random_coloring(p, seed=n))
+    s = build_shadow(h, 2)
+    rows = {}
+    for color in range(1, c + 1):
+        ref = SimpleGraph.from_edges(n, [unrank_subset(k, n, 2) for k in range(binom(n, 2))
+                                         if s.is_good(k, color)])
+        rows[color] = good_pair_graph(s, color).rows
+        assert rows[color] == ref.rows
+    if n == 3:
+        assert rows == {1: SimpleGraph.complete(3).rows, 2: [0, 0, 0]}
 
 
 def test_tight_cycle_t3_single_color():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -171,6 +172,22 @@ def test_random_coloring_takes_the_cover_branch():
     h = random_coloring(Params(n=85, r=4, t=2, c=3), seed=1)
     res = found(h)
     assert res.trace.branch == "B-cover"
+
+
+def test_cover_branch_reads_no_r_edge_table(monkeypatch):
+    # the shadow count and the lift work from smaller tables and ranks
+    calls = []
+
+    def spy(n, k):
+        calls.append((n, k))
+        return edge_table(n, k)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("bergecycles") and getattr(mod, "edge_table", None) is edge_table:
+            monkeypatch.setattr(mod, "edge_table", spy)
+    h = random_coloring(Params(n=85, r=4, t=2, c=3), seed=[85, 4])
+    assert found(h).trace.branch == "B-cover"
+    assert (85, 2) in calls and (85, 4) not in calls
 
 
 def test_locked_pair_takes_the_single_good_fallback():

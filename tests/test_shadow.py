@@ -1,8 +1,6 @@
-import contextlib
 import io
 import itertools
 import math
-import os
 import sys
 import threading
 from unittest import mock
@@ -20,6 +18,7 @@ from bergecycles.core import (
     binom,
     edge_table,
     random_coloring,
+    rank_rows,
     rank_subset,
 )
 from bergecycles.shadow import (
@@ -42,16 +41,17 @@ def shadow_oracle(h, t):
     return counts
 
 
-def incidence_oracle(h):
-    """Per-vertex color incidence, one whole-table bincount per edge column."""
+def table_oracle(h, t):
+    """The counts from the whole r-edge table: one bincount per t-subset of
+    its columns, over `rank * c + color - 1`."""
     p = h.params
     tab = edge_table(p.n, p.r)
-    cols = h.colors.astype(np.int64)
-    out = np.zeros(p.n * (p.c + 1), dtype=np.int64)
-    for j in range(p.r):
-        idx = tab[:, j].astype(np.int64) * (p.c + 1) + cols
-        out += np.bincount(idx, minlength=out.size)
-    return out.reshape(p.n, p.c + 1)[:, 1:]
+    colors = h.colors.astype(np.int64) - 1
+    out = np.zeros(binom(p.n, t) * p.c, dtype=np.int64)
+    for cols in itertools.combinations(range(p.r), t):
+        out += np.bincount(rank_rows(tab[:, cols]) * p.c + colors,
+                           minlength=out.size)
+    return out.reshape(-1, p.c)
 
 
 @st.composite
@@ -65,35 +65,6 @@ def small_instances(draw, t_min=1):
     return random_coloring(Params(n=n, r=r, t=2, c=c), seed=seed), t
 
 
-@contextlib.contextmanager
-def spans(cpus=None, chunk_rows=None):
-    """Count as if `cpus` CPUs were usable (default: the host's); yields the
-    threads the kernel starts."""
-    started = []
-
-    class Recorded(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    with contextlib.ExitStack() as stack:
-        if cpus is not None:
-            stack.enter_context(mock.patch.object(shadow, "_usable_cpus",
-                                                  lambda: cpus))
-        stack.enter_context(mock.patch.object(threading, "Thread", Recorded))
-        if chunk_rows is not None:
-            stack.enter_context(mock.patch.object(shadow, "_CHUNK_ROWS",
-                                                  chunk_rows))
-        yield started
-
-
-def expected_spans(h, t, cpus):
-    """One span per CPU and per whole chunk of the edge table."""
-    p = h.params
-    step = max(shadow._CHUNK_ROWS, binom(p.n, t) * p.c)
-    return max(1, min(cpus, p.num_edges // step))
-
-
 @given(small_instances())
 @settings(max_examples=80, deadline=None)
 def test_subset_color_counts_match_oracle(case):
@@ -101,23 +72,14 @@ def test_subset_color_counts_match_oracle(case):
     expected = shadow_oracle(h, t)
     got = subset_color_counts(h, t)
     assert np.array_equal(got, expected)
-    if t == 1:
-        assert np.array_equal(got, incidence_oracle(h))
-    # chunks floored at the key range alone, so small tables split too
-    for cpus in (1, 3):
-        with spans(cpus, chunk_rows=1) as started:
-            assert np.array_equal(subset_color_counts(h, t), expected)
-            assert len(started) == expected_spans(h, t, cpus) - 1
+    assert np.array_equal(got, table_oracle(h, t))
 
 
 @pytest.mark.parametrize("t", range(1, 10))
 def test_every_peel_depth_matches_oracle(t):
     # r - t carry levels, from none (t = r, one-hot) up to eight
     h = random_coloring(Params(n=11, r=9, t=2, c=3), seed=t)
-    expected = shadow_oracle(h, t)
-    for cpus in (1, 3):
-        with spans(cpus, chunk_rows=1):
-            assert np.array_equal(subset_color_counts(h, t), expected)
+    assert np.array_equal(subset_color_counts(h, t), shadow_oracle(h, t))
 
 
 @given(small_instances(t_min=2))
@@ -129,124 +91,103 @@ def test_vertex_color_counts_match_incidence_pass(case):
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
-def test_subset_color_counts_across_chunks(monkeypatch, t):
-    monkeypatch.setattr(shadow, "_CHUNK_ROWS", 5)
+def test_subset_color_counts_across_chunks(t):
+    # the table is counted in top-vertex blocks d = 4..13, each block adding
+    # into the bins of the t-sets through d and into its lower-set weights
     h = random_coloring(Params(n=14, r=5, t=2, c=2), seed=11)
-    # chunks are floored at the key range C(n,t)*c; make sure there are several
-    assert binom(14, 5) > 2 * max(5, binom(14, t) * 2)
     expected = shadow_oracle(h, t)
-    for cpus in (1, 3):
-        with spans(cpus) as started:
-            assert np.array_equal(subset_color_counts(h, t), expected)
-        # t = 3 has 728 keys, so its 2002 rows make only two whole chunks
-        assert len(started) == (0 if cpus == 1 else 2 if t < 3 else 1)
-
-
-def chunk_geometry(h, t):
-    """For each chunk of the edge table, one flag per top-vertex block it
-    meets: whether it holds that block whole."""
-    p = h.params
-    step = max(shadow._CHUNK_ROWS, binom(p.n, t) * p.c)
-    first = [binom(d, p.r) for d in range(p.n + 1)]
-    out = []
-    for lo in range(0, p.num_edges, step):
-        hi = min(lo + step, p.num_edges)
-        out.append([lo <= first[d] and first[d + 1] <= hi
-                    for d in range(p.r - 1, p.n)
-                    if first[d] < hi and first[d + 1] > lo])
-    return out
+    got = subset_color_counts(h, t)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(got, table_oracle(h, t))
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
-def test_chunks_inside_one_block_and_across_whole_blocks(monkeypatch, t):
-    # rows with top vertex d are the colex block [C(d,r), C(d+1,r)); the
-    # lower-set weights add each chunk's piece of a block at its offset
-    monkeypatch.setattr(shadow, "_CHUNK_ROWS", 200)
-    h = random_coloring(Params(n=14, r=6, t=2, c=2), seed=7)
-    geometry = chunk_geometry(h, t)
-    assert any(whole == [False] for whole in geometry)
-    assert any(sum(whole) >= 2 for whole in geometry)
-    expected = shadow_oracle(h, t)
-    for cpus in (1, 3):
-        with spans(cpus) as started:
-            assert np.array_equal(subset_color_counts(h, t), expected)
-        assert len(started) == expected_spans(h, t, cpus) - 1
+def test_chunks_inside_one_block_and_across_whole_blocks(t):
+    # rows with top vertex d are the colex block [C(d,r), C(d+1,r)); their
+    # lower sets are the first C(d,r-1) rows of the (r-1)-table, and the
+    # t-sets through d are the ranks [C(d,t), C(d+1,t))
+    p = Params(n=14, r=6, t=2, c=2)
+    tab, lower, tsets = (edge_table(p.n, k) for k in (p.r, p.r - 1, t))
+    for d in range(p.r - 1, p.n):
+        block = tab[binom(d, p.r):binom(d + 1, p.r)]
+        assert (block[:, -1] == d).all()
+        assert np.array_equal(block[:, :-1], lower[:binom(d, p.r - 1)])
+        assert (tsets[binom(d, t):binom(d + 1, t), -1] == d).all()
+    # recoloring one whole block moves only the bins of t-sets with top <= d
+    h = random_coloring(p, seed=7)
+    before = subset_color_counts(h, t)
+    assert np.array_equal(before, shadow_oracle(h, t))
+    d = 9
+    colors = h.colors.copy()
+    colors[binom(d, p.r):binom(d + 1, p.r)] = 3 - colors[binom(d, p.r):binom(d + 1, p.r)]
+    h2 = ColoredHypergraph(p, colors)
+    after = subset_color_counts(h2, t)
+    assert np.array_equal(after, shadow_oracle(h2, t))
+    moved = np.flatnonzero((after != before).any(axis=1))
+    assert moved.size and moved.max() < binom(d + 1, t)
 
 
 @pytest.mark.parametrize("n,r,c", [(9, 4, 3), (10, 6, 2), (11, 9, 4)])
 def test_counts_at_t_equal_r_are_the_colors_one_hot(n, r, c):
     h = random_coloring(Params(n=n, r=r, t=2, c=c), seed=n)
     one_hot = np.eye(c, dtype=np.int64)[h.colors.astype(np.intp) - 1]
-    with spans(3, chunk_rows=1) as started:
-        got = subset_color_counts(h, h.params.r)
-    assert started == []
+    got = subset_color_counts(h, h.params.r)
     assert got.dtype == np.int64 and np.array_equal(got, one_hot)
 
 
-def test_build_shadow_is_byte_identical_across_span_counts():
-    h = random_coloring(Params(n=20, r=4, t=2, c=3), seed=3)
-    ref = build_shadow(h, 2)
-    for cpus in (1, 3):
-        with spans(cpus, chunk_rows=1) as started:
-            s = build_shadow(h, 2)
-        assert len(started) == cpus - 1
-        assert s.counts.tobytes() == ref.counts.tobytes()
-        assert s.goodmask.tobytes() == ref.goodmask.tobytes()
+@pytest.mark.parametrize("c,dtype", [(44, np.int16), (45, np.int32)])
+def test_counts_on_both_sides_of_the_int16_key_switch(c, dtype):
+    # a key plus a color reaches C(39, 2) * c - 1: 32603 at c = 44, 33344 at
+    # c = 45; r = 5 puts the switch in the top level and in one carry level
+    h = random_coloring(Params(n=40, r=5, t=3, c=c), seed=c)
+    for k in (4, 3):
+        assert shadow._subset_keys(40, k, (0, 1), c).dtype == dtype
+    assert np.array_equal(subset_color_counts(h, 3), table_oracle(h, 3))
 
 
-@pytest.mark.parametrize("n,cpus,threads", [
-    (40, 1, 0),    # two chunks, one CPU: inline
-    (40, 8, 1),    # two chunks: two spans, however many CPUs
-    (20, 8, 0),    # under one chunk: inline
-])
-def test_span_count_follows_cpus_and_whole_chunks(n, cpus, threads):
-    h = random_coloring(Params(n=n, r=4, t=2, c=3), seed=0)
-    with spans(cpus) as started:
-        got = subset_color_counts(h, 2)
-    assert len(started) == threads
-    with spans(1):
-        assert np.array_equal(got, subset_color_counts(h, 2))
-
-
-def test_host_cpu_count_sets_the_spans():
-    # under `taskset -c 0` this is the inline path: one CPU, no thread
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count()
-    assert shadow._usable_cpus() == cpus
+def test_subset_color_counts_starts_no_thread():
     h = random_coloring(Params(n=40, r=4, t=2, c=3), seed=0)
-    with spans() as started:
+    with mock.patch.object(threading.Thread, "start",
+                           side_effect=AssertionError("thread started")):
         got = subset_color_counts(h, 2)
-    assert len(started) == min(cpus, 2) - 1
-    with spans(1):
-        assert np.array_equal(got, subset_color_counts(h, 2))
+    assert np.array_equal(got, table_oracle(h, 2))
 
 
 def test_many_spans_under_fast_thread_switching():
-    # more spans than cores and a switch every microsecond: a lost update to
-    # any span's bins would change the counts
+    # eight callers at once from a cold key cache, a switch every
+    # microsecond: the cached keys are shared, so a torn or writeable entry
+    # would change some caller's counts
     h = random_coloring(Params(n=14, r=5, t=2, c=2), seed=11)
     expected = shadow_oracle(h, 2)
+    shadow._subset_keys.cache_clear()
+    results = []
+    callers = [threading.Thread(
+        target=lambda: results.extend(subset_color_counts(h, 2) for _ in range(5)))
+        for _ in range(8)]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with spans(8, chunk_rows=1) as started:
-            for _ in range(5):
-                assert np.array_equal(subset_color_counts(h, 2), expected)
+        for th in callers:
+            th.start()
+        for th in callers:
+            th.join(timeout=60)
     finally:
         sys.setswitchinterval(old)
-    assert len(started) == 5 * 7
-    assert not any(th.is_alive() for th in started)
+    assert not any(th.is_alive() for th in callers)
+    assert len(results) == 8 * 5
+    assert all(np.array_equal(got, expected) for got in results)
 
 
 def test_error_in_a_span_thread_reaches_the_caller():
+    # the count runs on the calling thread, so a bad color raises there
     h = random_coloring(Params(n=14, r=5, t=2, c=2), seed=11)
     bad = h.colors.copy()
     bad[-1] = 3        # color c+1 on the last edge: a bin past the last key
     object.__setattr__(h, "colors", bad)
-    with spans(3, chunk_rows=1) as started:
+    with mock.patch.object(threading.Thread, "start",
+                           side_effect=AssertionError("thread started")):
         with pytest.raises(ValueError):
             subset_color_counts(h, 2)
-    assert len(started) == 2 and not any(th.is_alive() for th in started)
 
 
 def test_subset_color_counts_rejects_bad_t():
