@@ -3,9 +3,9 @@
 Subcommands: verify, extract, search, shadow-dump, stress.  Exit codes:
 0 success / verification pass, 1 verification failure or a verified
 counterexample, 2 unresolved (search or budget gave up) or a contract
-breach, 3 usage errors and malformed input.  Values read from input
-files win over flags unless --force is given.  All randomness flows from
---seed.
+breach, 3 usage errors and malformed input.  search, extract and verify
+take t from their input files; shadow-dump does too unless --t comes with
+--force.  All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -64,11 +64,10 @@ def _cmd_verify(args) -> int:
         cert = BergeCertificate.from_json_dict(blob)
     except ValueError as exc:
         raise ColoringFormatError(str(exc)) from exc
-    t = _resolve_t(cert.t, args.t, args.force)
-    err = verify_berge_certificate(cert, h, t=t)
+    err = verify_berge_certificate(cert, h)
     if err is None:
         print(f"valid: color {cert.color}, {len(cert.core)} core vertices, "
-              f"t={t}")
+              f"t={cert.t}")
         return 0
     print(f"invalid: {err}")
     return 1
@@ -139,11 +138,11 @@ def _cmd_shadow_dump(args) -> int:
 
 
 def _cmd_stress(args) -> int:
-    try:
-        params = Params(n=args.n, r=args.r, t=args.t or 2, c=args.c)
-    except InvalidParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    params = Params(n=args.n, r=args.r, t=args.t or 2, c=args.c)
+    if args.reproducer_dir is not None and not os.path.isdir(args.reproducer_dir):
+        # checked up front: a write into it fails only after every trial ran
+        raise NotADirectoryError(
+            f"--reproducer-dir {args.reproducer_dir} is not a directory")
     rep = stress_theorem(params, generator=args.generator,
                          trials=args.trials, seed=args.seed,
                          budget=args.budget, jobs=args.jobs,
@@ -171,9 +170,6 @@ def _build_parser() -> _Parser:
     v = sub.add_parser("verify", help="check a certificate against a coloring")
     v.add_argument("certificate")
     v.add_argument("coloring")
-    v.add_argument("--t", type=int, default=None)
-    v.add_argument("--force", action="store_true",
-                   help="let flags override file parameters")
     v.set_defaults(func=_cmd_verify)
 
     e = sub.add_parser("extract",

@@ -14,7 +14,6 @@ a coloring and trusts nothing.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,8 +25,7 @@ MAX_N = 128          # vertex-count ceiling; edge_table's uint8 ids need MAX_N <
 _MAX_K = 8           # widest subset size served by the vectorized table
 _THROUGH_ROWS = 16   # edges_through's row block: a 1 MB temporary at n=128, r=4
 
-COLORING_MAGIC = "berge-coloring v2"   # what write_coloring writes
-_MAGIC_V1 = "berge-coloring v1"        # still read, at t=2
+COLORING_MAGIC = "berge-coloring v2"   # the one format read and written
 
 
 class InvalidParams(ValueError):
@@ -360,36 +358,28 @@ def _parse_header(line: str, keys: tuple[str, ...]) -> list[int]:
     return vals
 
 
-def _file_params(**kw) -> Params:
-    try:
-        return Params(**kw)
-    except InvalidParams as exc:
-        raise ColoringFormatError(str(exc)) from exc
-
-
 def read_coloring(path) -> ColoredHypergraph:
-    """Read a coloring file.
+    """Read a v2 coloring file, the format write_coloring writes.
 
-    A v2 file, the only format write_coloring writes, must hold exactly
-    C(n, r) color bytes after its header, each in 1..c.  Any other file is
-    parsed as v1 text by _read_general; v1 carries no t and reads at t=2.
+    The file must hold exactly C(n, r) color bytes after its header, each
+    in 1..c.  A file that does not start with the v2 magic line, such as
+    the retired v1 text layout, raises ColoringFormatError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     magic = COLORING_MAGIC.encode() + b"\n"
     if not data.startswith(magic):
-        # decoded as open(path) in text mode would: locale encoding,
-        # universal newlines
-        try:
-            return _read_general(io.TextIOWrapper(io.BytesIO(data)))
-        except UnicodeDecodeError as exc:
-            raise ColoringFormatError(f"coloring file is not text: {exc}") from exc
+        raise ColoringFormatError(
+            f"not a {COLORING_MAGIC} file: it starts with {data[:len(magic)]!r}")
     end = data.find(b"\n", len(magic))
     if end < 0:
         raise ColoringFormatError("header line has no end")
     r, n, t, c = _parse_header(data[len(magic):end].decode("ascii", "replace"),
                                ("r", "n", "t", "c"))
-    params = _file_params(n=n, r=r, t=t, c=c)
+    try:
+        params = Params(n=n, r=r, t=t, c=c)
+    except InvalidParams as exc:
+        raise ColoringFormatError(str(exc)) from exc
     colors = np.frombuffer(data, dtype=np.uint8, offset=end + 1)
     if len(colors) != params.num_edges:
         raise ColoringFormatError(
@@ -397,43 +387,3 @@ def read_coloring(path) -> ColoredHypergraph:
     if colors.min() < 1 or colors.max() > c:
         raise ColoringFormatError("color out of range")
     return ColoredHypergraph(params, colors)
-
-
-def _read_general(fh) -> ColoredHypergraph:
-    """Parse any valid v1 layout: whitespace-separated fields, rows in any order."""
-    line1 = fh.readline()
-    line2 = fh.readline()
-    body = fh.read()
-    if line1.strip() != _MAGIC_V1:
-        raise ColoringFormatError(f"bad magic line: {line1.strip()!r}")
-    r, n, c = _parse_header(line2, ("r", "n", "c"))
-    params = _file_params(n=n, r=r, t=2, c=c)
-    m = params.num_edges
-    if body.count(":") != m:
-        raise ColoringFormatError(
-            f"expected {m} edge lines with one ':' each, found {body.count(':')}")
-    try:
-        flat = np.loadtxt(io.StringIO(body.replace(":", " ")), dtype=np.int64, ndmin=2)
-    except ValueError as exc:
-        raise ColoringFormatError(f"unparseable edge lines: {exc}") from exc
-    if flat.shape != (m, r + 1):
-        raise ColoringFormatError(
-            f"expected {m} lines of {r} vertices + color, got array {flat.shape}")
-    verts = flat[:, :r]
-    colors = flat[:, r]
-    if verts.min() < 0 or verts.max() >= n:
-        raise ColoringFormatError("vertex id out of range")
-    if (verts[:, 1:] <= verts[:, :-1]).any():
-        raise ColoringFormatError("edge vertices must be strictly increasing")
-    if colors.min() < 1 or colors.max() > c:
-        raise ColoringFormatError("color out of range")
-    ranks = rank_rows(verts)
-    dense = np.zeros(m, dtype=np.uint8)
-    counts = np.bincount(ranks, minlength=m)
-    if (counts != 1).any():
-        missing = int(np.argmin(counts))
-        raise ColoringFormatError(
-            f"edges must each appear exactly once; first problem at rank {missing} "
-            f"({unrank_subset(missing, n, r)})")
-    dense[ranks] = colors
-    return ColoredHypergraph(params, dense)

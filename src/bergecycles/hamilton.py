@@ -62,15 +62,11 @@ class SimpleGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def degrees(self) -> list[int]:
         return [r.bit_count() for r in self.rows]
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
+        """Whether vertex 0 reaches every vertex; needs n >= 1."""
         seen = 1
         frontier = 1
         while frontier:
@@ -93,9 +89,7 @@ def chvatal_holds(d: Sequence[int]) -> bool:
     n = len(degs)
     if n < 3:
         raise ValueError(f"degree condition needs n >= 3, got n={n}")
-    for i in range(1, (n + 1) // 2):
-        if 2 * i >= n:
-            break
+    for i in range(1, (n + 1) // 2):     # i <= (n-1)/2, so i < n/2
         if degs[i - 1] <= i and degs[n - i - 1] < n - i:
             return False
     return True
@@ -190,9 +184,10 @@ def _backtrack_hamilton(g: SimpleGraph, budget: int) -> HamiltonSearch:
         pending[-1] &= ~(1 << v)
         expansions += 1
         if len(path) == n - 1:
-            if rows[v] & start_bit:
-                return HamiltonSearch("found", tuple(path + [v]), expansions)
-            continue
+            # v is the one vertex left.  The prune that admitted path[-1]
+            # gave v two neighbours in {v, path[-1], start}; with no loops
+            # that means v ~ start, so the cycle closes
+            return HamiltonSearch("found", tuple(path + [v]), expansions)
         new_visited = visited | (1 << v)
         # every untouched vertex still needs two usable cycle neighbors
         rem = full & ~new_visited

@@ -1,5 +1,5 @@
-import itertools
 import json
+import math
 import subprocess
 import sys
 
@@ -119,6 +119,38 @@ def test_search_no_oracle_flag(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["color"] == 3
 
 
+@pytest.fixture
+def cycle_free_coloring(tmp_path):
+    # the exhaustive oracle proves this K_5^3 coloring has no Berge cycle
+    path = tmp_path / "free.txt"
+    write_coloring(random_coloring(Params(n=5, r=3, t=2, c=3), seed=1), path)
+    return path
+
+
+def test_search_reports_a_proved_nonexistence(cycle_free_coloring, capsys):
+    assert main(["search", str(cycle_free_coloring)]) == 1
+    assert capsys.readouterr().out.startswith("nonexistent: ")
+
+
+def test_extract_without_a_cycle_writes_only_the_trace(cycle_free_coloring,
+                                                       tmp_path, capsys):
+    cert, trace = tmp_path / "f.cert.json", tmp_path / "f.trace.json"
+    assert main(["extract", str(cycle_free_coloring), "-o", str(cert),
+                 "--trace", str(trace)]) == 1
+    assert "nonexistent: " in capsys.readouterr().out
+    assert json.load(open(trace))["branch"] == "oracle"
+    assert not cert.exists()
+
+
+def test_search_unresolved_on_the_r4_route_exits_2(tmp_path, monkeypatch, capsys):
+    from bergecycles import r4
+    monkeypatch.setattr(r4, "shadow_guided_cert", lambda *args: None)
+    path = tmp_path / "k85.coloring"
+    write_coloring(random_coloring(Params(n=85, r=4, t=2, c=3), seed=0), path)
+    assert main(["search", str(path)]) == 2
+    assert capsys.readouterr().out.startswith("unresolved: ")
+
+
 def test_shadow_dump_layout(tiny_coloring, tmp_path, capsys):
     assert main(["shadow-dump", tiny_coloring]) == 0
     stdout = capsys.readouterr().out
@@ -189,15 +221,29 @@ def test_non_text_input_is_a_usage_error(tiny_coloring, tmp_path, capsys):
     assert main(["verify", str(bad), tiny_coloring]) == 3
     assert "bad certificate JSON" in capsys.readouterr().err
     assert main(["search", str(bad)]) == 3
-    assert "coloring file is not text" in capsys.readouterr().err
+    assert ("not a berge-coloring v2 file: it starts with b'\\xff\\xfe\\x00"
+            in capsys.readouterr().err)
+
+
+def test_v1_file_is_rejected_in_one_line(tmp_path, capsys):
+    # the retired text layout: magic, an r= n= c= header, `verts : color` lines
+    path = tmp_path / "old.txt"
+    path.write_text("berge-coloring v1\nr=3 n=4 c=2\n0 1 2 : 1\n0 1 3 : 2\n"
+                    "0 2 3 : 1\n1 2 3 : 2\n")
+    for argv in (["search", str(path)], ["extract", str(path)],
+                 ["shadow-dump", str(path)]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "berge-coloring v2" in err and "berge-coloring v1" in err
+        assert "Traceback" not in err
 
 
 def test_rank_beyond_the_binomial_table_is_a_usage_error(tmp_path, capsys):
-    # r=10 passes the header checks but has no column in the rank table
-    lines = [" ".join(map(str, e)) + " : 1"
-             for e in itertools.combinations(range(12), 10)]
-    path = tmp_path / "r10.txt"
-    path.write_text("berge-coloring v1\nr=10 n=12 c=2\n" + "\n".join(lines) + "\n")
+    # r=10 passes the header syntax but has no column in the rank table
+    path = tmp_path / "r10.coloring"
+    path.write_bytes(b"berge-coloring v2\nr=10 n=12 t=2 c=2\n"
+                     + bytes([1]) * math.comb(12, 10))
     assert main(["verify", str(path), str(path)]) == 3
     err = capsys.readouterr().err
     assert "r=10" in err and "Traceback" not in err
@@ -215,6 +261,34 @@ def test_stress_rejects_unusable_generators(capsys):
     # u-profile needs class sizes the CLI cannot supply
     assert main(["stress", "--n", "85", "--r", "4", "--c", "3",
                  "--trials", "1", "--generator", "u-profile"]) == 3
+
+
+def test_stress_counterexample_exits_1_with_its_reproducer(tmp_path, capsys):
+    rc = main(["stress", "--n", "5", "--r", "3", "--c", "3", "--trials", "3",
+               "--seed", "0", "--reproducer-dir", str(tmp_path)])
+    assert rc == 1
+    assert "1 counterexamples" in capsys.readouterr().out.splitlines()[-1]
+    assert [f.name for f in tmp_path.iterdir()] == [
+        "counterexample-random-n5-r3-t2-c3-0-1.coloring"]
+
+
+def test_stress_bad_params_is_one_usage_line(capsys):
+    assert main(["stress", "--n", "6", "--r", "4", "--t", "5", "--c", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need 2 <= t <= r <= n, got t=5 r=4 n=6\n"
+
+
+def test_stress_missing_reproducer_dir_fails_before_any_trial(tmp_path,
+                                                              monkeypatch, capsys):
+    from bergecycles import cli
+    monkeypatch.setattr(cli, "stress_theorem", lambda *a, **kw: pytest.fail("ran"))
+    missing = tmp_path / "missing"
+    assert main(["stress", "--n", "5", "--r", "3", "--c", "3", "--trials", "3",
+                 "--reproducer-dir", str(missing)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --reproducer-dir {missing} is not a directory\n"
 
 
 def test_stress_json_report_and_summary(capsys):

@@ -10,12 +10,13 @@ from bergecycles.core import (
     ColoredHypergraph,
     Params,
     edge_table,
+    edges_through,
     random_coloring,
     rank_subset,
     verify_berge_certificate,
 )
 from bergecycles.extract import MatchingIncomplete
-from bergecycles.harness import structured_colorings
+from bergecycles.harness import find_certificate, structured_colorings
 from bergecycles.r4 import (
     ExtensionFailed,
     FallbackExhausted,
@@ -23,6 +24,7 @@ from bergecycles.r4 import (
     PivotSelection,
     ReservationUnsatisfiable,
     SingleGoodEdge,
+    Unresolved,
     UProfile,
     _alternating_split,
     _GammaBuilder,
@@ -343,6 +345,23 @@ def test_gamma_matching_failure_is_a_traced_extension_breach(monkeypatch):
     assert exc.value.trace.branch == "case-1"
 
 
+@pytest.mark.parametrize("make, branch", [
+    (lambda: random_coloring(Params(n=85, r=4, t=2, c=3), seed=3), "B-cover"),
+    (lambda: next(structured_colorings(
+        "pair-lock", {"n": 85, "r": 4, "c": 3, "pair": (0, 1), "lock": 2})),
+     "single-good-fallback"),
+])
+def test_search_miss_is_unresolved(monkeypatch, make, branch):
+    monkeypatch.setattr(r4, "shadow_guided_cert", lambda *args: None)
+    h = make()
+    with pytest.raises(Unresolved) as exc:
+        r4_find(h)
+    assert exc.value.trace.branch == branch
+    res = find_certificate(h)
+    assert (res.status, res.certificate) == ("unresolved", None)
+    assert res.trace.branch == branch
+
+
 def test_trace_serializes_to_json():
     import json
     h = u_profile(n=85, k23=1, k12=1, k13=41, deg_w=2, deg_u23=2)
@@ -524,3 +543,48 @@ def test_lemma_insert_wrap_left():
 
 def test_lemma_insert_wrap_right():
     assert _insert_fixture(True) == ((1, 0, *range(2, 10)), "wrap-right")
+
+
+# ---------------------------------------------------------------------------
+# lemma_a_construct's opposite-cycle and terminal-cycle routes.  The route
+# checks no MIN_N, so seeded K_10..16^4 colorings reach them: vertex 0 is on
+# no color-1 edge except at most one, and its other edges are colors 2/3
+# in a seeded proportion.
+
+
+def _sparse_vertex_coloring(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([10, 12, 14, 16]))
+    p = Params(n, 4, 2, 3)
+    cols = rng.integers(1, 4, size=p.num_edges).astype(np.uint8)
+    through = edges_through(n, 4, [(0,)])[0]
+    q = rng.uniform()
+    sub = np.where(rng.uniform(size=through.size) < q, 3, 2).astype(np.uint8)
+    if rng.uniform() < 0.7:
+        sub[rng.integers(through.size)] = 1
+    cols[through] = sub
+    return ColoredHypergraph(p, cols)
+
+
+@pytest.mark.parametrize("seed, n, case, insertion, digest", [
+    (1793, 14, "off-cycle", "opposite-cycle",
+     "239a4f8053e70d0727985ff509907c166c4904115baf5d5c768c1c775ec7bc2b"),
+    (1960, 12, "off-cycle", "opposite-cycle",
+     "40ebca6983aa01286a037a127a2759e99a285365099b8ee0e0fb1f18389ae223"),
+    (4815, 10, "in-cycle", "terminal-cycle-at-v2",
+     "9268fdb618adbccc76b5e5c1450568d4bcb8608c00cf82f86fc7696371adc314"),
+])
+def test_vertex_route_hub_cycles(seed, n, case, insertion, digest):
+    h = _sparse_vertex_coloring(seed)
+    assert h.params.n == n
+    cert, detail = r4.lemma_a_construct(h, 0, 1, 10**5)
+    assert (detail["case"], detail["insertion"]) == (case, insertion)
+    assert verify_berge_certificate(cert, h) is None
+    assert _digest(cert.to_json_dict()) == digest
+
+
+def test_vertex_route_thin_pools_at_x1():
+    h = _sparse_vertex_coloring(108)
+    assert h.params.n == 10
+    with pytest.raises(FallbackExhausted, match="insertion pools at x1 are too thin"):
+        r4.lemma_a_construct(h, 0, 1, 10**5)
