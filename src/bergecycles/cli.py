@@ -4,8 +4,8 @@ Subcommands: verify, extract, search, shadow-dump, stress.  Exit codes:
 0 success / verification pass, 1 verification failure or a verified
 counterexample, 2 unresolved (search or budget gave up) or a contract
 breach, 3 usage errors and malformed input.  search, extract and verify
-take t from their input files; shadow-dump does too unless --t comes with
---force.  All randomness flows from --seed.
+take t from their input files; shadow-dump does too unless --t sets the
+dump's tightness.  All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -40,17 +40,6 @@ def _load_coloring(path: str):
     if not os.path.exists(path):
         raise ColoringFormatError(f"no such file: {path}")
     return read_coloring(path)
-
-
-def _resolve_t(file_t: int, flag_t: int | None, force: bool) -> int:
-    """File parameters win over flags unless --force."""
-    if flag_t is None or flag_t == file_t:
-        return file_t
-    if force:
-        return flag_t
-    print(f"note: ignoring --t {flag_t} (file says t={file_t}; "
-          f"use --force to override)", file=sys.stderr)
-    return file_t
 
 
 def _cmd_verify(args) -> int:
@@ -126,8 +115,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_shadow_dump(args) -> int:
     h = _load_coloring(args.coloring)
-    t = _resolve_t(h.params.t, args.t, args.force)
-    s = build_shadow(h, t)
+    s = build_shadow(h, h.params.t if args.t is None else args.t)
     if args.output:
         with open(args.output, "w") as fh:
             dump_shadow(s, fh)
@@ -194,8 +182,8 @@ def _build_parser() -> _Parser:
     d = sub.add_parser("shadow-dump", help="dump the t-set color counts")
     d.add_argument("coloring")
     d.add_argument("-o", "--output", default=None)
-    d.add_argument("--t", type=int, default=None)
-    d.add_argument("--force", action="store_true")
+    d.add_argument("--t", type=int, default=None,
+                   help="tightness of the dump (default: the file's t)")
     d.set_defaults(func=_cmd_shadow_dump)
 
     st = sub.add_parser("stress", help="seeded Monte-Carlo trials")

@@ -288,20 +288,16 @@ class TightCycleWitness:
     t: int
 
 
-def verify_berge_certificate(cert: BergeCertificate, h: ColoredHypergraph,
-                             t: int | None = None) -> str | None:
-    """Check a certificate from scratch; None on pass, else the first violation.
+def verify_berge_certificate(cert: BergeCertificate, h: ColoredHypergraph) -> str | None:
+    """Check a certificate from scratch at its own t; None on pass, else the
+    first violation.
 
-    Check order: tightness consistency, core is a permutation, edge count,
-    edge well-formedness, pairwise distinctness, claimed color, window
-    containment.
+    Check order: tightness in 2..r, color in 1..c, core is a permutation,
+    edge count, edge well-formedness, pairwise distinctness, claimed color,
+    window containment.
     """
     p = h.params
-    n, r = p.n, p.r
-    if t is None:
-        t = cert.t
-    elif cert.t != t:
-        return f"certificate tightness {cert.t} does not match requested t={t}"
+    n, r, t = p.n, p.r, cert.t
     if not 2 <= t <= r:
         return f"tightness t={t} outside 2..r={r}"
     if not 1 <= cert.color <= p.c:

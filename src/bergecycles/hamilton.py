@@ -134,14 +134,17 @@ def _peel_closure_cycle(rows_closed: list[int], added: list[tuple[int, int]],
     """Undo closure additions in reverse, repairing the cycle at each removal."""
     rows = list(rows_closed)
     cyc = cycle
+    n = len(cyc)
     for u, v in reversed(added):
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        n = len(cyc)
-        pos = next((i for i in range(n)
-                    if {cyc[i], cyc[(i + 1) % n]} == {u, v}), None)
-        if pos is None:
-            continue
+        # the edge joins cyc[pos] and cyc[pos + 1]; pos = -1 and pos = n - 1
+        # slice out the same path below
+        pos = cyc.index(u)
+        if cyc[(pos + 1) % n] != v:
+            pos -= 1
+            if cyc[pos] != v:
+                continue
         # path from one endpoint to the other, the removed edge now absent
         path = cyc[pos + 1:] + cyc[:pos + 1]
         a, b = path[0], path[-1]

@@ -21,12 +21,13 @@ route taken; a ContractBreach carries the trace so far.  The dispatcher
      own color-1 edge.
 
 Both Gamma cases share one scaffold for the pair families E1-E5
-(`_gamma_base`); they differ only in which low-degree vertices receive E6
-repair pairs (`_repair`, `_repair_min`, `_repair_two`) and in the star at
-x.  Every vertex-route construction only decides a core: `_lift_core` backs
-its pairs through `extract.lift_to_berge` on the renamed coloring, and the
-opposite-color and terminal cycles through a hub vertex share one pattern
-check (`_close_hub_cycle`).
+(`_gamma_base`) and one repair rule: each computes how many E6 repair pairs
+its two low-degree vertices need, before any repair, and `_top_up` adds
+them; only the leaves that share or narrow reserved edges, and the star at
+x, differ.  Every vertex-route construction only decides a core: `_lift_core`
+backs its pairs through `extract.lift_to_berge` on the renamed coloring, and
+the opposite-color and terminal cycles through a hub vertex share one
+pattern check (`_close_hub_cycle`).
 
 Everything is deterministic: vertex sets iterate in sorted order, candidate
 edges scan in colex order, and ties break toward smaller ids.
@@ -359,34 +360,23 @@ class _GammaBuilder:
         self.colors = h.colors
         self.n = h.params.n
         self.prov: dict[tuple[int, int], tuple[str, tuple[int, ...] | None]] = {}
+        # links[v]: (neighbour, backing) of every pair at v, in insertion order
+        self.links: list[list[tuple[int, tuple[int, ...] | None]]] = [
+            [] for _ in range(self.n)]
 
     def color(self, quad) -> int:
         return _color4(self.colors, *quad)
 
-    def add(self, u: int, v: int, tag: str, backing: tuple[int, ...] | None) -> bool:
+    def add(self, u: int, v: int, tag: str, backing: tuple[int, ...] | None) -> None:
         key = (u, v) if u < v else (v, u)
         if key in self.prov:
-            return False
+            return
         self.prov[key] = (tag, backing)
-        return True
-
-    def degree(self, v: int) -> int:
-        return sum(1 for k in self.prov if v in k)
-
-    def neighbors_via(self, v: int | None,
-                      tags: frozenset[str]) -> list[tuple[int, tuple[int, ...] | None]]:
-        out = []
-        for (a, b), (tag, backing) in self.prov.items():
-            if tag in tags and v in (a, b):
-                out.append((b if a == v else a, backing))
-        return sorted(out)
+        self.links[u].append((v, backing))
+        self.links[v].append((u, backing))
 
     def graph(self) -> SimpleGraph:
         return SimpleGraph.from_edges(self.n, self.prov.keys())
-
-
-_TAG14 = frozenset({"E1", "E2", "E3", "E4"})
-_TAG13 = frozenset({"E1", "E2", "E3"})
 
 
 def _fan(gb: _GammaBuilder, hub: tuple[int, int], a: int, tag: str, vs) -> None:
@@ -443,18 +433,23 @@ def _max_repetition_pick(candidates: list[int], pools: list[tuple[int, ...]]) ->
     return max(sorted(candidates), key=lambda v: sum(v in g for g in pools))
 
 
-def _backings_at(gb: _GammaBuilder, v: int | None,
-                 tags: frozenset[str]) -> set[tuple[int, ...]]:
-    return {backing for _, backing in gb.neighbors_via(v, tags) if backing is not None}
+class _Deficient:
+    """A low-degree vertex v of Gamma (None: no vertex) before any E6
+    repair: its deficit to degree `target`, sorted neighbours and backings,
+    and `deficit` color-1 edges through `contain` reserved past them.
 
+    No pair needs a tag filter: only E1-E5 exist before the first repair,
+    E5 pairs (y to U13 - {z}, unbacked) touch no U123 vertex and no u23,
+    and E4 pairs (y to A) do not touch u23."""
 
-def _deficit(gb: _GammaBuilder, v: int | None, target: int) -> int:
-    """How many pairs v lacks to reach degree `target` (0 for no vertex)."""
-    return 0 if v is None else max(target - gb.degree(v), 0)
-
-
-def _lone_neighbor(gb: _GammaBuilder, v: int, tags: frozenset[str]) -> int:
-    return gb.neighbors_via(v, tags)[0][0]
+    def __init__(self, h: ColoredHypergraph, gb: _GammaBuilder, v: int | None,
+                 target: int, contain: tuple[int, ...], who: str):
+        links = gb.links[v] if v is not None else []
+        self.v = v
+        self.deficit = max(target - len(links), 0)
+        self.nbrs = sorted(u for u, _ in links)
+        self.backings = {b for _, b in links if b is not None}
+        self.reserved = _reserve(h, contain, self.deficit, self.backings, who)
 
 
 def _repair(gb: _GammaBuilder, D: set[int], x: int, w: int, t: int,
@@ -480,7 +475,18 @@ def _repair_two(gb: _GammaBuilder, D: set[int], x: int, w: int,
     _repair(gb, D, x, w, t2, g2)
 
 
-def construct_gamma_case1(h: ColoredHypergraph, s: ShadowMulticoloring,
+def _top_up(gb: _GammaBuilder, D: set[int], x: int, d: _Deficient, need: int,
+            edges: list[tuple[int, ...]]) -> None:
+    """Give d.v `need` repair pairs from `edges`.  One repair avoids d.v's
+    neighbours (a vertex one short has at most one); two use the first two
+    edges (a vertex two short has no neighbour)."""
+    if need == 1:
+        _repair_min(gb, D, x, d.v, edges[0], *d.nbrs)
+    elif need == 2:
+        _repair_two(gb, D, x, d.v, edges[0], edges[1])
+
+
+def construct_gamma_case1(h: ColoredHypergraph,
                           sel: PivotSelection) -> GammaConstruction:
     """Auxiliary graph for an empty U23 (colors already renamed)."""
     n = h.params.n
@@ -488,47 +494,40 @@ def construct_gamma_case1(h: ColoredHypergraph, s: ShadowMulticoloring,
     gb = _gamma_base(h, sel, set(sel.A) | set(sel.A2))
 
     # repair the two least-covered U123 vertices up to degree 3
-    wsorted = sorted(sel.U123, key=lambda v: (gb.degree(v), v))
+    wsorted = sorted(sel.U123, key=lambda v: (len(gb.links[v]), v))
     w1, w2 = (wsorted + [None, None])[:2]
-    r1, r2 = _deficit(gb, w1, 3), _deficit(gb, w2, 3)
-    W1 = _reserve(h, (x, w1), r1, _backings_at(gb, w1, _TAG14), f"x,w1={w1}")
-    W2 = _reserve(h, (x, w2), r2, _backings_at(gb, w2, _TAG14), f"x,w2={w2}")
+    d1 = _Deficient(h, gb, w1, 3, (x, w1), f"x,w1={w1}")
+    d2 = _Deficient(h, gb, w2, 3, (x, w2), f"x,w2={w2}")
+    r1, r2, W1, W2 = d1.deficit, d2.deficit, d1.reserved, d2.reserved
     D: set[int] = set()
     subcase = {"case": 1, "r1": r1, "r2": r2, "w1": w1, "w2": w2,
                "variant": "i" if r1 <= 2 else "ii", "intersecting": None}
+    # the star at x gives each one pair, and w1's floor is 2; w1 has the
+    # lower degree, so need2 = 2 only when need1 = 1
+    need1, need2 = max(r1 - 2, 0), max(r2 - 1, 0)
 
-    if r1 <= 2:
-        # w1 has the lower degree, so r2 <= r1 <= 2
-        if r2 == 2:
-            _repair_min(gb, D, x, w2, W2[0], _lone_neighbor(gb, w2, _TAG14))
-    elif r2 <= 1:
-        _repair_min(gb, D, x, w1, W1[0])
-    elif r2 == 2:
-        w2prime = set(W2) | _backings_at(gb, w2, _TAG14)
-        free = [g for g in W1 if g not in w2prime]
-        if not free:
+    e1, common = W1, []
+    if need2 == 2:
+        common = [g for g in W1 if g in set(W2)]
+        subcase["intersecting"] = bool(common)
+    elif (need1, need2) == (1, 1):
+        e1 = [g for g in W1 if g not in set(W2) | d2.backings]
+        if not e1:
             raise ReservationUnsatisfiable(
                 "every repair edge for w1 collides with w2's",
                 detail={"w1": w1, "w2": w2})
-        _repair_min(gb, D, x, w1, free[0])
-        _repair_min(gb, D, x, w2, W2[0], _lone_neighbor(gb, w2, _TAG14))
+    if common:
+        g22 = next(g for g in W2 if g != common[0])
+        _repair(gb, D, x, w1, w2, common[0])
+        _repair(gb, D, x, w2, min(u for u in g22 if u not in (x, w1, w2)), g22)
     else:
-        common = [g for g in W1 if g in set(W2)]
-        subcase["intersecting"] = bool(common)
-        if not common:
-            _repair_min(gb, D, x, w1, W1[0])
-            _repair_two(gb, D, x, w2, W2[0], W2[1])
-        else:
-            g22 = next(g for g in W2 if g != common[0])
-            _repair(gb, D, x, w1, w2, common[0])
-            _repair(gb, D, x, w2, min(u for u in g22 if u not in (x, w1, w2)), g22)
+        _top_up(gb, D, x, d1, need1, e1)
+        _top_up(gb, D, x, d2, need2, W2)
 
+    skip = ({y, z} | D) - {w1, w2}
     for v in range(n):
-        if v == x:
-            continue
-        if (v in (y, z) or v in D) and v not in (w1, w2):
-            continue
-        gb.add(x, v, "E7", None)
+        if v != x and v not in skip:
+            gb.add(x, v, "E7", None)
 
     graph = gb.graph()
     degs = graph.degrees()
@@ -557,78 +556,50 @@ def construct_gamma_case2(h: ColoredHypergraph, s: ShadowMulticoloring,
     x, y, z, u23 = sel.x, sel.y, sel.z, sel.u23
     gb = _gamma_base(h, sel, set(sel.A))
 
-    w1 = min(sel.U123, key=lambda v: (gb.degree(v), v), default=None)
-    r, l = _deficit(gb, w1, 3), _deficit(gb, u23, 2)
-    W = _reserve(h, (x, w1), r, _backings_at(gb, w1, _TAG14), f"x,w1={w1}")
-    U = _reserve(h, (u23,), l, _backings_at(gb, u23, _TAG13), f"u23={u23}")
+    w1 = min(sel.U123, key=lambda v: (len(gb.links[v]), v), default=None)
+    dw = _Deficient(h, gb, w1, 3, (x, w1), f"x,w1={w1}")
+    du = _Deficient(h, gb, u23, 2, (u23,), f"u23={u23}")
+    r, l, W, U = dw.deficit, du.deficit, dw.reserved, du.reserved
     D: set[int] = set()
     subcase = {"case": 2, "early_exit": False, "r": r, "l": l, "w1": w1,
                "u23": u23, "w": w, "intersecting": None}
+    # the star at x gives w1 one pair; u23 is not on it
+    need = max(r - 1, 0)
 
-    if r <= 1:
-        if l == 1:
-            _repair_min(gb, D, x, u23, U[0], _lone_neighbor(gb, u23, _TAG13))
-        elif l == 2:
-            _repair_two(gb, D, x, u23, U[0], U[1])
-    elif r == 2:
-        v_nbr = _lone_neighbor(gb, w1, _TAG14)
-        if l == 0:
-            _repair_min(gb, D, x, w1, W[0], v_nbr)
-        elif l == 1:
-            # keep an edge through u23 in front, repair w1 from the other
-            wo = sorted(W, key=lambda g: (u23 not in g, W.index(g)))
-            _repair_min(gb, D, x, w1, wo[1], v_nbr)
-            _repair_min(gb, D, x, u23, U[0], _lone_neighbor(gb, u23, _TAG13))
-        else:
-            wprime = set(W) | _backings_at(gb, w1, _TAG14)
-            common = [g for g in U if g in wprime]
-            subcase["intersecting"] = bool(common)
-            if not common:
-                _repair_min(gb, D, x, w1, W[0], v_nbr)
-                _repair_two(gb, D, x, u23, U[0], U[1])
-            else:
-                g2 = next(g for g in U if g != common[0])
-                t1 = _max_repetition_pick(
-                    [u for u in g2 if u not in (x, u23, w1)], [U[0], g2])
-                _repair(gb, D, x, w1, u23, common[0])
-                _repair(gb, D, x, u23, t1, g2)
-    elif l == 0:
-        _repair_two(gb, D, x, w1, W[0], W[1])
-    elif l == 1:
-        # repairs for w1 must dodge the edge reserved for u23
-        wo = sorted(W, key=lambda g: (g != U[0], W.index(g)))
-        _repair_two(gb, D, x, w1, wo[1], wo[2])
-        _repair_min(gb, D, x, u23, U[0], _lone_neighbor(gb, u23, _TAG13))
-    else:
-        common = [g for g in W if g in set(U)]
+    ew, common = W, []
+    if need and l == 2:
+        common = ([g for g in U if g in set(W) | dw.backings] if need == 1
+                  else [g for g in W if g in set(U)])
         subcase["intersecting"] = bool(common)
-        if not common:
-            _repair_two(gb, D, x, w1, W[0], W[1])
-            _repair_two(gb, D, x, u23, U[0], U[1])
-        else:
-            h1 = common[0]
-            g2 = next(g for g in U if g != h1)
-            h3 = [g for g in W if g != h1 and g not in set(U)][0]
-            t1 = _max_repetition_pick(
-                [u for u in g2 if u not in (x, u23, w1)], [h1, g2])
-            _repair(gb, D, x, w1, u23, h1)
-            _repair_min(gb, D, x, w1, h3)
-            _repair(gb, D, x, u23, t1, g2)
+    elif need == 1 and l == 1:
+        # keep an edge through u23 in front, repair w1 from the other
+        ew = sorted(W, key=lambda g: u23 not in g)[1:]
+    elif need == 2 and l == 1:
+        # repairs for w1 must dodge the edge reserved for u23
+        ew = sorted(W, key=lambda g: g != U[0])[1:]
+    if common:
+        h1 = common[0]
+        g2 = next(g for g in U if g != h1)
+        t1 = _max_repetition_pick([u for u in g2 if u not in (x, u23, w1)],
+                                  [U[0] if need == 1 else h1, g2])
+        _repair(gb, D, x, w1, u23, h1)
+        if need == 2:
+            _repair_min(gb, D, x, w1,
+                        next(g for g in W if g != h1 and g not in set(U)))
+        _repair(gb, D, x, u23, t1, g2)
+    else:
+        _top_up(gb, D, x, dw, need, ew)
+        _top_up(gb, D, x, du, l, U)
 
     if w is not None:
-        gm = s.goodmask
         pr = _pair_rank_matrix(n)
         for v in range(n):
-            if v in (x, w):
-                continue
-            if gm[pr[w, v]] & 1:
+            if v not in (x, w) and s.goodmask[pr[w, v]] & 1:
                 gb.add(w, v, "E7", None)
+    skip = ({y, z, u23, w} | D) - {w1}
     for v in range(n):
-        if v == x:
-            continue
-        if (v in (y, z, u23, w) or v in D) and v != w1:
-            continue
-        gb.add(x, v, "E8", None)
+        if v != x and v not in skip:
+            gb.add(x, v, "E8", None)
 
     graph = gb.graph()
     degs = graph.degrees()
@@ -1077,15 +1048,14 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
 
         if not sel.U23:
             trace.branch = "case-1"
-            gamma = construct_gamma_case1(h2, s2, sel)
+            gamma = construct_gamma_case1(h2, sel)
         else:
             trace.branch = "case-2"
             m123 = len(sel.U123)
             w = None
             if p.n - 2 <= 2 * m123 <= p.n - 1:
-                relabeled = (_relabel_profile(q, sel.sigma) for q in profiles)
-                b1 = {q.vertex for q in relabeled
-                      if not q.U12 and not q.U13 and q.U23}
+                # B1 under the new names is B_k under the old, for sigma(k) = 1
+                b1 = (bc.B1, bc.B2, bc.B3)[sel.sigma.index(1)]
                 outside = [u for u in sel.U123 if u not in b1]
                 if not outside:
                     trace.subcase = {"case": 2, "early_exit": True}

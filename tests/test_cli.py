@@ -181,14 +181,13 @@ def test_t3_file_runs_search_extract_and_verify(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 84   # C(9,3) triples
 
 
-def test_file_params_win_without_force(tiny_coloring, capsys):
+def test_shadow_dump_t_sets_the_dump_tightness(tiny_coloring, capsys):
     assert main(["shadow-dump", tiny_coloring, "--t", "3"]) == 0
-    err = capsys.readouterr().err
-    assert "ignoring --t" in err
-    capsys.readouterr()
-    assert main(["shadow-dump", tiny_coloring, "--t", "3", "--force"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 56                       # C(8,3) triples now
+    out, err = capsys.readouterr()
+    assert len(out.strip().splitlines()) == 56    # C(8,3) triples
+    assert err == ""
+    assert main(["shadow-dump", tiny_coloring, "--t", "9"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_malformed_coloring_is_a_usage_error(tmp_path, capsys):

@@ -16,6 +16,7 @@ from bergecycles.core import (
 )
 from bergecycles.hamilton import (
     SimpleGraph,
+    _peel_closure_cycle,
     bondy_chvatal_closure,
     chvatal_holds,
     find_hamiltonian_cycle,
@@ -123,6 +124,20 @@ def test_closure_route_on_dense_graph():
     res = find_hamiltonian_cycle(g)
     assert res.status == "found" and is_cycle_of(g, res.cycle)
     assert res.expansions == 0  # never reached the backtracker
+
+
+@pytest.mark.parametrize("removed", [(4, 0), (0, 4)])
+def test_peel_removes_the_wrap_edge_in_either_orientation(removed):
+    # the removed edge closes the cycle (cyc[-1], cyc[0]): the path to repair
+    # runs 0..4, and the first crossing chord pair reverses its tail
+    n = 5
+    rows = SimpleGraph.complete(n).rows
+    cyc = _peel_closure_cycle(rows, [removed], list(range(n)))
+    assert cyc == [0, 1, 4, 3, 2]
+    g = SimpleGraph.complete(n)
+    g.rows[0] &= ~(1 << 4)
+    g.rows[4] &= ~(1 << 0)
+    assert is_cycle_of(g, cyc)
 
 
 def _graph_from_mask(n, mask):

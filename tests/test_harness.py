@@ -93,7 +93,7 @@ def test_oracle_t3_mono():
     h = mono(6, 4, t=3)
     cert = brute_force_exists(h)
     assert cert is not None and cert.t == 3
-    assert verify_berge_certificate(cert, h, t=3) is None
+    assert verify_berge_certificate(cert, h) is None
 
 
 def test_oracle_deterministic():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import sys
 
@@ -30,6 +31,7 @@ from bergecycles.r4 import (
     _GammaBuilder,
     _lemma_opposite_cycle,
     _lemma_terminal_cycle,
+    _relabel_profile,
     _repair,
     classify_and_pivot,
     compute_u_profiles,
@@ -155,6 +157,41 @@ def test_pivot_relabel_repairs_a_transposed_profile():
     _, sel = classify_and_pivot([prof(0, u12=(1,), u13=(2,), u23=(3, 4))])
     assert sel.sigma != (1, 2, 3)
     assert (len(sel.U23), len(sel.U12), len(sel.U13)) == (1, 1, 2)
+
+
+def _random_profiles(rng):
+    """Profiles on 4..8 vertices; each vertex spreads the others over a
+    random nonempty set of its four classes, so B1-B3 are often nonempty."""
+    n = int(rng.integers(4, 9))
+    profiles = []
+    for v in range(n):
+        allowed = [k for k in range(4) if rng.random() < 0.4] or [3]
+        classes: list[list[int]] = [[], [], [], []]
+        for u in range(n):
+            if u != v:
+                classes[int(rng.choice(allowed))].append(u)
+        profiles.append(prof(v, *classes))
+    return profiles
+
+
+@pytest.mark.parametrize("sigma", list(itertools.permutations((1, 2, 3))))
+def test_b1_after_renaming_is_the_b_class_of_the_color_renamed_to_1(sigma):
+    # r4_find's half-cover window reads B1 under the pivot's renaming as
+    # B_k with sigma(k) = 1; the reference relabels every profile first
+    rng = np.random.default_rng(17)
+    checked = nonempty = 0
+    for _ in range(300):
+        profiles = _random_profiles(rng)
+        try:
+            bc, _ = classify_and_pivot(profiles)
+        except PivotInvariantViolation:
+            continue
+        relabeled = (_relabel_profile(q, sigma) for q in profiles)
+        want = {q.vertex for q in relabeled if not q.U12 and not q.U13 and q.U23}
+        assert set((bc.B1, bc.B2, bc.B3)[sigma.index(1)]) == want
+        checked += 1
+        nonempty += bool(want)
+    assert checked >= 250 and nonempty >= 100
 
 
 def test_relabel_permutes_colors_and_shadow():
@@ -419,7 +456,7 @@ def test_gamma_sweep_reaches_every_repair_leaf():
     for seed in range(600):
         h = random_coloring(Params(9, 4, 2, 3), seed=seed)
         s = build_shadow(h, 2)
-        for build in (lambda: construct_gamma_case1(h, s, case1),
+        for build in (lambda: construct_gamma_case1(h, case1),
                       lambda: construct_gamma_case2(h, s, case2, None),
                       lambda: construct_gamma_case2(h, s, case2, 2)):
             out, leaf = _gamma_outcome(build)
