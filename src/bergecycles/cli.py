@@ -118,10 +118,10 @@ def _cmd_shadow_dump(args) -> int:
     s = build_shadow(h, h.params.t if args.t is None else args.t)
     if args.output:
         with open(args.output, "w") as fh:
-            dump_shadow(s, fh)
+            dump_shadow(h, s, fh)
         print(f"shadow: {args.output}")
     else:
-        dump_shadow(s, sys.stdout)
+        dump_shadow(h, s, sys.stdout)
     return 0
 
 

@@ -48,7 +48,7 @@ from .r4 import (
     r4_find,
     shadow_guided_cert,
 )
-from .shadow import build_shadow, vertex_color_counts
+from .shadow import _at_least, build_shadow
 
 ORACLE_MAX_N = 10
 
@@ -553,7 +553,7 @@ def _check_u_profile(h, t_set, y_set, z_set, specials1, blocks):
         others = np.concatenate([np.arange(1, v), np.arange(v + 1, n)])
         if not np.all(gm[pr[v, others]] == 0b111):
             raise RuntimeError(f"vertex {v} is not fully covered")
-    if np.any(vertex_color_counts(s) <= 1):
+    if not _at_least(h, 1, 2).all():
         raise RuntimeError("engineering left a sparse vertex behind")
     if t_set and y_set:
         t0, y0 = t_set[0], y_set[0]

@@ -62,12 +62,7 @@ from .hamilton import (
     find_hamiltonian_cycle,
     find_mono_ham_tight_cycle,
 )
-from .shadow import (
-    ShadowMulticoloring,
-    _goodmask_from_counts,
-    build_shadow,
-    vertex_color_counts,
-)
+from .shadow import ShadowMulticoloring, _at_least, build_shadow
 
 MIN_N = 85
 
@@ -219,17 +214,17 @@ def _pair_rank_matrix(n: int) -> np.ndarray:
 
 def relabel_colors(h: ColoredHypergraph, s: ShadowMulticoloring,
                    sigma: tuple[int, int, int]) -> tuple[ColoredHypergraph, ShadowMulticoloring]:
-    """Rename colors by sigma (old i -> sigma[i-1]) in both views."""
+    """Rename colors by sigma (old i -> sigma[i-1]) in both views; the
+    shadow's goodmask bits move with their colors."""
     lut = np.zeros(4, dtype=np.uint8)
+    goodmask = np.zeros_like(s.goodmask)
     for old in (1, 2, 3):
         lut[old] = sigma[old - 1]
-    h2 = ColoredHypergraph(h.params, lut[h.colors])
-    counts2 = np.empty_like(s.counts)
-    for old in (1, 2, 3):
-        counts2[:, sigma[old - 1] - 1] = s.counts[:, old - 1]
-    s2 = ShadowMulticoloring(s.params, s.t, counts2,
-                             _goodmask_from_counts(counts2, s.threshold))
-    return h2, s2
+        bit = (s.goodmask >> np.uint32(old - 1)) & np.uint32(1)
+        goodmask |= bit << np.uint32(sigma[old - 1] - 1)
+    goodmask.setflags(write=False)
+    return (ColoredHypergraph(h.params, lut[h.colors]),
+            ShadowMulticoloring(s.params, s.t, goodmask))
 
 
 # ---------------------------------------------------------------------------
@@ -702,10 +697,11 @@ def _mono_ham_berge_in_link(k: ColoredHypergraph, budget: int,
     # once, lifted by the position -> edge matching
     n1 = k.params.n
     tab2 = edge_table(n1, 2)
+    covered = _at_least(k, 2, 1)
     for color in (1, 2):
-        covered = np.flatnonzero(sk.counts[:, color - 1] >= 1)
         graph = SimpleGraph.from_edges(
-            n1, ((int(tab2[r, 0]), int(tab2[r, 1])) for r in covered))
+            n1, ((int(tab2[r, 0]), int(tab2[r, 1]))
+                 for r in np.flatnonzero(covered[:, color - 1])))
         res = find_hamiltonian_cycle(graph, budget)
         fallbacks.append({"stage": "link-weak-graph", "color": color,
                           "status": res.status})
@@ -1000,10 +996,8 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
         return SearchResult("found", cert, trace)
 
     try:
-        s = build_shadow(h, 2)
-        counts = vertex_color_counts(s)
-        sparse = [(v, c) for v in range(p.n) for c in (1, 2, 3)
-                  if counts[v, c - 1] <= 1]
+        # (v, c) with v on at most one edge of color c, in (v, c) order
+        sparse = [(int(v), int(c) + 1) for v, c in np.argwhere(~_at_least(h, 1, 2))]
         for v, c in sparse:
             trace.steps.append({"step": "sparse-vertex", "vertex": v, "color": c})
             try:
@@ -1015,6 +1009,7 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
                 trace.fallbacks.append({"stage": "sparse-vertex", "vertex": v,
                                         "color": c, "status": str(exc)})
 
+        s = build_shadow(h, 2)
         try:
             profiles = compute_u_profiles(s)
         except SingleGoodEdge as exc:

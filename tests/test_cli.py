@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +180,17 @@ def test_t3_file_runs_search_extract_and_verify(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("valid:")
     assert main(["shadow-dump", str(path)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 84   # C(9,3) triples
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_shadow_dump_text_is_unchanged(n, tmp_path, capsys):
+    # the dumps of seeded random 3-colorings of K_n^4 as the fully counted
+    # shadow wrote them; at n = 20 the good sets come from witnesses
+    path = tmp_path / f"k{n}.coloring"
+    write_coloring(random_coloring(Params(n=n, r=4, t=2, c=3), seed=n), path)
+    assert main(["shadow-dump", str(path)]) == 0
+    want = Path(__file__).parent / "data" / f"shadow_dump_k{n}.txt"
+    assert capsys.readouterr().out == want.read_text()
 
 
 def test_shadow_dump_t_sets_the_dump_tightness(tiny_coloring, capsys):

@@ -195,12 +195,13 @@ def test_b1_after_renaming_is_the_b_class_of_the_color_renamed_to_1(sigma):
 
 
 def test_relabel_permutes_colors_and_shadow():
-    h = random_coloring(Params(n=9, r=4, t=2, c=3), seed=4)
+    # at n = 7 the pairs carry five different good sets
+    h = random_coloring(Params(n=7, r=4, t=2, c=3), seed=4)
     s = build_shadow(h, 2)
+    assert len(set(s.goodmask.tolist())) == 5
     h2, s2 = relabel_colors(h, s, (2, 3, 1))
     assert h2.color_of((0, 1, 2, 3)) == (2, 3, 1)[h.color_of((0, 1, 2, 3)) - 1]
-    assert np.array_equal(s2.counts[:, 1], s.counts[:, 0])
-    assert np.array_equal(s2.counts[:, 0], s.counts[:, 2])
+    assert np.array_equal(s2.goodmask, build_shadow(h2, 2).goodmask)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +266,22 @@ def test_near_mono_base3_inserts_via_chord():
     assert sub["case"] == "companion-free"
     assert sub["insertion"] == "chord"
     assert sub["cycle_color"] == 3
+
+
+@pytest.mark.parametrize("base", [2, 3])
+def test_near_mono_builds_no_pair_shadow_of_the_input(monkeypatch, base):
+    # the sparse test reads no shadow, so the vertex route returns before
+    # r4_find builds the input's t=2 shadow; only the link's is built
+    h = next(structured_colorings(
+        "near-mono", {"n": 85, "r": 4, "c": 3, "base": base, "off": 1}))
+    shapes = []
+
+    def counting(g, t):
+        shapes.append((g.params.n, g.params.r, t))
+        return build_shadow(g, t)
+    monkeypatch.setattr(r4, "build_shadow", counting)
+    assert found(h).trace.branch == "lemma-3.1"
+    assert shapes == [(84, 3, 2)]
 
 
 def test_color3_companion_swaps_colors_2_and_3():

@@ -1,16 +1,18 @@
+import importlib.util
 import io
 import itertools
 import math
 import sys
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bergecycles import shadow
+from bergecycles import shadow, structured_colorings
 from bergecycles.core import (
     ColoredHypergraph,
     InvalidParams,
@@ -20,13 +22,14 @@ from bergecycles.core import (
     random_coloring,
     rank_rows,
     rank_subset,
+    unrank_rows,
 )
 from bergecycles.shadow import (
-    ShadowMulticoloring,
+    _at_least,
+    _pack_goodmask,
     build_shadow,
     dump_shadow,
     subset_color_counts,
-    vertex_color_counts,
 )
 
 
@@ -82,12 +85,120 @@ def test_every_peel_depth_matches_oracle(t):
     assert np.array_equal(subset_color_counts(h, t), shadow_oracle(h, t))
 
 
-@given(small_instances(t_min=2))
-@settings(max_examples=80, deadline=None)
-def test_vertex_color_counts_match_incidence_pass(case):
-    h, t = case
-    s = build_shadow(h, t)
-    assert np.array_equal(vertex_color_counts(s), subset_color_counts(h, 1))
+@st.composite
+def witness_instances(draw):
+    # n on both sides of 2w = 16, below which no witness is read
+    n = draw(st.integers(2, 15) | st.integers(16, 40))
+    r = draw(st.integers(2, min(6, n)))
+    assume(binom(n, r) <= 200_000)
+    k = draw(st.integers(1, r))
+    c = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 10**6))
+    return random_coloring(Params(n=n, r=r, t=2, c=c), seed=seed), k
+
+
+def assert_certified_equals_counted(h, k):
+    counts = subset_color_counts(h, k)
+    for m in range(1, h.params.r - k + 3):
+        assert np.array_equal(_at_least(h, k, m), counts >= m), m
+    if k >= 2:
+        want = _pack_goodmask(counts >= h.params.r - k + 1)
+        assert np.array_equal(build_shadow(h, k).goodmask, want)
+
+
+@given(witness_instances())
+@settings(max_examples=60, deadline=None)
+def test_certified_goodness_equals_exact_counts(case):
+    assert_certified_equals_counted(*case)
+
+
+@given(witness_instances())
+@settings(max_examples=40, deadline=None)
+def test_at_least_vertex_counts_match_exact_counts(case):
+    h, _ = case
+    counts = subset_color_counts(h, 1)
+    for m in (1, 2, 3):
+        assert np.array_equal(_at_least(h, 1, m), counts >= m)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("random", None),
+    ("partition", {"parts": 3}),
+    ("majority", {"parts": 3}),
+    ("near-mono", {"base": 2, "off": 1}),
+    ("pair-lock", {"pair": (3, 17), "lock": 2}),
+    ("u-profile", {"k23": 1, "k12": 1, "k13": 20}),
+])
+def test_certified_goodness_on_every_generator(kind, params):
+    p = Params(n=30, r=4, t=2, c=3)
+    if kind == "random":
+        h = random_coloring(p, seed=5)
+    else:
+        h = next(structured_colorings(kind, {"n": 30, "r": 4, "c": 3, **params}))
+    for k in (1, 2, 3):
+        assert_certified_equals_counted(h, k)
+
+
+def _census_fixtures():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "branch_census.py"
+    spec = importlib.util.spec_from_file_location("branch_census", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return list(module.fixtures())
+
+
+@pytest.mark.parametrize("label,make", _census_fixtures())
+def test_certified_goodness_on_the_census_fixtures(label, make):
+    h = make()
+    counts = subset_color_counts(h, 2)
+    assert np.array_equal(build_shadow(h, 2).goodmask, _pack_goodmask(counts >= 3))
+    assert np.array_equal(_at_least(h, 1, 2), subset_color_counts(h, 1) >= 2)
+
+
+@pytest.mark.parametrize("make,path", [
+    # every pair certified by 28 witnesses
+    (lambda: random_coloring(Params(n=40, r=4, t=2, c=2), seed=0), []),
+    # a few pairs in doubt, counted one by one
+    (lambda: random_coloring(Params(n=85, r=4, t=2, c=3), seed=1),
+     ["edges_through"]),
+    # every pair in doubt in two colors: the full kernel
+    (lambda: next(structured_colorings(
+        "near-mono", {"n": 40, "r": 4, "c": 3, "base": 2, "off": 1})),
+     ["subset_color_counts"]),
+    # n < 2w: no witness is read
+    (lambda: random_coloring(Params(n=15, r=4, t=2, c=2), seed=0),
+     ["subset_color_counts"]),
+])
+def test_each_resolution_path(monkeypatch, make, path):
+    h = make()
+    calls = []
+    for name in ("edges_through", "subset_color_counts"):
+        def spy(*args, _name=name, _fn=getattr(shadow, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(shadow, name, spy)
+    got = build_shadow(h, 2).goodmask
+    monkeypatch.undo()
+    assert calls == path
+    assert np.array_equal(got, _pack_goodmask(subset_color_counts(h, 2) >= 3))
+
+
+@pytest.mark.parametrize("n,r,k", [(16, 4, 1), (16, 4, 2), (24, 4, 2), (30, 5, 3),
+                                   (20, 6, 4), (20, 9, 2), (85, 4, 2), (84, 3, 2)])
+def test_witnesses_are_distinct_edges_through_their_k_set(n, r, k):
+    # each k-set's witnesses are the C(w, r-k) edges through it whose other
+    # vertices lie in one block of w = 8: the lowest, highest or next lowest
+    sets, ranks = shadow._witness_ranks(n, r, k)
+    assert ranks.shape == (len(sets), binom(8, r - k))
+    assert np.array_equal(sets, np.unique(sets))
+    assert np.all(np.diff(np.sort(ranks, axis=1), axis=1) > 0)
+    tsets = unrank_rows(sets, n, k)
+    edges = unrank_rows(ranks.ravel(), n, r).reshape(len(sets), -1, r)
+    in_t = (edges[..., None] == tsets[:, None, None, :]).any(axis=3)
+    assert (in_t.sum(axis=2) == k).all()
+    lo = np.where(in_t, n, edges).min(axis=(1, 2))
+    hi = np.where(in_t, -1, edges).max(axis=(1, 2))
+    assert np.isin(lo, [0, 8, n - 8]).all() and (hi < lo + 8).all()
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
@@ -208,9 +319,9 @@ def test_counts_match_oracle(n, r, t, c, seed):
     h = random_coloring(Params(n=n, r=r, t=2, c=c), seed=seed)
     s = build_shadow(h, t)
     expected = shadow_oracle(h, t)
-    assert np.array_equal(s.counts, expected)
+    assert np.array_equal(subset_color_counts(h, t), expected)
     thr = r - t + 1
-    for rank in range(len(s.counts)):
+    for rank in range(len(expected)):
         goods = tuple(i + 1 for i in range(c) if expected[rank, i] >= thr)
         assert s.good_colors(rank) == goods
 
@@ -218,9 +329,10 @@ def test_counts_match_oracle(n, r, t, c, seed):
 def test_monochromatic_k5_triples():
     h = ColoredHypergraph(Params(n=5, r=3, t=2, c=2), np.ones(10, dtype=np.uint8))
     s = build_shadow(h, 2)
+    counts = subset_color_counts(h, 2)
     # every pair lies in C(3,1)=3 triples, all color 1; threshold r-t+1 = 2
-    assert (s.counts[:, 0] == 3).all()
-    assert (s.counts[:, 1] == 0).all()
+    assert (counts[:, 0] == 3).all()
+    assert (counts[:, 1] == 0).all()
     assert all(s.good_colors(k) == (1,) for k in range(10))
 
 
@@ -228,7 +340,7 @@ def test_single_edge_instance_has_empty_goodsets():
     # n = r: each t-set lies in exactly one edge; threshold 2 unreachable for t < r
     h = ColoredHypergraph(Params(n=4, r=4, t=2, c=2), np.ones(1, dtype=np.uint8))
     s = build_shadow(h, 2)
-    assert (s.counts.sum(axis=1) == 1).all()
+    assert (subset_color_counts(h, 2).sum(axis=1) == 1).all()
     assert (s.goodmask == 0).all()
     # ... but at t = r the threshold drops to 1
     s_tight = build_shadow(h, 4)
@@ -244,14 +356,14 @@ def test_goodness_boundary_single_case():
     h = ColoredHypergraph(p, colors)
     s = build_shadow(h, 2)
     pair = rank_subset((0, 1))
-    assert s.counts[pair, 1] == 3
+    assert subset_color_counts(h, 2)[pair, 1] == 3
     assert s.is_good(pair, 2)
     # drop one: exactly r-t = 2 edges -> no longer good
     colors = colors.copy()
     colors[rank_subset(target[-1])] = 1
     h2 = ColoredHypergraph(p, colors)
     s2 = build_shadow(h2, 2)
-    assert s2.counts[pair, 1] == 2
+    assert subset_color_counts(h2, 2)[pair, 1] == 2
     assert not s2.is_good(pair, 2)
 
 
@@ -259,15 +371,14 @@ def test_goodness_boundary_single_case():
 @settings(max_examples=40, deadline=None)
 def test_conservation(seed):
     h = random_coloring(Params(n=7, r=4, t=2, c=3), seed=seed)
-    s = build_shadow(h, 2)
-    assert (s.counts.sum(axis=1) == math.comb(5, 2)).all()
+    assert (subset_color_counts(h, 2).sum(axis=1) == math.comb(5, 2)).all()
 
 
 def test_dump_shadow_format():
     h = ColoredHypergraph(Params(n=4, r=3, t=2, c=2), np.ones(4, dtype=np.uint8))
     s = build_shadow(h, 2)
     buf = io.StringIO()
-    dump_shadow(s, buf)
+    dump_shadow(h, s, buf)
     lines = buf.getvalue().splitlines()
     assert len(lines) == 6
     # pair {0,1} sits in edges {0,1,2},{0,1,3}: 2 of color 1 -> good (threshold 2)
