@@ -126,9 +126,15 @@ def edge_table(n: int, k: int) -> np.ndarray:
     return tab
 
 
-def edges_through(n: int, r: int, fixed_sets) -> np.ndarray:
+def edges_through(n: int, r: int, fixed_sets, start: int = 0,
+                  stop: int | None = None) -> np.ndarray:
     """Colex ranks of the r-subsets of {0..n-1} through each of P fixed
     k-sets (any order), as a (P, C(n-k, r-k)) array ascending in each row.
+
+    `start` and `stop` keep only that column range of every row: the rows
+    start..stop of the free-part table.  Its first C(m, r-k) rows are the
+    free parts inside the first m free vertices, so stop = C(m, r-k) gives
+    the lowest ranks of each row, and a later range the next ones.
 
     The free vertices relabel edge_table(n - k, r - k) through the ascending
     complement `rest`, and the colex order of the free parts is that of the
@@ -147,9 +153,10 @@ def edges_through(n: int, r: int, fixed_sets) -> np.ndarray:
     rest = np.nonzero(keep)[1].reshape(p, n - k)
     idx, at = np.arange(n - k), np.arange(k)
     below = idx < (fixed - at)[:, :, None]       # (P, k, n-k): rest index below x - i
-    ranks = np.empty((p, binom(n - k, r - k)), dtype=np.int64)
+    free = edge_table(n - k, r - k)[start:stop]
+    ranks = np.empty((p, len(free)), dtype=np.int64)
     ranks[:] = _BINOM[fixed, at + 1].sum(axis=1, keepdims=True)
-    for j, col in enumerate(edge_table(n - k, r - k).T.astype(np.intp)):
+    for j, col in enumerate(free.T.astype(np.intp)):
         step = _BINOM[fixed, at + j + 2] - _BINOM[fixed, at + j + 1]
         lut = _BINOM[rest, rest - idx + j + 1] + (below * step[:, :, None]).sum(axis=1)
         for a in range(0, p, _THROUGH_ROWS):

@@ -3,9 +3,19 @@
 Each cycle position i needs a backing hyperedge of the target color containing
 the window {v_i..v_{i+t-1}}; the backing edges must be pairwise distinct.
 A window that is t-good offers at least r-t+1 candidate edges, while a single
-r-edge can cover at most r-t+1 consecutive windows, so a perfect matching of
-positions to edges exists whenever the witness is valid; we find one with
-augmenting paths and re-verify the assembled certificate from scratch.
+r-edge holds at most r-t+1 windows of a cycle on n > r vertices (the proof
+is in `lift_to_berge`), so a perfect matching of positions to edges exists
+whenever the witness is valid; we find one with augmenting paths and
+re-verify the assembled certificate from scratch.
+
+The matcher reads a position's candidates in ascending rank, and the next
+one only after the earlier ones fail; it rarely needs more than a few.  So
+each position's candidates are a lazy `CandidateRow`.  One `edges_through`
+call fills every row with the edges whose free part lies in the window's 8
+lowest free vertices (_FIRST_FREE), and a row doubles that prefix only when
+the matcher reads past its end.  The k-th candidate read is the k-th of the
+full row, so the matching is the one the full rows give.  The covering
+bound is checked after the matching, over the candidates read so far.
 
 `extend_tight_cycle` checks the witness and then calls `lift_to_berge`, the
 matching step alone.  Cycles whose windows need not be t-good (r4's Gamma
@@ -15,8 +25,9 @@ them MatchingIncomplete means no distinct backing edges exist at all.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -25,6 +36,7 @@ from .core import (
     ColoredHypergraph,
     InternalError,
     TightCycleWitness,
+    binom,
     edges_through,
     rank_subset,
     unrank_rows,
@@ -49,17 +61,63 @@ class MatchingIncomplete(RuntimeError):
         self.unmatched = unmatched
 
 
+_FIRST_FREE = 8   # free vertices the first block of every candidate row spans
+
+
+@dataclass(eq=False, slots=True)
+class CandidateRow:
+    """One window's candidates: the ascending ranks of the `color` edges of
+    h through `window`, read lazily.
+
+    `ranks` holds the ones whose free part lies in the window's `free`
+    lowest free vertices.  In colex order those are the first C(free, r-t)
+    rows of the free-part table, so `ranks` is a prefix of the full row.
+    Iterating yields the full row and doubles `free` whenever it runs past
+    the end of `ranks`.
+    """
+
+    ranks: list[int]
+    free: int
+    window: tuple[int, ...]
+    h: ColoredHypergraph
+    color: int
+
+    def __iter__(self):
+        i = 0
+        while True:
+            while i < len(self.ranks):
+                yield self.ranks[i]
+                i += 1
+            if not self._widen():
+                return
+
+    def _widen(self) -> bool:
+        """Append the next block of the row; False once the row is whole."""
+        p, t = self.h.params, len(self.window)
+        if self.free == p.n - t:
+            return False
+        wider = min(2 * self.free, p.n - t)
+        ranks = edges_through(p.n, p.r, [self.window], binom(self.free, p.r - t),
+                              binom(wider, p.r - t))[0]
+        self.ranks += ranks[self.h.colors[ranks] == self.color].tolist()
+        self.free = wider
+        return True
+
+
 @dataclass(frozen=True, eq=False)
 class PositionEdgeBipartite:
     """Cycle positions vs. candidate hyperedge ranks of the target color."""
 
     n_positions: int
-    adj: list[Sequence[int]]  # adj[i]: ascending ranks of the edges for position i
+    adj: list[Iterable[int]]  # adj[i]: ascending ranks of the edges for position i
 
     def right_degrees(self, above: int = 0) -> dict[int, int]:
         """Edge rank -> number of positions it is a candidate for, over the
-        edges that are candidates for more than `above` positions."""
-        ranks, degs = np.unique(np.concatenate(self.adj), return_counts=True)
+        edges that are candidates for more than `above` positions.  A
+        CandidateRow contributes the candidates it has materialized."""
+        rows = (row.ranks if isinstance(row, CandidateRow) else row for row in self.adj)
+        ranks, degs = np.unique(np.fromiter(itertools.chain.from_iterable(rows),
+                                            dtype=np.int64), return_counts=True)
         keep = degs > above
         return dict(zip(ranks[keep].tolist(), degs[keep].tolist()))
 
@@ -72,13 +130,16 @@ def cycle_windows(core: tuple[int, ...], t: int) -> list[tuple[int, ...]]:
 
 def build_position_bipartite(w: TightCycleWitness,
                              h: ColoredHypergraph) -> PositionEdgeBipartite:
-    """Candidate backing edges per position, ascending rank, color-filtered;
-    one `edges_through` call enumerates every window."""
+    """A lazy candidate row per position; one `edges_through` call fills
+    the first block of every row."""
     p = h.params
-    ranks = edges_through(p.n, p.r, cycle_windows(w.core, w.t))
+    windows = cycle_windows(w.core, w.t)
+    free = min(_FIRST_FREE, p.n - w.t)
+    ranks = edges_through(p.n, p.r, windows, stop=binom(free, p.r - w.t))
     hit = h.colors[ranks] == w.color
-    return PositionEdgeBipartite(n_positions=p.n,
-                                 adj=[row[keep] for row, keep in zip(ranks, hit)])
+    return PositionEdgeBipartite(n_positions=p.n, adj=[
+        CandidateRow(row[keep].tolist(), free, win, h, w.color)
+        for row, keep, win in zip(ranks, hit, windows)])
 
 
 def max_bipartite_matching(g: PositionEdgeBipartite) -> np.ndarray:
@@ -136,14 +197,28 @@ def lift_to_berge(w: TightCycleWitness, h: ColoredHypergraph) -> BergeCertificat
     The one lift from a cycle to a certificate: a maximum matching of
     positions to the w.color edges through their windows.  Raises
     MatchingIncomplete when no system of distinct representatives exists,
-    and InternalError if the assembled certificate fails verification.
+    and InternalError if the core does not order the vertex set, if an edge
+    is a candidate for more windows than the covering bound allows, or if
+    the assembled certificate fails verification.
+
+    The covering bound: when the core is a permutation of range(n) and
+    n > r, an r-set S holds at most r - t + 1 windows.  The vertices of S
+    fall into maximal arcs of the cycle, none of them the whole cycle as
+    n > r.  An arc of a >= t vertices holds a - t + 1 windows and a shorter
+    one holds none, so S holds at most |S| - (t - 1) = r - t + 1 of them.
+    The bound is checked after the matching, over every candidate the
+    lift materialized, a superset of the ones the matcher read.  At n = r
+    the one r-edge holds every window, so the matching is incomplete.
     """
     p = h.params
+    if sorted(w.core) != list(range(p.n)):
+        raise InternalError(f"lift core is not a permutation of range({p.n})")
     g = build_position_bipartite(w, h)
-    over = g.right_degrees(above=p.r - w.t + 1)
-    if over:  # cannot happen for a cycle core
-        raise InternalError(f"covering bound violated: {over}")
     matching = max_bipartite_matching(g)
+    if p.n > p.r:
+        over = g.right_degrees(above=p.r - w.t + 1)
+        if over:
+            raise InternalError(f"covering bound violated: {over}")
     unmatched = [i for i in range(p.n) if matching[i] < 0]
     if unmatched:
         raise MatchingIncomplete(

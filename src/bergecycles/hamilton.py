@@ -272,9 +272,12 @@ def find_mono_ham_tight_cycle(s: ShadowMulticoloring, color: int,
 
     t = 2 reduces to graph Hamiltonicity on the good-pair graph; t >= 3 runs a
     window-constrained DFS over core sequences with the start fixed at vertex 0
-    and orientation canonicalized (core[1] < core[n-1]).
+    and orientation canonicalized (core[1] < core[n-1]).  A cycle needs
+    n >= 3 vertices, so n = 2 (only K_2^2 has it) is "none".
     """
     n, t = s.params.n, s.t
+    if n < 3:
+        return TightCycleSearch("none", None, 0)
     if t == 2:
         res = find_hamiltonian_cycle(good_pair_graph(s, color), budget)
         wit = None

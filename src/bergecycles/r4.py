@@ -246,19 +246,15 @@ def compute_u_profiles(s: ShadowMulticoloring) -> list[UProfile]:
         rank = int(thin[0])
         pair = unrank_subset(rank, p.n, 2)
         raise SingleGoodEdge(pair, s.good_colors(rank))
-    ranks = _pair_rank_matrix(p.n)
-    profiles = []
-    for v in range(p.n):
-        others = np.concatenate([np.arange(v), np.arange(v + 1, p.n)])
-        masks = gm[ranks[v, others]]
-        profiles.append(UProfile(
-            vertex=v,
-            U12=tuple(others[masks == 0b011].tolist()),
-            U13=tuple(others[masks == 0b101].tolist()),
-            U23=tuple(others[masks == 0b110].tolist()),
-            U123=tuple(others[masks == 0b111].tolist()),
-        ))
-    return profiles
+    masks = gm[_pair_rank_matrix(p.n)]      # masks[v, u]: good colors of {v, u}
+    np.fill_diagonal(masks, 0)              # {v, v} is no pair
+    classes = []                            # per class, each vertex's members
+    for bits in (0b011, 0b101, 0b110, 0b111):
+        hit = masks == bits
+        members = np.nonzero(hit)[1].tolist()           # row by row, ascending
+        ends = np.cumsum(hit.sum(axis=1)).tolist()
+        classes.append([tuple(members[a:b]) for a, b in zip([0, *ends], ends)])
+    return [UProfile(v, *c) for v, c in enumerate(zip(*classes))]
 
 
 def _alternating_split(vals: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:

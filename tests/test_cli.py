@@ -327,3 +327,18 @@ def test_console_entry_point_subprocess(tiny_coloring):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["core"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_search_on_one_edge_k_n_n_is_nonexistent(n, tmp_path):
+    # no Hamiltonian Berge-cycle: K_2^2 has too few vertices, and at n = r
+    # the one edge cannot back n positions
+    p = Params(n=n, r=n, t=n, c=1)
+    path = tmp_path / f"k{n}.txt"
+    write_coloring(ColoredHypergraph(p, np.ones(1, dtype=np.uint8)), path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bergecycles.cli", "search", str(path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("nonexistent:")
+    assert "Traceback" not in proc.stderr

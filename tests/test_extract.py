@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 from bergecycles.core import (
     ColoredHypergraph,
+    InternalError,
     Params,
     TightCycleWitness,
     random_coloring,
+    rank_rows,
     rank_subset,
     verify_berge_certificate,
 )
@@ -21,9 +24,12 @@ from bergecycles.extract import (
     build_position_bipartite,
     cycle_windows,
     extend_tight_cycle,
+    lift_to_berge,
     max_bipartite_matching,
 )
+from bergecycles.harness import find_certificate
 from bergecycles.shadow import build_shadow
+from test_shadow import _census_fixtures
 
 
 def mono(n, r, c=1):
@@ -88,6 +94,12 @@ def test_witness_invalid_on_bad_core():
         extend_tight_cycle(TightCycleWitness(1, (0, 1, 2, 3, 4), 3), h, s)
 
 
+def test_lift_rejects_a_core_that_is_no_permutation():
+    # the covering bound, and the lift, assume a cycle through every vertex
+    with pytest.raises(InternalError, match="not a permutation"):
+        lift_to_berge(TightCycleWitness(1, (0, 1, 2, 3, 3), 2), mono(5, 3))
+
+
 def test_right_degree_bound_holds():
     # an edge can back at most r-t+1 consecutive windows
     for seed in range(5):
@@ -143,8 +155,7 @@ def test_position_pools_match_per_window_enumeration(case):
         rest = [v for v in range(p.n) if v not in win]
         ranks = sorted(rank_subset(tuple(sorted(win + extra)))
                        for extra in itertools.combinations(rest, p.r - w.t))
-        assert np.asarray(got).tolist() == [k for k in ranks
-                                            if h.colors[k] == w.color]
+        assert list(got) == [k for k in ranks if h.colors[k] == w.color]
 
 
 def test_matching_deterministic():
@@ -153,3 +164,55 @@ def test_matching_deterministic():
     g1 = build_position_bipartite(w, h)
     g2 = build_position_bipartite(w, h)
     assert np.array_equal(max_bipartite_matching(g1), max_bipartite_matching(g2))
+
+
+def candidate_degrees(h, w):
+    """Edge rank -> windows of w it is a w.color candidate for, every
+    candidate enumerated one window at a time."""
+    p = h.params
+    degree = Counter()
+    for win in cycle_windows(w.core, w.t):
+        rest = [v for v in range(p.n) if v not in win]
+        extra = np.array(list(itertools.combinations(rest, p.r - w.t)),
+                         dtype=np.intp).reshape(-1, p.r - w.t)
+        rows = np.sort(np.hstack([np.tile(win, (len(extra), 1)), extra]), axis=1)
+        ranks = rank_rows(rows)
+        degree.update(ranks[h.colors[ranks] == w.color].tolist())
+    return degree
+
+
+@given(cycle_instances())
+@settings(max_examples=80, deadline=None)
+def test_covering_bound_holds_over_every_candidate(case):
+    # an r-set holds at most r-t+1 windows of a cycle on n > r vertices; at
+    # n = r the one edge holds all n of them and the lift cannot match
+    h, w = case
+    p = h.params
+    degree = candidate_degrees(h, w)
+    if p.n > p.r:
+        assert max(degree.values(), default=0) <= p.r - w.t + 1
+    else:
+        assert set(degree.values()) <= {p.n}
+        if degree:
+            with pytest.raises(MatchingIncomplete):
+                lift_to_berge(w, h)
+
+
+@pytest.mark.parametrize("label,make", _census_fixtures())
+def test_covering_bound_holds_on_the_census_cores(label, make):
+    h = make()
+    cert = find_certificate(h).certificate
+    w = TightCycleWitness(cert.color, cert.core, cert.t)
+    assert max(candidate_degrees(h, w).values()) <= h.params.r - w.t + 1
+
+
+def test_lazy_rows_read_only_a_first_block():
+    # every row starts with the edges through the 8 lowest free vertices
+    # and widens, doubling that prefix, only when read past its end
+    h = random_coloring(Params(n=40, r=4, t=2, c=3), seed=3)
+    w = TightCycleWitness(color=1, core=tuple(range(40)), t=2)
+    g = build_position_bipartite(w, h)
+    assert {row.free for row in g.adj} == {8}
+    full = [list(row) for row in g.adj]          # reading to the end widens
+    assert {row.free for row in g.adj} == {38}
+    assert all(row.ranks == got for row, got in zip(g.adj, full))

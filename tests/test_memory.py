@@ -23,6 +23,7 @@ from bergecycles.core import (
     TightCycleWitness,
     edge_table,
     edges_through,
+    random_coloring,
 )
 from bergecycles.extract import cycle_windows, lift_to_berge
 from bergecycles.hamilton import find_mono_ham_tight_cycle
@@ -53,6 +54,21 @@ def test_lift_leaves_no_cycle():
     h = mono(10, 4)
     w = TightCycleWitness(1, tuple(range(10)), 2)
     assert unreachable_after(lambda: lift_to_berge(w, h)) == 0
+
+
+def test_lift_peaks_at_its_first_blocks():
+    # the full candidate rows of this lift (128 x 7,875 int64 ranks and
+    # their color masks) peaked at 16.3 MB; lazy rows read 28 per window
+    h = random_coloring(Params(n=128, r=4, t=2, c=3), seed=1)
+    w = find_mono_ham_tight_cycle(build_shadow(h, 2), 1).witness
+    lift_to_berge(w, h)                   # every table the lift reads is cached now
+    tracemalloc.start()
+    try:
+        lift_to_berge(w, h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
 
 
 def test_t3_tight_cycle_search_leaves_no_cycle():

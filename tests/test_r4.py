@@ -41,6 +41,7 @@ from bergecycles.r4 import (
     relabel_colors,
 )
 from bergecycles.shadow import build_shadow
+from test_shadow import _census_fixtures
 
 
 def u_profile(**kw):
@@ -71,6 +72,42 @@ def test_profiles_partition_the_other_vertices():
         for u in prof.U123:
             pr = rank_subset(tuple(sorted((prof.vertex, u))), n=10)
             assert s.good_colors(pr) == (1, 2, 3)
+
+
+def loop_profiles(s):
+    """compute_u_profiles's per-vertex loop, kept as the reference."""
+    n = s.params.n
+    gm = s.goodmask.astype(np.int64)
+    ranks = r4._pair_rank_matrix(n)
+    profiles = []
+    for v in range(n):
+        others = np.concatenate([np.arange(v), np.arange(v + 1, n)])
+        masks = gm[ranks[v, others]]
+        profiles.append(UProfile(
+            vertex=v,
+            U12=tuple(others[masks == 0b011].tolist()),
+            U13=tuple(others[masks == 0b101].tolist()),
+            U23=tuple(others[masks == 0b110].tolist()),
+            U123=tuple(others[masks == 0b111].tolist()),
+        ))
+    return profiles
+
+
+@pytest.mark.parametrize("label,make", [
+    *_census_fixtures(),
+    *[(f"random seed={seed}",
+       lambda seed=seed: random_coloring(Params(n=85, r=4, t=2, c=3), seed=seed))
+      for seed in range(5)],
+])
+def test_profiles_equal_the_per_vertex_loop(label, make):
+    s = build_shadow(make(), 2)
+    if (r4._POPCOUNT3[s.goodmask] <= 1).any():
+        # a pair good in at most one color: no profile is built (pair-lock,
+        # near-mono)
+        with pytest.raises(SingleGoodEdge):
+            compute_u_profiles(s)
+        return
+    assert compute_u_profiles(s) == loop_profiles(s)
 
 
 def test_thin_pair_interrupts_profiles():
