@@ -276,11 +276,27 @@ class BergeCertificate:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BergeCertificate":
+        """The certificate a parsed JSON object holds.  Only JSON integers
+        and lists are read as such: a float, bool or string is not coerced,
+        it raises ValueError("malformed certificate JSON: ...")."""
+        def integer(v):
+            if type(v) is not int:
+                raise ValueError(f"expected an integer, got {v!r}")
+            return v
+
+        def listed(vs):
+            if type(vs) is not list:
+                raise ValueError(f"expected a list, got {vs!r}")
+            return vs
+
+        def integers(vs):
+            return tuple(map(integer, listed(vs)))
+
         try:
-            color = int(d["color"])
-            core = tuple(int(v) for v in d["core"])
-            edges = tuple(tuple(int(v) for v in e) for e in d["edges"])
-            t = int(d["t"])
+            color = integer(d["color"])
+            core = integers(d["core"])
+            edges = tuple(map(integers, listed(d["edges"])))
+            t = integer(d["t"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed certificate JSON: {exc}") from exc
         return cls(color=color, core=core, edges=edges, t=t)
@@ -300,8 +316,14 @@ def verify_berge_certificate(cert: BergeCertificate, h: ColoredHypergraph) -> st
     first violation.
 
     Check order: tightness in 2..r, color in 1..c, core is a permutation,
-    edge count, edge well-formedness, pairwise distinctness, claimed color,
-    window containment.
+    edge count, then edge by edge: well-formedness and distinctness from
+    the edges before it; then claimed color, then window containment.
+
+    Vertex ranges are checked in Python, so that no integer too large for
+    numpy reaches it; everything after that runs on one (n, r) array.  The
+    first edge that is malformed or repeats an earlier edge is reported:
+    the first repeat (np.unique keeps first occurrences) among the edges
+    before the first malformed one, else the malformed one.
     """
     p = h.params
     n, r, t = p.n, p.r, cert.t
@@ -309,26 +331,34 @@ def verify_berge_certificate(cert: BergeCertificate, h: ColoredHypergraph) -> st
         return f"tightness t={t} outside 2..r={r}"
     if not 1 <= cert.color <= p.c:
         return f"color {cert.color} outside 1..{p.c}"
-    core = cert.core
+    core, edges = cert.core, cert.edges
     if len(core) != n or sorted(core) != list(range(n)):
         return "core is not a permutation of all vertices"
-    if len(cert.edges) != n:
-        return f"expected {n} edges, got {len(cert.edges)}"
-    seen: set[tuple[int, ...]] = set()
-    for i, e in enumerate(cert.edges):
-        if len(e) != r or any(not 0 <= v < n for v in e) or any(
-                e[j] >= e[j + 1] for j in range(r - 1)):
-            return f"edge {i} is not a sorted r-subset of the vertex set: {e}"
-        if e in seen:
-            return f"edge {i} duplicates another certificate edge: {e}"
-        seen.add(e)
-    for i, e in enumerate(cert.edges):
-        if h.color_of_rank(rank_subset(e)) != cert.color:
-            return f"edge {i} does not have color {cert.color}: {e}"
-    for i in range(n):
-        window = {core[(i + j) % n] for j in range(t)}
-        if not window <= set(cert.edges[i]):
-            return f"edge {i} misses core window {sorted(window)}: {cert.edges[i]}"
+    if len(edges) != n:
+        return f"expected {n} edges, got {len(edges)}"
+    bad = next((i for i, e in enumerate(edges)
+                if len(e) != r or min(e) < 0 or max(e) >= n), n)
+    rows = np.array(edges[:bad], dtype=np.intp).reshape(bad, r)
+    unsorted = np.flatnonzero((rows[:, 1:] <= rows[:, :-1]).any(axis=1))
+    bad = int(unsorted[0]) if unsorted.size else bad
+    ranks = rank_rows(rows[:bad])
+    repeat = np.ones(bad, dtype=bool)
+    repeat[np.unique(ranks, return_index=True)[1]] = False
+    if repeat.any():
+        i = int(repeat.argmax())
+        return f"edge {i} duplicates another certificate edge: {edges[i]}"
+    if bad < n:
+        return f"edge {bad} is not a sorted r-subset of the vertex set: {edges[bad]}"
+    wrong = np.flatnonzero(h.colors[ranks] != cert.color)
+    if wrong.size:
+        i = int(wrong[0])
+        return f"edge {i} does not have color {cert.color}: {edges[i]}"
+    windows = np.asarray(core)[(np.arange(n)[:, None] + np.arange(t)) % n]
+    held = (windows[:, :, None] == rows[:, None, :]).any(axis=2).all(axis=1)
+    if not held.all():
+        i = int(held.argmin())
+        window = sorted(core[(i + j) % n] for j in range(t))
+        return f"edge {i} misses core window {window}: {edges[i]}"
     return None
 
 

@@ -38,7 +38,7 @@ from .core import (
     TightCycleWitness,
     binom,
     edges_through,
-    rank_subset,
+    rank_rows,
     unrank_rows,
     verify_berge_certificate,
 )
@@ -78,7 +78,7 @@ class CandidateRow:
 
     ranks: list[int]
     free: int
-    window: tuple[int, ...]
+    window: np.ndarray
     h: ColoredHypergraph
     color: int
 
@@ -122,10 +122,10 @@ class PositionEdgeBipartite:
         return dict(zip(ranks[keep].tolist(), degs[keep].tolist()))
 
 
-def cycle_windows(core: tuple[int, ...], t: int) -> list[tuple[int, ...]]:
-    """Sorted consecutive t-windows of the cyclic core sequence."""
+def cycle_windows(core: tuple[int, ...], t: int) -> np.ndarray:
+    """(n, t) array: row i is the sorted window core[i..i+t-1] (cyclically)."""
     n = len(core)
-    return [tuple(sorted(core[(i + j) % n] for j in range(t))) for i in range(n)]
+    return np.sort(np.asarray(core)[(np.arange(n)[:, None] + np.arange(t)) % n], axis=1)
 
 
 def build_position_bipartite(w: TightCycleWitness,
@@ -183,11 +183,13 @@ def extend_tight_cycle(w: TightCycleWitness, h: ColoredHypergraph,
         raise WitnessInvalid("witness core is not a permutation of the vertex set")
     if not 1 <= w.color <= p.c:
         raise WitnessInvalid(f"witness color {w.color} out of range 1..{p.c}")
-    for i, win in enumerate(cycle_windows(w.core, w.t)):
-        if not s.is_good(rank_subset(win), w.color):
-            raise WitnessInvalid(
-                f"window {win} at position {i} is not {w.t}-good in color {w.color}",
-                position=i)
+    windows = cycle_windows(w.core, w.t)
+    bad = np.flatnonzero((s.goodmask[rank_rows(windows)] >> (w.color - 1) & 1) == 0)
+    if bad.size:
+        i = int(bad[0])
+        raise WitnessInvalid(
+            f"window {tuple(windows[i].tolist())} at position {i} is not "
+            f"{w.t}-good in color {w.color}", position=i)
     return lift_to_berge(w, h)
 
 

@@ -100,6 +100,8 @@ class HamiltonSearch:
     status: str                    # "found" | "none" | "budget"
     cycle: tuple[int, ...] | None
     expansions: int
+    route: str | None = None       # "closure-peel" | "backtracking"; None: the
+                                   # degree/connectivity shortcut said "none"
 
 
 def _is_hamiltonian_cycle(g: SimpleGraph, cycle: Sequence[int]) -> bool:
@@ -109,18 +111,30 @@ def _is_hamiltonian_cycle(g: SimpleGraph, cycle: Sequence[int]) -> bool:
 
 
 def bondy_chvatal_closure(g: SimpleGraph) -> tuple[list[int], list[tuple[int, int]]]:
-    """Closure adjacency rows plus the added edges in insertion order."""
+    """Closure adjacency rows plus the added edges in insertion order.
+
+    Each pass visits the pairs u < v in lexicographic order, but only the
+    non-edges: u's pass walks the bits of its non-neighbour set above u,
+    taken when the pass starts, with the degrees read live.  During u's
+    pass rows[u] gains bit v only by adding (u, v) itself, so the snapshot
+    holds exactly the pairs a scan of every v > u would find missing.
+    """
     n = g.n
     rows = list(g.rows)
     degs = [r.bit_count() for r in rows]
     added: list[tuple[int, int]] = []
+    full = (1 << n) - 1
     changed = True
     while changed:
         changed = False
         for u in range(n):
-            for v in range(u + 1, n):
-                if not rows[u] >> v & 1 and degs[u] + degs[v] >= n:
-                    rows[u] |= 1 << v
+            scan = full & ~(rows[u] | ((2 << u) - 1))
+            while scan:
+                bit = scan & -scan
+                scan ^= bit
+                v = bit.bit_length() - 1
+                if degs[u] + degs[v] >= n:
+                    rows[u] |= bit
                     rows[v] |= 1 << u
                     degs[u] += 1
                     degs[v] += 1
@@ -176,7 +190,7 @@ def _backtrack_hamilton(g: SimpleGraph, budget: int) -> HamiltonSearch:
 
     while pending:
         if expansions >= budget:
-            return HamiltonSearch("budget", None, expansions)
+            return HamiltonSearch("budget", None, expansions, "backtracking")
         cand = pending[-1] & ~visited
         if not cand:
             pending.pop()
@@ -190,7 +204,7 @@ def _backtrack_hamilton(g: SimpleGraph, budget: int) -> HamiltonSearch:
             # v is the one vertex left.  The prune that admitted path[-1]
             # gave v two neighbours in {v, path[-1], start}; with no loops
             # that means v ~ start, so the cycle closes
-            return HamiltonSearch("found", tuple(path + [v]), expansions)
+            return HamiltonSearch("found", tuple(path + [v]), expansions, "backtracking")
         new_visited = visited | (1 << v)
         # every untouched vertex still needs two usable cycle neighbors
         rem = full & ~new_visited
@@ -209,7 +223,7 @@ def _backtrack_hamilton(g: SimpleGraph, budget: int) -> HamiltonSearch:
         path.append(v)
         visited = new_visited
         pending.append(rows[v])
-    return HamiltonSearch("none", None, expansions)
+    return HamiltonSearch("none", None, expansions, "backtracking")
 
 
 def find_hamiltonian_cycle(g: SimpleGraph, budget: int = DEFAULT_BUDGET) -> HamiltonSearch:
@@ -228,18 +242,17 @@ def find_hamiltonian_cycle(g: SimpleGraph, budget: int = DEFAULT_BUDGET) -> Hami
     full = (1 << n) - 1
     if all(r == full ^ (1 << v) for v, r in enumerate(rows_closed)):
         cyc = _peel_closure_cycle(rows_closed, added, list(range(n)))
-        return _checked_found(g, cyc, "closure peel")
+        _check_found(g, cyc, "closure peel")
+        return HamiltonSearch("found", tuple(cyc), 0, "closure-peel")
     res = _backtrack_hamilton(g, budget)
     if res.status == "found":
-        return _checked_found(g, res.cycle, "backtracking", res.expansions)
+        _check_found(g, res.cycle, "backtracking")
     return res
 
 
-def _checked_found(g: SimpleGraph, cyc: Sequence[int], route: str,
-                   expansions: int = 0) -> HamiltonSearch:
+def _check_found(g: SimpleGraph, cyc: Sequence[int], engine: str) -> None:
     if not _is_hamiltonian_cycle(g, cyc):
-        raise InternalError(f"{route} returned a non-Hamiltonian cycle: {cyc}")
-    return HamiltonSearch("found", tuple(cyc), expansions)
+        raise InternalError(f"{engine} returned a non-Hamiltonian cycle: {cyc}")
 
 
 def good_pair_graph(s: ShadowMulticoloring, color: int) -> SimpleGraph:

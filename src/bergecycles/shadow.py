@@ -12,9 +12,13 @@ only an exact count can prove "fewer than m".  So `_at_least` first reads,
 for every k-set, the colors of a fixed family of C(w, r-k) edges through it
 (the k-set plus an (r-k)-subset of a block of w = 8 vertices it avoids), in
 one vectorized gather.  Only the k-sets left with a color in doubt are
-counted exactly, through `core.edges_through` when they are few, else by
-the full kernel.  On a random 3-coloring of K_85^4 about ten of the 3,570
-pairs stay in doubt; on a near-monochromatic one all of them do.
+counted on.  When they are few, their edges are read through
+`core.edges_through` in widening blocks of ascending rank, until every
+color has reached the bound or the row is whole and its count exact; else
+the full kernel counts every k-set.  On a random 3-coloring of K_85^4 about
+ten of the 3,570 pairs stay in doubt (7-19 on seeds 0-9), and every one
+of them is settled by its first C(16, 2) = 120 edges of 3,403; on a
+near-monochromatic coloring every pair stays in doubt.
 
 All full counting goes through one kernel, `subset_color_counts`, a block
 peel.  The edges with top vertex d are one colex block and the t-sets
@@ -208,11 +212,11 @@ def _at_least(h: ColoredHypergraph, k: int, m: int) -> np.ndarray:
     m same-colored witnesses (`_witness_ranks`; read for k < r, and for
     n >= 2w, so that every block lies in the vertex set) prove "at least
     m"; only an exact count proves "fewer than m".  So every k-set with a
-    color still in doubt is counted exactly: through `edges_through` while
-    those k-sets lie in at most C(n,r)/8 edges (an int64 rank array no
-    larger than the coloring), else by the full kernel.  When the k-sets
-    that avoid every block are already too many for that, the witnesses
-    are not read.
+    color still in doubt is counted on: by `_widening_counts` while those
+    k-sets lie in at most C(n,r)/8 edges (an int64 rank array no larger
+    than the coloring, were every row read whole), else by the full
+    kernel.  When the k-sets that avoid every block are already too many
+    for that, the witnesses are not read.
     """
     p = h.params
     n, r = p.n, p.r
@@ -228,10 +232,40 @@ def _at_least(h: ColoredHypergraph, k: int, m: int) -> np.ndarray:
     if not doubt.size:
         return ok
     if doubt.size <= few:
-        through = edges_through(n, r, unrank_rows(doubt, n, k))
-        ok[doubt] = _tally(h, through) >= m
+        ok[doubt] = _widening_counts(h, unrank_rows(doubt, n, k), m) >= m
         return ok
     return subset_color_counts(h, k) >= m
+
+
+def _widening_counts(h: ColoredHypergraph, sets: np.ndarray, m: int) -> np.ndarray:
+    """(P, c) int64 per row of a (P, k) array of k-sets: its edges of each
+    color, exact or at least m in every color.
+
+    A row is read in blocks of its ascending ranks, [C(f/2, r-k),
+    C(f, r-k)) for f = 16, 32, 64, ... capped at n - k, the first block
+    from 0: the edges whose free part lies in the set's first f free
+    vertices are the prefix `edges_through` gives for stop = C(f, r-k).  A
+    row drops out once every color has m; counts only grow, so ">= m" then
+    holds for the whole row too.  Every other row is read to its end, where
+    its count is exact.  The first block spans 2w free vertices, not w: a
+    row is in doubt because its witnesses fell short, and for a k-set that
+    avoids the lowest witness block they are the edges through its first w
+    free vertices.
+    """
+    p = h.params
+    n, r, k = p.n, p.r, sets.shape[1]
+    width = binom(n - k, r - k)
+    counts = np.zeros((len(sets), p.c), dtype=np.int64)
+    live = np.arange(len(sets))
+    start, f = 0, 2 * _W
+    while live.size:
+        stop = binom(min(f, n - k), r - k)
+        counts[live] += _tally(h, edges_through(n, r, sets[live], start, stop))
+        if stop == width:
+            break
+        live = live[(counts[live] < m).any(axis=1)]
+        start, f = stop, 2 * f
+    return counts
 
 
 def build_shadow(h: ColoredHypergraph, t: int) -> ShadowMulticoloring:

@@ -226,6 +226,28 @@ def test_malformed_certificate_json(tiny_coloring, tmp_path, capsys):
         assert "certificate JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [("color", 1.9), ("core", "01234"),
+                                         ("t", 2.7)])
+def test_verify_rejects_non_integer_certificate_fields(tmp_path, capsys, field,
+                                                       value):
+    # each of these used to be coerced by int() and verify as valid
+    p = Params(n=5, r=3, t=2, c=1)
+    coloring = str(tmp_path / "k5.coloring")
+    write_coloring(ColoredHypergraph(p, np.ones(p.num_edges, dtype=np.uint8)), coloring)
+    cert = tmp_path / "c.json"
+    assert main(["search", coloring, "-o", str(cert)]) == 0
+    blob = json.loads(cert.read_text())
+    assert main(["verify", str(cert), coloring]) == 0
+    blob[field] = value
+    cert.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert main(["verify", str(cert), coloring]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: malformed certificate JSON: ")
+    assert err.count("\n") == 1
+
+
 def test_non_text_input_is_a_usage_error(tiny_coloring, tmp_path, capsys):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"\xff\xfe\x00" + bytes(range(256)))

@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,12 +316,157 @@ def test_verify_rejects_tightness_outside_edge():
     assert "window" in verify_berge_certificate(bad, h)
 
 
+def loop_verify(cert, h):
+    """The verifier as a loop over edges and windows: the reference the
+    vectorized one must match string for string."""
+    p = h.params
+    n, r, t = p.n, p.r, cert.t
+    if not 2 <= t <= r:
+        return f"tightness t={t} outside 2..r={r}"
+    if not 1 <= cert.color <= p.c:
+        return f"color {cert.color} outside 1..{p.c}"
+    core = cert.core
+    if len(core) != n or sorted(core) != list(range(n)):
+        return "core is not a permutation of all vertices"
+    if len(cert.edges) != n:
+        return f"expected {n} edges, got {len(cert.edges)}"
+    seen = set()
+    for i, e in enumerate(cert.edges):
+        if len(e) != r or any(not 0 <= v < n for v in e) or any(
+                e[j] >= e[j + 1] for j in range(r - 1)):
+            return f"edge {i} is not a sorted r-subset of the vertex set: {e}"
+        if e in seen:
+            return f"edge {i} duplicates another certificate edge: {e}"
+        seen.add(e)
+    for i, e in enumerate(cert.edges):
+        if h.color_of_rank(rank_subset(e)) != cert.color:
+            return f"edge {i} does not have color {cert.color}: {e}"
+    for i in range(n):
+        window = {core[(i + j) % n] for j in range(t)}
+        if not window <= set(cert.edges[i]):
+            return f"edge {i} misses core window {sorted(window)}: {cert.edges[i]}"
+    return None
+
+
+_ODD_INTS = [-1, 10**30, -10**30, 2**63, 2**64 + 1]
+
+
+def _tamper(draw, cert, p):
+    """One tampering of a certificate's fields, of the kinds a hand-edited
+    or corrupted certificate shows."""
+    n = p.n
+    core, edges = list(cert.core), list(cert.edges)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    odd = st.sampled_from(_ODD_INTS + [n, n + 1]) | st.integers(0, n - 1)
+    kind = draw(st.sampled_from([
+        "vertex", "drop", "grow", "dup", "unsort", "swap", "subset", "color",
+        "t", "core", "core-dup", "core-len", "edges-len"]))
+    e = list(edges[i]) or [0]
+    if kind == "vertex":
+        e[draw(st.integers(0, len(e) - 1))] = draw(odd)
+        edges[i] = tuple(e)
+    elif kind == "drop":
+        edges[i] = tuple(e[1:])
+    elif kind == "grow":
+        edges[i] = tuple(sorted(e + [draw(odd)]))
+    elif kind == "dup":
+        edges[i] = edges[j]
+    elif kind == "unsort":
+        edges[i] = tuple(e[::-1])
+    elif kind == "swap":
+        edges[i], edges[j] = edges[j], edges[i]
+    elif kind == "subset":
+        edges[i] = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=p.r,
+                                             max_size=p.r))))
+    elif kind == "color":
+        return BergeCertificate(draw(odd | st.integers(0, p.c + 1)), cert.core,
+                                cert.edges, cert.t)
+    elif kind == "t":
+        return BergeCertificate(cert.color, cert.core, cert.edges,
+                                draw(odd | st.integers(0, p.r + 1)))
+    elif kind == "core":
+        core[i] = draw(odd)
+    elif kind == "core-dup":
+        core[i] = core[j]
+    elif kind == "core-len":
+        core = core[:draw(st.integers(0, n - 1))]
+    else:
+        edges = edges[:draw(st.integers(0, n - 1))] + edges[n:]
+    return BergeCertificate(cert.color, tuple(core), tuple(edges), cert.t)
+
+
+@st.composite
+def tampered_certificates(draw):
+    # a valid certificate on a K_n^r with a few edges recolored, its
+    # vertices relabelled, then tampered zero to three times
+    n = draw(st.integers(5, 10))
+    r = draw(st.integers(2, min(5, n - 1)))
+    t = draw(st.integers(2, r))
+    p = Params(n=n, r=r, t=2, c=2)
+    colors = np.ones(p.num_edges, dtype=np.uint8)
+    colors[draw(st.lists(st.integers(0, p.num_edges - 1), max_size=3))] = 2
+    perm = draw(st.permutations(range(n)))
+    base = _mono_cert(n, r, t)
+    cert = BergeCertificate(
+        1, tuple(perm[v] for v in base.core),
+        tuple(tuple(sorted(perm[v] for v in e)) for e in base.edges), t)
+    for _ in range(draw(st.integers(0, 3))):
+        if len(cert.core) != n or len(cert.edges) != n:
+            break
+        cert = _tamper(draw, cert, p)
+    return cert, ColoredHypergraph(p, colors)
+
+
+@given(tampered_certificates())
+@settings(max_examples=400, deadline=None)
+def test_verifier_matches_its_loop_reference(case):
+    cert, h = case
+    assert verify_berge_certificate(cert, h) == loop_verify(cert, h)
+
+
+def test_verifier_matches_its_loop_reference_on_every_mutator():
+    # the acceptance criterion's single mutations, kept or not by its
+    # arbiter, each drawn 30 times on every certificate it builds
+    path = Path(__file__).resolve().parent / "test_acceptance.py"
+    spec = importlib.util.spec_from_file_location("acceptance", path)
+    acceptance = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(acceptance)
+    rng = np.random.default_rng(0xB17E)
+    compared = 0
+    for r, t, n in itertools.product((3, 4, 5), (2, 3), range(5, 10)):
+        cert, h = acceptance._mono_certificate(r, t, n)
+        if cert is None:
+            continue
+        for mutate in acceptance._MUTATORS:
+            for _ in range(30):
+                mut = mutate(rng, cert, h.params)
+                if mut is not None:
+                    assert verify_berge_certificate(mut, h) == loop_verify(mut, h)
+                    compared += 1
+    assert compared > 5000
+
+
 def test_certificate_json_roundtrip():
     cert = _mono_cert(6, 4)
     d = cert.to_json_dict()
     assert BergeCertificate.from_json_dict(d) == cert
     with pytest.raises(ValueError):
         BergeCertificate.from_json_dict({"color": 1, "core": [0, 1]})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("color", 1.9), ("color", True), ("color", "1"), ("t", 2.7), ("t", 2.0),
+    ("core", "01234"), ("core", [0, 1, 2, 3, 4.0]), ("core", (0, 1, 2, 3, 4)),
+    ("edges", "abc"), ("edges", [[0, 1, 2]] * 4 + ["012"]),
+    ("edges", [[0, 1, 2]] * 4 + [[0, 1, False]]),
+])
+def test_certificate_json_accepts_only_integers_and_lists(field, value):
+    # int() used to read 1.9 as color 1, True as 1 and "01234" as the core
+    # (0, 1, 2, 3, 4), so a certificate claiming them verified
+    d = _mono_cert(5, 3).to_json_dict()
+    d[field] = value
+    with pytest.raises(ValueError, match="^malformed certificate JSON: "):
+        BergeCertificate.from_json_dict(d)
 
 
 def v2_header(p):

@@ -119,7 +119,7 @@ def test_tight_t_equals_r_extraction():
     w = TightCycleWitness(color=1, core=(0, 2, 4, 1, 5, 3), t=3)
     cert = extend_tight_cycle(w, h, s)
     assert verify_berge_certificate(cert, h) is None
-    assert sorted(cert.edges) == sorted(cycle_windows(w.core, 3))
+    assert sorted(cert.edges) == sorted(map(tuple, cycle_windows(w.core, 3).tolist()))
 
 
 @given(st.permutations(list(range(7))))
@@ -151,7 +151,7 @@ def test_position_pools_match_per_window_enumeration(case):
     p = h.params
     g = build_position_bipartite(w, h)
     assert g.n_positions == p.n and len(g.adj) == p.n
-    for win, got in zip(cycle_windows(w.core, w.t), g.adj):
+    for win, got in zip(map(tuple, cycle_windows(w.core, w.t).tolist()), g.adj):
         rest = [v for v in range(p.n) if v not in win]
         ranks = sorted(rank_subset(tuple(sorted(win + extra)))
                        for extra in itertools.combinations(rest, p.r - w.t))
@@ -171,7 +171,7 @@ def candidate_degrees(h, w):
     candidate enumerated one window at a time."""
     p = h.params
     degree = Counter()
-    for win in cycle_windows(w.core, w.t):
+    for win in cycle_windows(w.core, w.t).tolist():
         rest = [v for v in range(p.n) if v not in win]
         extra = np.array(list(itertools.combinations(rest, p.r - w.t)),
                          dtype=np.intp).reshape(-1, p.r - w.t)

@@ -15,6 +15,7 @@ from bergecycles.core import (
     unrank_subset,
 )
 from bergecycles.hamilton import (
+    HamiltonSearch,
     SimpleGraph,
     _peel_closure_cycle,
     bondy_chvatal_closure,
@@ -23,6 +24,7 @@ from bergecycles.hamilton import (
     find_mono_ham_tight_cycle,
     good_pair_graph,
 )
+from bergecycles.harness import _coloring_for_trial
 from bergecycles.shadow import build_shadow
 
 
@@ -105,6 +107,71 @@ def test_budget_monotonicity_on_petersen():
     assert "found" not in statuses
     tail = statuses[statuses.index("none"):] if "none" in statuses else []
     assert all(s == "none" for s in tail)
+
+
+def loop_closure(g):
+    """The closure as a loop over every pair u < v: the reference."""
+    n = g.n
+    rows = list(g.rows)
+    degs = [r.bit_count() for r in rows]
+    added = []
+    changed = True
+    while changed:
+        changed = False
+        for u in range(n):
+            for v in range(u + 1, n):
+                if not rows[u] >> v & 1 and degs[u] + degs[v] >= n:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+                    degs[u] += 1
+                    degs[v] += 1
+                    added.append((u, v))
+                    changed = True
+    return rows, added
+
+
+def random_graph(n, density, rng):
+    adj = np.triu(rng.random((n, n)) < density, 1)
+    adj |= adj.T
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return SimpleGraph(n, [int.from_bytes(row.tobytes(), "little") for row in packed])
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 12, 25, 40, 64, 85, 128])
+def test_closure_matches_its_pair_loop_reference(n):
+    rng = np.random.default_rng(n)
+    grew = 0
+    for density in np.linspace(0, 1, 21):
+        g = random_graph(n, density, rng)
+        before = list(g.rows)
+        got = bondy_chvatal_closure(g)
+        assert got == loop_closure(g), density
+        assert g.rows == before
+        grew += bool(got[1])
+    assert grew or n == 3       # at n = 3 a non-edge's degree sum is at most 2
+
+
+def test_route_names_the_engine_that_decided():
+    # random K_85^4: every color's good-pair graph closes to K_85
+    for seed in range(3):
+        s = build_shadow(random_coloring(Params(n=85, r=4, t=2, c=3), seed=seed), 2)
+        for color in (1, 2, 3):
+            res = find_hamiltonian_cycle(good_pair_graph(s, color))
+            assert (res.status, res.route) == ("found", "closure-peel")
+    # the CI stress sweep at r = 3, c = 3: trial 5 at n = 7, color 1, misses
+    # the closure and is found by the backtracker; trial 6, color 3, is not
+    # Hamiltonian and only the backtracker can say so
+    for trial, color, status in ((5, 1, "found"), (6, 3, "none")):
+        h = _coloring_for_trial(Params(n=7, r=3, t=2, c=3), "random", 0, trial)
+        res = find_hamiltonian_cycle(good_pair_graph(build_shadow(h, 2), color))
+        assert (res.status, res.route) == (status, "backtracking")
+        assert res.expansions > 0
+    assert find_hamiltonian_cycle(SimpleGraph.complete(5)).route == "closure-peel"
+    assert find_hamiltonian_cycle(cycle_graph(5)).route == "backtracking"
+    assert find_hamiltonian_cycle(petersen(), budget=3).route == "backtracking"
+    # the degree/connectivity shortcut names no engine
+    two = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    assert find_hamiltonian_cycle(two) == HamiltonSearch("none", None, 0, None)
 
 
 def test_closure_adds_nothing_below_threshold():

@@ -19,6 +19,7 @@ from bergecycles.core import (
     Params,
     binom,
     edge_table,
+    edges_through,
     random_coloring,
     rank_rows,
     rank_subset,
@@ -158,7 +159,7 @@ def test_certified_goodness_on_the_census_fixtures(label, make):
 @pytest.mark.parametrize("make,path", [
     # every pair certified by 28 witnesses
     (lambda: random_coloring(Params(n=40, r=4, t=2, c=2), seed=0), []),
-    # a few pairs in doubt, counted one by one
+    # a few pairs in doubt, counted block by block
     (lambda: random_coloring(Params(n=85, r=4, t=2, c=3), seed=1),
      ["edges_through"]),
     # every pair in doubt in two colors: the full kernel
@@ -179,8 +180,51 @@ def test_each_resolution_path(monkeypatch, make, path):
         monkeypatch.setattr(shadow, name, spy)
     got = build_shadow(h, 2).goodmask
     monkeypatch.undo()
-    assert calls == path
+    assert list(dict.fromkeys(calls)) == path
     assert np.array_equal(got, _pack_goodmask(subset_color_counts(h, 2) >= 3))
+
+
+def record_blocks(monkeypatch):
+    """The (rows, start, stop) of every `edges_through` call shadow makes."""
+    blocks = []
+
+    def spy(n, r, sets, start=0, stop=None):
+        blocks.append((len(sets), start, stop))
+        return edges_through(n, r, sets, start, stop)
+
+    monkeypatch.setattr(shadow, "edges_through", spy)
+    return blocks
+
+
+def test_doubt_rows_read_only_prefix_blocks(monkeypatch):
+    # K_128^4: the 37 pairs left in doubt read their first C(16, 2) = 120
+    # edges in ascending rank, not their whole rows of C(126, 2) = 7,875
+    h = random_coloring(Params(n=128, r=4, t=2, c=3), seed=[1, 2, 3])
+    blocks = record_blocks(monkeypatch)
+    got = build_shadow(h, 2).goodmask
+    monkeypatch.undo()
+    assert blocks == [(37, 0, 120)]
+    assert np.array_equal(got, _pack_goodmask(subset_color_counts(h, 2) >= 3))
+
+
+def test_doubt_rows_widen_to_an_exact_count(monkeypatch):
+    # the blocks double the free prefix, a row certified in every color
+    # drops out, and a row with a color below m is read to its end, where
+    # its count is exact
+    h = random_coloring(Params(n=40, r=4, t=2, c=3), seed=4)
+    sets = edge_table(40, 2)[::37]
+    exact = subset_color_counts(h, 2)[rank_rows(sets)]
+    blocks = record_blocks(monkeypatch)
+    for m, want in ((1, [(22, 0, 120)]),
+                    (35, [(22, 0, 120), (11, 120, 496)]),
+                    (150, [(22, 0, 120), (22, 120, 496), (2, 496, 703)]),
+                    (700, [(22, 0, 120), (22, 120, 496), (22, 496, 703)])):
+        blocks.clear()
+        got = shadow._widening_counts(h, sets, m)
+        assert blocks == want, m
+        assert np.array_equal(got >= m, exact >= m)
+        short = (exact < m).any(axis=1)
+        assert np.array_equal(got[short], exact[short])
 
 
 @pytest.mark.parametrize("n,r,k", [(16, 4, 1), (16, 4, 2), (24, 4, 2), (30, 5, 3),
