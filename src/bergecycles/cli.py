@@ -2,8 +2,8 @@
 
 Subcommands: verify, extract, search, shadow-dump, stress.  Exit codes:
 0 success / verification pass, 1 verification failure or a verified
-counterexample, 2 unresolved (search or budget gave up) or a contract
-breach, 3 usage errors and malformed input.  search, extract and verify
+counterexample, 2 unresolved (search or budget gave up), 3 usage errors
+and malformed input, 4 a contract breach.  search, extract and verify
 take t from their input files; shadow-dump does too unless --t sets the
 dump's tightness.  All randomness flows from --seed.
 """
@@ -29,6 +29,7 @@ from .harness import find_certificate, stress_theorem
 from .shadow import build_shadow, dump_shadow
 
 USAGE_ERROR = 3
+CONTRACT_BREACH = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -216,7 +217,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except ContractBreach as exc:
         print(f"contract breach: {exc}")
-        return 2
+        return CONTRACT_BREACH
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -109,13 +108,13 @@ class PositionEdgeBipartite:
     """Cycle positions vs. candidate hyperedge ranks of the target color."""
 
     n_positions: int
-    adj: list[Iterable[int]]  # adj[i]: ascending ranks of the edges for position i
+    adj: list[CandidateRow]  # adj[i]: ascending ranks of the edges for position i
 
     def right_degrees(self, above: int = 0) -> dict[int, int]:
         """Edge rank -> number of positions it is a candidate for, over the
-        edges that are candidates for more than `above` positions.  A
-        CandidateRow contributes the candidates it has materialized."""
-        rows = (row.ranks if isinstance(row, CandidateRow) else row for row in self.adj)
+        edges that are candidates for more than `above` positions.  Each
+        row contributes the candidates it has materialized."""
+        rows = (row.ranks for row in self.adj)
         ranks, degs = np.unique(np.fromiter(itertools.chain.from_iterable(rows),
                                             dtype=np.int64), return_counts=True)
         keep = degs > above
@@ -149,7 +148,7 @@ def max_bipartite_matching(g: PositionEdgeBipartite) -> np.ndarray:
     ascending rank, so results are reproducible across runs.  A failed
     augment leaves the matching unchanged, so the first unmatched position
     is the first one a stop-at-first-failure run would report.  This is the
-    package's only matcher (r4 and the harness oracle use it too).
+    package's only matcher, and in the package only `lift_to_berge` calls it.
     """
     owner: dict[int, int] = {}
     match_left = np.full(g.n_positions, -1, dtype=np.int64)

@@ -13,14 +13,21 @@ order of cost:
 2. Exhaustive backtracking with a node-expansion budget, reporting
    "budget" distinctly from a completed unsuccessful search ("none").
 
+A third engine serves tight cycles at t >= 3: `TightCoreWalk`, an
+iterative walk over core sequences whose windows lie in a given family of
+t-sets.  The t >= 3 search takes its first core under the budget; the
+harness oracle walks it with no budget and lifts every core it yields.
+
 Adjacency is stored as one Python int bitmask per vertex, which keeps the
 inner loops allocation-free for n up to 128.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import functools
+import math
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -283,10 +290,9 @@ def find_mono_ham_tight_cycle(s: ShadowMulticoloring, color: int,
                               budget: int = DEFAULT_BUDGET) -> TightCycleSearch:
     """Hamiltonian s.t-tight cycle in the shadow graph, all windows good in `color`.
 
-    t = 2 reduces to graph Hamiltonicity on the good-pair graph; t >= 3 runs a
-    window-constrained DFS over core sequences with the start fixed at vertex 0
-    and orientation canonicalized (core[1] < core[n-1]).  A cycle needs
-    n >= 3 vertices, so n = 2 (only K_2^2 has it) is "none".
+    t = 2 reduces to graph Hamiltonicity on the good-pair graph; t >= 3
+    takes the first core of a `TightCoreWalk` over the color's good t-sets.
+    A cycle needs n >= 3 vertices, so n = 2 (only K_2^2 has it) is "none".
     """
     n, t = s.params.n, s.t
     if n < 3:
@@ -297,50 +303,65 @@ def find_mono_ham_tight_cycle(s: ShadowMulticoloring, color: int,
         if res.status == "found":
             wit = TightCycleWitness(color=color, core=res.cycle, t=2)
         return TightCycleSearch(res.status, wit, res.expansions)
+    walk = TightCoreWalk(n, t, (s.goodmask >> np.uint32(color - 1)) & 1, budget)
+    core = next(iter(walk), None)
+    if core is None:
+        return TightCycleSearch(walk.status, None, walk.expansions)
+    return TightCycleSearch(
+        "found", TightCycleWitness(color=color, core=core, t=t), walk.expansions)
 
-    good: set[int] = set(
-        int(k) for k in np.flatnonzero((s.goodmask >> np.uint32(color - 1)) & 1))
-    if not good:
-        return TightCycleSearch("none", None, 0)
 
-    core = [0] * n
-    used = [False] * n
-    used[0] = True
-    expansions = 0
+@dataclass(eq=False)
+class TightCoreWalk:
+    """Every cyclic core on range(n) whose t-windows all lie in `allowed`.
 
-    def window_ok(i: int) -> bool:
-        win = tuple(sorted(core[(i + j) % n] for j in range(t)))
-        return rank_subset(win) in good
+    `allowed[k]` is nonzero when the t-set of colex rank k may be a window.
+    Iterating yields the cores as tuples: core[0] = 0, later positions take
+    the free vertices in ascending order, and a window is tested as soon as
+    its t vertices are placed.  A core and its reversal have the same
+    windows, so only the orientation core[1] < core[n-1] is yielded, by a
+    test at the leaf.  Each vertex tried counts one expansion, and the walk
+    stops with status "budget" before an expansion that would exceed
+    `budget`; a walk that runs out of cores ends with status "none".
+    """
 
-    def dfs(depth: int) -> str:
-        nonlocal expansions
-        for v in range(1, n):
-            if used[v]:
+    n: int
+    t: int
+    allowed: np.ndarray
+    budget: float = math.inf
+    expansions: int = field(default=0, init=False)
+    status: str = field(default="none", init=False)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        n, t = self.n, self.t
+        if not self.allowed.any():
+            return
+        full = (1 << n) - 1
+        # a window by the bitmask of its vertices, ranked on first sight
+        ok = functools.cache(lambda key: bool(self.allowed[rank_subset(
+            [v for v in range(n) if key >> v & 1])]))
+        core = [0] * n
+        placed = [1] * n              # placed[d]: bits of core[0..d]
+        pending = [0, full ^ 1]       # pending[d]: vertices still to try at depth d
+        while len(pending) > 1:
+            depth = len(pending) - 1
+            cand = pending[depth]
+            if not cand:
+                pending.pop()
                 continue
-            if expansions >= budget:
-                return "budget"
-            expansions += 1
-            core[depth] = v
-            if depth >= t - 1 and not window_ok(depth - t + 1):
+            bit = cand & -cand
+            pending[depth] = cand ^ bit
+            if self.expansions >= self.budget:
+                self.status = "budget"
+                return
+            self.expansions += 1
+            core[depth] = v = bit.bit_length() - 1
+            placed[depth] = here = placed[depth - 1] | bit
+            if depth >= t - 1 and not ok(here ^ placed[depth - t] if depth >= t else here):
                 continue
-            if depth == n - 1:
-                if core[1] > core[n - 1]:
-                    continue  # reflection: keep the core[1] < core[n-1] orientation
-                if all(window_ok(i) for i in range(n - t + 1, n)):
-                    return "found"
-                continue
-            used[v] = True
-            out = dfs(depth + 1)
-            used[v] = False
-            if out != "none":
-                return out
-        return "none"
+            if depth < n - 1:
+                pending.append(full ^ here)
+            elif core[1] < v and all(ok((full ^ placed[i - 1]) | placed[i + t - 1 - n])
+                                     for i in range(n - t + 1, n)):
+                yield tuple(core)
 
-    # orientation canonicalization: explore with core[1] < core[n-1] only;
-    # a window is a vertex set, so reversal preserves validity.
-    status = dfs(1)
-    del dfs          # it refers to itself: keeping it would keep `good` past return
-    if status == "found":
-        return TightCycleSearch(
-            "found", TightCycleWitness(color=color, core=tuple(core), t=t), expansions)
-    return TightCycleSearch(status, None, expansions)

@@ -1,12 +1,13 @@
 """Stress-testing harness: coloring generators, a brute-force existence
 oracle for tiny instances, and seeded Monte-Carlo trials.
 
-The oracle enumerates core sequences outright and is the ground truth the
-search pipeline is compared against.  `structured_colorings` produces
-adversarial families: vertex-partition and majority rules, near-mono
-colorings with a single off-color edge, pair-locked colorings where one
-pair sees only one color, and engineered pivot-profile colorings that
-steer the K_n^4 construction into a chosen branch.  Trials are
+The oracle walks every core sequence (`hamilton.TightCoreWalk` with no
+budget), lifts each through `extract.lift_to_berge`, and is the ground
+truth the search pipeline is compared against.  `structured_colorings`
+produces adversarial families: vertex-partition and majority rules,
+near-mono colorings with a single off-color edge, pair-locked colorings
+where one pair sees only one color, and engineered pivot-profile colorings
+that steer the K_n^4 construction into a chosen branch.  Trials are
 deterministic per (master seed, trial index) and parallelize across
 colorings only.
 """
@@ -30,6 +31,7 @@ from .core import (
     InternalError,
     InvalidParams,
     Params,
+    TightCycleWitness,
     edge_table,
     edges_through,
     random_coloring,
@@ -37,8 +39,8 @@ from .core import (
     verify_berge_certificate,
     write_coloring,
 )
-from .extract import PositionEdgeBipartite, max_bipartite_matching
-from .hamilton import DEFAULT_BUDGET
+from .extract import MatchingIncomplete, lift_to_berge
+from .hamilton import DEFAULT_BUDGET, TightCoreWalk
 from .r4 import (
     MIN_N,
     ConstructionTrace,
@@ -64,73 +66,33 @@ class InstanceTooLarge(RuntimeError):
 def brute_force_exists(h: ColoredHypergraph) -> BergeCertificate | None:
     """Exhaustive existence check; None means proven-nonexistent.
 
-    Core sequences are enumerated with v_1 = 0 and orientation fixed by
-    v_2 < v_n; a sequence counts only if a perfect matching assigns every
-    window a distinct edge of the color.  The verdict is exhaustive over
-    (color, core sequence), so None is a proof, not a search failure.
+    For each color, a `TightCoreWalk` lists the core sequences (v_1 = 0,
+    orientation fixed by v_2 < v_n) whose every window lies in an edge of
+    the color; a core counts only if `lift_to_berge` backs every window
+    with a distinct edge of the color.  The walk has no budget, so None is
+    a proof over every (color, core sequence), not a search failure.
     """
     p = h.params
     if p.n > ORACLE_MAX_N:
         raise InstanceTooLarge(
             f"brute force needs n <= {ORACLE_MAX_N}, got n={p.n}")
-    n, r, t = p.n, p.r, p.t
+    n, t = p.n, p.t
     if n < 3:
         return None
-    tab = edge_table(n, r)
+    in_edge = _at_least(h, t, 1)
     for color in range(1, p.c + 1):
-        idx = np.flatnonzero(h.colors == color)
-        if idx.size < n:
+        if np.count_nonzero(h.colors == color) < n:
             continue                      # fewer edges than cycle positions
-        pools: dict[frozenset, list[int]] = {}
-        for e in idx:
-            verts = tuple(int(v) for v in tab[e])
-            for sub in itertools.combinations(verts, t):
-                pools.setdefault(frozenset(sub), []).append(int(e))
-        cert = _oracle_color_search(n, tab, color, pools, t)
-        if cert is not None:
+        for core in TightCoreWalk(n, t, in_edge[:, color - 1]):
+            try:
+                cert = lift_to_berge(TightCycleWitness(color, core, t), h)
+            except MatchingIncomplete:
+                continue
             err = verify_berge_certificate(cert, h)
             if err is not None:
                 raise InternalError(f"oracle produced a bad certificate: {err}")
             return cert
     return None
-
-
-def _oracle_color_search(n, tab, color, pools, t):
-    seq = [0]
-    used = [False] * n
-    used[0] = True
-
-    def dfs():
-        if len(seq) == n:
-            if seq[1] > seq[-1]:          # reflection canonicalization
-                return None
-            ws = [frozenset(seq[(i + j) % n] for j in range(t))
-                  for i in range(n)]
-            if any(w not in pools for w in ws):
-                return None
-            match = max_bipartite_matching(
-                PositionEdgeBipartite(n, [pools[w] for w in ws]))
-            if (match < 0).any():
-                return None
-            edges = tuple(tuple(int(v) for v in tab[e]) for e in match)
-            return BergeCertificate(color=color, core=tuple(seq),
-                                    edges=edges, t=t)
-        for v in range(1, n):
-            if used[v]:
-                continue
-            seq.append(v)
-            used[v] = True
-            ok = len(seq) < t or frozenset(seq[-t:]) in pools
-            got = dfs() if ok else None
-            seq.pop()
-            used[v] = False
-            if got is not None:
-                return got
-        return None
-
-    cert = dfs()
-    del dfs          # it refers to itself: keeping it would keep `pools` past return
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +298,23 @@ def _base_params(params: dict) -> Params:
 
 
 def _hash_mix(tab: np.ndarray, offset: int) -> np.ndarray:
-    """Weighted vertex sum of each row plus offset, one column at a time
-    (no int64 copy of the whole table)."""
-    mix = np.full(len(tab), offset, dtype=np.int64)
+    """Weighted vertex sum of each row, one column at a time (no int64 copy
+    of the whole table), plus a scramble of it by the offset.
+
+    The scramble is the high 32 bits of sum * offset * 0x9E3779B97F4A7C15
+    mod 2^64.  An offset added as is would make a stream repeat every c
+    colorings once the mix is taken mod c; the high bits do not repeat
+    with the offset mod c.  Offset 0 adds nothing, so the first coloring
+    of every stream is the plain sum's.
+    """
+    mix = np.zeros(len(tab), dtype=np.int64)
     for col, w in zip(tab.T, (3, 5, 7, 11, 13, 17, 19, 23, 29)):
         mix += col.astype(np.int64) * w
+    if not offset:
+        return mix
+    scramble = mix.view(np.uint64) * np.uint64(offset * 0x9E3779B97F4A7C15 % 2**64)
+    scramble >>= np.uint64(32)
+    mix += scramble.view(np.int64)
     return mix
 
 

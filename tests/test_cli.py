@@ -82,7 +82,7 @@ def test_extract_breach_on_generic_path_writes_its_trace(tiny_coloring, tmp_path
     cert = tmp_path / "b.cert.json"
     trace = tmp_path / "b.trace.json"
     assert main(["extract", tiny_coloring, "-o", str(cert),
-                 "--trace", str(trace)]) == 2
+                 "--trace", str(trace)]) == 4
     assert "assembled certificate invalid: forced failure" in capsys.readouterr().out
     assert json.load(open(trace))["branch"] == "generic-search"
     assert not cert.exists()

@@ -316,3 +316,73 @@ def test_tight_cycle_budget_report():
     assert res.status in ("budget", "found", "none")
     if res.status == "budget":
         assert res.witness is None
+
+
+def reference_tight_search(s, color, budget):
+    """The recursive t >= 3 search that `TightCoreWalk` replaced, kept as
+    the reference: (status, core, expansions)."""
+    n, t = s.params.n, s.t
+    good = set(int(k) for k in np.flatnonzero((s.goodmask >> np.uint32(color - 1)) & 1))
+    if not good:
+        return "none", None, 0
+    core, used = [0] * n, [False] * n
+    used[0] = True
+    expansions = 0
+
+    def window_ok(i):
+        return rank_subset(tuple(sorted(core[(i + j) % n] for j in range(t)))) in good
+
+    def dfs(depth):
+        nonlocal expansions
+        for v in range(1, n):
+            if used[v]:
+                continue
+            if expansions >= budget:
+                return "budget"
+            expansions += 1
+            core[depth] = v
+            if depth >= t - 1 and not window_ok(depth - t + 1):
+                continue
+            if depth == n - 1:
+                if core[1] > core[n - 1]:
+                    continue
+                if all(window_ok(i) for i in range(n - t + 1, n)):
+                    return "found"
+                continue
+            used[v] = True
+            out = dfs(depth + 1)
+            used[v] = False
+            if out != "none":
+                return out
+        return "none"
+
+    status = dfs(1)
+    return status, tuple(core) if status == "found" else None, expansions
+
+
+def _tight_search_cases():
+    for n, r, t, c in [(7, 4, 3, 2), (8, 5, 3, 2), (9, 5, 4, 2), (10, 6, 3, 2),
+                       (11, 6, 4, 2), (12, 7, 3, 2)]:
+        p = Params(n=n, r=r, t=t, c=c)
+        for generator in ("random", "partition", "majority", "near-mono",
+                          "pair-lock"):
+            for index in range(2):
+                yield _coloring_for_trial(p, generator, 0, index)
+    for r, t, c in [(6, 3, 2), (8, 4, 2), (8, 3, 3)]:   # budget burners
+        yield _coloring_for_trial(Params(n=18, r=r, t=t, c=c), "partition", 0, 0)
+
+
+@pytest.mark.parametrize("budget", [1, 40, 3000, 20_000])
+def test_tight_cycle_search_matches_its_reference(budget):
+    checked, statuses = 0, set()
+    for h in _tight_search_cases():
+        s = build_shadow(h, h.params.t)
+        for color in range(1, h.params.c + 1):
+            res = find_mono_ham_tight_cycle(s, color, budget)
+            got = (res.status, res.witness and res.witness.core, res.expansions)
+            assert got == reference_tight_search(s, color, budget)
+            statuses.add(res.status)
+            checked += 1
+    assert checked > 100
+    if budget >= 40:
+        assert statuses == {"found", "none", "budget"}

@@ -7,19 +7,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergecycles import harness
 from bergecycles.core import (
+    BergeCertificate,
     ColoredHypergraph,
     ContractBreach,
     InvalidParams,
     Params,
+    edge_table,
     random_coloring,
     rank_subset,
     read_coloring,
     verify_berge_certificate,
 )
-from bergecycles.extract import extend_tight_cycle
+from bergecycles.extract import (
+    PositionEdgeBipartite,
+    extend_tight_cycle,
+    max_bipartite_matching,
+)
 from bergecycles.harness import (
     InstanceTooLarge,
     TrialReport,
@@ -101,6 +109,116 @@ def test_oracle_deterministic():
     a = brute_force_exists(h)
     b = brute_force_exists(h)
     assert a == b
+
+
+def reference_oracle(h):
+    """The oracle before it walked `TightCoreWalk` and lifted through
+    `lift_to_berge`: its own recursion over core sequences, frozenset pools
+    of the t-sets each color edge holds, and a matcher over plain lists.
+    Kept as the reference for the one proof of absence the package has."""
+    p = h.params
+    n, r, t = p.n, p.r, p.t
+    if n < 3:
+        return None
+    tab = edge_table(n, r)
+    for color in range(1, p.c + 1):
+        idx = np.flatnonzero(h.colors == color)
+        if idx.size < n:
+            continue
+        pools = {}
+        for e in idx:
+            verts = tuple(int(v) for v in tab[e])
+            for sub in itertools.combinations(verts, t):
+                pools.setdefault(frozenset(sub), []).append(int(e))
+        seq, used = [0], [False] * n
+        used[0] = True
+
+        def dfs():
+            if len(seq) == n:
+                if seq[1] > seq[-1]:
+                    return None
+                ws = [frozenset(seq[(i + j) % n] for j in range(t))
+                      for i in range(n)]
+                if any(w not in pools for w in ws):
+                    return None
+                match = max_bipartite_matching(
+                    PositionEdgeBipartite(n, [pools[w] for w in ws]))
+                if (match < 0).any():
+                    return None
+                edges = tuple(tuple(int(v) for v in tab[e]) for e in match)
+                return BergeCertificate(color=color, core=tuple(seq),
+                                        edges=edges, t=t)
+            for v in range(1, n):
+                if used[v]:
+                    continue
+                seq.append(v)
+                used[v] = True
+                ok = len(seq) < t or frozenset(seq[-t:]) in pools
+                got = dfs() if ok else None
+                seq.pop()
+                used[v] = False
+                if got is not None:
+                    return got
+            return None
+
+        cert = dfs()
+        if cert is not None:
+            return cert
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 9).flatmap(lambda n: st.tuples(
+           st.just(n), st.integers(2, n).flatmap(lambda r: st.tuples(
+               st.just(r), st.integers(2, r))))),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_oracle_matches_its_reference(shape, c, seed):
+    n, (r, t) = shape
+    h = random_coloring(Params(n=n, r=r, t=t, c=c), seed=seed)
+    assert brute_force_exists(h) == reference_oracle(h)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_oracle_matches_its_reference_on_one_edge(n):
+    # K_n^n has one edge: no cycle at any t, and the reference agrees
+    for t in range(2, n + 1):
+        h = ColoredHypergraph(Params(n=n, r=n, t=t, c=1),
+                              np.ones(1, dtype=np.uint8))
+        assert brute_force_exists(h) is None
+        assert reference_oracle(h) is None
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_oracle_matches_its_reference_on_the_r3_c3_sweep(n):
+    # the colorings of the CI stress sweep at r = 3, t = 2, c = 3
+    p = Params(n=n, r=3, t=2, c=3)
+    verdicts = []
+    for i in range(50):
+        h = _coloring_for_trial(p, "random", 0, i)
+        got = brute_force_exists(h)
+        assert got == reference_oracle(h)
+        verdicts.append(got is not None)
+    assert any(verdicts)
+
+
+@pytest.mark.parametrize("shape", [(7, 3, 2, 3), (8, 4, 3, 2), (9, 5, 4, 2),
+                                   (10, 3, 3, 3)])
+@pytest.mark.parametrize("generator",
+                         ["partition", "majority", "near-mono", "pair-lock"])
+def test_oracle_matches_its_reference_on_structured_colorings(shape, generator):
+    n, r, t, c = shape
+    stream = structured_colorings(generator, {"n": n, "r": r, "t": t, "c": c})
+    for h in itertools.islice(stream, 3):
+        assert brute_force_exists(h) == reference_oracle(h)
+
+
+def test_oracle_proves_the_three_part_partition_has_no_cycle():
+    # K_10^3 at t = r = 3, colored by the part ({0..3}, {4..6}, {7..9}) of
+    # each edge's top vertex: the walk ends in "none" in every color with
+    # at least n edges, as the reference does
+    h = next(structured_colorings("partition", {"n": 10, "r": 3, "t": 3, "c": 3}))
+    assert brute_force_exists(h) is None
+    assert reference_oracle(h) is None
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +334,7 @@ TRIAL_DIGESTS = {
     ((8, 4, 2, 2), "near-mono"):
         "63316b27ea6adb6703836b38a9c26ab98d4b362436dafc74e88ca07a9ad15e0a",
     ((8, 4, 2, 2), "pair-lock"):
-        "f3f9189676332f263dd7260ebf1a4d9df4cc853698affdf7933fb0bc164f0c59",
+        "b1cb438b8097040bce565962d601e111f2f5ae1e3de8f50a1305b0a28742044d",
     ((6, 5, 3, 2), "random"):
         "472e3c6c10a4e1b6a33fef5b5a28914cf8b868eb4304c1ab8acbabdaa97f410c",
     ((6, 5, 3, 2), "partition"):
@@ -226,7 +344,7 @@ TRIAL_DIGESTS = {
     ((6, 5, 3, 2), "near-mono"):
         "2cd634f29fb6a63f9450d56639ce8f8a17523c3c872b0fa61133ecedec6e9f80",
     ((6, 5, 3, 2), "pair-lock"):
-        "4b126f9f7afb4b8af707e5eb9bde41ce5f65204a997a3d6bebb54afa246182db",
+        "b2f4679523b207fd56b19b52bb6c7326c1bea6a121b6781f8b71d669d788ed65",
 }
 
 
@@ -273,7 +391,21 @@ def test_u_profile_stream_is_pinned():
     for h in itertools.islice(stream, 3):
         digest.update(h.colors.tobytes())
     assert digest.hexdigest() == \
-        "8f8ccd3213514d94d4648ab56300aa979de0bb31a9a4e28ec7d88ecf8eebd92b"
+        "acde13377c76a667dc427d169b0f129ab2f8b833645095d834a95284f4eb3f11"
+
+
+def test_hashed_streams_do_not_repeat():
+    # the hash offset is scrambled before the colors are taken mod c (and
+    # u-profile's mod 2 and 3), so neither stream repeats with period c or 6
+    for c in (2, 3):
+        rep = stress_theorem(Params(n=8, r=4, t=2, c=c), generator="pair-lock",
+                             trials=2 * c, seed=0)
+        assert rep.distinct_colorings == rep.trials
+    stream = structured_colorings(
+        "u-profile", {"n": 30, "k23": 1, "k12": 1, "k13": 18})
+    digests = {hashlib.sha256(h.colors.tobytes()).hexdigest()
+               for h in itertools.islice(stream, 7)}
+    assert len(digests) == 7
 
 
 def test_stress_breach_reproducer_goes_to_reproducer_dir(tmp_path,
@@ -345,11 +477,10 @@ def test_trial_report_rejects_inconsistent_counts():
 
 
 @pytest.mark.parametrize("generator,distinct", [
-    ("partition", 1), ("majority", 1), ("near-mono", 5), ("pair-lock", 2),
+    ("partition", 1), ("majority", 1), ("near-mono", 5), ("pair-lock", 5),
     ("random", 5)])
 def test_stress_reports_distinct_colorings(generator, distinct):
-    # partition and majority yield one coloring: five trials, one instance;
-    # pair-lock's hash offset enters its colors mod c, so it repeats every c
+    # partition and majority yield one coloring: five trials, one instance
     rep = stress_theorem(Params(n=8, r=4, t=2, c=2), generator=generator,
                          trials=5, seed=0)
     assert rep.distinct_colorings == distinct

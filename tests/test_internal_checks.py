@@ -35,7 +35,7 @@ def test_r4_final_verify_reaches_cli_breach_handler(tmp_path):
         sys.exit(cli.main(["extract", "in.txt", "-o", {str(cert_path)!r},
                            "--trace", {str(tmp_path / "out.trace.json")!r}]))
     """)
-    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.returncode == 4, proc.stdout + proc.stderr
     assert ("contract breach: certificate failed final verification: "
             "forced failure") in proc.stdout
     assert "Traceback" not in proc.stderr
