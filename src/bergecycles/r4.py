@@ -35,7 +35,6 @@ edges scan in colex order, and ties break toward smaller ids.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,9 +47,9 @@ from .core import (
     InvalidParams,
     Params,
     TightCycleWitness,
-    _BINOM,
     edge_table,
     edges_through,
+    rank_rows,
     rank_subset,
     unrank_subset,
     verify_berge_certificate,
@@ -197,10 +196,15 @@ class SearchResult:
 # small shared helpers
 
 
-def _color4(colors: np.ndarray, a: int, b: int, c: int, d: int) -> int:
-    """Color of the 4-set {a,b,c,d} (need not be given sorted)."""
-    a, b, c, d = sorted((a, b, c, d))
-    return int(colors[_BINOM[a, 1] + _BINOM[b, 2] + _BINOM[c, 3] + _BINOM[d, 4]])
+def _quads(*cols) -> np.ndarray:
+    """Sorted (m, 4) rows of the 4-sets {a, b, c, d}, each column one vertex
+    or an (m,) array: `rank_rows` of them makes a color scan one gather."""
+    out = np.empty((max((len(c) for c in cols if np.ndim(c)), default=1), 4),
+                   dtype=np.intp)
+    for j, col in enumerate(cols):
+        out[:, j] = col
+    out.sort(axis=1)
+    return out
 
 
 def _pair_rank_matrix(n: int) -> np.ndarray:
@@ -352,11 +356,7 @@ class _GammaBuilder:
         self.n = h.params.n
         self.prov: dict[tuple[int, int], tuple[str, tuple[int, ...] | None]] = {}
         # links[v]: (neighbour, backing) of every pair at v, in insertion order
-        self.links: list[list[tuple[int, tuple[int, ...] | None]]] = [
-            [] for _ in range(self.n)]
-
-    def color(self, quad) -> int:
-        return _color4(self.colors, *quad)
+        self.links: list[list] = [[] for _ in range(self.n)]
 
     def add(self, u: int, v: int, tag: str, backing: tuple[int, ...] | None) -> None:
         key = (u, v) if u < v else (v, u)
@@ -371,27 +371,29 @@ class _GammaBuilder:
 
 
 def _fan(gb: _GammaBuilder, hub: tuple[int, int], a: int, tag: str, vs) -> None:
-    """Add the pair (a, v) for each v in vs whose 4-set hub + {a, v} has
-    color 1, backed by that 4-set."""
-    for v in vs:
-        if gb.color((*hub, a, v)) == 1:
-            gb.add(a, v, tag, tuple(sorted((*hub, a, v))))
+    """Add the pair (a, v) for each v in vs, in order, whose 4-set
+    hub + {a, v} has color 1, backed by that 4-set.  The colors of the
+    whole fan are one gather; only the hits reach `gb.add`."""
+    vs = np.asarray(vs, dtype=np.intp)
+    quads = _quads(*hub, a, vs)
+    hit = gb.colors[rank_rows(quads)] == 1
+    for v, g in zip(vs[hit].tolist(), quads[hit].tolist()):
+        gb.add(a, v, tag, tuple(g))
 
 
 def _gamma_base(h: ColoredHypergraph, sel: PivotSelection,
                 a_set: set[int]) -> _GammaBuilder:
     """Pair families E1-E5 around the pivot x, shared by both cases; a_set
     holds the vertices that pair with y (E4) instead of with z (E3)."""
-    n = h.params.n
     x, y, z = sel.x, sel.y, sel.z
     gb = _GammaBuilder(h)
+    every = np.arange(h.params.n)   # ids are indices: np.delete drops vertices
     # |U23| = 1 forces |U12| <= 2 (classify_and_pivot), so case 2 fans one u12
     for u in sorted(set(sel.U12) - {y}):
-        _fan(gb, (x, z), u, "E1", (v for v in range(n) if v not in (x, z, y, u)))
+        _fan(gb, (x, z), u, "E1", np.delete(every, [x, z, y, u]))
     for u in sorted(set(sel.U13) - {z}):
-        _fan(gb, (x, y), u, "E2", (v for v in range(n) if v not in (x, y, u)))
-    _fan(gb, (x, y), z, "E3",
-         (v for v in range(n) if v not in (x, y, z) and v not in a_set))
+        _fan(gb, (x, y), u, "E2", np.delete(every, [x, y, u]))
+    _fan(gb, (x, y), z, "E3", np.delete(every, [x, y, z, *a_set]))
     _fan(gb, (x, z), y, "E4", sorted(a_set - {y}))
     for v in sorted(set(sel.U13) - {z}):
         gb.add(y, v, "E5", None)
@@ -659,12 +661,10 @@ def _order_avoiding(pool, prev, nxt, blocked):
     stack: list[int] = []
     start = 0
     for _ in range(200000):
-        before = prev if not seq else seq[-1]
+        before, last = (seq[-1] if seq else prev), len(seq) == k - 1
         j = start
-        while j < k:
-            if not in_use[j] and ok(before, items[j]) and not (
-                    len(seq) == k - 1 and not ok(items[j], nxt)):
-                break
+        while j < k and (in_use[j] or not ok(before, items[j])
+                         or last and not ok(items[j], nxt)):
             j += 1
         if j < k:
             seq.append(items[j])
@@ -696,8 +696,7 @@ def _mono_ham_berge_in_link(k: ColoredHypergraph, budget: int,
     covered = _at_least(k, 2, 1)
     for color in (1, 2):
         graph = SimpleGraph.from_edges(
-            n1, ((int(tab2[r, 0]), int(tab2[r, 1]))
-                 for r in np.flatnonzero(covered[:, color - 1])))
+            n1, map(tuple, tab2[covered[:, color - 1]].tolist()))
         res = find_hamiltonian_cycle(graph, budget)
         fallbacks.append({"stage": "link-weak-graph", "color": color,
                           "status": res.status})
@@ -733,30 +732,21 @@ def _lemma_insert(work: np.ndarray, hw: ColoredHypergraph, v: int,
     xs is already rotated so x1 avoids the companion edge of v.  Tries an
     inner chord {x1, xk, xk'} first, then a wrap chord next to x1 on either
     side, and lifts the new core.  Returns None when no usable chord exists.
+    Each family is one gather over its triples plus v, less the cycle edge
+    it skips; the new core depends on the family, not on the chord.
     """
     n1 = len(xs)
-    x1 = xs[0]
-
-    def col(a, b, c):
-        return _color4(work, v, a, b, c)
-
-    # inner chord: 0-based slots 2..n1-2, slot gap >= 2
-    for ki in range(2, n1 - 2):
-        for kj in range(ki + 2, n1 - 1):
-            if col(x1, xs[ki], xs[kj]) == chi:
-                detail["insertion"] = "chord"
-                return _lift_core(hw, chi, [x1, v] + xs[1:])
-    e_last, e_first = es[-1], es[0]
-    for li in range(2, n1 - 2):
-        tri = tuple(sorted((xs[-1], x1, xs[li])))
-        if col(*tri) == chi and tri != e_last:
-            detail["insertion"] = "wrap-left"
-            return _lift_core(hw, chi, [v] + xs)
-    for li in range(3, n1 - 1):
-        tri = tuple(sorted((x1, xs[1], xs[li])))
-        if col(*tri) == chi and tri != e_first:
-            detail["insertion"] = "wrap-right"
-            return _lift_core(hw, chi, [x1, v] + xs[1:])
+    x1, ring = xs[0], np.array(xs)
+    ki, kj = np.triu_indices(n1 - 3, 2)     # inner: slots 2..n1-2, gap >= 2
+    for insertion, cols, e, core in (
+            ("chord", (x1, ring[ki + 2], ring[kj + 2]), None, [x1, v] + xs[1:]),
+            ("wrap-left", (xs[-1], x1, ring[2:n1 - 2]), es[-1], [v] + xs),
+            ("wrap-right", (x1, xs[1], ring[3:n1 - 1]), es[0], [x1, v] + xs[1:])):
+        ranks = rank_rows(_quads(v, *cols))
+        skip = -1 if e is None else rank_subset(sorted((v, *e)))
+        if ((work[ranks] == chi) & (ranks != skip)).any():
+            detail["insertion"] = insertion
+            return _lift_core(hw, chi, core)
     return None
 
 
@@ -765,31 +755,21 @@ def _lemma_opposite_cycle(work: np.ndarray, hw: ColoredHypergraph, v: int,
     """Opposite-color cycle through x1 when no chi-chord at x1 exists.
 
     Core order v, y2, x_last, y4, y5, x2, y7, ..., x1 with consecutive
-    pairs non-adjacent on the old cycle, closed at the hub x1.
+    pairs non-adjacent on the old cycle, closed at the hub x1.  The pools of
+    y2, y4 (next to x_last) and y5, y7 (next to x2) are one gather each.
     """
-    other = 5 - chi
-    x1 = xs[0]
+    x1, x2, xlast, other = xs[0], xs[1], xs[-1], 5 - chi
     cadj = _cycle_adjacency(xs)
-    xlast, x2 = xs[-1], xs[1]
-
-    def col(a, b, c):
-        return _color4(work, v, a, b, c)
-
     banned = {xs[-2], xlast, x1, x2, xs[2]}
-    pool_l = [u for u in sorted(xs) if u not in banned
-              and col(xlast, u, x1) == other]
-    pool_r = [u for u in sorted(xs) if u not in banned
-              and col(x2, u, x1) == other]
-
-    def adj(a, b):
-        return frozenset((a, b)) in cadj
-
+    cand = np.array([u for u in sorted(xs) if u not in banned], dtype=np.intp)
+    pool_l, pool_r = (cand[work[rank_rows(_quads(v, a, cand, x1))] == other].tolist()
+                      for a in (xlast, x2))
     try:
         y2 = pool_l[0]
-        y4 = next(u for u in pool_l if u != y2 and not adj(u, y2))
-        y5 = next(u for u in pool_r if u not in (y2, y4) and not adj(u, y4))
+        y4 = next(u for u in pool_l if u != y2 and {u, y2} not in cadj)
+        y5 = next(u for u in pool_r if u not in (y2, y4) and {u, y4} not in cadj)
         y7 = next(u for u in pool_r
-                  if u not in (y2, y4, y5) and not adj(u, y5))
+                  if u not in (y2, y4, y5) and {u, y5} not in cadj)
     except (IndexError, StopIteration):
         raise FallbackExhausted("insertion pools at x1 are too thin")
     tail_pool = [u for u in xs if u not in (x1, x2, xlast, y2, y4, y5, y7)]
@@ -807,28 +787,29 @@ def _close_hub_cycle(work: np.ndarray, hw: ColoredHypergraph, ys: list[int],
     """Close the `color` cycle ys = v, y2, ..., y_{n-1}, hub.
 
     Every inner pair y_j y_{j+1} (2 <= j <= n-2) must span the `color` edge
-    {v, y_j, y_{j+1}, hub}; then the lift backs every pair of ys.
+    {v, y_j, y_{j+1}, hub}; one gather reads them all, and the first pair
+    that does not is reported.  Then the lift backs every pair of ys.
     """
     v, hub = ys[0], ys[-1]
-    for j in range(2, len(ys) - 1):
-        if _color4(work, v, ys[j - 1], ys[j], hub) != color:
-            raise FallbackExhausted(
-                f"pair ({ys[j - 1]},{ys[j]}) breaks the {pattern} pattern")
+    bad = np.flatnonzero(work[rank_rows(_quads(v, ys[1:-2], ys[2:-1], hub))] != color)
+    if bad.size:
+        j = int(bad[0]) + 2
+        raise FallbackExhausted(
+            f"pair ({ys[j - 1]},{ys[j]}) breaks the {pattern} pattern")
     return _lift_core(hw, color, ys)
 
 
 def _color2_spares(work: np.ndarray, v: int, u: int, verts: list[int],
-                   cset: set[frozenset]) -> list[tuple[int, ...]]:
-    """Color-2 link triples through u that are not cycle edges."""
-    out = []
-    rest = sorted(w for w in verts if w != u)
-    for a, b in itertools.combinations(rest, 2):
-        tri = tuple(sorted((u, a, b)))
-        if frozenset(tri) in cset:
-            continue
-        if _color4(work, v, *tri) == 2:
-            out.append(tri)
-    return out
+                   cycle: np.ndarray) -> np.ndarray:
+    """Color-2 link triples through u that are not cycle edges (`cycle`:
+    their ranks plus v), as sorted rows in `itertools.combinations` order
+    over the other vertices, by one gather; callers convert the rows they read."""
+    rest = np.array(sorted(w for w in verts if w != u), dtype=np.intp)
+    a, b = np.triu_indices(len(rest), 1)
+    quads = _quads(v, u, rest[a], rest[b])
+    ranks = rank_rows(quads)
+    spare = quads[(work[ranks] == 2) & ~np.isin(ranks, cycle)]
+    return spare[spare != v].reshape(-1, 3)
 
 
 def _lemma_in_cycle(work: np.ndarray, hw: ColoredHypergraph, v: int,
@@ -839,22 +820,21 @@ def _lemma_in_cycle(work: np.ndarray, hw: ColoredHypergraph, v: int,
     xs = core[j:] + core[:j]
     es = cedges[j:] + cedges[:j]
     v2, v3 = xs[0], xs[1]
-    cset = set(map(frozenset, es))
+    cycle = rank_rows(_quads(v, *np.array(es).T))
 
-    p2 = _color2_spares(work, v, v2, xs, cset)
-    p3 = _color2_spares(work, v, v3, xs, cset)
-    if any(g2 != g3 for g2 in p2[:2] for g3 in p3[:2]):
+    p2 = _color2_spares(work, v, v2, xs, cycle)
+    p3 = _color2_spares(work, v, v3, xs, cycle)
+    if any(g2 != g3 for g2 in p2[:2].tolist() for g3 in p3[:2].tolist()):
         detail["insertion"] = "two-chords"
         return _lift_core(hw, 2, [v2, v, v3] + xs[2:])
 
     # nearly every spare pair at v2 (or v3) is the other color: build the
     # cycle ending at that vertex with all edges {v, ., ., u} of color 3
-    for u, e_other, spares in ((v2, es[-1], p2), (v3, es[1], p3)):
+    for u, e_other, spares, at in ((v2, es[-1], p2, "v2"), (v3, es[1], p3, "v3")):
         try:
             cert = _lemma_terminal_cycle(work, hw, v, xs, u, e_core, e_other,
-                                         spares)
-            detail["insertion"] = ("terminal-cycle-at-v2" if u == v2
-                                   else "terminal-cycle-at-v3")
+                                         spares.tolist())
+            detail["insertion"] = f"terminal-cycle-at-{at}"
             return cert
         except FallbackExhausted:
             continue
@@ -884,12 +864,12 @@ def lemma_a_construct(h: ColoredHypergraph, vertex: int, color: int,
                       budget: int = DEFAULT_BUDGET) -> tuple[BergeCertificate, dict]:
     """Certificate for a vertex touching at most one edge of `color`.
 
-    The coloring is renamed so the sparse color is 1 (hw); the route
-    conditions read a copy (work) where the companion edge e_v, if any,
-    counts as color 2.  A monochromatic Hamiltonian cycle of the vertex's
-    link then absorbs the vertex back in, and the new core lifts on hw, so
-    e_v never backs a pair.  Returns the certificate (in the original
-    colors) plus a detail dict for the trace.
+    The coloring is renamed so the sparse color is 1 (hw, one `take`, none
+    when no color moves); the route conditions read a copy (work) where the
+    companion edge e_v, if any, counts as color 2.  A monochromatic
+    Hamiltonian cycle of the vertex's link then absorbs the vertex back in,
+    and the new core lifts on hw, so e_v never backs a pair.  Returns the
+    certificate (in the original colors) plus a detail dict for the trace.
     """
     p = h.params
     if p.r != 4 or p.c != 3:
@@ -907,12 +887,11 @@ def lemma_a_construct(h: ColoredHypergraph, vertex: int, color: int,
     if ones.size == 1:
         e_v = unrank_subset(int(ranks[ones[0]]), n, 4)
     else:
-        low = [a for a in range(n) if a != vertex][:3]
-        e_v = tuple(sorted([vertex] + low))
+        e_v = tuple(sorted([vertex] + [a for a in range(n) if a != vertex][:3]))
     detail["companion_edge"] = list(e_v)
     if lut[h.color_of(e_v)] == 3:
         lut = np.array([0, 1, 3, 2], dtype=np.uint8)[lut]
-    hw = ColoredHypergraph(p, lut[h.colors])
+    hw = h if lut.tolist() == [0, 1, 2, 3] else ColoredHypergraph(p, lut.take(h.colors))
     work = hw.colors.copy()
     work[rank_subset(e_v)] = 2
 

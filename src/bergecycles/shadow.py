@@ -6,27 +6,18 @@ contain e.  The multi-coloring assigns every t-set its set of t-good colors,
 stored densely as a bitmask per t-set colex rank.  `ShadowMulticoloring`
 carries no counts: goodness is certified, not counted.
 
-The certificate rests on one asymmetry.  m edges of color i that contain a
-k-set are m witnesses, and m same-colored witnesses prove "at least m";
-only an exact count can prove "fewer than m".  So `_at_least` first reads,
-for every k-set, the colors of a fixed family of C(w, r-k) edges through it
-(the k-set plus an (r-k)-subset of a block of w = 8 vertices it avoids), in
-one vectorized gather.  Only the k-sets left with a color in doubt are
-counted on.  When they are few, their edges are read through
-`core.edges_through` in widening blocks of ascending rank, until every
-color has reached the bound or the row is whole and its count exact; else
-the full kernel counts every k-set.  On a random 3-coloring of K_85^4 about
-ten of the 3,570 pairs stay in doubt (7-19 on seeds 0-9), and every one
-of them is settled by its first C(16, 2) = 120 edges of 3,403; on a
-near-monochromatic coloring every pair stays in doubt.
+m edges of color i through a k-set prove "at least m"; only an exact
+count proves "fewer than m".  So `_at_least` reads C(8, r-k) witness edges
+through every k-set in one gather and counts on only the k-sets left in
+doubt: few of them in widening blocks of their ascending ranks, else all
+k-sets at once.  On a random 3-coloring of K_85^4, 7-19 of the 3,570 pairs
+stay in doubt (seeds 0-9), each settled by its first 120 of 3,403 edges.
 
-All full counting goes through one kernel, `subset_color_counts`, a block
-peel.  The edges with top vertex d are one colex block and the t-sets
-through d one contiguous rank range, so each block adds one `np.bincount`
-per (t-1)-subset of its lower columns, over cached keys `colex_rank * c - 1`
-plus the block's colors, straight into that range.  The edges' lower sets
-get per-block weights, carried down level by level with weighted bincounts
-in the same way.  The count reads no r-edge table and starts no thread.
+Every full count comes from `subset_color_counts`, exact on two routes: a
+block peel over every edge or, when few edges lie outside the most
+frequent color, a count of those edges alone.  On a near-monochromatic
+coloring every k-set stays in doubt, and the second route reads only the
+off-color edges.  Neither reads an r-edge table or starts a thread.
 """
 
 from __future__ import annotations
@@ -45,6 +36,7 @@ from .core import (
     binom,
     edge_table,
     edges_through,
+    rank_rows,
     unrank_rows,
 )
 
@@ -94,22 +86,11 @@ def subset_color_counts(h: ColoredHypergraph, t: int) -> np.ndarray:
     """(C(n,t), c) int64: per t-set and color, the containing r-edges of that color.
 
     At t = r each edge holds one r-set, itself, so the counts are its color
-    one-hot.  Below r, a block peel:
-
-    - In colex order the edges with top vertex d are the rows
-      [C(d,r), C(d+1,r)), and row C(d,r)+q has lower (r-1)-set rank q, so
-      the lower sets of the block are the first C(d,r-1) rows of the
-      (r-1)-table.  The t-sets through d are the ranks [C(d,t), C(d+1,t)).
-    - So the t-subsets of the block's edges that hold d are counted with one
-      bincount per (t-1)-subset J of the lower columns, over the cached key
-      `rank(J) * c - 1` plus the edge's color, added into that rank range.
-    - Every other t-subset lies in the edge's lower set.  The per-color
-      weights of the lower sets are one contiguous `colors == i+1` add per
-      block and color.
-    - The weights are carried down one level at a time in the same way: at
-      level k the k-sets with top d get one weighted bincount per J, and
-      their block sums are the (k-1)-set weights.  At k = t the weights are
-      the counts of the first C(n-1, t) t-sets.
+    one-hot.  Below r the count is exact on either of two routes.  When the
+    edges outside the most frequent color, times the C(r,t) t-subsets of
+    each, are at most C(n,r)/8 (the gather budget of `_at_least`),
+    `_minority_counts` reads those edges alone.  Else the block peel
+    `_peel_counts` reads every edge.
     """
     p = h.params
     if not 1 <= t <= p.r:
@@ -118,6 +99,46 @@ def subset_color_counts(h: ColoredHypergraph, t: int) -> np.ndarray:
         out = np.zeros((p.num_edges, p.c), dtype=np.int64)
         out[np.arange(p.num_edges), h.colors.astype(np.intp) - 1] = 1
         return out
+    # one pass per color: a bincount of the uint8 colors casts them to intp
+    sizes = [np.count_nonzero(h.colors == i) for i in range(1, p.c + 1)]
+    major = 1 + int(np.argmax(sizes))
+    if (p.num_edges - sizes[major - 1]) * binom(p.r, t) <= p.num_edges // 8:
+        return _minority_counts(h, t, major)
+    return _peel_counts(h, t)
+
+
+def _minority_counts(h: ColoredHypergraph, t: int, major: int) -> np.ndarray:
+    """subset_color_counts from the edges not of color `major`: one bincount
+    of `rank * c + color - 1` per t-subset of their columns.  Every t-set
+    lies in C(n-t, r-t) edges, so its `major` count is that total minus its
+    other colors, and the count is exact without reading a `major` edge."""
+    n, r, c = h.params.n, h.params.r, h.params.c
+    rest = np.flatnonzero(h.colors != major)
+    rows = unrank_rows(rest, n, r)
+    colors = h.colors[rest].astype(np.int64) - 1
+    out = np.zeros(binom(n, t) * c, dtype=np.int64)
+    for cols in itertools.combinations(range(r), t):
+        out += np.bincount(rank_rows(rows[:, cols]) * c + colors,
+                           minlength=out.size)
+    out = out.reshape(-1, c)
+    out[:, major - 1] = binom(n - t, r - t) - out.sum(axis=1)
+    return out
+
+
+def _peel_counts(h: ColoredHypergraph, t: int) -> np.ndarray:
+    """subset_color_counts for 1 <= t < r by a block peel over every edge.
+
+    The edges with top vertex d are the colex rows [C(d,r), C(d+1,r)); their
+    lower (r-1)-sets are the first C(d,r-1) rows of the (r-1)-table, and
+    the t-sets through d are the ranks [C(d,t), C(d+1,t)).  So a block adds
+    one bincount per (t-1)-subset J of its lower columns, over the cached
+    key `rank(J) * c - 1` plus the edge's color, into that range.  Every
+    other t-subset lies in the lower set, which gets per-color weights by
+    contiguous `colors == i+1` adds.  The weights are carried down a level
+    at a time the same way (weighted bincounts, block sums for the level
+    below); at k = t they are the counts of the first C(n-1, t) t-sets.
+    """
+    p = h.params
     n, r, c = p.n, p.r, p.c
     out = np.zeros(binom(n, t) * c, dtype=np.int64)
 

@@ -2,8 +2,7 @@
 
 A nested helper that calls itself holds itself through its closure cell, so
 every call would leave a reference cycle that keeps the helper's whole scope
-(the lift's candidate graph, the t >= 3 search's good set, the oracle's
-pools) alive until a full collection.  The cycle tests run one call with the
+(the lift's candidate graph) alive until a full collection.  The cycle tests run one call with the
 collector off and then expect a collection to find nothing unreachable.
 """
 

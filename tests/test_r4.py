@@ -14,6 +14,7 @@ from bergecycles.core import (
     edges_through,
     random_coloring,
     rank_subset,
+    unrank_subset,
     verify_berge_certificate,
 )
 from bergecycles.extract import MatchingIncomplete
@@ -29,7 +30,6 @@ from bergecycles.r4 import (
     UProfile,
     _alternating_split,
     _GammaBuilder,
-    _lemma_opposite_cycle,
     _lemma_terminal_cycle,
     _relabel_profile,
     _repair,
@@ -555,7 +555,7 @@ def _opposite_outcome(n, seed, chi):
     work, xs = _hub_coloring(n, seed, 5 - chi)
     hw = ColoredHypergraph(Params(n, 4, 2, 3), work)
     detail: dict = {}
-    out, ok = _hub_outcome(hw, lambda: _lemma_opposite_cycle(
+    out, ok = _hub_outcome(hw, lambda: r4._lemma_opposite_cycle(
         work, hw, 0, xs, chi, detail))
     return out + [detail], ok
 
@@ -679,3 +679,212 @@ def test_vertex_route_thin_pools_at_x1():
     assert h.params.n == 10
     with pytest.raises(FallbackExhausted, match="insertion pools at x1 are too thin"):
         r4.lemma_a_construct(h, 0, 1, 10**5)
+
+
+# ---------------------------------------------------------------------------
+# the per-4-set color loops that one gather per scan replaced, kept as the
+# reference: Gamma's fans, the vertex route's spare triples, chord scans,
+# opposite-cycle pools and hub check must give the same pairs in the same
+# order, the same rows, the same insertion and the same failure message
+
+
+def ref_color4(colors, a, b, c, d):
+    return int(colors[rank_subset(sorted((a, b, c, d)))])
+
+
+def ref_fan(gb, hub, a, tag, vs):
+    for v in vs:
+        if ref_color4(gb.colors, *hub, a, v) == 1:
+            gb.add(a, v, tag, tuple(sorted((*hub, a, v))))
+
+
+def ref_gamma_base(h, sel, a_set):
+    n = h.params.n
+    x, y, z = sel.x, sel.y, sel.z
+    gb = _GammaBuilder(h)
+    for u in sorted(set(sel.U12) - {y}):
+        ref_fan(gb, (x, z), u, "E1", (v for v in range(n) if v not in (x, z, y, u)))
+    for u in sorted(set(sel.U13) - {z}):
+        ref_fan(gb, (x, y), u, "E2", (v for v in range(n) if v not in (x, y, u)))
+    ref_fan(gb, (x, y), z, "E3",
+            (v for v in range(n) if v not in (x, y, z) and v not in a_set))
+    ref_fan(gb, (x, z), y, "E4", sorted(a_set - {y}))
+    for v in sorted(set(sel.U13) - {z}):
+        gb.add(y, v, "E5", None)
+    return gb
+
+
+def ref_color2_spares(work, v, u, verts, cset):
+    out = []
+    rest = sorted(w for w in verts if w != u)
+    for a, b in itertools.combinations(rest, 2):
+        tri = tuple(sorted((u, a, b)))
+        if frozenset(tri) in cset:
+            continue
+        if ref_color4(work, v, *tri) == 2:
+            out.append(tri)
+    return out
+
+
+def ref_lemma_insert(work, hw, v, xs, es, chi, detail):
+    n1 = len(xs)
+    x1 = xs[0]
+
+    def col(a, b, c):
+        return ref_color4(work, v, a, b, c)
+
+    for ki in range(2, n1 - 2):
+        for kj in range(ki + 2, n1 - 1):
+            if col(x1, xs[ki], xs[kj]) == chi:
+                detail["insertion"] = "chord"
+                return r4._lift_core(hw, chi, [x1, v] + xs[1:])
+    e_last, e_first = es[-1], es[0]
+    for li in range(2, n1 - 2):
+        tri = tuple(sorted((xs[-1], x1, xs[li])))
+        if col(*tri) == chi and tri != e_last:
+            detail["insertion"] = "wrap-left"
+            return r4._lift_core(hw, chi, [v] + xs)
+    for li in range(3, n1 - 1):
+        tri = tuple(sorted((x1, xs[1], xs[li])))
+        if col(*tri) == chi and tri != e_first:
+            detail["insertion"] = "wrap-right"
+            return r4._lift_core(hw, chi, [x1, v] + xs[1:])
+    return None
+
+
+def ref_lemma_opposite_cycle(work, hw, v, xs, chi, detail):
+    other = 5 - chi
+    x1 = xs[0]
+    cadj = r4._cycle_adjacency(xs)
+    xlast, x2 = xs[-1], xs[1]
+    banned = {xs[-2], xlast, x1, x2, xs[2]}
+    pool_l = [u for u in sorted(xs) if u not in banned
+              and ref_color4(work, v, xlast, u, x1) == other]
+    pool_r = [u for u in sorted(xs) if u not in banned
+              and ref_color4(work, v, x2, u, x1) == other]
+
+    def adj(a, b):
+        return frozenset((a, b)) in cadj
+
+    try:
+        y2 = pool_l[0]
+        y4 = next(u for u in pool_l if u != y2 and not adj(u, y2))
+        y5 = next(u for u in pool_r if u not in (y2, y4) and not adj(u, y4))
+        y7 = next(u for u in pool_r
+                  if u not in (y2, y4, y5) and not adj(u, y5))
+    except (IndexError, StopIteration):
+        raise FallbackExhausted("insertion pools at x1 are too thin")
+    tail_pool = [u for u in xs if u not in (x1, x2, xlast, y2, y4, y5, y7)]
+    tail = r4._order_avoiding(tail_pool, y7, x1, cadj)
+    if tail is None:
+        raise FallbackExhausted("could not arrange the opposite-color cycle")
+    ys = [v, y2, xlast, y4, y5, x2, y7] + tail + [x1]
+    cert = ref_close_hub_cycle(work, hw, ys, other, "opposite")
+    detail["insertion"] = "opposite-cycle"
+    return cert
+
+
+def ref_close_hub_cycle(work, hw, ys, color, pattern):
+    v, hub = ys[0], ys[-1]
+    for j in range(2, len(ys) - 1):
+        if ref_color4(work, v, ys[j - 1], ys[j], hub) != color:
+            raise FallbackExhausted(
+                f"pair ({ys[j - 1]},{ys[j]}) breaks the {pattern} pattern")
+    return r4._lift_core(hw, color, ys)
+
+
+def _case_fixtures():
+    return [(label, make) for label, make in _census_fixtures()
+            if label.startswith("u-profile")]
+
+
+@pytest.mark.parametrize("label,make", _case_fixtures())
+def test_gamma_fans_equal_the_per_quad_loop(label, make):
+    # the scaffold's pairs (tag and backing, in insertion order) and every
+    # vertex's links, on the pivot r4_find picks, with the colors renamed
+    h = make()
+    s = build_shadow(h, 2)
+    _, sel = classify_and_pivot(compute_u_profiles(s))
+    h2 = relabel_colors(h, s, sel.sigma)[0]
+    a_set = set(sel.A) if sel.U23 else set(sel.A) | set(sel.A2)
+    got = r4._gamma_base(h2, sel, a_set)
+    want = ref_gamma_base(h2, sel, a_set)
+    assert got.prov and repr(list(got.prov.items())) == repr(list(want.prov.items()))
+    assert repr(got.links) == repr(want.links)
+
+
+def _outcome(build):
+    try:
+        cert = build()
+    except FallbackExhausted as exc:
+        return ["fail", str(exc)]
+    return ["ok", None if cert is None else cert.to_json_dict()]
+
+
+def _assert_scans_match(calls):
+    """Rerun every recorded vertex-route scan beside its reference."""
+    for name, args in calls:
+        if name == "_color2_spares":
+            work, v, u, verts, cycle = args
+            n = max(*verts, v) + 1
+            cset = {frozenset(unrank_subset(int(q), n, 4)) - {v} for q in cycle}
+            got = r4._color2_spares(*args)
+            assert repr([tuple(t) for t in got.tolist()]) == repr(
+                ref_color2_spares(work, v, u, verts, cset))
+        elif name == "_close_hub_cycle":
+            assert (_outcome(lambda: r4._close_hub_cycle(*args))
+                    == _outcome(lambda: ref_close_hub_cycle(*args)))
+        else:
+            ref = {"_lemma_insert": ref_lemma_insert,
+                   "_lemma_opposite_cycle": ref_lemma_opposite_cycle}[name]
+            got, want = {}, {}
+            assert (_outcome(lambda: getattr(r4, name)(*args[:-1], got))
+                    == _outcome(lambda: ref(*args[:-1], want)))
+            assert got == want
+
+
+def _record_scans(monkeypatch):
+    calls = []
+    for name in ("_color2_spares", "_lemma_insert", "_lemma_opposite_cycle",
+                 "_close_hub_cycle"):
+        def spy(*args, _name=name, _fn=getattr(r4, name)):
+            calls.append((_name, args))
+            return _fn(*args)
+        monkeypatch.setattr(r4, name, spy)
+    return calls
+
+
+def _near_mono(base):
+    return next(structured_colorings(
+        "near-mono", {"n": 85, "r": 4, "c": 3, "base": base, "off": 1}))
+
+
+@pytest.mark.parametrize("run, scans", [
+    # the census's two near-mono fixtures: two chords, a chord insertion
+    (lambda: r4_find(_near_mono(2)), {"_color2_spares"}),
+    (lambda: r4_find(_near_mono(3)), {"_lemma_insert"}),
+    # the wrap insertions and the vertex route's hub cycles
+    (lambda: _insert_fixture(False), {"_lemma_insert"}),
+    (lambda: _insert_fixture(True), {"_lemma_insert"}),
+    *[(lambda seed=seed: r4.lemma_a_construct(
+        _sparse_vertex_coloring(seed), 0, 1, 10**5),
+       {"_lemma_insert", "_lemma_opposite_cycle", "_close_hub_cycle"})
+      for seed in (1793, 1960)],
+    (lambda: r4.lemma_a_construct(_sparse_vertex_coloring(4815), 0, 1, 10**5),
+     {"_color2_spares", "_close_hub_cycle"}),
+    (lambda: pytest.raises(FallbackExhausted, r4.lemma_a_construct,
+                           _sparse_vertex_coloring(108), 0, 1, 10**5),
+     {"_lemma_insert", "_lemma_opposite_cycle"}),
+    # the hub-cycle sweep's inputs, passing and failing
+    (lambda: [_opposite_outcome(n, seed, chi) for n in (20, 40)
+              for seed in range(12) for chi in (2, 3)],
+     {"_lemma_opposite_cycle", "_close_hub_cycle"}),
+    (lambda: [_terminal_outcome(n, seed) for n in (20, 40) for seed in range(12)],
+     {"_close_hub_cycle"}),
+])
+def test_vertex_route_scans_equal_the_per_quad_loops(monkeypatch, run, scans):
+    calls = _record_scans(monkeypatch)
+    run()
+    monkeypatch.undo()
+    assert {name for name, _ in calls} == scans
+    _assert_scans_match(calls)

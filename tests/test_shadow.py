@@ -184,6 +184,94 @@ def test_each_resolution_path(monkeypatch, make, path):
     assert np.array_equal(got, _pack_goodmask(subset_color_counts(h, 2) >= 3))
 
 
+def spy_routes(monkeypatch):
+    """The names of the full-count routes `subset_color_counts` takes."""
+    routes = []
+    for name in ("_minority_counts", "_peel_counts"):
+        def spy(*args, _name=name, _fn=getattr(shadow, name)):
+            routes.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(shadow, name, spy)
+    return routes
+
+
+def off_color_coloring(n, r, c, count, seed=0):
+    """Color 1 on every edge of K_n^r but `count` seeded ones in 2..c."""
+    p = Params(n=n, r=r, t=2, c=c)
+    rng = np.random.default_rng(seed)
+    colors = np.ones(p.num_edges, dtype=np.uint8)
+    colors[rng.choice(p.num_edges, size=count, replace=False)] = rng.integers(
+        2, c + 1, size=count)
+    return ColoredHypergraph(p, colors)
+
+
+@pytest.mark.parametrize("n,r", [(40, 4), (85, 4), (30, 5)])
+def test_minority_route_equals_the_peel_on_near_mono(monkeypatch, n, r):
+    # one off-color edge: every k takes the minority route
+    h = next(structured_colorings(
+        "near-mono", {"n": n, "r": r, "c": 3, "base": 2, "off": 1}))
+    for k in range(1, r):
+        routes = spy_routes(monkeypatch)
+        got = subset_color_counts(h, k)
+        monkeypatch.undo()
+        assert routes == ["_minority_counts"], k
+        assert got.dtype == np.int64
+        assert np.array_equal(got, shadow._peel_counts(h, k)), k
+
+
+@pytest.mark.parametrize("n,r,c", [(19, 4, 3), (14, 5, 2)])
+def test_minority_gate_on_both_sides(monkeypatch, n, r, c):
+    # (edges outside color 1) * C(r, k) <= C(n, r) / 8 takes the minority
+    # route; one edge more takes the peel, and both count exactly.  C(r, k)
+    # divides C(n, r) // 8 here (but at r = 4, k = 2), so the bound is met
+    # with equality
+    for k in range(1, r):
+        edge = binom(n, r) // 8 // binom(r, k)
+        for count, route in ((edge, "_minority_counts"), (edge + 1, "_peel_counts")):
+            h = off_color_coloring(n, r, c, count, seed=k)
+            routes = spy_routes(monkeypatch)
+            got = subset_color_counts(h, k)
+            monkeypatch.undo()
+            assert routes == [route], (k, count)
+            assert np.array_equal(got, shadow._peel_counts(h, k)), (k, count)
+            assert np.array_equal(got, table_oracle(h, k)), (k, count)
+
+
+@pytest.mark.parametrize("n,r", [(12, 4), (14, 6)])
+def test_minority_route_with_one_color(monkeypatch, n, r):
+    h = next(structured_colorings("near-mono", {"n": n, "r": r, "c": 1}))
+    for k in range(1, r):
+        routes = spy_routes(monkeypatch)
+        got = subset_color_counts(h, k)
+        monkeypatch.undo()
+        assert routes == ["_minority_counts"]
+        assert np.array_equal(got, shadow._peel_counts(h, k))
+        assert (got[:, 0] == binom(n - k, r - k)).all()
+
+
+@pytest.mark.parametrize("make,uses", [
+    (lambda: next(structured_colorings(
+        "near-mono", {"n": 85, "r": 4, "c": 3, "base": 2, "off": 1})), True),
+    (lambda: random_coloring(Params(n=85, r=4, t=2, c=3), seed=0), False),
+    (lambda: next(structured_colorings(
+        "partition", {"n": 40, "r": 5, "c": 3, "parts": 3})), False),
+])
+def test_sparse_vertex_check_takes_the_minority_route_only_near_mono(
+        monkeypatch, make, uses):
+    # r4_find's first step on K_85^4; no k-set test on the others reads it
+    h = make()
+    routes = spy_routes(monkeypatch)
+    got = _at_least(h, 1, 2)
+    assert ("_minority_counts" in routes) == uses
+    if not uses:
+        for k in range(1, h.params.r):
+            _at_least(h, k, h.params.r - k + 1)
+            subset_color_counts(h, k)
+        assert "_minority_counts" not in routes
+    monkeypatch.undo()
+    assert np.array_equal(got, shadow._peel_counts(h, 1) >= 2)
+
+
 def record_blocks(monkeypatch):
     """The (rows, start, stop) of every `edges_through` call shadow makes."""
     blocks = []
