@@ -24,6 +24,8 @@ import numpy as np
 MAX_N = 128          # vertex-count ceiling; edge_table's uint8 ids need MAX_N <= 255
 _MAX_K = 8           # widest subset size served by the vectorized table
 _THROUGH_ROWS = 16   # edges_through's row block: a 1 MB temporary at n=128, r=4
+_LOOKUP_ROWS = 1024  # fixed sets per edges_through lookup build
+_FIRST_FREE = 8      # free vertices the first block of an edges_through row spans
 
 COLORING_MAGIC = "berge-coloring v2"   # the one format read and written
 
@@ -138,29 +140,37 @@ def edges_through(n: int, r: int, fixed_sets, start: int = 0,
 
     The free vertices relabel edge_table(n - k, r - k) through the ascending
     complement `rest`, and the colex order of the free parts is that of the
-    whole subsets.  Nothing is sorted.  rest[i] - i fixed vertices lie below
-    rest[i], so a free vertex in column j sits at index j + rest[i] - i of
-    its r-set.  The i-th fixed vertex x sits at index i + d, where d counts
-    the free columns whose rest index is below x - i; as the columns ascend,
-    C(x, i+d+1) is C(x, i+1) plus one step C(x, i+j+2) - C(x, i+j+1) for each
-    such column j, so every rank is a sum of one lookup per free column.
-    The lookups are added in place, _THROUGH_ROWS rows at a time.
+    whole subsets.  Nothing is sorted.  The i-th fixed vertex x has x - i
+    free vertices below it, so `below` (rest index a below x - i) holds
+    when the a-th free vertex lies below x, and rest[a] is a plus the count
+    of fixed vertices for which it does not.  So rest[a] - a fixed vertices
+    lie below rest[a], and a free vertex in column j sits at index
+    j + rest[a] - a of its r-set.  The i-th fixed vertex x sits at index
+    i + d, where d counts the free columns whose rest index is below x - i;
+    as the columns ascend, C(x, i+d+1) is C(x, i+1) plus one step
+    C(x, i+j+2) - C(x, i+j+1) for each such column j, so every rank is a
+    sum of one lookup per free column.  The lookups span only the free
+    vertices the column range reaches, and are built for _LOOKUP_ROWS fixed
+    sets at a time, so that with many sets they stay small beside the
+    result.  They are added in place, _THROUGH_ROWS rows at a time.
     """
     fixed = np.sort(np.asarray(fixed_sets, dtype=np.intp), axis=1)
     p, k = fixed.shape
-    keep = np.ones((p, n), dtype=bool)
-    np.put_along_axis(keep, fixed, False, axis=1)
-    rest = np.nonzero(keep)[1].reshape(p, n - k)
-    idx, at = np.arange(n - k), np.arange(k)
-    below = idx < (fixed - at)[:, :, None]       # (P, k, n-k): rest index below x - i
     free = edge_table(n - k, r - k)[start:stop]
+    # colex rows ascend in their last column, so the last row holds the top
+    idx, at = np.arange(int(free[-1, -1]) + 1 if free.size else 0), np.arange(k)
+    cols = free.T.astype(np.intp)
     ranks = np.empty((p, len(free)), dtype=np.int64)
-    ranks[:] = _BINOM[fixed, at + 1].sum(axis=1, keepdims=True)
-    for j, col in enumerate(free.T.astype(np.intp)):
-        step = _BINOM[fixed, at + j + 2] - _BINOM[fixed, at + j + 1]
-        lut = _BINOM[rest, rest - idx + j + 1] + (below * step[:, :, None]).sum(axis=1)
-        for a in range(0, p, _THROUGH_ROWS):
-            ranks[a:a + _THROUGH_ROWS] += np.take(lut[a:a + _THROUGH_ROWS], col, axis=1)
+    for lo in range(0, p, _LOOKUP_ROWS):
+        x, out = fixed[lo:lo + _LOOKUP_ROWS], ranks[lo:lo + _LOOKUP_ROWS]
+        below = idx < (x - at)[:, :, None]       # (rows, k, reach): rest index below x - i
+        rest = idx + k - below.sum(axis=1)
+        out[:] = _BINOM[x, at + 1].sum(axis=1, keepdims=True)
+        for j, col in enumerate(cols):
+            step = _BINOM[x, at + j + 2] - _BINOM[x, at + j + 1]
+            lut = _BINOM[rest, rest - idx + j + 1] + (below * step[:, :, None]).sum(axis=1)
+            for a in range(0, len(x), _THROUGH_ROWS):
+                out[a:a + _THROUGH_ROWS] += np.take(lut[a:a + _THROUGH_ROWS], col, axis=1)
     return ranks
 
 

@@ -12,10 +12,11 @@ The matcher reads a position's candidates in ascending rank, and the next
 one only after the earlier ones fail; it rarely needs more than a few.  So
 each position's candidates are a lazy `CandidateRow`.  One `edges_through`
 call fills every row with the edges whose free part lies in the window's 8
-lowest free vertices (_FIRST_FREE), and a row doubles that prefix only when
-the matcher reads past its end.  The k-th candidate read is the k-th of the
-full row, so the matching is the one the full rows give.  The covering
-bound is checked after the matching, over the candidates read so far.
+lowest free vertices (`core._FIRST_FREE`, the shadow's first block too),
+and a row doubles that prefix only when the matcher reads past its end.
+The k-th candidate read is the k-th of the full row, so the matching is
+the one the full rows give.  The covering bound is checked after the
+matching, over the candidates read so far.
 
 `extend_tight_cycle` checks the witness and then calls `lift_to_berge`, the
 matching step alone.  Cycles whose windows need not be t-good (r4's Gamma
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _FIRST_FREE,
     BergeCertificate,
     ColoredHypergraph,
     InternalError,
@@ -58,9 +60,6 @@ class MatchingIncomplete(RuntimeError):
     def __init__(self, message: str, unmatched: list[int]):
         super().__init__(message)
         self.unmatched = unmatched
-
-
-_FIRST_FREE = 8   # free vertices the first block of every candidate row spans
 
 
 @dataclass(eq=False, slots=True)

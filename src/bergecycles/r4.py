@@ -227,7 +227,7 @@ def relabel_colors(h: ColoredHypergraph, s: ShadowMulticoloring,
         bit = (s.goodmask >> np.uint32(old - 1)) & np.uint32(1)
         goodmask |= bit << np.uint32(sigma[old - 1] - 1)
     goodmask.setflags(write=False)
-    return (ColoredHypergraph(h.params, lut[h.colors]),
+    return (ColoredHypergraph(h.params, lut.take(h.colors)),
             ShadowMulticoloring(s.params, s.t, goodmask))
 
 
@@ -355,19 +355,20 @@ class _GammaBuilder:
         self.colors = h.colors
         self.n = h.params.n
         self.prov: dict[tuple[int, int], tuple[str, tuple[int, ...] | None]] = {}
-        # links[v]: (neighbour, backing) of every pair at v, in insertion order
-        self.links: list[list] = [[] for _ in range(self.n)]
+        self.rows = [0] * self.n      # rows[v]: neighbour bitmask of v
 
     def add(self, u: int, v: int, tag: str, backing: tuple[int, ...] | None) -> None:
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
         key = (u, v) if u < v else (v, u)
         if key in self.prov:
             return
         self.prov[key] = (tag, backing)
-        self.links[u].append((v, backing))
-        self.links[v].append((u, backing))
+        self.rows[u] |= 1 << v
+        self.rows[v] |= 1 << u
 
     def graph(self) -> SimpleGraph:
-        return SimpleGraph.from_edges(self.n, self.prov.keys())
+        return SimpleGraph(self.n, self.rows)
 
 
 def _fan(gb: _GammaBuilder, hub: tuple[int, int], a: int, tag: str, vs) -> None:
@@ -437,11 +438,11 @@ class _Deficient:
 
     def __init__(self, h: ColoredHypergraph, gb: _GammaBuilder, v: int | None,
                  target: int, contain: tuple[int, ...], who: str):
-        links = gb.links[v] if v is not None else []
+        row = gb.rows[v] if v is not None else 0
         self.v = v
-        self.deficit = max(target - len(links), 0)
-        self.nbrs = sorted(u for u, _ in links)
-        self.backings = {b for _, b in links if b is not None}
+        self.deficit = max(target - row.bit_count(), 0)
+        self.nbrs = [u for u in range(gb.n) if row >> u & 1]
+        self.backings = {gb.prov[min(v, u), max(v, u)][1] for u in self.nbrs} - {None}
         self.reserved = _reserve(h, contain, self.deficit, self.backings, who)
 
 
@@ -487,7 +488,7 @@ def construct_gamma_case1(h: ColoredHypergraph,
     gb = _gamma_base(h, sel, set(sel.A) | set(sel.A2))
 
     # repair the two least-covered U123 vertices up to degree 3
-    wsorted = sorted(sel.U123, key=lambda v: (len(gb.links[v]), v))
+    wsorted = sorted(sel.U123, key=lambda v: (gb.rows[v].bit_count(), v))
     w1, w2 = (wsorted + [None, None])[:2]
     d1 = _Deficient(h, gb, w1, 3, (x, w1), f"x,w1={w1}")
     d2 = _Deficient(h, gb, w2, 3, (x, w2), f"x,w2={w2}")
@@ -549,7 +550,7 @@ def construct_gamma_case2(h: ColoredHypergraph, s: ShadowMulticoloring,
     x, y, z, u23 = sel.x, sel.y, sel.z, sel.u23
     gb = _gamma_base(h, sel, set(sel.A))
 
-    w1 = min(sel.U123, key=lambda v: (len(gb.links[v]), v), default=None)
+    w1 = min(sel.U123, key=lambda v: (gb.rows[v].bit_count(), v), default=None)
     dw = _Deficient(h, gb, w1, 3, (x, w1), f"x,w1={w1}")
     du = _Deficient(h, gb, u23, 2, (u23,), f"u23={u23}")
     r, l, W, U = dw.deficit, du.deficit, dw.reserved, du.reserved

@@ -7,11 +7,13 @@ stored densely as a bitmask per t-set colex rank.  `ShadowMulticoloring`
 carries no counts: goodness is certified, not counted.
 
 m edges of color i through a k-set prove "at least m"; only an exact
-count proves "fewer than m".  So `_at_least` reads C(8, r-k) witness edges
-through every k-set in one gather and counts on only the k-sets left in
-doubt: few of them in widening blocks of their ascending ranks, else all
-k-sets at once.  On a random 3-coloring of K_85^4, 7-19 of the 3,570 pairs
-stay in doubt (seeds 0-9), each settled by its first 120 of 3,403 edges.
+count proves "fewer than m".  So `_at_least` reads every k-set's edges in
+ascending rank, in blocks: first the C(8, r-k) through its 8 lowest free
+vertices, then, on the k-sets still in doubt, the next ones up to 16, 32,
+... free vertices, under one budget of C(n,r)/8 ranks read, past which
+every k-set is counted at once.  On a random 3-coloring of K_85^4, 6-19
+of the 3,570 pairs stay in doubt after their first block (seeds 0-9), each
+settled by its first 120 of 3,403 edges.
 
 Every full count comes from `subset_color_counts`, exact on two routes: a
 block peel over every edge or, when few edges lie outside the most
@@ -33,6 +35,7 @@ from .core import (
     InvalidParams,
     Params,
     _BINOM,
+    _FIRST_FREE,
     binom,
     edge_table,
     edges_through,
@@ -88,7 +91,7 @@ def subset_color_counts(h: ColoredHypergraph, t: int) -> np.ndarray:
     At t = r each edge holds one r-set, itself, so the counts are its color
     one-hot.  Below r the count is exact on either of two routes.  When the
     edges outside the most frequent color, times the C(r,t) t-subsets of
-    each, are at most C(n,r)/8 (the gather budget of `_at_least`),
+    each, are at most C(n,r)/8 (the rank budget of `_at_least`),
     `_minority_counts` reads those edges alone.  Else the block peel
     `_peel_counts` reads every edge.
     """
@@ -181,10 +184,6 @@ def _peel_counts(h: ColoredHypergraph, t: int) -> np.ndarray:
     return out
 
 
-# the witness blocks: w vertices each, the lowest, the highest, the next lowest
-_W = 8
-
-
 def _tally(h: ColoredHypergraph, ranks: np.ndarray) -> np.ndarray:
     """(M, c) int64: per row of an (M, L) edge-rank array, its edges of each color."""
     cols = h.colors[ranks]
@@ -193,100 +192,54 @@ def _tally(h: ColoredHypergraph, ranks: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _witness_ranks(n: int, r: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only: the k-sets that avoid a witness block, as ascending ranks,
-    and the (len, C(w, r-k)) ranks of their witnesses, the edges T + S with
-    S an (r-k)-subset of the block.
-
-    A k-set takes the first block it avoids: [0, w), [n-w, n), [w, 2w).
-    With j = r - k, a vertex T_i below the block keeps index i in the edge
-    and one above it moves to i + j; the block's s-th vertex sits at q + s,
-    q the vertices of T below the block.  So a witness rank is
-    sum_i C(T_i, i + 1 + j [T_i above]) plus a term of (block, q, S) alone.
-    Distinct subsets S give distinct edges, so the witnesses of a k-set
-    are C(w, j) different edges through it.
-    """
-    j = r - k
-    starts = np.array([0, n - _W, _W])
-    rows = edge_table(n, k).astype(np.intp)
-    block = np.full(len(rows), -1)
-    for b, lo in enumerate(starts):
-        avoids = ((rows < lo) | (rows >= lo + _W)).all(axis=1)
-        block[(block < 0) & avoids] = b
-    keep = np.flatnonzero(block >= 0)
-    rows, block = rows[keep], block[keep]
-    above = rows >= (starts + _W)[block][:, None]
-    own = _BINOM[rows, np.arange(1, k + 1) + j * above].sum(axis=1)
-    subsets = edge_table(_W, j).astype(np.intp)
-    lift = np.array([[_BINOM[lo + subsets, q + np.arange(1, j + 1)].sum(axis=1)
-                      for q in range(k + 1)] for lo in starts])
-    q = k - above.sum(axis=1)
-    ranks = own[:, None] + lift[block, q]
-    keep.setflags(write=False)
+def _first_block(n: int, r: int, k: int) -> np.ndarray:
+    """Read-only (C(n,k), C(f, r-k)): the first block of every k-set's
+    `edges_through` row, the edges whose free part lies in its f lowest
+    free vertices, f = min(_FIRST_FREE, n - k)."""
+    ranks = edges_through(n, r, edge_table(n, k),
+                          stop=binom(min(_FIRST_FREE, n - k), r - k))
     ranks.setflags(write=False)
-    return keep, ranks
+    return ranks
 
 
 def _at_least(h: ColoredHypergraph, k: int, m: int) -> np.ndarray:
     """(C(n,k), c) bool: does each k-set lie in at least m edges of each color?
 
-    m same-colored witnesses (`_witness_ranks`; read for k < r, and for
-    n >= 2w, so that every block lies in the vertex set) prove "at least
-    m"; only an exact count proves "fewer than m".  So every k-set with a
-    color still in doubt is counted on: by `_widening_counts` while those
-    k-sets lie in at most C(n,r)/8 edges (an int64 rank array no larger
-    than the coloring, were every row read whole), else by the full
-    kernel.  When the k-sets that avoid every block are already too many
-    for that, the witnesses are not read.
+    m edges of one color through a k-set prove "at least m"; only an
+    exact count proves "fewer than m".  So every k-set's row of ascending
+    edge ranks (`edges_through`) is read in blocks: first the edges whose
+    free part lies in its f = 8 lowest free vertices (`_first_block`), then
+    the next ones up to its 2f, 4f, ... lowest, capped at n - k.  A row
+    drops out once every color has m; counts only grow, so ">= m" then
+    holds for the whole row too.  Every other row is read to its end, where
+    its count is exact.  The first blocks are read when they hold fewer
+    ranks than the coloring has edges, and the later blocks while the ranks
+    they read total at most C(n,r)/8; past either limit the full kernel
+    counts every k-set.
     """
     p = h.params
     n, r = p.n, p.r
     if not 1 <= k <= r:
         raise InvalidParams(f"need 1 <= k <= r={r}, got k={k}")
-    few = p.num_edges // 8 // binom(n - k, r - k)    # k-sets the exact gather takes
-    ok = np.zeros((binom(n, k), p.c), dtype=bool)
-    if k < r and n >= 2 * _W:
-        sets, ranks = _witness_ranks(n, r, k)
-        if len(ok) - len(sets) <= few:
-            ok[sets] = _tally(h, ranks) >= m
-    doubt = np.flatnonzero(~ok.all(axis=1))
-    if not doubt.size:
-        return ok
-    if doubt.size <= few:
-        ok[doubt] = _widening_counts(h, unrank_rows(doubt, n, k), m) >= m
-        return ok
-    return subset_color_counts(h, k) >= m
-
-
-def _widening_counts(h: ColoredHypergraph, sets: np.ndarray, m: int) -> np.ndarray:
-    """(P, c) int64 per row of a (P, k) array of k-sets: its edges of each
-    color, exact or at least m in every color.
-
-    A row is read in blocks of its ascending ranks, [C(f/2, r-k),
-    C(f, r-k)) for f = 16, 32, 64, ... capped at n - k, the first block
-    from 0: the edges whose free part lies in the set's first f free
-    vertices are the prefix `edges_through` gives for stop = C(f, r-k).  A
-    row drops out once every color has m; counts only grow, so ">= m" then
-    holds for the whole row too.  Every other row is read to its end, where
-    its count is exact.  The first block spans 2w free vertices, not w: a
-    row is in doubt because its witnesses fell short, and for a k-set that
-    avoids the lowest witness block they are the edges through its first w
-    free vertices.
-    """
-    p = h.params
-    n, r, k = p.n, p.r, sets.shape[1]
-    width = binom(n - k, r - k)
-    counts = np.zeros((len(sets), p.c), dtype=np.int64)
-    live = np.arange(len(sets))
-    start, f = 0, 2 * _W
-    while live.size:
-        stop = binom(min(f, n - k), r - k)
-        counts[live] += _tally(h, edges_through(n, r, sets[live], start, stop))
-        if stop == width:
-            break
+    free = min(_FIRST_FREE, n - k)
+    start = binom(free, r - k)
+    if binom(n, k) * start >= p.num_edges:
+        return subset_color_counts(h, k) >= m
+    counts = _tally(h, _first_block(n, r, k))
+    live = np.arange(len(counts))
+    budget = p.num_edges // 8
+    while True:
         live = live[(counts[live] < m).any(axis=1)]
-        start, f = stop, 2 * f
-    return counts
+        if not live.size or free == n - k:
+            return counts >= m
+        free = min(2 * free, n - k)
+        stop = binom(free, r - k)
+        budget -= live.size * (stop - start)
+        if budget < 0:
+            return subset_color_counts(h, k) >= m
+        counts[live] += _tally(h, edges_through(n, r, edge_table(n, k)[live],
+                                                start, stop))
+        start = stop
 
 
 def build_shadow(h: ColoredHypergraph, t: int) -> ShadowMulticoloring:

@@ -173,6 +173,21 @@ def test_edges_through_matches_enumeration(case):
         assert got.tolist() == [rank_subset(s) for s in want]
 
 
+@given(fixed_set_batches(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_edges_through_column_ranges_are_slices_of_the_full_row(case, data):
+    # start, stop = C(m', r-k), C(m, r-k): the free parts inside the first m
+    # free vertices but not the first m'; the lookups then span only m of them
+    n, r, sets = case
+    j = r - len(sets[0])
+    m = data.draw(st.integers(0, n - len(sets[0])))
+    m0 = data.draw(st.integers(0, m))
+    start, stop = binom(m0, j), binom(m, j)
+    full = edges_through(n, r, sets)
+    assert np.array_equal(edges_through(n, r, sets, start, stop), full[:, start:stop])
+    assert np.array_equal(edges_through(n, r, sets, stop=stop), full[:, :stop])
+
+
 def test_edges_through_spans_several_row_blocks():
     n, r = 11, 4
     sets = list(itertools.combinations(range(n), 2))

@@ -123,6 +123,22 @@ def test_edges_through_peaks_near_its_result():
     assert peak <= 1.5 * ranks.nbytes, (peak, ranks.nbytes)
 
 
+def test_edges_through_lookups_stay_small_beside_many_sets():
+    # the shadow's first block of every triple of K_85^4: 98,770 rows of 8
+    # ranks, whose lookups are built 1,024 sets at a time; built for every
+    # set at once they held several result-sized arrays
+    sets = edge_table(85, 3)
+    edges_through(85, 4, sets[:1], stop=8)    # the (82, 1) table is cached now
+    tracemalloc.start()
+    try:
+        ranks = edges_through(85, 4, sets, stop=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ranks.shape == (len(sets), 8)
+    assert peak <= 1.75 * ranks.nbytes, (peak, ranks.nbytes)
+
+
 def test_u_profile_coloring_peaks_at_two_int64_columns():
     # the hash mixes one table column at a time, and only the pivot's rows
     # are mixed again; a whole-table int64 copy peaked at ~99 MB here

@@ -386,6 +386,10 @@ def test_repair_adds_the_pair_and_sends_the_rest_of_its_edge_to_d():
     _repair(gb, D, 0, 4, 5, (0, 2, 4, 5))
     assert gb.prov == {(1, 2): ("E6", (0, 1, 2, 3)), (4, 5): ("E6", (0, 2, 4, 5))}
     assert D == {2, 3}
+    assert gb.rows == [0, 0b100, 0b10, 0, 0b100000, 0b10000]
+    assert gb.graph().rows == gb.rows
+    with pytest.raises(ValueError, match="loop at vertex 3"):
+        gb.add(3, 3, "E6", None)
 
 
 def test_color_relabel_round_trip():
@@ -801,7 +805,8 @@ def _case_fixtures():
 @pytest.mark.parametrize("label,make", _case_fixtures())
 def test_gamma_fans_equal_the_per_quad_loop(label, make):
     # the scaffold's pairs (tag and backing, in insertion order) and every
-    # vertex's links, on the pivot r4_find picks, with the colors renamed
+    # vertex's neighbour row, on the pivot r4_find picks, with the colors
+    # renamed
     h = make()
     s = build_shadow(h, 2)
     _, sel = classify_and_pivot(compute_u_profiles(s))
@@ -810,7 +815,7 @@ def test_gamma_fans_equal_the_per_quad_loop(label, make):
     got = r4._gamma_base(h2, sel, a_set)
     want = ref_gamma_base(h2, sel, a_set)
     assert got.prov and repr(list(got.prov.items())) == repr(list(want.prov.items()))
-    assert repr(got.links) == repr(want.links)
+    assert got.rows == want.rows
 
 
 def _outcome(build):

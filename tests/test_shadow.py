@@ -88,7 +88,8 @@ def test_every_peel_depth_matches_oracle(t):
 
 @st.composite
 def witness_instances(draw):
-    # n on both sides of 2w = 16, below which no witness is read
+    # n on both sides of the first-block limit: at r = 4, k = 2 the first
+    # blocks are read from n = 21 on, below it the full kernel counts
     n = draw(st.integers(2, 15) | st.integers(16, 40))
     r = draw(st.integers(2, min(6, n)))
     assume(binom(n, r) <= 200_000)
@@ -157,27 +158,37 @@ def test_certified_goodness_on_the_census_fixtures(label, make):
 
 
 @pytest.mark.parametrize("make,path", [
-    # every pair certified by 28 witnesses
-    (lambda: random_coloring(Params(n=40, r=4, t=2, c=2), seed=0), []),
-    # a few pairs in doubt, counted block by block
+    # every pair certified by its first 28 edges
+    (lambda: random_coloring(Params(n=40, r=4, t=2, c=2), seed=0),
+     ["first block"]),
+    # a few pairs in doubt, read on block by block
     (lambda: random_coloring(Params(n=85, r=4, t=2, c=3), seed=1),
-     ["edges_through"]),
-    # every pair in doubt in two colors: the full kernel
+     ["first block", "edges_through"]),
+    # every pair in doubt in two colors: the next blocks pass the budget,
+    # and the full kernel counts
     (lambda: next(structured_colorings(
         "near-mono", {"n": 40, "r": 4, "c": 3, "base": 2, "off": 1})),
-     ["subset_color_counts"]),
-    # n < 2w: no witness is read
+     ["first block", "subset_color_counts"]),
+    # C(15, 2) * C(8, 2) first-block ranks are not fewer than the C(15, 4)
+    # edges: no block is read (so up to n = 20 at r = 4)
     (lambda: random_coloring(Params(n=15, r=4, t=2, c=2), seed=0),
      ["subset_color_counts"]),
 ])
 def test_each_resolution_path(monkeypatch, make, path):
     h = make()
     calls = []
-    for name in ("edges_through", "subset_color_counts"):
-        def spy(*args, _name=name, _fn=getattr(shadow, name)):
-            calls.append(_name)
-            return _fn(*args)
-        monkeypatch.setattr(shadow, name, spy)
+
+    def through(n, r, sets, start=0, stop=None):
+        calls.append("edges_through" if start else "first block")
+        return edges_through(n, r, sets, start, stop)
+
+    def counts(*args, **kwargs):
+        calls.append("subset_color_counts")
+        return subset_color_counts(*args, **kwargs)
+
+    monkeypatch.setattr(shadow, "edges_through", through)
+    monkeypatch.setattr(shadow, "subset_color_counts", counts)
+    shadow._first_block.cache_clear()       # so the first-block read shows
     got = build_shadow(h, 2).goodmask
     monkeypatch.undo()
     assert list(dict.fromkeys(calls)) == path
@@ -285,52 +296,100 @@ def record_blocks(monkeypatch):
 
 
 def test_doubt_rows_read_only_prefix_blocks(monkeypatch):
-    # K_128^4: the 37 pairs left in doubt read their first C(16, 2) = 120
-    # edges in ascending rank, not their whole rows of C(126, 2) = 7,875
+    # K_128^4: every pair reads its first C(8, 2) = 28 edges, and the 34
+    # left in doubt read on to their first C(16, 2) = 120 in ascending
+    # rank, not their whole rows of C(126, 2) = 7,875
     h = random_coloring(Params(n=128, r=4, t=2, c=3), seed=[1, 2, 3])
     blocks = record_blocks(monkeypatch)
+    shadow._first_block.cache_clear()
     got = build_shadow(h, 2).goodmask
     monkeypatch.undo()
-    assert blocks == [(37, 0, 120)]
+    assert blocks == [(8128, 0, 28), (34, 28, 120)]
     assert np.array_equal(got, _pack_goodmask(subset_color_counts(h, 2) >= 3))
 
 
+def pair_lock_40():
+    """K_40^4 with every edge through {3, 17} of color 2."""
+    return next(structured_colorings(
+        "pair-lock", {"n": 40, "r": 4, "c": 3, "pair": (3, 17), "lock": 2}))
+
+
 def test_doubt_rows_widen_to_an_exact_count(monkeypatch):
-    # the blocks double the free prefix, a row certified in every color
-    # drops out, and a row with a color below m is read to its end, where
-    # its count is exact
-    h = random_coloring(Params(n=40, r=4, t=2, c=3), seed=4)
-    sets = edge_table(40, 2)[::37]
-    exact = subset_color_counts(h, 2)[rank_rows(sets)]
+    # the blocks continue each row where its first C(8, 2) = 28 edges end
+    # and double the free prefix; a row certified in every color drops
+    # out, and the locked pair, with no edge of color 1 or 3, is read to
+    # its end at C(38, 2) = 703, where its count is exact.  The first
+    # blocks are read once, then served from the cache
+    h = pair_lock_40()
+    exact = subset_color_counts(h, 2)
     blocks = record_blocks(monkeypatch)
-    for m, want in ((1, [(22, 0, 120)]),
-                    (35, [(22, 0, 120), (11, 120, 496)]),
-                    (150, [(22, 0, 120), (22, 120, 496), (2, 496, 703)]),
-                    (700, [(22, 0, 120), (22, 120, 496), (22, 496, 703)])):
+    shadow._first_block.cache_clear()
+    for m, want in ((1, [(780, 0, 28), (1, 28, 120), (1, 120, 496), (1, 496, 703)]),
+                    (5, [(34, 28, 120), (1, 120, 496), (1, 496, 703)])):
         blocks.clear()
-        got = shadow._widening_counts(h, sets, m)
+        got = _at_least(h, 2, m)
         assert blocks == want, m
-        assert np.array_equal(got >= m, exact >= m)
-        short = (exact < m).any(axis=1)
-        assert np.array_equal(got[short], exact[short])
+        assert np.array_equal(got, exact >= m), m
+
+
+def counted_by_kernel(monkeypatch, h, k, m):
+    """Whether `_at_least(h, k, m)` calls the full kernel; checks its answer."""
+    calls = []
+
+    def counts(*args):
+        calls.append(args)
+        return subset_color_counts(*args)
+
+    monkeypatch.setattr(shadow, "subset_color_counts", counts)
+    got = _at_least(h, k, m)
+    monkeypatch.undo()
+    assert np.array_equal(got, subset_color_counts(h, k) >= m)
+    return bool(calls)
+
+
+@pytest.mark.parametrize("label,make", [
+    (label, make) for label, make in _census_fixtures()
+    if label.startswith("u-profile")])
+def test_rank_budget_keeps_the_u_profiles_off_the_kernel(monkeypatch, label, make):
+    # ~108 pairs stay in doubt after their first blocks, ~43 of them short
+    # in a color and read whole: ~225k ranks, inside C(85, 4) / 8 = 253k
+    assert not counted_by_kernel(monkeypatch, make(), 2, 3)
+
+
+def test_rank_budget_sends_near_mono_to_the_kernel(monkeypatch):
+    # every pair of near-mono K_40^5 is short in colors 2 and 3; their
+    # second blocks alone would read 780 * 504 ranks, past C(40, 5) / 8
+    h = next(structured_colorings(
+        "near-mono", {"n": 40, "r": 5, "c": 3, "base": 2, "off": 1}))
+    assert counted_by_kernel(monkeypatch, h, 2, 3)
+    # the locked pair of K_40^4 reads its whole row at m = 5, but at m = 8
+    # the second blocks of the 768 pairs in doubt would read 768 * 92
+    # ranks, past C(40, 4) / 8 = 11,423
+    assert not counted_by_kernel(monkeypatch, pair_lock_40(), 2, 5)
+    assert counted_by_kernel(monkeypatch, pair_lock_40(), 2, 8)
 
 
 @pytest.mark.parametrize("n,r,k", [(16, 4, 1), (16, 4, 2), (24, 4, 2), (30, 5, 3),
                                    (20, 6, 4), (20, 9, 2), (85, 4, 2), (84, 3, 2)])
 def test_witnesses_are_distinct_edges_through_their_k_set(n, r, k):
-    # each k-set's witnesses are the C(w, r-k) edges through it whose other
-    # vertices lie in one block of w = 8: the lowest, highest or next lowest
-    sets, ranks = shadow._witness_ranks(n, r, k)
-    assert ranks.shape == (len(sets), binom(8, r - k))
-    assert np.array_equal(sets, np.unique(sets))
-    assert np.all(np.diff(np.sort(ranks, axis=1), axis=1) > 0)
-    tsets = unrank_rows(sets, n, k)
-    edges = unrank_rows(ranks.ravel(), n, r).reshape(len(sets), -1, r)
+    # each k-set's witnesses are the first block of its row: the first
+    # C(8, r-k) ranks of its full `edges_through` row, the edges whose
+    # other vertices lie in its 8 lowest free vertices
+    ranks = shadow._first_block(n, r, k)
+    assert ranks.shape == (binom(n, k), binom(8, r - k))
+    assert not ranks.flags.writeable
+    assert np.all(np.diff(ranks, axis=1) > 0)
+    sample = np.arange(0, binom(n, k), max(1, binom(n, k) // 60))
+    tsets = edge_table(n, k)[sample].astype(np.intp)
+    full = edges_through(n, r, tsets)
+    assert np.array_equal(ranks[sample], full[:, :ranks.shape[1]])
+    edges = unrank_rows(ranks[sample].ravel(), n, r).reshape(len(sample), -1, r)
     in_t = (edges[..., None] == tsets[:, None, None, :]).any(axis=3)
     assert (in_t.sum(axis=2) == k).all()
-    lo = np.where(in_t, n, edges).min(axis=(1, 2))
-    hi = np.where(in_t, -1, edges).max(axis=(1, 2))
-    assert np.isin(lo, [0, 8, n - 8]).all() and (hi < lo + 8).all()
+    # the other vertices: the 8 lowest vertices outside the k-set
+    for row, tset in zip(edges, tsets):
+        lowest = [v for v in range(n) if v not in tset][:8]
+        assert set(row.ravel()) - set(tset) == set(lowest)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
