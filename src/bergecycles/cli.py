@@ -6,6 +6,10 @@ counterexample, 2 unresolved (search or budget gave up), 3 usage errors
 and malformed input, 4 a contract breach.  search, extract and verify
 take t from their input files; shadow-dump does too unless --t sets the
 dump's tightness.  All randomness flows from --seed.
+
+verify runs checker.check_certificate, which reads both files with the
+standard library alone; each other command imports the modules it runs
+when it starts, so verify never imports numpy.
 """
 
 from __future__ import annotations
@@ -15,21 +19,20 @@ import json
 import os
 import sys
 
-from .core import (
-    BergeCertificate,
-    ColoringFormatError,
-    ContractBreach,
-    InvalidParams,
-    Params,
-    read_coloring,
-    verify_berge_certificate,
-)
-from .hamilton import DEFAULT_BUDGET
-from .harness import find_certificate, stress_theorem
-from .shadow import build_shadow, dump_shadow
+from .checker import ColoringFormatError, check_certificate
 
 USAGE_ERROR = 3
 CONTRACT_BREACH = 4
+
+# The solver functions the other commands run.  Each command imports its
+# own when it starts, so verify never imports numpy.  Those whose module is
+# already loaded are bound here too, for code that reads cli's bindings:
+# the benchmark tracer patches and restores them with every other binding.
+for _module, _names in {"core": ("read_coloring",),
+                        "harness": ("find_certificate", "stress_theorem"),
+                        "shadow": ("build_shadow", "dump_shadow")}.items():
+    if (_loaded := sys.modules.get(f"{__package__}.{_module}")) is not None:
+        globals().update({name: getattr(_loaded, name) for name in _names})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,27 +40,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _load_coloring(path: str):
+def _must_exist(path: str) -> None:
     if not os.path.exists(path):
         raise ColoringFormatError(f"no such file: {path}")
+
+
+def _load_coloring(path: str):
+    from .core import read_coloring
+    _must_exist(path)
     return read_coloring(path)
 
 
+def _budget(args) -> int:
+    from .hamilton import DEFAULT_BUDGET
+    return DEFAULT_BUDGET if args.budget is None else args.budget
+
+
 def _cmd_verify(args) -> int:
-    h = _load_coloring(args.coloring)
-    with open(args.certificate) as fh:
-        try:
-            blob = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ColoringFormatError(f"bad certificate JSON: {exc}") from exc
-    try:
-        cert = BergeCertificate.from_json_dict(blob)
-    except ValueError as exc:
-        raise ColoringFormatError(str(exc)) from exc
-    err = verify_berge_certificate(cert, h)
+    _must_exist(args.coloring)
+    err, cert = check_certificate(args.certificate, args.coloring)
     if err is None:
-        print(f"valid: color {cert.color}, {len(cert.core)} core vertices, "
-              f"t={cert.t}")
+        print(f"valid: color {cert['color']}, {len(cert['core'])} core vertices, "
+              f"t={cert['t']}")
         return 0
     print(f"invalid: {err}")
     return 1
@@ -88,11 +92,13 @@ def _not_found(status: str) -> int:
 
 
 def _cmd_extract(args) -> int:
+    from .core import ContractBreach
+    from .harness import find_certificate
     h = _load_coloring(args.coloring)
     cert_path = args.output or _default_out(args.coloring, ".cert.json")
     trace_path = args.trace or _default_out(args.coloring, ".trace.json")
     try:
-        res = find_certificate(h, budget=args.budget)
+        res = find_certificate(h, budget=_budget(args))
     except ContractBreach as exc:
         _write_json(trace_path, exc.trace.to_json_dict(), "trace")
         raise
@@ -105,8 +111,9 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .harness import find_certificate
     h = _load_coloring(args.coloring)
-    status, cert = find_certificate(h, budget=args.budget,
+    status, cert = find_certificate(h, budget=_budget(args),
                                     use_oracle=not args.no_oracle)
     if status != "found":
         return _not_found(status)
@@ -115,6 +122,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_shadow_dump(args) -> int:
+    from .shadow import build_shadow, dump_shadow
     h = _load_coloring(args.coloring)
     s = build_shadow(h, h.params.t if args.t is None else args.t)
     if args.output:
@@ -127,6 +135,8 @@ def _cmd_shadow_dump(args) -> int:
 
 
 def _cmd_stress(args) -> int:
+    from .core import Params
+    from .harness import stress_theorem
     params = Params(n=args.n, r=args.r, t=args.t or 2, c=args.c)
     if args.reproducer_dir is not None and not os.path.isdir(args.reproducer_dir):
         # checked up front: a write into it fails only after every trial ran
@@ -134,7 +144,7 @@ def _cmd_stress(args) -> int:
             f"--reproducer-dir {args.reproducer_dir} is not a directory")
     rep = stress_theorem(params, generator=args.generator,
                          trials=args.trials, seed=args.seed,
-                         budget=args.budget, jobs=args.jobs,
+                         budget=_budget(args), jobs=args.jobs,
                          reproducer_dir=args.reproducer_dir)
     if args.output:
         _write_json(args.output, rep.to_json_dict(), "report")
@@ -153,7 +163,7 @@ def _build_parser() -> _Parser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_budget(sp):
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        sp.add_argument("--budget", type=int, default=None,
                         help="search expansion budget")
 
     v = sub.add_parser("verify", help="check a certificate against a coloring")
@@ -212,10 +222,17 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except (ColoringFormatError, InvalidParams, OSError) as exc:
+    except (ColoringFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ContractBreach as exc:
+    except Exception as exc:
+        # only a command that imported core can raise its errors; verify never does
+        from .core import ContractBreach, InvalidParams
+        if isinstance(exc, InvalidParams):
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+        if not isinstance(exc, ContractBreach):
+            raise
         print(f"contract breach: {exc}")
         return CONTRACT_BREACH
 

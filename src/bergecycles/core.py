@@ -9,7 +9,8 @@ A Berge certificate is the proof object used throughout: a cyclic core
 sequence v_1..v_n covering every vertex plus n pairwise-distinct hyperedges,
 where the i-th edge contains the t consecutive core vertices starting at v_i
 (indices mod n).  `verify_berge_certificate` checks one from scratch against
-a coloring and trusts nothing.
+a coloring and trusts nothing; checker.check_certificate checks one against
+a coloring file with the standard library alone.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-MAX_N = 128          # vertex-count ceiling; edge_table's uint8 ids need MAX_N <= 255
-_MAX_K = 8           # widest subset size served by the vectorized table
-_THROUGH_ROWS = 16   # edges_through's row block: a 1 MB temporary at n=128, r=4
+from .checker import HEADER, MAX_N, MAX_R, ColoringFormatError, domain_error
+from .checker import MAGIC as COLORING_MAGIC   # the one format read and written
+
+_MAX_K = MAX_R - 1   # widest subset size served by the vectorized table
+_THROUGH_SIZE = 1 << 17  # entries of edges_through's int64 gather block: 1 MB
 _LOOKUP_ROWS = 1024  # fixed sets per edges_through lookup build
 _FIRST_FREE = 8      # free vertices the first block of an edges_through row spans
-
-COLORING_MAGIC = "berge-coloring v2"   # the one format read and written
 
 
 class InvalidParams(ValueError):
@@ -152,7 +153,9 @@ def edges_through(n: int, r: int, fixed_sets, start: int = 0,
     sum of one lookup per free column.  The lookups span only the free
     vertices the column range reaches, and are built for _LOOKUP_ROWS fixed
     sets at a time, so that with many sets they stay small beside the
-    result.  They are added in place, _THROUGH_ROWS rows at a time.
+    result.  They are added in place, as many rows at a time as keep the
+    gathered block within _THROUGH_SIZE entries: all 1024 rows of a first
+    block 8 ranks wide, 16 rows of 7,875-wide K_128^4 pair rows.
     """
     fixed = np.sort(np.asarray(fixed_sets, dtype=np.intp), axis=1)
     p, k = fixed.shape
@@ -161,6 +164,7 @@ def edges_through(n: int, r: int, fixed_sets, start: int = 0,
     idx, at = np.arange(int(free[-1, -1]) + 1 if free.size else 0), np.arange(k)
     cols = free.T.astype(np.intp)
     ranks = np.empty((p, len(free)), dtype=np.int64)
+    block = max(1, _THROUGH_SIZE // max(1, len(free)))
     for lo in range(0, p, _LOOKUP_ROWS):
         x, out = fixed[lo:lo + _LOOKUP_ROWS], ranks[lo:lo + _LOOKUP_ROWS]
         below = idx < (x - at)[:, :, None]       # (rows, k, reach): rest index below x - i
@@ -169,8 +173,8 @@ def edges_through(n: int, r: int, fixed_sets, start: int = 0,
         for j, col in enumerate(cols):
             step = _BINOM[x, at + j + 2] - _BINOM[x, at + j + 1]
             lut = _BINOM[rest, rest - idx + j + 1] + (below * step[:, :, None]).sum(axis=1)
-            for a in range(0, len(x), _THROUGH_ROWS):
-                out[a:a + _THROUGH_ROWS] += np.take(lut[a:a + _THROUGH_ROWS], col, axis=1)
+            for a in range(0, len(x), block):
+                out[a:a + block] += np.take(lut[a:a + block], col, axis=1)
     return ranks
 
 
@@ -213,14 +217,8 @@ class Params:
     c: int
 
     def __post_init__(self) -> None:
-        if not 2 <= self.t <= self.r <= self.n:
-            raise InvalidParams(f"need 2 <= t <= r <= n, got t={self.t} r={self.r} n={self.n}")
-        if self.n > MAX_N:
-            raise InvalidParams(f"n={self.n} exceeds supported maximum {MAX_N}")
-        if self.r > _MAX_K + 1:
-            raise InvalidParams(f"r={self.r} exceeds supported maximum {_MAX_K + 1}")
-        if not 1 <= self.c <= 255:  # colors are stored as uint8
-            raise InvalidParams(f"need 1 <= c <= 255 colors, got c={self.c}")
+        if why := domain_error(self.n, self.r, self.t, self.c):
+            raise InvalidParams(why)
 
     @property
     def num_edges(self) -> int:
@@ -325,6 +323,12 @@ def verify_berge_certificate(cert: BergeCertificate, h: ColoredHypergraph) -> st
     """Check a certificate from scratch at its own t; None on pass, else the
     first violation.
 
+    This is the solver's in-process guard, run on every result on the
+    arrays the solver already holds.  checker.check_certificate, which
+    `berge verify` runs, is the independent guard: it shares no code with
+    this one and returns the same violations word for word, those of the
+    loop reference the tests keep.
+
     Check order: tightness in 2..r, color in 1..c, core is a permutation,
     edge count, then edge by edge: well-formedness and distinctness from
     the edges before it; then claimed color, then window containment.
@@ -381,52 +385,34 @@ def write_coloring(h: ColoredHypergraph, path) -> None:
         fh.write(h.colors.tobytes())
 
 
-class ColoringFormatError(ValueError):
-    """Malformed coloring file."""
-
-
-def _parse_header(line: str, keys: tuple[str, ...]) -> list[int]:
-    """The values of a `key=<int> ..` header line holding exactly `keys`."""
-    fields = line.split()
-    if len(fields) != len(keys):
-        raise ColoringFormatError(f"bad header line: {line.strip()!r}")
-    vals = []
-    for field, key in zip(fields, keys):
-        if not field.startswith(key + "="):
-            raise ColoringFormatError(f"expected {key}=<int>, got {field!r}")
-        try:
-            vals.append(int(field[len(key) + 1:]))
-        except ValueError as exc:
-            raise ColoringFormatError(f"non-integer {key} in header: {field!r}") from exc
-    return vals
-
-
 def read_coloring(path) -> ColoredHypergraph:
     """Read a v2 coloring file, the format write_coloring writes.
 
-    The file must hold exactly C(n, r) color bytes after its header, each
-    in 1..c.  A file that does not start with the v2 magic line, such as
-    the retired v1 text layout, raises ColoringFormatError.
+    The file must start with checker.HEADER, the magic line and an
+    `r= n= t= c=` line exactly as write_coloring writes them, name Params
+    in checker.domain_error's domain, then hold exactly C(n, r) color
+    bytes, each in 1..c.  Anything else, such as the retired v1 text
+    layout, raises ColoringFormatError with the message the checker gives.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    magic = COLORING_MAGIC.encode() + b"\n"
-    if not data.startswith(magic):
-        raise ColoringFormatError(
-            f"not a {COLORING_MAGIC} file: it starts with {data[:len(magic)]!r}")
-    end = data.find(b"\n", len(magic))
-    if end < 0:
-        raise ColoringFormatError("header line has no end")
-    r, n, t, c = _parse_header(data[len(magic):end].decode("ascii", "replace"),
-                               ("r", "n", "t", "c"))
+    head = HEADER.match(data)
+    if head is None:
+        raise ColoringFormatError(f"not a {COLORING_MAGIC} file: it starts with {data[:40]!r}")
+    r, n, t, c = map(int, head.groups())
     try:
         params = Params(n=n, r=r, t=t, c=c)
     except InvalidParams as exc:
         raise ColoringFormatError(str(exc)) from exc
-    colors = np.frombuffer(data, dtype=np.uint8, offset=end + 1)
+    colors = np.frombuffer(data, dtype=np.uint8, offset=head.end())
     if len(colors) != params.num_edges:
         raise ColoringFormatError(
             f"expected {params.num_edges} color bytes, found {len(colors)}")
     if colors.min() < 1 or colors.max() > c:
         raise ColoringFormatError("color out of range")
     return ColoredHypergraph(params, colors)
+
+
+from . import _export  # noqa: E402  (last: the package binds this module's public names)
+
+_export("core", globals())

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing
 import os
 import tempfile
 import time
@@ -241,6 +240,7 @@ def stress_theorem(params: Params, generator: str = "random",
     work = [(params, generator, seed, i, budget, outdir)
             for i in range(trials)]
     if jobs > 1:
+        import multiprocessing          # here: only a pool needs it, not each CLI start
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_run_trial, work)
     else:
@@ -544,3 +544,8 @@ def _check_u_profile(h, t_set, y_set, z_set, specials1, blocks):
         if left != set(z_set) - zblock:
             raise RuntimeError(
                 f"blocking at {w_id} left color-1 set {sorted(left)}")
+
+
+from . import _export  # noqa: E402  (last: the package binds this module's public names)
+
+_export("harness", globals())

@@ -1059,3 +1059,8 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
     except ContractBreach as exc:
         exc.trace = trace
         raise
+
+
+from . import _export  # noqa: E402  (last: the package binds this module's public names)
+
+_export("r4", globals())

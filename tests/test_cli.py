@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -218,19 +220,24 @@ def test_malformed_certificate_json(tiny_coloring, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["verify", str(bad), tiny_coloring]) == 3
+    assert capsys.readouterr().err.startswith("error: bad certificate JSON: ")
     for blob in ('{"color": 1}', "[1, 2]",
                  '{"color": 1, "core": [0, 1], "edges": [[0, "x"]], "t": 2}'):
         bad.write_text(blob)
         capsys.readouterr()
         assert main(["verify", str(bad), tiny_coloring]) == 3
-        assert "certificate JSON" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: malformed certificate JSON: ")
 
 
-@pytest.mark.parametrize("field,value", [("color", 1.9), ("core", "01234"),
-                                         ("t", 2.7)])
+@pytest.mark.parametrize("field,value", [
+    ("color", 1.9), ("core", "01234"), ("t", 2.7), ("color", 1.0), ("color", True),
+    ("t", "2"), ("core", [0, 1, 2, 3, 4.0]), ("core", {}), ("edges", None),
+    ("edges", [[0, 1, 2]] * 4 + [[0, 1, False]]), ("edges", [[0, 1, 2]] * 4 + ["012"]),
+    ("edges", [[0, 1, 2]] * 4 + [7]), ("edges", [[0, 1, 2]] * 4 + [""]),
+])
 def test_verify_rejects_non_integer_certificate_fields(tmp_path, capsys, field,
                                                        value):
-    # each of these used to be coerced by int() and verify as valid
+    # the first three used to be coerced by int() and verify as valid
     p = Params(n=5, r=3, t=2, c=1)
     coloring = str(tmp_path / "k5.coloring")
     write_coloring(ColoredHypergraph(p, np.ones(p.num_edges, dtype=np.uint8)), coloring)
@@ -248,11 +255,70 @@ def test_verify_rejects_non_integer_certificate_fields(tmp_path, capsys, field,
     assert err.count("\n") == 1
 
 
+def test_verify_imports_no_numpy(mono_coloring, tmp_path):
+    # verify, valid, invalid or malformed, runs on the standard library alone
+    # (the checker), and so does a bare import of the package
+    good, dup, bad = (tmp_path / f"{name}.json" for name in ("good", "dup", "bad"))
+    assert main(["search", mono_coloring, "-o", str(good)]) == 0
+    blob = json.loads(good.read_text())
+    blob["edges"][1] = blob["edges"][0]
+    dup.write_text(json.dumps(blob))
+    bad.write_text("[1, 2]")
+    code = f"""if True:
+        import sys
+        import bergecycles
+        assert "numpy" not in sys.modules
+        from bergecycles.cli import main
+        certs = {[str(good), str(dup), str(bad)]!r}
+        codes = [main(["verify", c, {mono_coloring!r}]) for c in certs]
+        print(codes, "numpy" in sys.modules)
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 1, 3] False"
+
+
+def test_package_names_are_bound_as_their_modules_load():
+    # a bare import loads no module; core, harness and r4 bind their public
+    # names on the package as they load, each its module's own object, so the
+    # benchmark tracer patches and restores them; __getattr__ finds a name
+    # whose module is not loaded yet by importing that module
+    code = """if True:
+        import sys
+        import bergecycles as bc
+        public = set(bc.__all__)
+        assert not public & set(vars(bc)) and "numpy" not in sys.modules
+        import bergecycles.core as core
+        assert public & set(vars(bc)) == set(bc._HOMES["core"])
+        assert all(vars(bc)[name] is getattr(core, name) for name in bc._HOMES["core"])
+        r4_find = bc.r4_find
+        import bergecycles.r4 as r4
+        assert r4_find is r4.r4_find is vars(bc)["r4_find"]
+        namespace = {}
+        exec("from bergecycles import *", namespace)
+        assert public <= set(namespace) and public <= set(vars(bc))
+        print("ok")
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
+    import bergecycles
+    for name in bergecycles.__all__:
+        module = importlib.import_module(f"bergecycles.{bergecycles._MODULE[name]}")
+        assert vars(bergecycles)[name] is getattr(module, name)
+    with pytest.raises(AttributeError):
+        bergecycles.no_such_name
+
+
 def test_non_text_input_is_a_usage_error(tiny_coloring, tmp_path, capsys):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"\xff\xfe\x00" + bytes(range(256)))
     assert main(["verify", str(bad), tiny_coloring]) == 3
-    assert "bad certificate JSON" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: bad certificate JSON: ")
     assert main(["search", str(bad)]) == 3
     assert ("not a berge-coloring v2 file: it starts with b'\\xff\\xfe\\x00"
             in capsys.readouterr().err)
@@ -278,8 +344,7 @@ def test_rank_beyond_the_binomial_table_is_a_usage_error(tmp_path, capsys):
     path.write_bytes(b"berge-coloring v2\nr=10 n=12 t=2 c=2\n"
                      + bytes([1]) * math.comb(12, 10))
     assert main(["verify", str(path), str(path)]) == 3
-    err = capsys.readouterr().err
-    assert "r=10" in err and "Traceback" not in err
+    assert capsys.readouterr().err == "error: r=10 exceeds supported maximum 9\n"
 
 
 def test_bad_subcommand_usage(capsys):
@@ -314,8 +379,8 @@ def test_stress_bad_params_is_one_usage_line(capsys):
 
 def test_stress_missing_reproducer_dir_fails_before_any_trial(tmp_path,
                                                               monkeypatch, capsys):
-    from bergecycles import cli
-    monkeypatch.setattr(cli, "stress_theorem", lambda *a, **kw: pytest.fail("ran"))
+    from bergecycles import harness
+    monkeypatch.setattr(harness, "stress_theorem", lambda *a, **kw: pytest.fail("ran"))
     missing = tmp_path / "missing"
     assert main(["stress", "--n", "5", "--r", "3", "--c", "3", "--trials", "3",
                  "--reproducer-dir", str(missing)]) == 3

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergecycles import core
+from bergecycles.checker import check_certificate
 from bergecycles.cli import main
 from bergecycles.core import (
     BergeCertificate,
@@ -188,14 +190,17 @@ def test_edges_through_column_ranges_are_slices_of_the_full_row(case, data):
     assert np.array_equal(edges_through(n, r, sets, stop=stop), full[:, :stop])
 
 
-def test_edges_through_spans_several_row_blocks():
+def test_edges_through_spans_several_row_blocks(monkeypatch):
+    # 55 rows 36 wide, gathered 16 rows at a time, and one row at a time
+    # when a single row outgrows the block
     n, r = 11, 4
     sets = list(itertools.combinations(range(n), 2))
-    assert len(sets) > 2 * core._THROUGH_ROWS
-    ranks = edges_through(n, r, sets)
-    for fixed, got in zip(sets, ranks):
-        want = [s for s in colex_order(n, r) if set(fixed) <= set(s)]
-        assert got.tolist() == [rank_subset(s) for s in want]
+    for size in (16 * math.comb(n - 2, r - 2), 1):
+        monkeypatch.setattr(core, "_THROUGH_SIZE", size)
+        ranks = edges_through(n, r, sets)
+        for fixed, got in zip(sets, ranks):
+            want = [s for s in colex_order(n, r) if set(fixed) <= set(s)]
+            assert got.tolist() == [rank_subset(s) for s in want]
 
 
 def test_params_validation():
@@ -432,16 +437,28 @@ def tampered_certificates(draw):
     return cert, ColoredHypergraph(p, colors)
 
 
+def write_case(cert, h, tmp_path):
+    """The certificate and the coloring as the files check_certificate reads."""
+    cert_path, coloring_path = tmp_path / "c.json", tmp_path / "h.coloring"
+    cert_path.write_text(json.dumps(cert.to_json_dict()))
+    write_coloring(h, coloring_path)
+    return cert_path, coloring_path
+
+
 @given(tampered_certificates())
 @settings(max_examples=400, deadline=None)
-def test_verifier_matches_its_loop_reference(case):
+def test_verifier_matches_its_loop_reference(tmp_path_factory, case):
+    # the checker, reading the case back from files, returns the same
     cert, h = case
-    assert verify_berge_certificate(cert, h) == loop_verify(cert, h)
+    verdict, blob = check_certificate(*write_case(cert, h, tmp_path_factory.mktemp("case")))
+    assert verdict == verify_berge_certificate(cert, h) == loop_verify(cert, h)
+    assert blob == cert.to_json_dict()
 
 
-def test_verifier_matches_its_loop_reference_on_every_mutator():
+def test_verifier_matches_its_loop_reference_on_every_mutator(tmp_path):
     # the acceptance criterion's single mutations, kept or not by its
-    # arbiter, each drawn 30 times on every certificate it builds
+    # arbiter, each drawn 30 times on every certificate it builds; the
+    # checker reads each one back from a file
     path = Path(__file__).resolve().parent / "test_acceptance.py"
     spec = importlib.util.spec_from_file_location("acceptance", path)
     acceptance = importlib.util.module_from_spec(spec)
@@ -456,7 +473,9 @@ def test_verifier_matches_its_loop_reference_on_every_mutator():
             for _ in range(30):
                 mut = mutate(rng, cert, h.params)
                 if mut is not None:
-                    assert verify_berge_certificate(mut, h) == loop_verify(mut, h)
+                    want = loop_verify(mut, h)
+                    assert verify_berge_certificate(mut, h) == want
+                    assert check_certificate(*write_case(mut, h, tmp_path))[0] == want
                     compared += 1
     assert compared > 5000
 
@@ -570,3 +589,61 @@ def test_coloring_array_is_valid_for_any_seed(seed):
     h = random_coloring(p, seed=seed)
     assert h.colors.min() >= 1 and h.colors.max() <= 3
     assert len(h.colors) == math.comb(7, 4)
+
+
+_K64_BODY = bytes([1]) * math.comb(6, 4)
+_MAGIC = b"berge-coloring v2\n"
+
+
+@pytest.mark.parametrize("data,params", [
+    (_MAGIC + b"r=4 n=6 t=2 c=1\n" + _K64_BODY, Params(n=6, r=4, t=2, c=1)),
+    (_MAGIC + b"r=4 n=6 t=4 c=255\n" + _K64_BODY, Params(n=6, r=4, t=4, c=255)),
+    (_MAGIC + b"r=2 n=128 t=2 c=1\n" + bytes([1]) * math.comb(128, 2),
+     Params(n=128, r=2, t=2, c=1)),
+    (_MAGIC + b"r=+4 n=6 t=2 c=1\n" + _K64_BODY, None),
+    (_MAGIC + b"r=4 n=0_6 t=2 c=1\n" + _K64_BODY, None),
+    (_MAGIC + b"r=4\tn=6 t=2 c=1\n" + _K64_BODY, None),
+    (_MAGIC + b"r=4  n=6 t=2 c=1\n" + _K64_BODY, None),
+    (_MAGIC + b" r=4 n=6 t=2 c=1\n" + _K64_BODY, None),
+    (_MAGIC + b"r=4 n=6 t=2 c=1 \n" + _K64_BODY, None),
+    (_MAGIC + b"r=4 n=6 t=2 c=1\r\n" + _K64_BODY, None),
+    (_MAGIC + b"r=04 n=6 t=2 c=1\n" + _K64_BODY, None),
+    (_MAGIC + b"r=4 n=6 t=2 c=0\n" + _K64_BODY, None),
+    (_MAGIC + b"r=4 n=6 t=2 c=256\n" + _K64_BODY, None),
+    (_MAGIC + b"r=2 n=129 t=2 c=1\n" + bytes([1]) * math.comb(129, 2), None),
+    (_MAGIC + b"r=4 n=6 t=1 c=1\n" + _K64_BODY, None),
+    (_MAGIC + b"r=4 n=6 t=5 c=1\n" + _K64_BODY, None),
+    (_MAGIC + b"r=7 n=6 t=2 c=1\n", None),
+    (_MAGIC + b"r=10 n=12 t=2 c=2\n" + bytes([1]) * math.comb(12, 10), None),
+    (b"berge-coloring v1\nr=4 n=6 t=2 c=1\n" + _K64_BODY, None),
+    (_MAGIC + b"r=4 n=6 t=2 c=1", None),
+    (_MAGIC + b"r=4 n=6 t=2 c=1\n" + _K64_BODY[:-1], None),
+    (_MAGIC + b"r=4 n=6 t=2 c=1\n" + _K64_BODY + b"\x01", None),
+    (_MAGIC + b"r=4 n=6 t=2 c=1\n" + b"\x00" + _K64_BODY[1:], None),
+    (_MAGIC + b"r=4 n=6 t=2 c=1\n" + _K64_BODY[1:] + b"\x02", None),
+], ids=["canonical", "t=r c=255", "n=128", "sign", "underscore", "tab", "two spaces",
+        "leading blank", "trailing blank", "trailing CR", "leading zero", "c=0", "c=256",
+        "n=129", "t=1", "t>r", "r>n", "r=10", "v1 magic", "no newline", "short body",
+        "long body", "color 0", "color c+1"])
+def test_both_readers_accept_the_same_headers(tmp_path, capsys, data, params):
+    # read_coloring and check_certificate share one header grammar and one
+    # parameter domain, and reject each file with the same message
+    path = tmp_path / "h.coloring"
+    path.write_bytes(data)
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps(_mono_cert(6, 4).to_json_dict()))
+    if params is not None:
+        assert read_coloring(path).params == params
+        want = None if params.n == 6 else "core is not a permutation of all vertices"
+        assert check_certificate(cert, path)[0] == want
+        return
+    with pytest.raises(ColoringFormatError) as read_err:
+        read_coloring(path)
+    with pytest.raises(ColoringFormatError) as check_err:
+        check_certificate(cert, path)
+    assert str(check_err.value) == str(read_err.value)
+    for argv in (["verify", str(cert), str(path)], ["search", str(path)]):
+        capsys.readouterr()
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
