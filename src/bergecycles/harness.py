@@ -62,14 +62,16 @@ class InstanceTooLarge(RuntimeError):
 # brute-force oracle
 
 
-def brute_force_exists(h: ColoredHypergraph) -> BergeCertificate | None:
+def brute_force_exists(h: ColoredHypergraph,
+                       colors=None) -> BergeCertificate | None:
     """Exhaustive existence check; None means proven-nonexistent.
 
-    For each color, a `TightCoreWalk` lists the core sequences (v_1 = 0,
-    orientation fixed by v_2 < v_n) whose every window lies in an edge of
-    the color; a core counts only if `lift_to_berge` backs every window
-    with a distinct edge of the color.  The walk has no budget, so None is
-    a proof over every (color, core sequence), not a search failure.
+    For each color (of `colors`, ascending; default all), a `TightCoreWalk`
+    lists the core sequences (v_1 = 0, orientation fixed by v_2 < v_n)
+    whose every window lies in an edge of the color; a core counts only if
+    `lift_to_berge` backs every window with a distinct edge of the color.
+    The walk has no budget, so None is a proof over every (color, core
+    sequence) walked, not a search failure.
     """
     p = h.params
     if p.n > ORACLE_MAX_N:
@@ -79,7 +81,7 @@ def brute_force_exists(h: ColoredHypergraph) -> BergeCertificate | None:
     if n < 3:
         return None
     in_edge = _at_least(h, t, 1)
-    for color in range(1, p.c + 1):
+    for color in sorted(range(1, p.c + 1) if colors is None else colors):
         if np.count_nonzero(h.colors == color) < n:
             continue                      # fewer edges than cycle positions
         for core in TightCoreWalk(n, t, in_edge[:, color - 1]):
@@ -107,6 +109,12 @@ def find_certificate(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET,
     ContractBreach from either route propagates with the trace so far
     (`exc.trace`).  "nonexistent" only ever comes from the exhaustive
     oracle; heuristic failure is always "unresolved".
+
+    At t = r a window is good in a color when one edge of that color
+    contains it, which is the oracle's own window test, so a color whose
+    good-graph search ended "none" has no core: the oracle walks only the
+    colors whose search found a core that failed to lift, or ran out of
+    budget.  It walks each of them in full, so "nonexistent" stays a proof.
     """
     p = h.params
     if (p.r, p.c, p.t) == (4, 3, 2) and p.n >= MIN_N:
@@ -122,7 +130,10 @@ def find_certificate(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET,
             return SearchResult("found", cert, trace)
         if use_oracle and p.n <= ORACLE_MAX_N:
             trace.branch = "oracle"
-            cert = brute_force_exists(h)
+            empty = {f["color"] for f in trace.fallbacks
+                     if p.t == p.r and f["stage"] == "good-graph"
+                     and f["status"] == "none"}
+            cert = brute_force_exists(h, set(range(1, p.c + 1)) - empty)
             return SearchResult("found" if cert else "nonexistent", cert, trace)
     except ContractBreach as exc:
         exc.trace = trace

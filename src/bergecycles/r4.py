@@ -20,8 +20,8 @@ route taken; a ContractBreach carries the trace so far.  The dispatcher
      `extract.lift_to_berge`: a matching gives every consecutive pair its
      own color-1 edge.
 
-Both Gamma cases share one scaffold for the pair families E1-E5
-(`_gamma_base`) and one repair rule: each computes how many E6 repair pairs
+Both Gamma cases share one bool adjacency scaffold for the pair families
+E1-E5 (`_gamma_base`) and one repair rule: each computes how many E6 pairs
 its two low-degree vertices need, before any repair, and `_top_up` adds
 them; only the leaves that share or narrow reserved edges, and the star at
 x, differ.  Every vertex-route construction only decides a core: `_lift_core`
@@ -36,6 +36,7 @@ edges scan in colex order, and ties break toward smaller ids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,10 +48,12 @@ from .core import (
     InvalidParams,
     Params,
     TightCycleWitness,
+    binom,
     edge_table,
     edges_through,
     rank_rows,
     rank_subset,
+    unrank_rows,
     unrank_subset,
     verify_berge_certificate,
 )
@@ -154,7 +157,6 @@ class GammaConstruction:
     """Auxiliary graph whose Hamiltonian cycles lift to color-1 Berge-cycles."""
 
     graph: SimpleGraph
-    provenance: dict                # (u, v) u < v -> (tag, backing 4-tuple | None)
     w1: int | None
     subcase: dict
     degree_report: dict
@@ -207,12 +209,15 @@ def _quads(*cols) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
 def _pair_rank_matrix(n: int) -> np.ndarray:
+    """Read-only n x n matrix of the pairs' colex ranks (0 on the diagonal)."""
     tab = edge_table(n, 2)
     ranks = np.arange(len(tab), dtype=np.int64)
     m = np.zeros((n, n), dtype=np.int64)
     m[tab[:, 0], tab[:, 1]] = ranks
     m[tab[:, 1], tab[:, 0]] = ranks
+    m.setflags(write=False)
     return m
 
 
@@ -350,72 +355,53 @@ def classify_and_pivot(profiles: list[UProfile]) -> tuple[BClassification, Pivot
 # Gamma assembly
 
 
-class _GammaBuilder:
-    def __init__(self, h: ColoredHypergraph):
-        self.colors = h.colors
-        self.n = h.params.n
-        self.prov: dict[tuple[int, int], tuple[str, tuple[int, ...] | None]] = {}
-        self.rows = [0] * self.n      # rows[v]: neighbour bitmask of v
-
-    def add(self, u: int, v: int, tag: str, backing: tuple[int, ...] | None) -> None:
-        if u == v:
-            raise ValueError(f"loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in self.prov:
-            return
-        self.prov[key] = (tag, backing)
-        self.rows[u] |= 1 << v
-        self.rows[v] |= 1 << u
-
-    def graph(self) -> SimpleGraph:
-        return SimpleGraph(self.n, self.rows)
-
-
-def _fan(gb: _GammaBuilder, hub: tuple[int, int], a: int, tag: str, vs) -> None:
-    """Add the pair (a, v) for each v in vs, in order, whose 4-set
-    hub + {a, v} has color 1, backed by that 4-set.  The colors of the
-    whole fan are one gather; only the hits reach `gb.add`."""
-    vs = np.asarray(vs, dtype=np.intp)
-    quads = _quads(*hub, a, vs)
-    hit = gb.colors[rank_rows(quads)] == 1
-    for v, g in zip(vs[hit].tolist(), quads[hit].tolist()):
-        gb.add(a, v, tag, tuple(g))
-
-
 def _gamma_base(h: ColoredHypergraph, sel: PivotSelection,
-                a_set: set[int]) -> _GammaBuilder:
-    """Pair families E1-E5 around the pivot x, shared by both cases; a_set
-    holds the vertices that pair with y (E4) instead of with z (E3)."""
-    x, y, z = sel.x, sel.y, sel.z
-    gb = _GammaBuilder(h)
-    every = np.arange(h.params.n)   # ids are indices: np.delete drops vertices
+                a_set: set[int]) -> np.ndarray:
+    """Pair families E1-E5 around the pivot x, shared by both cases, as an
+    n x n bool adjacency; a_set holds the vertices that pair with y (E4)
+    instead of with z (E3).  A fan joins each center u to the candidates v
+    whose 4-set hub + {u, v} has color 1: one gather per family, over every
+    (center, candidate) pair."""
+    x, y, z, n = sel.x, sel.y, sel.z, h.params.n
+    adj = np.zeros((n, n), dtype=bool)
+    every = np.arange(n)
+    u13 = [u for u in sel.U13 if u != z]
     # |U23| = 1 forces |U12| <= 2 (classify_and_pivot), so case 2 fans one u12
-    for u in sorted(set(sel.U12) - {y}):
-        _fan(gb, (x, z), u, "E1", np.delete(every, [x, z, y, u]))
-    for u in sorted(set(sel.U13) - {z}):
-        _fan(gb, (x, y), u, "E2", np.delete(every, [x, y, u]))
-    _fan(gb, (x, y), z, "E3", np.delete(every, [x, y, z, *a_set]))
-    _fan(gb, (x, z), y, "E4", sorted(a_set - {y}))
-    for v in sorted(set(sel.U13) - {z}):
-        gb.add(y, v, "E5", None)
-    return gb
+    for hub, centers, cands, drop in (
+            ((x, z), [u for u in sel.U12 if u != y], every, [x, z, y]),    # E1
+            ((x, y), u13, every, [x, y]),                                  # E2
+            ((x, y), [z], every, [x, y, z, *a_set]),                       # E3
+            ((x, z), [y], np.array(sorted(a_set - {y}), dtype=np.intp), [])):  # E4
+        uu = np.repeat(np.array(centers, dtype=np.intp), len(cands))
+        vv = np.tile(cands, len(centers))
+        keep = (uu != vv) & ~np.isin(vv, drop)
+        uu, vv = uu[keep], vv[keep]
+        hit = h.colors[rank_rows(_quads(*hub, uu, vv))] == 1
+        adj[uu[hit], vv[hit]] = True
+    adj[y, u13] = True                                                     # E5
+    adj |= adj.T
+    return adj
 
 
 def _reserve(h: ColoredHypergraph, contain: tuple[int, ...], count: int,
              excluded: set[tuple[int, ...]], who: str) -> list[tuple[int, ...]]:
     """First `count` color-1 edges containing `contain`, colex order, minus
-    the already-consumed backings."""
+    the already-consumed backings.  The row of edges through `contain` is
+    read in ascending blocks, those inside its 8, 16, 32, ... lowest free
+    vertices, up to the block holding the last edge picked."""
     if count <= 0:
         return []
-    ranks = edges_through(h.params.n, 4, [contain])[0]
+    n, k = h.params.n, len(contain)
     out: list[tuple[int, ...]] = []
-    for rank in ranks[h.colors[ranks] == 1].tolist():
-        quad = unrank_subset(rank, h.params.n, 4)
-        if quad in excluded:
-            continue
-        out.append(quad)
-        if len(out) == count:
-            return out
+    lo, m = 0, 8
+    while lo < binom(n - k, 4 - k):
+        hi = binom(min(m, n - k), 4 - k)
+        ranks = edges_through(n, 4, [contain], lo, hi)[0]
+        ones = unrank_rows(ranks[h.colors[ranks] == 1], n, 4).tolist()
+        out += [g for g in map(tuple, ones) if g not in excluded]
+        if len(out) >= count:
+            return out[:count]
+        lo, m = hi, 2 * m
     raise ReservationUnsatisfiable(
         f"needed {count} color-1 edges around {who}, found {len(out)}",
         detail={"contain": list(contain), "needed": count, "found": len(out)})
@@ -427,57 +413,77 @@ def _max_repetition_pick(candidates: list[int], pools: list[tuple[int, ...]]) ->
     return max(sorted(candidates), key=lambda v: sum(v in g for g in pools))
 
 
+def _backing(sel: PivotSelection, u: int, v: int) -> tuple[int, ...]:
+    """The color-1 edge behind the pair (u, v) of a U123 vertex or u23 v,
+    before any E6 repair.  No fan is centred at v, and E5 (y to U13 - {z})
+    does not touch it, so u is the center of the one fan that added the
+    pair: its hub is (x, z) for u in U12 and (x, y) for u in U13 (y = min
+    U12 and z = min U13 included)."""
+    return tuple(sorted((sel.x, u, v, sel.z if u in sel.U12 else sel.y)))
+
+
 class _Deficient:
     """A low-degree vertex v of Gamma (None: no vertex) before any E6
     repair: its deficit to degree `target`, sorted neighbours and backings,
-    and `deficit` color-1 edges through `contain` reserved past them.
+    and `deficit` color-1 edges through `contain` reserved past them."""
 
-    No pair needs a tag filter: only E1-E5 exist before the first repair,
-    E5 pairs (y to U13 - {z}, unbacked) touch no U123 vertex and no u23,
-    and E4 pairs (y to A) do not touch u23."""
-
-    def __init__(self, h: ColoredHypergraph, gb: _GammaBuilder, v: int | None,
-                 target: int, contain: tuple[int, ...], who: str):
-        row = gb.rows[v] if v is not None else 0
+    def __init__(self, h: ColoredHypergraph, adj: np.ndarray, sel: PivotSelection,
+                 v: int | None, target: int, contain: tuple[int, ...], who: str):
         self.v = v
-        self.deficit = max(target - row.bit_count(), 0)
-        self.nbrs = [u for u in range(gb.n) if row >> u & 1]
-        self.backings = {gb.prov[min(v, u), max(v, u)][1] for u in self.nbrs} - {None}
+        self.nbrs = [] if v is None else np.flatnonzero(adj[v]).tolist()
+        self.deficit = max(target - len(self.nbrs), 0)
+        self.backings = {_backing(sel, u, v) for u in self.nbrs}
         self.reserved = _reserve(h, contain, self.deficit, self.backings, who)
 
 
-def _repair(gb: _GammaBuilder, D: set[int], x: int, w: int, t: int,
+def _repair(adj: np.ndarray, D: set[int], x: int, w: int, t: int,
             g: tuple[int, ...]) -> None:
     """Add the repair pair (w, t) backed by g; g's other vertices join D."""
-    gb.add(w, t, "E6", g)
+    adj[w, t] = adj[t, w] = True
     D.update(u for u in g if u not in (x, w, t))
 
 
-def _repair_min(gb: _GammaBuilder, D: set[int], x: int, w: int,
+def _repair_min(adj: np.ndarray, D: set[int], x: int, w: int,
                 g: tuple[int, ...], *avoid: int) -> None:
     """Repair w toward the smallest vertex of g outside x, w and `avoid`."""
-    _repair(gb, D, x, w, min(u for u in g if u not in (x, w, *avoid)), g)
+    _repair(adj, D, x, w, min(u for u in g if u not in (x, w, *avoid)), g)
 
 
-def _repair_two(gb: _GammaBuilder, D: set[int], x: int, w: int,
+def _repair_two(adj: np.ndarray, D: set[int], x: int, w: int,
                 g1: tuple[int, ...], g2: tuple[int, ...]) -> None:
     """Repair w from both edges, each toward the vertex repeated most
     across the two; the second pick avoids the first."""
     t1 = _max_repetition_pick([u for u in g1 if u not in (x, w)], [g1, g2])
     t2 = _max_repetition_pick([u for u in g2 if u not in (x, w, t1)], [g1, g2])
-    _repair(gb, D, x, w, t1, g1)
-    _repair(gb, D, x, w, t2, g2)
+    _repair(adj, D, x, w, t1, g1)
+    _repair(adj, D, x, w, t2, g2)
 
 
-def _top_up(gb: _GammaBuilder, D: set[int], x: int, d: _Deficient, need: int,
+def _top_up(adj: np.ndarray, D: set[int], x: int, d: _Deficient, need: int,
             edges: list[tuple[int, ...]]) -> None:
     """Give d.v `need` repair pairs from `edges`.  One repair avoids d.v's
     neighbours (a vertex one short has at most one); two use the first two
     edges (a vertex two short has no neighbour)."""
     if need == 1:
-        _repair_min(gb, D, x, d.v, edges[0], *d.nbrs)
+        _repair_min(adj, D, x, d.v, edges[0], *d.nbrs)
     elif need == 2:
-        _repair_two(gb, D, x, d.v, edges[0], edges[1])
+        _repair_two(adj, D, x, d.v, edges[0], edges[1])
+
+
+def _star(adj: np.ndarray, c: int, skip: set) -> None:
+    """Join c to every vertex outside `skip` (None in it stands for none)."""
+    on = ~np.isin(np.arange(len(adj)), [*skip - {None}])
+    on[c] = False
+    adj[c, on] = adj[on, c] = True
+
+
+def _pack(adj: np.ndarray) -> SimpleGraph:
+    """Gamma, each adjacency row packed as `hamilton.good_pair_graph` does."""
+    loops = np.flatnonzero(adj.diagonal())
+    if loops.size:
+        raise ValueError(f"loop at vertex {loops[0]}")
+    rows = np.packbits(adj, axis=1, bitorder="little")
+    return SimpleGraph(len(adj), [int.from_bytes(r.tobytes(), "little") for r in rows])
 
 
 def construct_gamma_case1(h: ColoredHypergraph,
@@ -485,13 +491,13 @@ def construct_gamma_case1(h: ColoredHypergraph,
     """Auxiliary graph for an empty U23 (colors already renamed)."""
     n = h.params.n
     x, y, z = sel.x, sel.y, sel.z
-    gb = _gamma_base(h, sel, set(sel.A) | set(sel.A2))
+    adj = _gamma_base(h, sel, set(sel.A) | set(sel.A2))
 
     # repair the two least-covered U123 vertices up to degree 3
-    wsorted = sorted(sel.U123, key=lambda v: (gb.rows[v].bit_count(), v))
+    wsorted = sorted(sel.U123, key=lambda v: (adj[v].sum(), v))
     w1, w2 = (wsorted + [None, None])[:2]
-    d1 = _Deficient(h, gb, w1, 3, (x, w1), f"x,w1={w1}")
-    d2 = _Deficient(h, gb, w2, 3, (x, w2), f"x,w2={w2}")
+    d1 = _Deficient(h, adj, sel, w1, 3, (x, w1), f"x,w1={w1}")
+    d2 = _Deficient(h, adj, sel, w2, 3, (x, w2), f"x,w2={w2}")
     r1, r2, W1, W2 = d1.deficit, d2.deficit, d1.reserved, d2.reserved
     D: set[int] = set()
     subcase = {"case": 1, "r1": r1, "r2": r2, "w1": w1, "w2": w2,
@@ -512,18 +518,15 @@ def construct_gamma_case1(h: ColoredHypergraph,
                 detail={"w1": w1, "w2": w2})
     if common:
         g22 = next(g for g in W2 if g != common[0])
-        _repair(gb, D, x, w1, w2, common[0])
-        _repair(gb, D, x, w2, min(u for u in g22 if u not in (x, w1, w2)), g22)
+        _repair(adj, D, x, w1, w2, common[0])
+        _repair(adj, D, x, w2, min(u for u in g22 if u not in (x, w1, w2)), g22)
     else:
-        _top_up(gb, D, x, d1, need1, e1)
-        _top_up(gb, D, x, d2, need2, W2)
+        _top_up(adj, D, x, d1, need1, e1)
+        _top_up(adj, D, x, d2, need2, W2)
 
-    skip = ({y, z} | D) - {w1, w2}
-    for v in range(n):
-        if v != x and v not in skip:
-            gb.add(x, v, "E7", None)
+    _star(adj, x, ({y, z} | D) - {w1, w2})                              # E7
 
-    graph = gb.graph()
+    graph = _pack(adj)
     degs = graph.degrees()
     hard = [("x", x, n - 6)]
     hard += [(f"U12-rest:{u}", u, n - 8) for u in sel.U12 if u != y]
@@ -534,8 +537,7 @@ def construct_gamma_case1(h: ColoredHypergraph,
         info.append(("w1", w1, 2))
     if w2 is not None:
         info.append(("w2", w2, 3))
-    return GammaConstruction(graph=graph, provenance=gb.prov, w1=w1,
-                             subcase=subcase,
+    return GammaConstruction(graph=graph, w1=w1, subcase=subcase,
                              degree_report=_degree_report(degs, hard, info))
 
 
@@ -548,11 +550,11 @@ def construct_gamma_case2(h: ColoredHypergraph, s: ShadowMulticoloring,
     """
     n = h.params.n
     x, y, z, u23 = sel.x, sel.y, sel.z, sel.u23
-    gb = _gamma_base(h, sel, set(sel.A))
+    adj = _gamma_base(h, sel, set(sel.A))
 
-    w1 = min(sel.U123, key=lambda v: (gb.rows[v].bit_count(), v), default=None)
-    dw = _Deficient(h, gb, w1, 3, (x, w1), f"x,w1={w1}")
-    du = _Deficient(h, gb, u23, 2, (u23,), f"u23={u23}")
+    w1 = min(sel.U123, key=lambda v: (adj[v].sum(), v), default=None)
+    dw = _Deficient(h, adj, sel, w1, 3, (x, w1), f"x,w1={w1}")
+    du = _Deficient(h, adj, sel, u23, 2, (u23,), f"u23={u23}")
     r, l, W, U = dw.deficit, du.deficit, dw.reserved, du.reserved
     D: set[int] = set()
     subcase = {"case": 2, "early_exit": False, "r": r, "l": l, "w1": w1,
@@ -576,26 +578,22 @@ def construct_gamma_case2(h: ColoredHypergraph, s: ShadowMulticoloring,
         g2 = next(g for g in U if g != h1)
         t1 = _max_repetition_pick([u for u in g2 if u not in (x, u23, w1)],
                                   [U[0] if need == 1 else h1, g2])
-        _repair(gb, D, x, w1, u23, h1)
+        _repair(adj, D, x, w1, u23, h1)
         if need == 2:
-            _repair_min(gb, D, x, w1,
+            _repair_min(adj, D, x, w1,
                         next(g for g in W if g != h1 and g not in set(U)))
-        _repair(gb, D, x, u23, t1, g2)
+        _repair(adj, D, x, u23, t1, g2)
     else:
-        _top_up(gb, D, x, dw, need, ew)
-        _top_up(gb, D, x, du, l, U)
+        _top_up(adj, D, x, dw, need, ew)
+        _top_up(adj, D, x, du, l, U)
 
-    if w is not None:
-        pr = _pair_rank_matrix(n)
-        for v in range(n):
-            if v not in (x, w) and s.goodmask[pr[w, v]] & 1:
-                gb.add(w, v, "E7", None)
-    skip = ({y, z, u23, w} | D) - {w1}
-    for v in range(n):
-        if v != x and v not in skip:
-            gb.add(x, v, "E8", None)
+    if w is not None:                                 # E7: color 1 good at w
+        on = (s.goodmask[_pair_rank_matrix(n)[w]] & 1).astype(bool)
+        on[[x, w]] = False
+        adj[w, on] = adj[on, w] = True
+    _star(adj, x, ({y, z, u23, w} | D) - {w1})                         # E8
 
-    graph = gb.graph()
+    graph = _pack(adj)
     degs = graph.degrees()
     hard = [("x", x, n - 11)]
     hard += [(f"U13-rest:{u}", u, n - 7) for u in sel.U13 if u != z]
@@ -605,8 +603,7 @@ def construct_gamma_case2(h: ColoredHypergraph, s: ShadowMulticoloring,
             ("y", y, n - len(sel.B) - 9)]
     if w1 is not None:
         info.append(("w1", w1, 3))
-    return GammaConstruction(graph=graph, provenance=gb.prov, w1=w1,
-                             subcase=subcase,
+    return GammaConstruction(graph=graph, w1=w1, subcase=subcase,
                              degree_report=_degree_report(degs, hard, info))
 
 

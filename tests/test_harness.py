@@ -38,7 +38,7 @@ from bergecycles.harness import (
     structured_colorings,
 )
 from bergecycles.r4 import ConstructionTrace
-from bergecycles.shadow import build_shadow
+from bergecycles.shadow import _at_least, build_shadow
 
 
 def mono(n, r, c=1, t=2):
@@ -219,6 +219,45 @@ def test_oracle_proves_the_three_part_partition_has_no_cycle():
     h = next(structured_colorings("partition", {"n": 10, "r": 3, "t": 3, "c": 3}))
     assert brute_force_exists(h) is None
     assert reference_oracle(h) is None
+
+
+@pytest.mark.parametrize("budget", [1, 40, None])
+def test_oracle_skips_the_colors_the_search_proved_empty_at_t_equal_r(
+        monkeypatch, budget):
+    # at t = r the good-graph search tests the oracle's own windows, so no
+    # walk is built for a color whose search ended "none"; a small budget
+    # leaves colors in "budget", which the oracle still walks.  The verdict
+    # is the reference oracle's either way.
+    walks = []
+
+    def spy(n, t, allowed, *rest, _real=harness.TightCoreWalk):
+        walks.append(np.asarray(allowed, dtype=bool))
+        return _real(n, t, allowed, *rest)
+
+    monkeypatch.setattr(harness, "TightCoreWalk", spy)
+    kw = {} if budget is None else {"budget": budget}
+    skipped = walked = 0
+    for n, r, c in [(6, 3, 2), (7, 3, 3), (7, 2, 3), (8, 4, 2), (9, 4, 3)]:
+        p = Params(n=n, r=r, t=r, c=c)
+        inputs = [random_coloring(p, seed=seed) for seed in range(8)]
+        inputs += [next(structured_colorings(kind, {"n": n, "r": r, "t": r, "c": c}))
+                   for kind in ("partition", "majority", "pair-lock")]
+        for h in inputs:
+            walks.clear()
+            res = find_certificate(h, **kw)
+            if res.trace.branch != "oracle":
+                continue
+            want = reference_oracle(h)
+            assert (res.status, res.certificate) == (
+                "found" if want else "nonexistent", want)
+            in_edge = _at_least(h, r, 1)
+            empty = {f["color"] for f in res.trace.fallbacks
+                     if f["stage"] == "good-graph" and f["status"] == "none"}
+            assert not any(np.array_equal(w, in_edge[:, color - 1])
+                           for w in walks for color in empty)
+            skipped += len(empty)
+            walked += len(walks)
+    assert skipped and (walked or budget is None)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from bergecycles import r4
 from bergecycles.core import (
     ColoredHypergraph,
     Params,
+    binom,
     edge_table,
     edges_through,
     random_coloring,
@@ -29,7 +30,6 @@ from bergecycles.r4 import (
     Unresolved,
     UProfile,
     _alternating_split,
-    _GammaBuilder,
     _lemma_terminal_cycle,
     _relabel_profile,
     _repair,
@@ -380,16 +380,27 @@ def test_construction_case2_half_cover_window():
 
 
 def test_repair_adds_the_pair_and_sends_the_rest_of_its_edge_to_d():
-    gb = _GammaBuilder(random_coloring(Params(n=6, r=4, t=2, c=3), seed=0))
+    adj = np.zeros((6, 6), dtype=bool)
     D: set[int] = set()
-    _repair(gb, D, 0, 1, 2, (0, 1, 2, 3))
-    _repair(gb, D, 0, 4, 5, (0, 2, 4, 5))
-    assert gb.prov == {(1, 2): ("E6", (0, 1, 2, 3)), (4, 5): ("E6", (0, 2, 4, 5))}
+    _repair(adj, D, 0, 1, 2, (0, 1, 2, 3))
+    _repair(adj, D, 0, 4, 5, (0, 2, 4, 5))
+    assert np.argwhere(adj).tolist() == [[1, 2], [2, 1], [4, 5], [5, 4]]
     assert D == {2, 3}
-    assert gb.rows == [0, 0b100, 0b10, 0, 0b100000, 0b10000]
-    assert gb.graph().rows == gb.rows
+    assert r4._pack(adj).rows == [0, 0b100, 0b10, 0, 0b100000, 0b10000]
+    _repair(adj, D, 0, 3, 3, (0, 1, 3, 4))
     with pytest.raises(ValueError, match="loop at vertex 3"):
-        gb.add(3, 3, "E6", None)
+        r4._pack(adj)
+
+
+@pytest.mark.parametrize("n", [2, 9, 85])
+def test_pair_rank_matrix_is_cached_and_read_only(n):
+    m = r4._pair_rank_matrix(n)
+    assert r4._pair_rank_matrix(n) is m
+    assert not m.flags.writeable
+    # every off-diagonal entry is its pair's rank; {v, v} is no pair
+    assert [[int(m[a, b]) for b in range(n)] for a in range(n)] == [
+        [rank_subset(sorted((a, b))) if a != b else 0 for b in range(n)]
+        for a in range(n)]
 
 
 def test_color_relabel_round_trip():
@@ -492,7 +503,8 @@ def _sweep_pivot(u23):
 
 
 def _gamma_outcome(build):
-    """(hashable outcome, leaf) of one Gamma construction."""
+    """(hashable outcome, leaf) of one Gamma construction: the subcase,
+    Gamma's rows, the degree report and w1, or the exception."""
     try:
         g = build()
     except Exception as exc:
@@ -501,19 +513,20 @@ def _gamma_outcome(build):
     sub = g.subcase
     leaf = ((sub["variant"], sub["r2"], sub["intersecting"]) if sub["case"] == 1
             else (sub["r"], sub["l"], sub["intersecting"]))
-    prov = sorted([list(k), tag, backing] for k, (tag, backing)
-                  in g.provenance.items())
-    return [sub, prov, g.graph.rows, g.degree_report, g.w1], (sub["case"], *leaf)
+    return [sub, g.graph.rows, g.degree_report, g.w1], (sub["case"], *leaf)
 
 
 def test_gamma_sweep_reaches_every_repair_leaf():
-    # the digest covers every pair of Gamma with its tag and backing edge,
-    # the subcase and degree report, or the exception and its detail
+    # the digest covers every pair of Gamma, the subcase and degree report,
+    # or the exception and its detail; the scaffold and its backings are
+    # checked against the per-quad builder on every coloring
     case1, case2 = _sweep_pivot(()), _sweep_pivot((1,))
     outcomes, leaves = [], set()
     for seed in range(600):
         h = random_coloring(Params(9, 4, 2, 3), seed=seed)
         s = build_shadow(h, 2)
+        _assert_base_matches_reference(h, case1, set(case1.A) | set(case1.A2))
+        _assert_base_matches_reference(h, case2, set(case2.A))
         for build in (lambda: construct_gamma_case1(h, case1),
                       lambda: construct_gamma_case2(h, s, case2, None),
                       lambda: construct_gamma_case2(h, s, case2, 2)):
@@ -531,7 +544,7 @@ def test_gamma_sweep_reaches_every_repair_leaf():
     assert _digest(outcomes) == GAMMA_SWEEP_DIGEST
 
 
-GAMMA_SWEEP_DIGEST = "99154664eac820e19e03fefad0b4d989f907b5c372c7666c4e35b19405ae1226"
+GAMMA_SWEEP_DIGEST = "531d0aaee5a5bd444983d3a94ff497c5524aeb9e9259d3651cf46312e467d785"
 
 
 def _hub_coloring(n, seed, color):
@@ -696,6 +709,27 @@ def ref_color4(colors, a, b, c, d):
     return int(colors[rank_subset(sorted((a, b, c, d)))])
 
 
+class _GammaBuilder:
+    """The per-pair builder the adjacency replaced: rows as bitmask ints,
+    and the (tag, backing edge) of every pair as its first adder set it."""
+
+    def __init__(self, h):
+        self.colors = h.colors
+        self.n = h.params.n
+        self.prov = {}
+        self.rows = [0] * self.n
+
+    def add(self, u, v, tag, backing):
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in self.prov:
+            return
+        self.prov[key] = (tag, backing)
+        self.rows[u] |= 1 << v
+        self.rows[v] |= 1 << u
+
+
 def ref_fan(gb, hub, a, tag, vs):
     for v in vs:
         if ref_color4(gb.colors, *hub, a, v) == 1:
@@ -802,20 +836,132 @@ def _case_fixtures():
             if label.startswith("u-profile")]
 
 
+def _assert_base_matches_reference(h, sel, a_set):
+    """The scaffold's rows equal the per-quad builder's, and the closed-form
+    backing of every pair at a U123 vertex or u23 is the fan edge the
+    builder recorded for it."""
+    adj = r4._gamma_base(h, sel, a_set)
+    want = ref_gamma_base(h, sel, a_set)
+    assert r4._pack(adj).rows == want.rows
+    for v in (*sel.U123, *sel.U23):
+        for u in np.flatnonzero(adj[v]).tolist():
+            tag, backing = want.prov[min(u, v), max(u, v)]
+            assert tag in ("E1", "E2", "E3", "E4")
+            assert r4._backing(sel, u, v) == backing
+
+
+# the u-profile stream of each case fixture of scripts/branch_census.py
+_CASE_STREAMS = {
+    **{f"u-profile split deg={deg}": dict(k23=0, k12=1, k13=42, deg_w=deg,
+                                          deg_w2=deg) for deg in (0, 1)},
+    **{f"u-profile repair deg_w={dw} deg_u23={du}": dict(
+        k23=1, k12=1, k13=41, deg_w=dw, deg_u23=du)
+       for dw in (0, 1, 2) for du in (0, 1, 2)},
+    "u-profile window": dict(k23=1, k12=1, k13=40),
+}
+
+
 @pytest.mark.parametrize("label,make", _case_fixtures())
 def test_gamma_fans_equal_the_per_quad_loop(label, make):
-    # the scaffold's pairs (tag and backing, in insertion order) and every
-    # vertex's neighbour row, on the pivot r4_find picks, with the colors
-    # renamed
-    h = make()
-    s = build_shadow(h, 2)
-    _, sel = classify_and_pivot(compute_u_profiles(s))
-    h2 = relabel_colors(h, s, sel.sigma)[0]
-    a_set = set(sel.A) if sel.U23 else set(sel.A) | set(sel.A2)
-    got = r4._gamma_base(h2, sel, a_set)
-    want = ref_gamma_base(h2, sel, a_set)
-    assert got.prov and repr(list(got.prov.items())) == repr(list(want.prov.items()))
-    assert got.rows == want.rows
+    # the scaffold's rows and the backings at its deficient vertices, on the
+    # pivot r4_find picks with the colors renamed, for the fixture and the
+    # next two colorings of its stream
+    stream = structured_colorings("u-profile", {"n": 85, **_CASE_STREAMS[label]})
+    hs = list(itertools.islice(stream, 3))
+    assert np.array_equal(hs[0].colors, make().colors)
+    for h in hs:
+        s = build_shadow(h, 2)
+        _, sel = classify_and_pivot(compute_u_profiles(s))
+        h2 = relabel_colors(h, s, sel.sigma)[0]
+        a_set = set(sel.A) if sel.U23 else set(sel.A) | set(sel.A2)
+        _assert_base_matches_reference(h2, sel, a_set)
+
+
+def ref_reserve(h, contain, count, excluded, who):
+    """_reserve before it read its row in prefix blocks: the whole row."""
+    if count <= 0:
+        return []
+    ranks = edges_through(h.params.n, 4, [contain])[0]
+    out = []
+    for rank in ranks[h.colors[ranks] == 1].tolist():
+        quad = unrank_subset(rank, h.params.n, 4)
+        if quad in excluded:
+            continue
+        out.append(quad)
+        if len(out) == count:
+            return out
+    raise ReservationUnsatisfiable(
+        f"needed {count} color-1 edges around {who}, found {len(out)}",
+        detail={"contain": list(contain), "needed": count, "found": len(out)})
+
+
+def _spy_reads(monkeypatch):
+    """Record (fixed set, start, stop) of every r4.edges_through call."""
+    reads = []
+
+    def through(n, r, fixed, start=0, stop=None, _real=r4.edges_through):
+        reads.append((tuple(fixed[0]), start, stop))
+        return _real(n, r, fixed, start, stop)
+
+    monkeypatch.setattr(r4, "edges_through", through)
+    return reads
+
+
+def _assert_prefix_blocks(reads, n):
+    """Each set's reads are its blocks inside the 8, 16, 32, ... lowest free
+    vertices, in order from rank 0."""
+    for contain in {fixed for fixed, _, _ in reads}:
+        blocks = [(lo, hi) for fixed, lo, hi in reads if fixed == contain]
+        k = len(contain)
+        stops = [binom(min(m, n - k), 4 - k) for m in (8, 16, 32, 64, 128)]
+        assert blocks == list(zip([0, *stops], stops))[:len(blocks)]
+
+
+@pytest.mark.parametrize("contain", [(3,), (0, 37), (5, 9)])
+def test_reserve_crosses_blocks_as_the_whole_row_does(monkeypatch, contain):
+    # counts past the first block, up to the whole row and one more: the
+    # picks, or the message and the found count, are the reference's
+    h = random_coloring(Params(n=40, r=4, t=2, c=3), seed=5)
+    ranks = edges_through(40, 4, [contain])[0]
+    ones = [unrank_subset(q, 40, 4) for q in ranks[h.colors[ranks] == 1].tolist()]
+    excluded = set(ones[1:4])
+
+    def outcome(fn, count):
+        try:
+            return fn(h, contain, count, excluded, "v")
+        except ReservationUnsatisfiable as exc:
+            return [str(exc), exc.detail]
+
+    for count in (1, 40, 300, len(ones) - 3, len(ones) - 2):
+        reads = _spy_reads(monkeypatch)
+        got = outcome(r4._reserve, count)
+        monkeypatch.undo()
+        assert got == outcome(ref_reserve, count)
+        _assert_prefix_blocks(reads, 40)
+    assert outcome(r4._reserve, len(ones) - 3)[-1] == ones[-1]
+
+
+@pytest.mark.parametrize("label,make", _case_fixtures())
+def test_reservations_read_only_prefix_blocks(monkeypatch, label, make):
+    # each reservation equals the whole-row reference's, and its reads are
+    # prefix blocks; u23's reads stop short of its 95,284-edge row
+    calls = []
+
+    def reserve(*args, _real=r4._reserve):
+        calls.append((args, _real(*args)))
+        return calls[-1][1]
+
+    reads = _spy_reads(monkeypatch)
+    monkeypatch.setattr(r4, "_reserve", reserve)
+    res = found(make())
+    monkeypatch.undo()
+    assert calls
+    for args, got in calls:
+        assert got == ref_reserve(*args)
+    _assert_prefix_blocks(reads, 85)
+    u23 = res.trace.subcase.get("u23")
+    if u23 is not None and res.trace.subcase["l"]:
+        assert max(hi for fixed, _, hi in reads if fixed == (u23,)) < binom(84, 3)
 
 
 def _outcome(build):
