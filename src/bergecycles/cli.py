@@ -137,7 +137,8 @@ def _cmd_shadow_dump(args) -> int:
 def _cmd_stress(args) -> int:
     from .core import Params
     from .harness import stress_theorem
-    params = Params(n=args.n, r=args.r, t=args.t or 2, c=args.c)
+    params = Params(n=args.n, r=args.r, c=args.c,
+                    t=2 if args.t is None else args.t)
     if args.reproducer_dir is not None and not os.path.isdir(args.reproducer_dir):
         # checked up front: a write into it fails only after every trial ran
         raise NotADirectoryError(

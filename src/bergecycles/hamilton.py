@@ -45,26 +45,26 @@ class SimpleGraph:
     rows: list[int]
 
     @classmethod
-    def empty(cls, n: int) -> "SimpleGraph":
-        return cls(n, [0] * n)
-
-    @classmethod
     def complete(cls, n: int) -> "SimpleGraph":
         full = (1 << n) - 1
         return cls(n, [full ^ (1 << v) for v in range(n)])
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
-        g = cls.empty(n)
-        for u, v in edges:
-            g.add_edge(u, v)
-        return g
+    def from_adjacency(cls, adj: np.ndarray) -> "SimpleGraph":
+        """The graph of a symmetric n x n bool adjacency matrix: each row
+        packs little-endian into the bitmask int of its vertex."""
+        loops = np.flatnonzero(adj.diagonal())
+        if loops.size:
+            raise ValueError(f"loop at vertex {loops[0]}")
+        rows = np.packbits(adj, axis=1, bitorder="little")
+        return cls(len(adj), [int.from_bytes(r.tobytes(), "little") for r in rows])
 
-    def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise ValueError(f"loop at vertex {u}")
-        self.rows[u] |= 1 << v
-        self.rows[v] |= 1 << u
+    @classmethod
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
+        uv = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
+        adj = np.zeros((n, n), dtype=bool)
+        adj[uv[:, 0], uv[:, 1]] = adj[uv[:, 1], uv[:, 0]] = True
+        return cls.from_adjacency(adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -263,20 +263,15 @@ def _check_found(g: SimpleGraph, cyc: Sequence[int], engine: str) -> None:
 
 
 def good_pair_graph(s: ShadowMulticoloring, color: int) -> SimpleGraph:
-    """Graph on the vertex set whose edges are pairs with `color` 2-good.
-
-    The good pairs fill an n x n bool adjacency matrix, and each row packs
-    little-endian into the bitmask int of its vertex.
-    """
+    """Graph on the vertex set whose edges are pairs with `color` 2-good,
+    built from the n x n bool adjacency matrix of the good pairs."""
     if s.t != 2:
         raise ValueError(f"pair graph needs a t=2 shadow, got t={s.t}")
     n = s.params.n
     good = edge_table(n, 2)[((s.goodmask >> np.uint32(color - 1)) & 1).astype(bool)]
     adj = np.zeros((n, n), dtype=bool)
     adj[good[:, 0], good[:, 1]] = True
-    adj |= adj.T
-    packed = np.packbits(adj, axis=1, bitorder="little")
-    return SimpleGraph(n, [int.from_bytes(row.tobytes(), "little") for row in packed])
+    return SimpleGraph.from_adjacency(adj | adj.T)
 
 
 @dataclass(frozen=True)

@@ -17,17 +17,19 @@ route taken; a ContractBreach carries the trace so far.  The dispatcher
      renamed so |U23| <= |U12| <= |U13|, an auxiliary graph Gamma is built
      (`construct_gamma_case1` / `construct_gamma_case2`), its Hamiltonian
      cycle is found, and `extend_to_berge` lifts it through the shared
-     `extract.lift_to_berge`: a matching gives every consecutive pair its
-     own color-1 edge.
+     `extract.lift_to_berge` on the input coloring: a matching gives every
+     consecutive pair its own edge of the color renamed 1.
 
 Both Gamma cases share one bool adjacency scaffold for the pair families
 E1-E5 (`_gamma_base`) and one repair rule: each computes how many E6 pairs
 its two low-degree vertices need, before any repair, and `_top_up` adds
 them; only the leaves that share or narrow reserved edges, and the star at
 x, differ.  Every vertex-route construction only decides a core: `_lift_core`
-backs its pairs through `extract.lift_to_berge` on the renamed coloring, and
-the opposite-color and terminal cycles through a hub vertex share one
-pattern check (`_close_hub_cycle`).
+backs its pairs, and the opposite-color and terminal cycles through a hub
+vertex share one pattern check (`_close_hub_cycle`).  Renamed colors only
+steer the constructions: every route lifts its cycle on the input coloring,
+in the input's color names, so `extract.lift_to_berge` builds and verifies
+each certificate once.
 
 Everything is deterministic: vertex sets iterate in sorted order, candidate
 edges scan in colex order, and ties break toward smaller ids.
@@ -44,7 +46,6 @@ from .core import (
     BergeCertificate,
     ColoredHypergraph,
     ContractBreach,
-    InternalError,
     InvalidParams,
     Params,
     TightCycleWitness,
@@ -55,7 +56,6 @@ from .core import (
     rank_subset,
     unrank_rows,
     unrank_subset,
-    verify_berge_certificate,
 )
 from .extract import MatchingIncomplete, extend_tight_cycle, lift_to_berge
 from .hamilton import (
@@ -477,15 +477,6 @@ def _star(adj: np.ndarray, c: int, skip: set) -> None:
     adj[c, on] = adj[on, c] = True
 
 
-def _pack(adj: np.ndarray) -> SimpleGraph:
-    """Gamma, each adjacency row packed as `hamilton.good_pair_graph` does."""
-    loops = np.flatnonzero(adj.diagonal())
-    if loops.size:
-        raise ValueError(f"loop at vertex {loops[0]}")
-    rows = np.packbits(adj, axis=1, bitorder="little")
-    return SimpleGraph(len(adj), [int.from_bytes(r.tobytes(), "little") for r in rows])
-
-
 def construct_gamma_case1(h: ColoredHypergraph,
                           sel: PivotSelection) -> GammaConstruction:
     """Auxiliary graph for an empty U23 (colors already renamed)."""
@@ -526,7 +517,7 @@ def construct_gamma_case1(h: ColoredHypergraph,
 
     _star(adj, x, ({y, z} | D) - {w1, w2})                              # E7
 
-    graph = _pack(adj)
+    graph = SimpleGraph.from_adjacency(adj)
     degs = graph.degrees()
     hard = [("x", x, n - 6)]
     hard += [(f"U12-rest:{u}", u, n - 8) for u in sel.U12 if u != y]
@@ -593,7 +584,7 @@ def construct_gamma_case2(h: ColoredHypergraph, s: ShadowMulticoloring,
         adj[w, on] = adj[on, w] = True
     _star(adj, x, ({y, z, u23, w} | D) - {w1})                         # E8
 
-    graph = _pack(adj)
+    graph = SimpleGraph.from_adjacency(adj)
     degs = graph.degrees()
     hard = [("x", x, n - 11)]
     hard += [(f"U13-rest:{u}", u, n - 7) for u in sel.U13 if u != z]
@@ -623,19 +614,20 @@ def _degree_report(degs: list[int], hard, info) -> dict:
 # lifting a Hamiltonian cycle of Gamma to a Berge-cycle
 
 
-def extend_to_berge(h: ColoredHypergraph, cycle) -> BergeCertificate:
-    """Lift a Hamiltonian cycle of Gamma to a color-1 Berge-cycle on h.
+def extend_to_berge(h: ColoredHypergraph, cycle, color: int) -> BergeCertificate:
+    """Lift a Hamiltonian cycle of Gamma to a Berge-cycle of the input h in
+    `color`, the input's name for the color Gamma calls 1.
 
     Sound: the construction's backings ({x,z,.,.}, {x,y,.,.}, a reserved
-    repair edge, or an E5 or star edge) are distinct color-1 edges, one
+    repair edge, or an E5 or star edge) are distinct `color` edges, one
     through each pair of the cycle.  So they are a perfect matching in the
-    bipartite graph of positions x all color-1 edges through each
+    bipartite graph of positions x all `color` edges through each
     position's pair, and `lift_to_berge`'s maximum matching is perfect on
     every input where that assignment exists.  ExtensionFailed (detail: the
     unmatched positions) means no system of distinct representatives exists.
     """
     try:
-        return lift_to_berge(TightCycleWitness(1, tuple(cycle), 2), h)
+        return lift_to_berge(TightCycleWitness(color, tuple(cycle), 2), h)
     except MatchingIncomplete as exc:
         raise ExtensionFailed(str(exc), detail={"unmatched": exc.unmatched}) from exc
 
@@ -693,9 +685,9 @@ def _mono_ham_berge_in_link(k: ColoredHypergraph, budget: int,
     tab2 = edge_table(n1, 2)
     covered = _at_least(k, 2, 1)
     for color in (1, 2):
-        graph = SimpleGraph.from_edges(
-            n1, map(tuple, tab2[covered[:, color - 1]].tolist()))
-        res = find_hamiltonian_cycle(graph, budget)
+        adj = np.zeros((n1, n1), dtype=bool)
+        adj[tab2[:, 0], tab2[:, 1]] = covered[:, color - 1]
+        res = find_hamiltonian_cycle(SimpleGraph.from_adjacency(adj | adj.T), budget)
         fallbacks.append({"stage": "link-weak-graph", "color": color,
                           "status": res.status})
         if res.status != "found":
@@ -713,16 +705,16 @@ def _cycle_adjacency(core: list[int]) -> set[frozenset]:
     return {frozenset((core[i], core[(i + 1) % k])) for i in range(k)}
 
 
-def _lift_core(hw: ColoredHypergraph, color: int, core) -> BergeCertificate:
+def _lift_core(h: ColoredHypergraph, color: int, core) -> BergeCertificate:
     """Back each consecutive pair of the cyclic `core` with its own `color`
-    edge of hw; FallbackExhausted when no distinct backing edges exist."""
+    edge of h; FallbackExhausted when no distinct backing edges exist."""
     try:
-        return lift_to_berge(TightCycleWitness(color, tuple(core), 2), hw)
+        return lift_to_berge(TightCycleWitness(color, tuple(core), 2), h)
     except MatchingIncomplete as exc:
         raise FallbackExhausted(f"no distinct backing edges: {exc}") from exc
 
 
-def _lemma_insert(work: np.ndarray, hw: ColoredHypergraph, v: int,
+def _lemma_insert(work: np.ndarray, lift, v: int,
                   xs: list[int], es: list[tuple[int, ...]], chi: int,
                   detail: dict) -> BergeCertificate | None:
     """Insert v into the link cycle using a chi-colored chord at x1.
@@ -744,12 +736,12 @@ def _lemma_insert(work: np.ndarray, hw: ColoredHypergraph, v: int,
         skip = -1 if e is None else rank_subset(sorted((v, *e)))
         if ((work[ranks] == chi) & (ranks != skip)).any():
             detail["insertion"] = insertion
-            return _lift_core(hw, chi, core)
+            return lift(chi, core)
     return None
 
 
-def _lemma_opposite_cycle(work: np.ndarray, hw: ColoredHypergraph, v: int,
-                          xs: list[int], chi: int, detail: dict) -> BergeCertificate:
+def _lemma_opposite_cycle(work: np.ndarray, lift, v: int, xs: list[int],
+                          chi: int, detail: dict) -> BergeCertificate:
     """Opposite-color cycle through x1 when no chi-chord at x1 exists.
 
     Core order v, y2, x_last, y4, y5, x2, y7, ..., x1 with consecutive
@@ -775,18 +767,18 @@ def _lemma_opposite_cycle(work: np.ndarray, hw: ColoredHypergraph, v: int,
     if tail is None:
         raise FallbackExhausted("could not arrange the opposite-color cycle")
     ys = [v, y2, xlast, y4, y5, x2, y7] + tail + [x1]   # ys[j-1] is y_j
-    cert = _close_hub_cycle(work, hw, ys, other, "opposite")
+    cert = _close_hub_cycle(work, lift, ys, other, "opposite")
     detail["insertion"] = "opposite-cycle"
     return cert
 
 
-def _close_hub_cycle(work: np.ndarray, hw: ColoredHypergraph, ys: list[int],
-                     color: int, pattern: str) -> BergeCertificate:
+def _close_hub_cycle(work: np.ndarray, lift, ys: list[int], color: int,
+                     pattern: str) -> BergeCertificate:
     """Close the `color` cycle ys = v, y2, ..., y_{n-1}, hub.
 
     Every inner pair y_j y_{j+1} (2 <= j <= n-2) must span the `color` edge
     {v, y_j, y_{j+1}, hub}; one gather reads them all, and the first pair
-    that does not is reported.  Then the lift backs every pair of ys.
+    that does not is reported.  Then `lift` backs every pair of ys.
     """
     v, hub = ys[0], ys[-1]
     bad = np.flatnonzero(work[rank_rows(_quads(v, ys[1:-2], ys[2:-1], hub))] != color)
@@ -794,7 +786,7 @@ def _close_hub_cycle(work: np.ndarray, hw: ColoredHypergraph, ys: list[int],
         j = int(bad[0]) + 2
         raise FallbackExhausted(
             f"pair ({ys[j - 1]},{ys[j]}) breaks the {pattern} pattern")
-    return _lift_core(hw, color, ys)
+    return lift(color, ys)
 
 
 def _color2_spares(work: np.ndarray, v: int, u: int, verts: list[int],
@@ -810,7 +802,7 @@ def _color2_spares(work: np.ndarray, v: int, u: int, verts: list[int],
     return spare[spare != v].reshape(-1, 3)
 
 
-def _lemma_in_cycle(work: np.ndarray, hw: ColoredHypergraph, v: int,
+def _lemma_in_cycle(work: np.ndarray, lift, v: int,
                     core: list[int], cedges: list[tuple[int, ...]],
                     e_core: tuple[int, ...], detail: dict) -> BergeCertificate:
     """The companion edge of v lies on C, covering a consecutive pair."""
@@ -824,13 +816,13 @@ def _lemma_in_cycle(work: np.ndarray, hw: ColoredHypergraph, v: int,
     p3 = _color2_spares(work, v, v3, xs, cycle)
     if any(g2 != g3 for g2 in p2[:2].tolist() for g3 in p3[:2].tolist()):
         detail["insertion"] = "two-chords"
-        return _lift_core(hw, 2, [v2, v, v3] + xs[2:])
+        return lift(2, [v2, v, v3] + xs[2:])
 
     # nearly every spare pair at v2 (or v3) is the other color: build the
     # cycle ending at that vertex with all edges {v, ., ., u} of color 3
     for u, e_other, spares, at in ((v2, es[-1], p2, "v2"), (v3, es[1], p3, "v3")):
         try:
-            cert = _lemma_terminal_cycle(work, hw, v, xs, u, e_core, e_other,
+            cert = _lemma_terminal_cycle(work, lift, v, xs, u, e_core, e_other,
                                          spares.tolist())
             detail["insertion"] = f"terminal-cycle-at-{at}"
             return cert
@@ -839,7 +831,7 @@ def _lemma_in_cycle(work: np.ndarray, hw: ColoredHypergraph, v: int,
     raise FallbackExhausted("in-cycle companion: both terminal cycles failed")
 
 
-def _lemma_terminal_cycle(work: np.ndarray, hw: ColoredHypergraph, v: int,
+def _lemma_terminal_cycle(work: np.ndarray, lift, v: int,
                           xs: list[int], u: int, e_core: tuple[int, ...],
                           e_other: tuple[int, ...],
                           spares: list[tuple[int, ...]]) -> BergeCertificate:
@@ -855,19 +847,20 @@ def _lemma_terminal_cycle(work: np.ndarray, hw: ColoredHypergraph, v: int,
     seq = _order_avoiding(pool, None, u, blocked)
     if seq is None:
         raise FallbackExhausted("could not arrange the terminal cycle")
-    return _close_hub_cycle(work, hw, [v] + seq + [u], 3, "terminal")
+    return _close_hub_cycle(work, lift, [v] + seq + [u], 3, "terminal")
 
 
 def lemma_a_construct(h: ColoredHypergraph, vertex: int, color: int,
                       budget: int = DEFAULT_BUDGET) -> tuple[BergeCertificate, dict]:
     """Certificate for a vertex touching at most one edge of `color`.
 
-    The coloring is renamed so the sparse color is 1 (hw, one `take`, none
-    when no color moves); the route conditions read a copy (work) where the
-    companion edge e_v, if any, counts as color 2.  A monochromatic
-    Hamiltonian cycle of the vertex's link then absorbs the vertex back in,
-    and the new core lifts on hw, so e_v never backs a pair.  Returns the
-    certificate (in the original colors) plus a detail dict for the trace.
+    The route conditions read the colors renamed so the sparse color is 1
+    (work, one `take`, a copy when no color moves), with the companion edge
+    e_v, if any, counted as color 2.  A monochromatic Hamiltonian cycle of
+    the vertex's link then absorbs the vertex back in, and the new core
+    lifts on h itself in the input's name for the work color, so e_v never
+    backs a pair.  Returns the certificate, in the input's colors, plus a
+    detail dict for the trace.
     """
     p = h.params
     if p.r != 4 or p.c != 3:
@@ -875,7 +868,7 @@ def lemma_a_construct(h: ColoredHypergraph, vertex: int, color: int,
     n = p.n
     detail: dict = {"vertex": vertex, "color": color, "fallbacks": []}
 
-    lut = np.arange(4, dtype=np.uint8)      # color in h -> color in hw
+    lut = np.arange(4, dtype=np.uint8)      # color in h -> color in work
     lut[1], lut[color] = color, 1
     ranks = edges_through(n, 4, [(vertex,)])[0]
     ones = np.flatnonzero(lut[h.colors[ranks]] == 1)
@@ -889,9 +882,10 @@ def lemma_a_construct(h: ColoredHypergraph, vertex: int, color: int,
     detail["companion_edge"] = list(e_v)
     if lut[h.color_of(e_v)] == 3:
         lut = np.array([0, 1, 3, 2], dtype=np.uint8)[lut]
-    hw = h if lut.tolist() == [0, 1, 2, 3] else ColoredHypergraph(p, lut.take(h.colors))
-    work = hw.colors.copy()
+    back = lut.tolist()
+    work = h.colors.copy() if back == [0, 1, 2, 3] else lut.take(h.colors)
     work[rank_subset(e_v)] = 2
+    lift = lambda c, core: _lift_core(h, back.index(c), core)  # noqa: E731
 
     # the link of v: the edges through v, minus v, in the colex order of
     # the other vertices; work colors {2,3} become link colors {1,2}
@@ -906,17 +900,16 @@ def lemma_a_construct(h: ColoredHypergraph, vertex: int, color: int,
 
     if chi == 2 and frozenset(e_core) in set(map(frozenset, cedges)):
         detail["case"] = "in-cycle"
-        cert = _lemma_in_cycle(work, hw, vertex, core, cedges, e_core, detail)
+        cert = _lemma_in_cycle(work, lift, vertex, core, cedges, e_core, detail)
     else:
         detail["case"] = "off-cycle" if chi == 2 else "companion-free"
         rot = next(i for i in range(len(core)) if core[i] not in e_core)
         xs = core[rot:] + core[:rot]
         es = cedges[rot:] + cedges[:rot]
-        cert = _lemma_insert(work, hw, vertex, xs, es, chi, detail)
+        cert = _lemma_insert(work, lift, vertex, xs, es, chi, detail)
         if cert is None:
-            cert = _lemma_opposite_cycle(work, hw, vertex, xs, chi, detail)
-    return BergeCertificate(color=lut.tolist().index(cert.color), core=cert.core,
-                            edges=cert.edges, t=2), detail
+            cert = _lemma_opposite_cycle(work, lift, vertex, xs, chi, detail)
+    return cert, detail
 
 
 # ---------------------------------------------------------------------------
@@ -946,10 +939,12 @@ def shadow_guided_cert(h: ColoredHypergraph, s: ShadowMulticoloring,
 def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Monochromatic Hamiltonian Berge-cycle in a 3-colored K_n^4, n >= 85.
 
-    Returns the verified certificate and the construction trace.  Raises
-    Unresolved when every applicable route exhausts its budget, and a
-    ContractBreach carrying the trace so far (`exc.trace`) if the input
-    falsifies a structural guarantee or a result fails its final check.
+    Returns the certificate and the construction trace.  Every route lifts
+    its cycle on h itself, in the input's color names, so the certificate
+    is the one `extract.lift_to_berge` built and verified against h.
+    Raises Unresolved when every applicable route exhausts its budget, and
+    a ContractBreach carrying the trace so far (`exc.trace`) if the input
+    falsifies a structural guarantee or the lift fails its check.
     """
     p = h.params
     if p.r != 4 or p.c != 3:
@@ -957,16 +952,6 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
     if p.n < MIN_N:
         raise InvalidParams(f"need n >= {MIN_N}, got n={p.n}")
     trace = ConstructionTrace()
-
-    def finish(cert: BergeCertificate, sigma=(1, 2, 3)) -> SearchResult:
-        if sigma != (1, 2, 3):
-            inv = {sigma[i]: i + 1 for i in range(3)}
-            cert = BergeCertificate(color=inv[cert.color], core=cert.core,
-                                    edges=cert.edges, t=2)
-        err = verify_berge_certificate(cert, h)
-        if err is not None:
-            raise InternalError(f"certificate failed final verification: {err}")
-        return SearchResult("found", cert, trace)
 
     try:
         # (v, c) with v on at most one edge of color c, in (v, c) order
@@ -977,7 +962,7 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
                 cert, detail = lemma_a_construct(h, v, c, budget)
                 trace.branch = "lemma-3.1"
                 trace.subcase = detail
-                return finish(cert)
+                return SearchResult("found", cert, trace)
             except FallbackExhausted as exc:
                 trace.fallbacks.append({"stage": "sparse-vertex", "vertex": v,
                                         "color": c, "status": str(exc)})
@@ -992,7 +977,7 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
             if cert is None:
                 raise Unresolved("single-good fallback found no cycle in budget",
                                  trace) from exc
-            return finish(cert)
+            return SearchResult("found", cert, trace)
 
         bc, sel = classify_and_pivot(profiles)
         if sel is None:
@@ -1002,7 +987,7 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
             cert = shadow_guided_cert(h, s, (1, 2, 3), budget, trace.fallbacks)
             if cert is None:
                 raise Unresolved("B-cover search found no cycle in budget", trace)
-            return finish(cert)
+            return SearchResult("found", cert, trace)
 
         trace.pivot = {"x": sel.x, "pi": sel.pi, "sigma": list(sel.sigma),
                        "sizes": {"U23": len(sel.U23), "U12": len(sel.U12),
@@ -1027,12 +1012,12 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
                 outside = [u for u in sel.U123 if u not in b1]
                 if not outside:
                     trace.subcase = {"case": 2, "early_exit": True}
-                    cert = shadow_guided_cert(h2, s2, (2,), budget,
-                                              trace.fallbacks)
+                    cert = shadow_guided_cert(h, s, (sel.sigma.index(2) + 1,),
+                                              budget, trace.fallbacks)
                     if cert is None:
                         raise Unresolved("early-exit good graph was not "
                                          "Hamiltonian in budget", trace)
-                    return finish(cert, sel.sigma)
+                    return SearchResult("found", cert, trace)
                 w = outside[0]
             gamma = construct_gamma_case2(h2, s2, sel, w)
         trace.subcase = gamma.subcase
@@ -1051,8 +1036,8 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
             raise ContractBreach(
                 "Gamma fails the degree condition and no cycle was found",
                 detail={"degrees": sorted(gamma.graph.degrees())})
-        cert = extend_to_berge(h2, res.cycle)
-        return finish(cert, sel.sigma)
+        cert = extend_to_berge(h, res.cycle, sel.sigma.index(1) + 1)
+        return SearchResult("found", cert, trace)
     except ContractBreach as exc:
         exc.trace = trace
         raise

@@ -377,6 +377,19 @@ def test_stress_bad_params_is_one_usage_line(capsys):
     assert captured.err == "error: need 2 <= t <= r <= n, got t=5 r=4 n=6\n"
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--t", "0", "--trials", "1"], "need 2 <= t <= r <= n, got t=0 r=3 n=6"),
+    (["--trials", "-1"], "need trials >= 0, got trials=-1"),
+], ids=["t=0", "trials=-1"])
+def test_stress_zero_t_and_negative_trials_are_one_usage_line(capsys, flags,
+                                                              message):
+    # --t 0 once ran at t = 2, and --trials -1 ended in a traceback, exit 1
+    assert main(["stress", "--n", "6", "--r", "3", "--c", "2", *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_stress_missing_reproducer_dir_fails_before_any_trial(tmp_path,
                                                               monkeypatch, capsys):
     from bergecycles import harness

@@ -10,12 +10,15 @@ does so on purpose updates the digest and says why.
 
 import hashlib
 import importlib.util
+import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bergecycles import (
+    ColoredHypergraph,
     Params,
     find_certificate,
     r4,
@@ -138,6 +141,31 @@ WEAK_ROUTE = {
 }
 
 
+# "near-mono base=2" with input color c renamed perm[c - 1]: the sparse
+# color and the companion edge's color move, and under (2, 1, 3), (3, 1, 2)
+# and (3, 2, 1) the vertex route renames its work colors
+RENAMED = {
+    (1, 2, 3): ("lemma-3.1",
+        "a351f7a0c268b51fced7f2463c94a6ab00fd8924e4e4e1b7b3a402e681923173",
+        "406cd7a1b8a01e3244ddbeb640193b73f48f8ebf01f676e8df48642badec36fb"),
+    (1, 3, 2): ("lemma-3.1",
+        "78724c741bbfd3e2dfd90f485bce67930364c10e5ff9a09c300096c9d07eee0c",
+        "e41746d806be8ec1380720e7d0b49b8ef8c7b039b75aa71d2272e1d6841a0648"),
+    (2, 1, 3): ("lemma-3.1",
+        "1075b06cdfe32c2d094b850118f792c5d4cee4410044cf367bd0cbc8ecf90f85",
+        "9f8506926397783face2022d8ccf42be4bdb8edae6942871c32079cae267cb7f"),
+    (2, 3, 1): ("lemma-3.1",
+        "78724c741bbfd3e2dfd90f485bce67930364c10e5ff9a09c300096c9d07eee0c",
+        "e41746d806be8ec1380720e7d0b49b8ef8c7b039b75aa71d2272e1d6841a0648"),
+    (3, 1, 2): ("lemma-3.1",
+        "a8d1aea8ee3a3fff6be39fa5a5d9f4ae5792cb128d60fa12611c14e356b7494c",
+        "599c0bd957b15b5410c30c036caba442bc540807a19bee98d2d9aab81a1ae62f"),
+    (3, 2, 1): ("lemma-3.1",
+        "e97987528e3d5b01ce7950b754b65abdaf57cf7eb23d4fda80771a1786914754",
+        "e41746d806be8ec1380720e7d0b49b8ef8c7b039b75aa71d2272e1d6841a0648"),
+}
+
+
 def json_digest(blob):
     text = json.dumps(blob, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -170,6 +198,14 @@ def test_golden_link_weak_route(label, monkeypatch):
     steps = [(f["stage"], f["status"]) for f in res.trace.subcase["fallbacks"]]
     assert ("link-weak-graph", "found") in steps
     check_pinned(res, WEAK_ROUTE[label])
+
+
+@pytest.mark.parametrize("perm", list(itertools.permutations((1, 2, 3))), ids=str)
+def test_golden_renamed_vertex_route(perm):
+    base = CASES["near-mono base=2"]()
+    lut = np.array((0, *perm), dtype=np.uint8)
+    check_pinned(r4_find(ColoredHypergraph(base.params, lut[base.colors])),
+                 RENAMED[perm])
 
 
 GAMMA_CASES = [label for label, (branch, _, _) in PINNED.items()

@@ -208,14 +208,9 @@ def test_peel_removes_the_wrap_edge_in_either_orientation(removed):
 
 
 def _graph_from_mask(n, mask):
-    g = SimpleGraph.empty(n)
-    k = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if mask >> k & 1:
-                g.add_edge(u, v)
-            k += 1
-    return g
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return SimpleGraph.from_edges(
+        n, [e for k, e in enumerate(pairs) if mask >> k & 1])
 
 
 @given(st.integers(0, 2**15 - 1))

@@ -39,6 +39,7 @@ from bergecycles.harness import (
 )
 from bergecycles.r4 import ConstructionTrace
 from bergecycles.shadow import _at_least, build_shadow
+from test_shadow import _census_fixtures
 
 
 def mono(n, r, c=1, t=2):
@@ -666,3 +667,67 @@ def test_u_profile_stream_varies_but_keeps_profile():
         "u-profile", {"n": 85, "k23": 0, "k12": 1, "k13": 42})
     a, b = next(stream), next(stream)
     assert not np.array_equal(a.colors, b.colors)
+
+
+# ---------------------------------------------------------------------------
+# one guard: extract.lift_to_berge builds and verifies every certificate
+
+
+def _spy_lifts(monkeypatch):
+    """Every `verify_berge_certificate` call made through any binding in the
+    package, and every certificate a `lift_to_berge` call returned."""
+    import sys
+    from bergecycles import core, extract
+    verified, lifted = [], []
+    real_verify, real_lift = core.verify_berge_certificate, extract.lift_to_berge
+
+    def verify(cert, h):
+        verified.append(cert)
+        return real_verify(cert, h)
+
+    def lift(w, h):
+        lifted.append(real_lift(w, h))
+        return lifted[-1]
+
+    for key, module in list(sys.modules.items()):
+        if key == "bergecycles" or key.startswith("bergecycles."):
+            for name, spy, real in (("verify_berge_certificate", verify, real_verify),
+                                    ("lift_to_berge", lift, real_lift)):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, spy)
+    return verified, lifted
+
+
+# lemma-3.1 lifts twice: the link's cycle, then the vertex re-inserted
+VERIFIES_PER_BRANCH = {"B-cover": 1, "single-good-fallback": 1, "case-1": 1,
+                       "case-2": 1, "lemma-3.1": 2}
+
+
+@pytest.mark.parametrize("label,make", _census_fixtures())
+def test_r4_find_returns_the_certificate_its_lift_verified(monkeypatch, label,
+                                                           make):
+    from bergecycles.r4 import r4_find
+    h = make()
+    verified, lifted = _spy_lifts(monkeypatch)
+    res = r4_find(h)
+    assert len(verified) == VERIFIES_PER_BRANCH[res.trace.branch]
+    assert res.certificate is lifted[-1] and res.certificate is verified[-1]
+
+
+def test_oracle_verifies_only_the_certificate_it_returns(monkeypatch):
+    verified, lifted = _spy_lifts(monkeypatch)
+    found = 0
+    for seed in range(8):               # K_5^3 in 3 colors: 5 found, 3 proofs
+        h = random_coloring(Params(n=5, r=3, t=2, c=3), seed=seed)
+        cert = brute_force_exists(h)
+        if cert is not None:
+            found += 1
+            assert cert is lifted[-1] and cert is verified[-1]
+        assert len(verified) == found
+    assert found == 5
+
+
+def test_stress_verifies_each_found_trial_once(monkeypatch):
+    verified, _ = _spy_lifts(monkeypatch)
+    rep = stress_theorem(Params(n=8, r=4, t=2, c=2), trials=6, seed=3)
+    assert rep.successes and len(verified) == rep.successes

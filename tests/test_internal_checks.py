@@ -28,15 +28,16 @@ def run_optimized(code: str) -> subprocess.CompletedProcess:
 def test_r4_final_verify_reaches_cli_breach_handler(tmp_path):
     cert_path = tmp_path / "out.cert.json"
     proc = run_optimized(f"""
-        from bergecycles import Params, cli, r4, random_coloring
+        from bergecycles import Params, cli, extract, random_coloring
         h = random_coloring(Params(n=85, r=4, t=2, c=3), seed=1)  # B-cover
-        r4.verify_berge_certificate = lambda cert, h, t=None: "forced failure"
+        # the lift is the only verify on the way to a returned certificate
+        extract.verify_berge_certificate = lambda cert, h, t=None: "forced failure"
         cli._load_coloring = lambda path: h
         sys.exit(cli.main(["extract", "in.txt", "-o", {str(cert_path)!r},
                            "--trace", {str(tmp_path / "out.trace.json")!r}]))
     """)
     assert proc.returncode == 4, proc.stdout + proc.stderr
-    assert ("contract breach: certificate failed final verification: "
+    assert ("contract breach: assembled certificate invalid: "
             "forced failure") in proc.stdout
     assert "Traceback" not in proc.stderr
     assert not cert_path.exists()
@@ -81,12 +82,12 @@ def test_extend_tight_cycle_guards(patch, message):
     """, "assembled certificate invalid: forced failure"),
     ("""
         import numpy as np
-        from bergecycles import harness
+        from bergecycles import extract, harness
         from bergecycles.core import ColoredHypergraph, Params
         h = ColoredHypergraph(Params(n=6, r=3, t=2, c=1), np.ones(20, np.uint8))
-        harness.verify_berge_certificate = lambda cert, h, t=None: "forced failure"
+        extract.verify_berge_certificate = lambda cert, h, t=None: "forced failure"
         harness.brute_force_exists(h)
-    """, "oracle produced a bad certificate: forced failure"),
+    """, "assembled certificate invalid: forced failure"),
     ("""
         from bergecycles import hamilton
         hamilton._peel_closure_cycle = lambda rows, added, cycle: [0, 1, 2, 3, 3]

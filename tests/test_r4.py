@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -19,6 +20,7 @@ from bergecycles.core import (
     verify_berge_certificate,
 )
 from bergecycles.extract import MatchingIncomplete
+from bergecycles.hamilton import SimpleGraph
 from bergecycles.harness import find_certificate, structured_colorings
 from bergecycles.r4 import (
     ExtensionFailed,
@@ -386,10 +388,11 @@ def test_repair_adds_the_pair_and_sends_the_rest_of_its_edge_to_d():
     _repair(adj, D, 0, 4, 5, (0, 2, 4, 5))
     assert np.argwhere(adj).tolist() == [[1, 2], [2, 1], [4, 5], [5, 4]]
     assert D == {2, 3}
-    assert r4._pack(adj).rows == [0, 0b100, 0b10, 0, 0b100000, 0b10000]
+    graph = SimpleGraph.from_adjacency(adj)
+    assert graph.rows == [0, 0b100, 0b10, 0, 0b100000, 0b10000]
     _repair(adj, D, 0, 3, 3, (0, 1, 3, 4))
     with pytest.raises(ValueError, match="loop at vertex 3"):
-        r4._pack(adj)
+        SimpleGraph.from_adjacency(adj)
 
 
 @pytest.mark.parametrize("n", [2, 9, 85])
@@ -425,7 +428,7 @@ def split_case(request):
                                   (3, 1, 2), (3, 2, 1)])
 def test_renamed_colors_give_the_renamed_certificate(split_case, perm):
     # color c of the input becomes perm[c - 1]; the pivot must rename the
-    # colors back, and finish() must map the certificate to the input's names
+    # colors back, and the Gamma cycle must lift in the input's own names
     base, base_res = split_case
     assert base_res.trace.pivot["sigma"] == [1, 2, 3]
     lut = np.array((0,) + perm, dtype=np.uint8)
@@ -573,7 +576,7 @@ def _opposite_outcome(n, seed, chi):
     hw = ColoredHypergraph(Params(n, 4, 2, 3), work)
     detail: dict = {}
     out, ok = _hub_outcome(hw, lambda: r4._lemma_opposite_cycle(
-        work, hw, 0, xs, chi, detail))
+        work, functools.partial(r4._lift_core, hw), 0, xs, chi, detail))
     return out + [detail], ok
 
 
@@ -585,7 +588,8 @@ def _terminal_outcome(n, seed):
     e_other = tuple(sorted((xs[-1], u, xs[7])))
     spares = [tuple(sorted((u, xs[3], xs[9])))]
     return _hub_outcome(hw, lambda: _lemma_terminal_cycle(
-        work, hw, 0, xs, u, e_core, e_other, spares))
+        work, functools.partial(r4._lift_core, hw), 0, xs, u, e_core, e_other,
+        spares))
 
 
 def test_hub_cycle_sweep():
@@ -639,7 +643,8 @@ def _insert_fixture(block_left):
             work[rank_subset((0, 1, xs[li], 9))] = 3
     hw = ColoredHypergraph(Params(n, 4, 2, 3), work)
     detail: dict = {}
-    cert = r4._lemma_insert(work, hw, 0, xs, es, 2, detail)
+    cert = r4._lemma_insert(work, functools.partial(r4._lift_core, hw), 0, xs,
+                            es, 2, detail)
     assert cert is not None and cert.color == 2
     assert verify_berge_certificate(cert, hw) is None
     return cert.core, detail["insertion"]
@@ -764,7 +769,7 @@ def ref_color2_spares(work, v, u, verts, cset):
     return out
 
 
-def ref_lemma_insert(work, hw, v, xs, es, chi, detail):
+def ref_lemma_insert(work, lift, v, xs, es, chi, detail):
     n1 = len(xs)
     x1 = xs[0]
 
@@ -775,22 +780,22 @@ def ref_lemma_insert(work, hw, v, xs, es, chi, detail):
         for kj in range(ki + 2, n1 - 1):
             if col(x1, xs[ki], xs[kj]) == chi:
                 detail["insertion"] = "chord"
-                return r4._lift_core(hw, chi, [x1, v] + xs[1:])
+                return lift(chi, [x1, v] + xs[1:])
     e_last, e_first = es[-1], es[0]
     for li in range(2, n1 - 2):
         tri = tuple(sorted((xs[-1], x1, xs[li])))
         if col(*tri) == chi and tri != e_last:
             detail["insertion"] = "wrap-left"
-            return r4._lift_core(hw, chi, [v] + xs)
+            return lift(chi, [v] + xs)
     for li in range(3, n1 - 1):
         tri = tuple(sorted((x1, xs[1], xs[li])))
         if col(*tri) == chi and tri != e_first:
             detail["insertion"] = "wrap-right"
-            return r4._lift_core(hw, chi, [x1, v] + xs[1:])
+            return lift(chi, [x1, v] + xs[1:])
     return None
 
 
-def ref_lemma_opposite_cycle(work, hw, v, xs, chi, detail):
+def ref_lemma_opposite_cycle(work, lift, v, xs, chi, detail):
     other = 5 - chi
     x1 = xs[0]
     cadj = r4._cycle_adjacency(xs)
@@ -817,18 +822,18 @@ def ref_lemma_opposite_cycle(work, hw, v, xs, chi, detail):
     if tail is None:
         raise FallbackExhausted("could not arrange the opposite-color cycle")
     ys = [v, y2, xlast, y4, y5, x2, y7] + tail + [x1]
-    cert = ref_close_hub_cycle(work, hw, ys, other, "opposite")
+    cert = ref_close_hub_cycle(work, lift, ys, other, "opposite")
     detail["insertion"] = "opposite-cycle"
     return cert
 
 
-def ref_close_hub_cycle(work, hw, ys, color, pattern):
+def ref_close_hub_cycle(work, lift, ys, color, pattern):
     v, hub = ys[0], ys[-1]
     for j in range(2, len(ys) - 1):
         if ref_color4(work, v, ys[j - 1], ys[j], hub) != color:
             raise FallbackExhausted(
                 f"pair ({ys[j - 1]},{ys[j]}) breaks the {pattern} pattern")
-    return r4._lift_core(hw, color, ys)
+    return lift(color, ys)
 
 
 def _case_fixtures():
@@ -842,7 +847,7 @@ def _assert_base_matches_reference(h, sel, a_set):
     builder recorded for it."""
     adj = r4._gamma_base(h, sel, a_set)
     want = ref_gamma_base(h, sel, a_set)
-    assert r4._pack(adj).rows == want.rows
+    assert SimpleGraph.from_adjacency(adj).rows == want.rows
     for v in (*sel.U123, *sel.U23):
         for u in np.flatnonzero(adj[v]).tolist():
             tag, backing = want.prov[min(u, v), max(u, v)]
