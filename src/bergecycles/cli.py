@@ -52,7 +52,11 @@ def _load_coloring(path: str):
 
 
 def _budget(args) -> int:
+    """--budget, or the default; 0 allows no expansion (closure routes only)."""
+    from .core import InvalidParams
     from .hamilton import DEFAULT_BUDGET
+    if args.budget is not None and args.budget < 0:
+        raise InvalidParams(f"need --budget >= 0, got --budget {args.budget}")
     return DEFAULT_BUDGET if args.budget is None else args.budget
 
 

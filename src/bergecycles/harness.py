@@ -241,6 +241,8 @@ def stress_theorem(params: Params, generator: str = "random",
     """
     if trials < 0:
         raise InvalidParams(f"need trials >= 0, got trials={trials}")
+    if jobs < 1:
+        raise InvalidParams(f"need jobs >= 1, got jobs={jobs}")
     t0 = time.monotonic()
     outdir = reproducer_dir or tempfile.gettempdir()
     work = [(params, generator, seed, i, budget, outdir)

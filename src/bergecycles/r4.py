@@ -13,12 +13,12 @@ route taken; a ContractBreach carries the trace so far.  The dispatcher
   3. every vertex lands in a dominance class (B-cover) -- one of the three
      good-pair graphs is Hamiltonian and lifts through the shadow
      (`shadow_guided_cert`, also the generic search of `find_certificate`);
-  4. otherwise a pivot vertex x with small mixed classes exists.  Colors are
-     renamed so |U23| <= |U12| <= |U13|, an auxiliary graph Gamma is built
-     (`construct_gamma_case1` / `construct_gamma_case2`), its Hamiltonian
-     cycle is found, and `extend_to_berge` lifts it through the shared
-     `extract.lift_to_berge` on the input coloring: a matching gives every
-     consecutive pair its own edge of the color renamed 1.
+  4. otherwise a pivot vertex x with small mixed classes exists.  Color
+     names are permuted so |U23| <= |U12| <= |U13|; an auxiliary graph Gamma
+     is built on the input in `PivotSelection.color`, the input's name for
+     the color renamed 1 (`construct_gamma_case1` / `construct_gamma_case2`),
+     its Hamiltonian cycle is found, and `extend_to_berge` lifts it through
+     `extract.lift_to_berge`: a matching gives each pair its own edge.
 
 Both Gamma cases share one bool adjacency scaffold for the pair families
 E1-E5 (`_gamma_base`) and one repair rule: each computes how many E6 pairs
@@ -26,10 +26,9 @@ its two low-degree vertices need, before any repair, and `_top_up` adds
 them; only the leaves that share or narrow reserved edges, and the star at
 x, differ.  Every vertex-route construction only decides a core: `_lift_core`
 backs its pairs, and the opposite-color and terminal cycles through a hub
-vertex share one pattern check (`_close_hub_cycle`).  Renamed colors only
-steer the constructions: every route lifts its cycle on the input coloring,
-in the input's color names, so `extract.lift_to_berge` builds and verifies
-each certificate once.
+vertex share one pattern check (`_close_hub_cycle`).  Renaming moves only
+names: every route reads the input coloring, in the input's color names,
+and `extract.lift_to_berge` builds and verifies each certificate once.
 
 Everything is deterministic: vertex sets iterate in sorted order, candidate
 edges scan in colex order, and ties break toward smaller ids.
@@ -76,11 +75,11 @@ class PivotInvariantViolation(ContractBreach):
 
 
 class ReservationUnsatisfiable(ContractBreach):
-    """Not enough color-1 edges available to reserve repair backings."""
+    """Not enough edges of Gamma's color sel.color to reserve repair backings."""
 
 
 class ExtensionFailed(ContractBreach):
-    """Gamma's Hamiltonian cycle has no distinct color-1 backing edges."""
+    """Gamma's Hamiltonian cycle has no distinct sel.color backing edges."""
 
 
 class SingleGoodEdge(Exception):
@@ -133,7 +132,8 @@ class BClassification:
 
 @dataclass(frozen=True)
 class PivotSelection:
-    """Pivot vertex with classes already renamed so |U23| <= |U12| <= |U13|."""
+    """Pivot vertex with classes already renamed so |U23| <= |U12| <= |U13|;
+    Gamma reads the input coloring in `color`, the input's name for 1."""
 
     x: int
     pi: int
@@ -151,10 +151,14 @@ class PivotSelection:
     A2: tuple[int, ...]             # near-half split of U12, y lands in A2
     B2: tuple[int, ...]
 
+    @property
+    def color(self) -> int:
+        return self.sigma.index(1) + 1
+
 
 @dataclass(frozen=True, eq=False)
 class GammaConstruction:
-    """Auxiliary graph whose Hamiltonian cycles lift to color-1 Berge-cycles."""
+    """Auxiliary graph whose Hamiltonian cycles lift to sel.color Berge-cycles."""
 
     graph: SimpleGraph
     w1: int | None
@@ -224,7 +228,9 @@ def _pair_rank_matrix(n: int) -> np.ndarray:
 def relabel_colors(h: ColoredHypergraph, s: ShadowMulticoloring,
                    sigma: tuple[int, int, int]) -> tuple[ColoredHypergraph, ShadowMulticoloring]:
     """Rename colors by sigma (old i -> sigma[i-1]) in both views; the
-    shadow's goodmask bits move with their colors."""
+    shadow's goodmask bits move with their colors.  No solver route calls
+    it: the tests keep it as the reference renaming, and
+    `perfbench/tracer.py` traces it by name."""
     lut = np.zeros(4, dtype=np.uint8)
     goodmask = np.zeros_like(s.goodmask)
     for old in (1, 2, 3):
@@ -272,14 +278,6 @@ def _alternating_split(vals: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[in
     return tuple(s[0::2]), tuple(s[1::2])
 
 
-def _relabel_profile(p: UProfile, sigma: tuple[int, int, int]) -> UProfile:
-    classes = {tuple(sorted((sigma[0], sigma[1]))): p.U12,
-               tuple(sorted((sigma[0], sigma[2]))): p.U13,
-               tuple(sorted((sigma[1], sigma[2]))): p.U23}
-    return UProfile(vertex=p.vertex, U12=classes[(1, 2)], U13=classes[(1, 3)],
-                    U23=classes[(2, 3)], U123=p.U123)
-
-
 def classify_and_pivot(profiles: list[UProfile]) -> tuple[BClassification, PivotSelection | None]:
     """Dominance classes plus, if they do not cover, the pivot selection.
 
@@ -322,30 +320,29 @@ def classify_and_pivot(profiles: list[UProfile]) -> tuple[BClassification, Pivot
 
     x = min(rem, key=pivot_key)
     px = profiles[x]
-    # miss(i) = size of the class whose good set omits color i
-    miss = {1: len(px.U23), 2: len(px.U13), 3: len(px.U12)}
-    slot_rank = {1: 0, 3: 1, 2: 2}   # identity assignment wins ties
-    order = sorted((1, 2, 3), key=lambda i: (miss[i], slot_rank[i]))
-    sigma_map = {order[0]: 1, order[1]: 3, order[2]: 2}
-    sigma = (sigma_map[1], sigma_map[2], sigma_map[3])
-    rp = _relabel_profile(px, sigma)
-    sizes = (len(rp.U23), len(rp.U12), len(rp.U13))
+    # omits[i]: the class whose good set omits color i; old color order[k]
+    # is renamed (1, 3, 2)[k], and the stable sort keeps the identity on ties
+    omits = {1: px.U23, 2: px.U13, 3: px.U12}
+    order = sorted((1, 3, 2), key=lambda i: len(omits[i]))
+    sigma = tuple((1, 3, 2)[order.index(i)] for i in (1, 2, 3))
+    U23, U12, U13 = (omits[i] for i in order)
+    sizes = (len(U23), len(U12), len(U13))
     if sizes[0] >= 2 or (sizes[0] == 1 and sizes[1] >= 3) or sizes[1] == 0:
         raise PivotInvariantViolation(
             f"pivot {x} has |U23|={sizes[0]}, |U12|={sizes[1]}, |U13|={sizes[2]}",
             detail={"x": x, "sizes": {"U23": sizes[0], "U12": sizes[1],
-                                      "U13": sizes[2], "U123": len(rp.U123)},
+                                      "U13": sizes[2], "U123": len(px.U123)},
                     "sigma": list(sigma)})
-    a, bpart = _alternating_split(rp.U123)
-    a2, b2 = _alternating_split(rp.U12)
-    y = min(rp.U12)
-    z = min(rp.U13)
-    u23 = rp.U23[0] if rp.U23 else None
-    u12_rest = [u for u in rp.U12 if u != y]
+    a, bpart = _alternating_split(px.U123)
+    a2, b2 = _alternating_split(U12)
+    y = min(U12)
+    z = min(U13)
+    u23 = U23[0] if U23 else None
+    u12_rest = [u for u in U12 if u != y]
     sel = PivotSelection(
         x=x, pi=min(px.mixed_sizes()), sigma=sigma,
-        U12=tuple(sorted(rp.U12)), U13=tuple(sorted(rp.U13)),
-        U23=tuple(sorted(rp.U23)), U123=tuple(sorted(rp.U123)),
+        U12=tuple(sorted(U12)), U13=tuple(sorted(U13)),
+        U23=tuple(sorted(U23)), U123=tuple(sorted(px.U123)),
         y=y, z=z, u23=u23, u12=(u12_rest[0] if u12_rest else None),
         A=a, B=bpart, A2=a2, B2=b2)
     return bc, sel
@@ -360,8 +357,8 @@ def _gamma_base(h: ColoredHypergraph, sel: PivotSelection,
     """Pair families E1-E5 around the pivot x, shared by both cases, as an
     n x n bool adjacency; a_set holds the vertices that pair with y (E4)
     instead of with z (E3).  A fan joins each center u to the candidates v
-    whose 4-set hub + {u, v} has color 1: one gather per family, over every
-    (center, candidate) pair."""
+    whose 4-set hub + {u, v} has Gamma's color sel.color: one gather per
+    family, over every (center, candidate) pair."""
     x, y, z, n = sel.x, sel.y, sel.z, h.params.n
     adj = np.zeros((n, n), dtype=bool)
     every = np.arange(n)
@@ -376,16 +373,16 @@ def _gamma_base(h: ColoredHypergraph, sel: PivotSelection,
         vv = np.tile(cands, len(centers))
         keep = (uu != vv) & ~np.isin(vv, drop)
         uu, vv = uu[keep], vv[keep]
-        hit = h.colors[rank_rows(_quads(*hub, uu, vv))] == 1
+        hit = h.colors[rank_rows(_quads(*hub, uu, vv))] == sel.color
         adj[uu[hit], vv[hit]] = True
     adj[y, u13] = True                                                     # E5
     adj |= adj.T
     return adj
 
 
-def _reserve(h: ColoredHypergraph, contain: tuple[int, ...], count: int,
+def _reserve(h: ColoredHypergraph, color: int, contain: tuple[int, ...], count: int,
              excluded: set[tuple[int, ...]], who: str) -> list[tuple[int, ...]]:
-    """First `count` color-1 edges containing `contain`, colex order, minus
+    """First `count` `color` edges containing `contain`, colex order, minus
     the already-consumed backings.  The row of edges through `contain` is
     read in ascending blocks, those inside its 8, 16, 32, ... lowest free
     vertices, up to the block holding the last edge picked."""
@@ -397,7 +394,7 @@ def _reserve(h: ColoredHypergraph, contain: tuple[int, ...], count: int,
     while lo < binom(n - k, 4 - k):
         hi = binom(min(m, n - k), 4 - k)
         ranks = edges_through(n, 4, [contain], lo, hi)[0]
-        ones = unrank_rows(ranks[h.colors[ranks] == 1], n, 4).tolist()
+        ones = unrank_rows(ranks[h.colors[ranks] == color], n, 4).tolist()
         out += [g for g in map(tuple, ones) if g not in excluded]
         if len(out) >= count:
             return out[:count]
@@ -414,7 +411,7 @@ def _max_repetition_pick(candidates: list[int], pools: list[tuple[int, ...]]) ->
 
 
 def _backing(sel: PivotSelection, u: int, v: int) -> tuple[int, ...]:
-    """The color-1 edge behind the pair (u, v) of a U123 vertex or u23 v,
+    """The sel.color edge behind the pair (u, v) of a U123 vertex or u23 v,
     before any E6 repair.  No fan is centred at v, and E5 (y to U13 - {z})
     does not touch it, so u is the center of the one fan that added the
     pair: its hub is (x, z) for u in U12 and (x, y) for u in U13 (y = min
@@ -425,7 +422,7 @@ def _backing(sel: PivotSelection, u: int, v: int) -> tuple[int, ...]:
 class _Deficient:
     """A low-degree vertex v of Gamma (None: no vertex) before any E6
     repair: its deficit to degree `target`, sorted neighbours and backings,
-    and `deficit` color-1 edges through `contain` reserved past them."""
+    and `deficit` sel.color edges through `contain` reserved past them."""
 
     def __init__(self, h: ColoredHypergraph, adj: np.ndarray, sel: PivotSelection,
                  v: int | None, target: int, contain: tuple[int, ...], who: str):
@@ -433,7 +430,7 @@ class _Deficient:
         self.nbrs = [] if v is None else np.flatnonzero(adj[v]).tolist()
         self.deficit = max(target - len(self.nbrs), 0)
         self.backings = {_backing(sel, u, v) for u in self.nbrs}
-        self.reserved = _reserve(h, contain, self.deficit, self.backings, who)
+        self.reserved = _reserve(h, sel.color, contain, self.deficit, self.backings, who)
 
 
 def _repair(adj: np.ndarray, D: set[int], x: int, w: int, t: int,
@@ -479,7 +476,7 @@ def _star(adj: np.ndarray, c: int, skip: set) -> None:
 
 def construct_gamma_case1(h: ColoredHypergraph,
                           sel: PivotSelection) -> GammaConstruction:
-    """Auxiliary graph for an empty U23 (colors already renamed)."""
+    """Auxiliary graph for an empty U23, on the input h in sel.color."""
     n = h.params.n
     x, y, z = sel.x, sel.y, sel.z
     adj = _gamma_base(h, sel, set(sel.A) | set(sel.A2))
@@ -534,10 +531,10 @@ def construct_gamma_case1(h: ColoredHypergraph,
 
 def construct_gamma_case2(h: ColoredHypergraph, s: ShadowMulticoloring,
                           sel: PivotSelection, w: int | None) -> GammaConstruction:
-    """Auxiliary graph for |U23| = 1 (colors already renamed).
+    """Auxiliary graph for |U23| = 1, on the input h and s in sel.color.
 
     `w` is the extra star vertex, present only when |U123| lies in the
-    near-half window; its star covers pairs that stay good in color 1.
+    near-half window; its star covers pairs that stay good in sel.color.
     """
     n = h.params.n
     x, y, z, u23 = sel.x, sel.y, sel.z, sel.u23
@@ -578,8 +575,8 @@ def construct_gamma_case2(h: ColoredHypergraph, s: ShadowMulticoloring,
         _top_up(adj, D, x, dw, need, ew)
         _top_up(adj, D, x, du, l, U)
 
-    if w is not None:                                 # E7: color 1 good at w
-        on = (s.goodmask[_pair_rank_matrix(n)[w]] & 1).astype(bool)
+    if w is not None:                             # E7: sel.color good at w
+        on = ((s.goodmask[_pair_rank_matrix(n)[w]] >> (sel.color - 1)) & 1).astype(bool)
         on[[x, w]] = False
         adj[w, on] = adj[on, w] = True
     _star(adj, x, ({y, z, u23, w} | D) - {w1})                         # E8
@@ -995,20 +992,17 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
         if sel.sigma != (1, 2, 3):
             trace.steps.append({"step": "color-relabel-reduction",
                                 "sigma": list(sel.sigma)})
-            h2, s2 = relabel_colors(h, s, sel.sigma)
-        else:
-            h2, s2 = h, s
 
         if not sel.U23:
             trace.branch = "case-1"
-            gamma = construct_gamma_case1(h2, sel)
+            gamma = construct_gamma_case1(h, sel)
         else:
             trace.branch = "case-2"
             m123 = len(sel.U123)
             w = None
             if p.n - 2 <= 2 * m123 <= p.n - 1:
-                # B1 under the new names is B_k under the old, for sigma(k) = 1
-                b1 = (bc.B1, bc.B2, bc.B3)[sel.sigma.index(1)]
+                # B1 under the new names is B_k under the old, k = sel.color
+                b1 = (bc.B1, bc.B2, bc.B3)[sel.color - 1]
                 outside = [u for u in sel.U123 if u not in b1]
                 if not outside:
                     trace.subcase = {"case": 2, "early_exit": True}
@@ -1019,7 +1013,7 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
                                          "Hamiltonian in budget", trace)
                     return SearchResult("found", cert, trace)
                 w = outside[0]
-            gamma = construct_gamma_case2(h2, s2, sel, w)
+            gamma = construct_gamma_case2(h, s, sel, w)
         trace.subcase = gamma.subcase
         trace.degree_report = gamma.degree_report
         if gamma.degree_report["violations"]:
@@ -1036,7 +1030,7 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
             raise ContractBreach(
                 "Gamma fails the degree condition and no cycle was found",
                 detail={"degrees": sorted(gamma.graph.degrees())})
-        cert = extend_to_berge(h, res.cycle, sel.sigma.index(1) + 1)
+        cert = extend_to_berge(h, res.cycle, sel.color)
         return SearchResult("found", cert, trace)
     except ContractBreach as exc:
         exc.trace = trace

@@ -390,6 +390,39 @@ def test_stress_zero_t_and_negative_trials_are_one_usage_line(capsys, flags,
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_stress_jobs_below_one_is_one_usage_line(capsys, jobs):
+    # --jobs 0 and --jobs -3 once ran the trials serially and exited 0
+    assert main(["stress", "--n", "6", "--r", "3", "--c", "2", "--trials", "1",
+                 "--jobs", jobs]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need jobs >= 1, got jobs={jobs}\n"
+
+
+@pytest.mark.parametrize("command", ["search", "extract", "stress"])
+def test_negative_budget_is_one_usage_line(tiny_coloring, tmp_path, capsys,
+                                           command):
+    # a negative budget once ran as budget 0 and exited 0; nothing is written
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {"search": ["search", tiny_coloring, "-o", str(out / "cert.json")],
+            "extract": ["extract", tiny_coloring, "-o", str(out / "cert.json"),
+                        "--trace", str(out / "trace.json")],
+            "stress": ["stress", "--n", "6", "--r", "3", "--c", "2",
+                       "--trials", "1", "--reproducer-dir", str(out)]}[command]
+    assert main([*argv, "--budget", "-1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need --budget >= 0, got --budget -1\n"
+    assert list(out.iterdir()) == []
+
+
+def test_zero_budget_is_a_legal_search(tiny_coloring, capsys):
+    assert main(["search", tiny_coloring, "--budget", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["core"]
+
+
 def test_stress_missing_reproducer_dir_fails_before_any_trial(tmp_path,
                                                               monkeypatch, capsys):
     from bergecycles import harness

@@ -211,6 +211,216 @@ def test_golden_renamed_vertex_route(perm):
 GAMMA_CASES = [label for label, (branch, _, _) in PINNED.items()
                if branch in ("case-1", "case-2")]
 
+PERMS = list(itertools.permutations((1, 2, 3)))
+
+# each Gamma case with input color c renamed perm[c - 1]: label -> (branch,
+# (certificate sha256, trace sha256) per perm in PERMS order); most renamings
+# move the pivot's sigma, so Gamma's color is not the input's color 1
+RENAMED_GAMMA = {
+    "u-profile split deg=0": ("case-1", (
+        ("f735f80c1c698ae0abe196276f9351165e52a58465c022d21538ac8efc6168d9",
+         "b812be347e304ee7aa30fcdc54b850dd378fbcf2739c48de33574d3f5c8da02d"),
+        ("f735f80c1c698ae0abe196276f9351165e52a58465c022d21538ac8efc6168d9",
+         "c7a587c23697e5d91cf99b60e0e69fedc3429046fb4d5a725dc73fbff95d9ea8"),
+        ("78e1429d3b692805c65c029b412a1fae300f2a140abf66257e4eab3f91383c35",
+         "c7e11fe3bc4e2214e00dc51ae4d1d7a542ac35d0f664c8251bf34ceb3dacb694"),
+        ("78e1429d3b692805c65c029b412a1fae300f2a140abf66257e4eab3f91383c35",
+         "1061d902b907c46f13a3e6d98e3d16302f3a149bda0430432471b849a4809b57"),
+        ("619f41ff0f6dd941f05e6e5300936e841db563ce3e35d9d21003d12ea3edb939",
+         "37bf7c60ef97e44c5aacf764e112f4ad315b4bc098f4c31510598666c7e9deb5"),
+        ("619f41ff0f6dd941f05e6e5300936e841db563ce3e35d9d21003d12ea3edb939",
+         "1cf09d18fd82754c2494e05ed62ca453cd50ffbd76701aad569c6d407453b483"),
+    )),
+    "u-profile split deg=1": ("case-1", (
+        ("79d3ee6ef13b0eeb6fb33b23322784dfba56989f8e96eda718db3bb090883721",
+         "ddcca35d6d86b7780fc75e3d13f5c5e661fff33b29e1f7f045c6f79b50ce1cc9"),
+        ("79d3ee6ef13b0eeb6fb33b23322784dfba56989f8e96eda718db3bb090883721",
+         "2c77d8fcc9ac49f3bc7fca9acae8f081808dea6b939bfb31a1ca954bf64587b0"),
+        ("ee2ca07a880e548be9017ff5ced6aabb460251283221d1048718a91c2ae852d7",
+         "cf81d2cb35701fb29ce62c359278dcb862dc5f1a68e4b2cc172c9504c0f79c41"),
+        ("ee2ca07a880e548be9017ff5ced6aabb460251283221d1048718a91c2ae852d7",
+         "aada6311c79330bbac744c1d90617ef282af0696c948648c9aa4cecd25366fb1"),
+        ("3ebd1e5b7ba26c92e72a57fa440a858457c0ac6a3ff659a8b46eba4d8bd79098",
+         "2adb91493b6846ea5b96d08675a6bd946757ff66daa16943d1a3135e2524e312"),
+        ("3ebd1e5b7ba26c92e72a57fa440a858457c0ac6a3ff659a8b46eba4d8bd79098",
+         "2488f618b5c28eca046fad7d53a7c6b2048f8e4b8059e6c547597ec33684ac04"),
+    )),
+    "u-profile repair deg_w=0 deg_u23=0": ("case-2", (
+        ("bc65e6cc443a763fda820164d8f4487c8e4f07a056f5f5cd5ed27990e12fd200",
+         "b4e67e9e21dddec40ba06afb639fad360eeefa5fb2e952a8516fdb0dbdba4f58"),
+        ("bc65e6cc443a763fda820164d8f4487c8e4f07a056f5f5cd5ed27990e12fd200",
+         "01e9c80a95972e34b0f5c390acbafb38bad784756608b33bbb8d79c03ca2d425"),
+        ("3874b16656840e19355a46c570e1e3f040c20cc20a59679b1b64d9d03f7f5fb2",
+         "1638a5fdc44cbb7791e4b702e31cba1ba886b963d6cff43af1cf907441f92a46"),
+        ("20bda74af1c823a131c538deb47d7304112591b72cd473921e2cb335403475e5",
+         "b67862d957b2898a70ae72d5e010cf8e1e80326b8ccd370aef7110718b5dc091"),
+        ("14ae3e677b15a3dd2076ff3916e5e2343f40cb19508f90015db181490cf8d869",
+         "0bcc0594b6ca6ec47899be5c44a05f5a58b5daf4fe898a9fd6b5387f01d7c372"),
+        ("20bda74af1c823a131c538deb47d7304112591b72cd473921e2cb335403475e5",
+         "bc77f83c1e997b9707ff42cec2a37b4ae7dae8c893de505cf73ae4a63f9ac62d"),
+    )),
+    "u-profile repair deg_w=0 deg_u23=1": ("case-2", (
+        ("bdf70adcfb349e55e78e390a407fde1c5e24053c258906885c3aab9f9bd86db0",
+         "0e486d0d4e7c14e1d41f86a2f67ef6f1e65b52b11d2e37cf6e9d9fa3b731690a"),
+        ("bdf70adcfb349e55e78e390a407fde1c5e24053c258906885c3aab9f9bd86db0",
+         "40893e6ffcb4ef69e96cbe76f742d50c9303e248d5af4b07579fe3a5482d013b"),
+        ("3874b16656840e19355a46c570e1e3f040c20cc20a59679b1b64d9d03f7f5fb2",
+         "1638a5fdc44cbb7791e4b702e31cba1ba886b963d6cff43af1cf907441f92a46"),
+        ("20bda74af1c823a131c538deb47d7304112591b72cd473921e2cb335403475e5",
+         "b67862d957b2898a70ae72d5e010cf8e1e80326b8ccd370aef7110718b5dc091"),
+        ("cc589afee86a5c219aa9d5ae7d2d4d7091c382fb9245229a34ab6c942257a680",
+         "8e3aa41858ad669cc5a228994f48db58d082d360a3304a49483948a8a4d26bd2"),
+        ("20bda74af1c823a131c538deb47d7304112591b72cd473921e2cb335403475e5",
+         "bc77f83c1e997b9707ff42cec2a37b4ae7dae8c893de505cf73ae4a63f9ac62d"),
+    )),
+    "u-profile repair deg_w=0 deg_u23=2": ("case-2", (
+        ("5ddbe604016f590e8ab120addd8815bfd9a75316d2fe100e055c9b9a06fbcb1b",
+         "d02c40c31f2681159bd227655f8ee22c7a85758e2b1663485eee8456d77884e1"),
+        ("5ddbe604016f590e8ab120addd8815bfd9a75316d2fe100e055c9b9a06fbcb1b",
+         "faa603e1bb2eca2d51b5e697d1ffb8aa1787e6bb0b76850cf57234dcc765e447"),
+        ("3874b16656840e19355a46c570e1e3f040c20cc20a59679b1b64d9d03f7f5fb2",
+         "1638a5fdc44cbb7791e4b702e31cba1ba886b963d6cff43af1cf907441f92a46"),
+        ("20bda74af1c823a131c538deb47d7304112591b72cd473921e2cb335403475e5",
+         "b67862d957b2898a70ae72d5e010cf8e1e80326b8ccd370aef7110718b5dc091"),
+        ("92f1e53a30a62ea67d1652b61830e7917bbecc4c24632d57074c6449038d36c6",
+         "e5c2fb9478383d00d9047636434e92425447605ca317b8dcfc2bc0c3a85e8b45"),
+        ("20bda74af1c823a131c538deb47d7304112591b72cd473921e2cb335403475e5",
+         "bc77f83c1e997b9707ff42cec2a37b4ae7dae8c893de505cf73ae4a63f9ac62d"),
+    )),
+    "u-profile repair deg_w=1 deg_u23=0": ("case-2", (
+        ("fe82763e0c770cf87fe41458bb1047ec95d1874fcca9e427f285bb5bf7432d63",
+         "fc18ff441c57982558c1a369151d6ac4545b6f72ffec718ae12f5069e4700fd0"),
+        ("fe82763e0c770cf87fe41458bb1047ec95d1874fcca9e427f285bb5bf7432d63",
+         "3407270862f99733f422d591fddfd14485493f7163ddc6cd1f242173ea73b31b"),
+        ("3874b16656840e19355a46c570e1e3f040c20cc20a59679b1b64d9d03f7f5fb2",
+         "1638a5fdc44cbb7791e4b702e31cba1ba886b963d6cff43af1cf907441f92a46"),
+        ("20bda74af1c823a131c538deb47d7304112591b72cd473921e2cb335403475e5",
+         "b67862d957b2898a70ae72d5e010cf8e1e80326b8ccd370aef7110718b5dc091"),
+        ("769f1e8402d9c78c4258406ca3dbe1a326c08997c8813db0aeb7fa6cf24485a1",
+         "1b268ab5bd18752f8eaa93014b0629078fc7a0ee2ffd42bdcf2e7a77aedff6cf"),
+        ("20bda74af1c823a131c538deb47d7304112591b72cd473921e2cb335403475e5",
+         "bc77f83c1e997b9707ff42cec2a37b4ae7dae8c893de505cf73ae4a63f9ac62d"),
+    )),
+    "u-profile repair deg_w=1 deg_u23=1": ("case-2", (
+        ("8d503d61abb36cc35c59da26c7acc86f53b1d9dc916c737daf6e50dbe3b4a371",
+         "db68e1d95fe8a7d83769ca8554c2dbc9dd7f09f269f6be0e829c8f1ccc0eb17a"),
+        ("8d503d61abb36cc35c59da26c7acc86f53b1d9dc916c737daf6e50dbe3b4a371",
+         "e10b91bd2cd4f66c3c3118651a2aedf56aa1a8ff5e704971ed2d885f0fabc15c"),
+        ("3874b16656840e19355a46c570e1e3f040c20cc20a59679b1b64d9d03f7f5fb2",
+         "1638a5fdc44cbb7791e4b702e31cba1ba886b963d6cff43af1cf907441f92a46"),
+        ("20bda74af1c823a131c538deb47d7304112591b72cd473921e2cb335403475e5",
+         "b67862d957b2898a70ae72d5e010cf8e1e80326b8ccd370aef7110718b5dc091"),
+        ("edd2a1163b07f5f40b33accbc8ff6a39cc2236ce93fe6d2f1c360704c9e8126c",
+         "c9035e94b283c2c1a62db802556e80b4b6e549bbaf4479f0842c4c355f541552"),
+        ("20bda74af1c823a131c538deb47d7304112591b72cd473921e2cb335403475e5",
+         "bc77f83c1e997b9707ff42cec2a37b4ae7dae8c893de505cf73ae4a63f9ac62d"),
+    )),
+    "u-profile repair deg_w=1 deg_u23=2": ("case-2", (
+        ("1b02e0226bd89fac40e106aaece968f3d2b633757add99c639fe49f3e695adec",
+         "a0fc87ffed335d50869e5cd9fd4556b51265f1bd328991b94128f3063745cec8"),
+        ("1b02e0226bd89fac40e106aaece968f3d2b633757add99c639fe49f3e695adec",
+         "233e2239f2538f7b61497475bbd8d58e34ff082c9258ceea801879d9ca415f93"),
+        ("3874b16656840e19355a46c570e1e3f040c20cc20a59679b1b64d9d03f7f5fb2",
+         "1638a5fdc44cbb7791e4b702e31cba1ba886b963d6cff43af1cf907441f92a46"),
+        ("20bda74af1c823a131c538deb47d7304112591b72cd473921e2cb335403475e5",
+         "b67862d957b2898a70ae72d5e010cf8e1e80326b8ccd370aef7110718b5dc091"),
+        ("1a52b5c8d797340bdb9841b2e89ce8c41297f2e002e393269a3cd470b745626c",
+         "2c15bd79c9e5f98218d1cb466b17e47854880be174ac318170c1b93fe28f9aed"),
+        ("20bda74af1c823a131c538deb47d7304112591b72cd473921e2cb335403475e5",
+         "bc77f83c1e997b9707ff42cec2a37b4ae7dae8c893de505cf73ae4a63f9ac62d"),
+    )),
+    "u-profile repair deg_w=2 deg_u23=0": ("case-2", (
+        ("8571af8c9b63a8777bd51d0c7c2ce5c72087fd0818311dfc161c6abd64be6901",
+         "719c8c157d790e0e81337cfb06ed63e46dd4d5b814869194a59f32b7823cfa9a"),
+        ("8571af8c9b63a8777bd51d0c7c2ce5c72087fd0818311dfc161c6abd64be6901",
+         "a5cc2122f5fea5f84c6db097846aaefc4596400b38fb0b0d2b05ae19a6d65e9c"),
+        ("3874b16656840e19355a46c570e1e3f040c20cc20a59679b1b64d9d03f7f5fb2",
+         "1638a5fdc44cbb7791e4b702e31cba1ba886b963d6cff43af1cf907441f92a46"),
+        ("20bda74af1c823a131c538deb47d7304112591b72cd473921e2cb335403475e5",
+         "b67862d957b2898a70ae72d5e010cf8e1e80326b8ccd370aef7110718b5dc091"),
+        ("f2e47d400a66d9686b844d9f6ea21f1e5afcf260ebd1c878c39b82553f5dba79",
+         "f9250fe29384581fb3efdc64140b5e4b4e99819d4c2f6e92bd432ea00849d25c"),
+        ("20bda74af1c823a131c538deb47d7304112591b72cd473921e2cb335403475e5",
+         "bc77f83c1e997b9707ff42cec2a37b4ae7dae8c893de505cf73ae4a63f9ac62d"),
+    )),
+    "u-profile repair deg_w=2 deg_u23=1": ("case-2", (
+        ("bce916a08cc9858a6b7e8615a12fd6a2235f21eb06a34ea8c5724f1569fcca61",
+         "2b3e5f7428fe43807833da95c04192a83b80a2264a4ffc94beff41756afeabd0"),
+        ("bce916a08cc9858a6b7e8615a12fd6a2235f21eb06a34ea8c5724f1569fcca61",
+         "5f9840c6f6d30cd32f835f6ad59a20a05acb8d4583857db5d6cf8a71e50c684d"),
+        ("3874b16656840e19355a46c570e1e3f040c20cc20a59679b1b64d9d03f7f5fb2",
+         "1638a5fdc44cbb7791e4b702e31cba1ba886b963d6cff43af1cf907441f92a46"),
+        ("20bda74af1c823a131c538deb47d7304112591b72cd473921e2cb335403475e5",
+         "b67862d957b2898a70ae72d5e010cf8e1e80326b8ccd370aef7110718b5dc091"),
+        ("68861bed673fdd87452ece826887c28d320e4b8abfbd1ab23887d1560f5f0b61",
+         "c67b71bce97d1a708c67e137a33aa60f21fa65526e8f04608b20c75be4f6d23f"),
+        ("20bda74af1c823a131c538deb47d7304112591b72cd473921e2cb335403475e5",
+         "bc77f83c1e997b9707ff42cec2a37b4ae7dae8c893de505cf73ae4a63f9ac62d"),
+    )),
+    "u-profile repair deg_w=2 deg_u23=2": ("case-2", (
+        ("7144b0b3ef8abffadfec41a3595bfa078a77e30a8d77ef3ea52eed2405d12ab4",
+         "862085401cd5ba29cf64184bb88152fc42ab0c1215d74b66fd7f3b0c86ccc608"),
+        ("7144b0b3ef8abffadfec41a3595bfa078a77e30a8d77ef3ea52eed2405d12ab4",
+         "d44564cf4a4ff027904c6d5bde2f3b6de2143efdf228a744a0e1d2251173f173"),
+        ("3874b16656840e19355a46c570e1e3f040c20cc20a59679b1b64d9d03f7f5fb2",
+         "1638a5fdc44cbb7791e4b702e31cba1ba886b963d6cff43af1cf907441f92a46"),
+        ("20bda74af1c823a131c538deb47d7304112591b72cd473921e2cb335403475e5",
+         "b67862d957b2898a70ae72d5e010cf8e1e80326b8ccd370aef7110718b5dc091"),
+        ("4b3ac4e92c53ae85492a9fd82daae6cc1d60789881f463a4c23e2323ecd16d2e",
+         "479e10081f9609163e0490b10328b5a1c1af63070a574f86acaa40bc285cdf1e"),
+        ("20bda74af1c823a131c538deb47d7304112591b72cd473921e2cb335403475e5",
+         "bc77f83c1e997b9707ff42cec2a37b4ae7dae8c893de505cf73ae4a63f9ac62d"),
+    )),
+    "u-profile window": ("case-2", (
+        ("296f4434a0b90d4cc788682e5c1e83d6167fb3b0e53c0af9bf0a55f20494348a",
+         "2eb5454e1e5a9ffe6f34c653da295cd254bdf170326456820c59b934b8e7c2db"),
+        ("296f4434a0b90d4cc788682e5c1e83d6167fb3b0e53c0af9bf0a55f20494348a",
+         "dec49bd56709eb95d21f9d682fe12e69c0c79cfdcd4faad54ea0a737cabc39e1"),
+        ("e9db00d489344a74606bdbc0a822bd233e22857212292c51ccb80f8f882557ac",
+         "9b7a123566067c3daf2029181ffd3363ee1a94f2927fed93fe0df51dd701a992"),
+        ("87239ad8ca0a4965a853cdd2fbfc6120c5973c08bd89536613c68f967e3a4154",
+         "1b97d5c679615f789de14f7c91001a563e357a69586641e24171f2d413929a04"),
+        ("9e44d0e2c5e1195b0f80956e08ba74a952d7702ef12c90ef8c709ba28fd614a7",
+         "20a3b86887f622c825db40d8796ceffa4c615a2eb6eb14ae9008ab17c42f3304"),
+        ("87239ad8ca0a4965a853cdd2fbfc6120c5973c08bd89536613c68f967e3a4154",
+         "d0361f189cf72da6438cd295008716b284a5cbabead598b1e7a68a4408ef1097"),
+    )),
+}
+
+
+def _renamed(h, perm):
+    lut = np.array((0, *perm), dtype=np.uint8)
+    return ColoredHypergraph(h.params, lut[h.colors])
+
+
+@pytest.mark.parametrize("label", GAMMA_CASES, ids=GAMMA_CASES)
+def test_golden_renamed_gamma_route(label):
+    base = CASES[label]()
+    branch, digests = RENAMED_GAMMA[label]
+    sigmas = []
+    for perm, (cert_digest, trace_digest) in zip(PERMS, digests):
+        res = r4_find(_renamed(base, perm))
+        check_pinned(res, (branch, cert_digest, trace_digest))
+        sigmas.append(tuple(res.trace.pivot["sigma"]))
+    assert any(sigma != (1, 2, 3) for sigma in sigmas)
+
+
+@pytest.mark.parametrize("label", GAMMA_CASES, ids=GAMMA_CASES)
+def test_gamma_route_never_renames_the_coloring(label, monkeypatch):
+    # Gamma reads the input coloring; only the pivot's color names move
+    calls = []
+    relabel = r4.relabel_colors
+
+    def spy(h, s, sigma):
+        calls.append(sigma)
+        return relabel(h, s, sigma)
+
+    monkeypatch.setattr(r4, "relabel_colors", spy)
+    base = CASES[label]()
+    for perm in PERMS:
+        r4_find(_renamed(base, perm))
+    assert calls == []
+
 
 @pytest.mark.parametrize("label", GAMMA_CASES, ids=GAMMA_CASES)
 def test_gamma_cycle_is_the_certificate_core(label, monkeypatch):

@@ -571,6 +571,7 @@ def test_near_mono_at_one_color_is_the_monochromatic_coloring(capsys):
     ["--c", "0", "--n-from", "6", "--n-to", "6"],        # no color
     ["--generator", "bogus", "--n-from", "6", "--n-to", "6"],
     ["--c", "1", "--generator", "pair-lock", "--n-from", "6", "--n-to", "6"],
+    ["--jobs", "0", "--n-from", "6", "--n-to", "6"],     # no worker
 ])
 def test_run_stress_script_reports_bad_params_in_one_line(capsys, argv):
     assert load_run_stress().main(argv + ["--trials", "2", "--json"]) == 3

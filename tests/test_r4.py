@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -33,7 +34,6 @@ from bergecycles.r4 import (
     UProfile,
     _alternating_split,
     _lemma_terminal_cycle,
-    _relabel_profile,
     _repair,
     classify_and_pivot,
     compute_u_profiles,
@@ -213,24 +213,42 @@ def _random_profiles(rng):
     return profiles
 
 
+def ref_relabel_profile(p, sigma):
+    """The profile with colors renamed by sigma (old i -> sigma[i-1]): the
+    reference for the classes the pivot names."""
+    classes = {tuple(sorted((sigma[0], sigma[1]))): p.U12,
+               tuple(sorted((sigma[0], sigma[2]))): p.U13,
+               tuple(sorted((sigma[1], sigma[2]))): p.U23}
+    return UProfile(vertex=p.vertex, U12=classes[(1, 2)], U13=classes[(1, 3)],
+                    U23=classes[(2, 3)], U123=p.U123)
+
+
 @pytest.mark.parametrize("sigma", list(itertools.permutations((1, 2, 3))))
 def test_b1_after_renaming_is_the_b_class_of_the_color_renamed_to_1(sigma):
     # r4_find's half-cover window reads B1 under the pivot's renaming as
-    # B_k with sigma(k) = 1; the reference relabels every profile first
+    # B_k with sigma(k) = 1; the reference relabels every profile first.
+    # The pivot's classes are its profile renamed by its own sigma, and
+    # its color is the one renamed 1
     rng = np.random.default_rng(17)
-    checked = nonempty = 0
+    checked = nonempty = pivots = 0
     for _ in range(300):
         profiles = _random_profiles(rng)
         try:
-            bc, _ = classify_and_pivot(profiles)
+            bc, sel = classify_and_pivot(profiles)
         except PivotInvariantViolation:
             continue
-        relabeled = (_relabel_profile(q, sigma) for q in profiles)
+        relabeled = (ref_relabel_profile(q, sigma) for q in profiles)
         want = {q.vertex for q in relabeled if not q.U12 and not q.U13 and q.U23}
         assert set((bc.B1, bc.B2, bc.B3)[sigma.index(1)]) == want
         checked += 1
         nonempty += bool(want)
-    assert checked >= 250 and nonempty >= 100
+        if sel is not None:
+            rp = ref_relabel_profile(profiles[sel.x], sel.sigma)
+            assert (sel.U12, sel.U13, sel.U23, sel.U123) == tuple(
+                tuple(sorted(c)) for c in (rp.U12, rp.U13, rp.U23, rp.U123))
+            assert sel.sigma[sel.color - 1] == 1
+            pivots += 1
+    assert checked >= 250 and nonempty >= 100 and pivots >= 100
 
 
 def test_relabel_permutes_colors_and_shadow():
@@ -550,6 +568,28 @@ def test_gamma_sweep_reaches_every_repair_leaf():
 GAMMA_SWEEP_DIGEST = "531d0aaee5a5bd444983d3a94ff497c5524aeb9e9259d3651cf46312e467d785"
 
 
+@pytest.mark.parametrize("u23", [(), (1,)], ids=["case-1", "case-2"])
+def test_gamma_on_the_input_equals_gamma_on_the_renamed_copy(u23):
+    # Gamma reads the input in sel.color; the reference reads the copy
+    # renamed by sigma in color 1.  Every outcome (rows, subcase, degree
+    # report, w1, or the exception) agrees for every sigma
+    base = _sweep_pivot(u23)
+    for seed in range(100):
+        h = random_coloring(Params(9, 4, 2, 3), seed=seed)
+        s = build_shadow(h, 2)
+        for sigma in itertools.permutations((1, 2, 3)):
+            sel = dataclasses.replace(base, sigma=sigma)
+            h2, s2 = relabel_colors(h, s, sigma)
+            if u23:
+                for w in (None, 2):
+                    assert (_gamma_outcome(lambda: construct_gamma_case2(h, s, sel, w))
+                            == _gamma_outcome(
+                                lambda: construct_gamma_case2(h2, s2, base, w)))
+            else:
+                assert (_gamma_outcome(lambda: construct_gamma_case1(h, sel))
+                        == _gamma_outcome(lambda: construct_gamma_case1(h2, base)))
+
+
 def _hub_coloring(n, seed, color):
     """A seeded order xs of 1..n-1 and a random 3-coloring of K_n^4 whose
     edges through {0, xs[0]} get `color`, except a seeded 3% of them."""
@@ -841,12 +881,13 @@ def _case_fixtures():
             if label.startswith("u-profile")]
 
 
-def _assert_base_matches_reference(h, sel, a_set):
-    """The scaffold's rows equal the per-quad builder's, and the closed-form
-    backing of every pair at a U123 vertex or u23 is the fan edge the
-    builder recorded for it."""
+def _assert_base_matches_reference(h, sel, a_set, renamed=None):
+    """The scaffold's rows on h equal the per-quad builder's on `renamed`,
+    h with its colors renamed by sel.sigma (h itself by default), and the
+    closed-form backing of every pair at a U123 vertex or u23 is the fan
+    edge the builder recorded for it."""
     adj = r4._gamma_base(h, sel, a_set)
-    want = ref_gamma_base(h, sel, a_set)
+    want = ref_gamma_base(h if renamed is None else renamed, sel, a_set)
     assert SimpleGraph.from_adjacency(adj).rows == want.rows
     for v in (*sel.U123, *sel.U23):
         for u in np.flatnonzero(adj[v]).tolist():
@@ -869,26 +910,33 @@ _CASE_STREAMS = {
 @pytest.mark.parametrize("label,make", _case_fixtures())
 def test_gamma_fans_equal_the_per_quad_loop(label, make):
     # the scaffold's rows and the backings at its deficient vertices, on the
-    # pivot r4_find picks with the colors renamed, for the fixture and the
-    # next two colorings of its stream
+    # pivot r4_find picks, for the fixture and the next two colorings of its
+    # stream, each with its input colors permuted every way: the scaffold
+    # reads the input in sel.color, the reference a copy renamed by sigma
     stream = structured_colorings("u-profile", {"n": 85, **_CASE_STREAMS[label]})
     hs = list(itertools.islice(stream, 3))
     assert np.array_equal(hs[0].colors, make().colors)
-    for h in hs:
-        s = build_shadow(h, 2)
-        _, sel = classify_and_pivot(compute_u_profiles(s))
-        h2 = relabel_colors(h, s, sel.sigma)[0]
-        a_set = set(sel.A) if sel.U23 else set(sel.A) | set(sel.A2)
-        _assert_base_matches_reference(h2, sel, a_set)
+    sigmas = set()
+    for base in hs:
+        for perm in itertools.permutations((1, 2, 3)):
+            h = ColoredHypergraph(base.params,
+                                  np.array((0, *perm), dtype=np.uint8)[base.colors])
+            s = build_shadow(h, 2)
+            _, sel = classify_and_pivot(compute_u_profiles(s))
+            a_set = set(sel.A) if sel.U23 else set(sel.A) | set(sel.A2)
+            _assert_base_matches_reference(
+                h, sel, a_set, relabel_colors(h, s, sel.sigma)[0])
+            sigmas.add(sel.sigma)
+    assert len(sigmas) > 1
 
 
-def ref_reserve(h, contain, count, excluded, who):
+def ref_reserve(h, color, contain, count, excluded, who):
     """_reserve before it read its row in prefix blocks: the whole row."""
     if count <= 0:
         return []
     ranks = edges_through(h.params.n, 4, [contain])[0]
     out = []
-    for rank in ranks[h.colors[ranks] == 1].tolist():
+    for rank in ranks[h.colors[ranks] == color].tolist():
         quad = unrank_subset(rank, h.params.n, 4)
         if quad in excluded:
             continue
@@ -933,7 +981,7 @@ def test_reserve_crosses_blocks_as_the_whole_row_does(monkeypatch, contain):
 
     def outcome(fn, count):
         try:
-            return fn(h, contain, count, excluded, "v")
+            return fn(h, 1, contain, count, excluded, "v")
         except ReservationUnsatisfiable as exc:
             return [str(exc), exc.detail]
 
