@@ -135,9 +135,11 @@ def build_position_bipartite(w: TightCycleWitness,
     free = min(_FIRST_FREE, p.n - w.t)
     ranks = edges_through(p.n, p.r, windows, stop=binom(free, p.r - w.t))
     hit = h.colors[ranks] == w.color
+    cands = ranks[hit].tolist()                 # row by row, ascending
+    ends = np.cumsum(hit.sum(axis=1)).tolist()
     return PositionEdgeBipartite(n_positions=p.n, adj=[
-        CandidateRow(row[keep].tolist(), free, win, h, w.color)
-        for row, keep, win in zip(ranks, hit, windows)])
+        CandidateRow(cands[a:b], free, win, h, w.color)
+        for a, b, win in zip([0, *ends], ends, windows)])
 
 
 def max_bipartite_matching(g: PositionEdgeBipartite) -> np.ndarray:

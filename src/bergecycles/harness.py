@@ -111,8 +111,11 @@ def find_certificate(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET,
     good-graph search ended "none" has no core: the oracle walks only the
     colors whose search found a core that failed to lift, or ran out of
     budget.  It walks each of them in full, so "nonexistent" stays a proof.
+    A negative budget raises InvalidParams; budget 0 allows no expansion.
     """
     p = h.params
+    if budget < 0:
+        raise InvalidParams(f"need budget >= 0, got budget={budget}")
     if (p.r, p.c, p.t) == (4, 3, 2) and p.n >= MIN_N:
         try:
             return r4_find(h, budget)
@@ -236,6 +239,7 @@ def stress_theorem(params: Params, generator: str = "random",
     so reports are reproducible and jobs only changes the wall time.
     Counterexamples go to reproducer_dir (default: the temp dir); a trial
     that raises a ContractBreach leaves breach-*.coloring and its trace there.
+    A negative trials or budget, or jobs below 1, raises InvalidParams.
     File names carry the generator, n, r, t, c, seed and trial index, so the
     files of a sweep over n do not overwrite each other.
     """
@@ -243,6 +247,8 @@ def stress_theorem(params: Params, generator: str = "random",
         raise InvalidParams(f"need trials >= 0, got trials={trials}")
     if jobs < 1:
         raise InvalidParams(f"need jobs >= 1, got jobs={jobs}")
+    if budget < 0:
+        raise InvalidParams(f"need budget >= 0, got budget={budget}")
     t0 = time.monotonic()
     outdir = reproducer_dir or tempfile.gettempdir()
     work = [(params, generator, seed, i, budget, outdir)

@@ -266,6 +266,9 @@ def compute_u_profiles(s: ShadowMulticoloring) -> list[UProfile]:
     classes = []                            # per class, each vertex's members
     for bits in (0b011, 0b101, 0b110, 0b111):
         hit = masks == bits
+        if not hit.any():                               # no pair has this class
+            classes.append([()] * p.n)
+            continue
         members = np.nonzero(hit)[1].tolist()           # row by row, ascending
         ends = np.cumsum(hit.sum(axis=1)).tolist()
         classes.append([tuple(members[a:b]) for a, b in zip([0, *ends], ends)])
@@ -941,13 +944,16 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
     is the one `extract.lift_to_berge` built and verified against h.
     Raises Unresolved when every applicable route exhausts its budget, and
     a ContractBreach carrying the trace so far (`exc.trace`) if the input
-    falsifies a structural guarantee or the lift fails its check.
+    falsifies a structural guarantee or the lift fails its check.  A
+    negative budget raises InvalidParams; budget 0 allows no expansion.
     """
     p = h.params
     if p.r != 4 or p.c != 3:
         raise InvalidParams(f"need r=4 and c=3, got r={p.r}, c={p.c}")
     if p.n < MIN_N:
         raise InvalidParams(f"need n >= {MIN_N}, got n={p.n}")
+    if budget < 0:
+        raise InvalidParams(f"need budget >= 0, got budget={budget}")
     trace = ConstructionTrace()
 
     try:

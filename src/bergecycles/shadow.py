@@ -15,6 +15,12 @@ every k-set is counted at once.  On a random 3-coloring of K_85^4, 6-19
 of the 3,570 pairs stay in doubt after their first block (seeds 0-9), each
 settled by its first 120 of 3,403 edges.
 
+A block is counted by `_tally` column-major: its colors gathered as an
+(L, M) byte array, one row per witness slot, so each color's count is a
+sum of L contiguous byte rows in the smallest unsigned type that holds L.
+The cached first blocks are stored column-major for that reason.  The
+goodmask has one uint32 bit per color, so `build_shadow` serves c <= 32.
+
 Every full count comes from `subset_color_counts`, exact on two routes: a
 block peel over every edge or, when few edges lie outside the most
 frequent color, a count of those edges alone.  On a near-monochromatic
@@ -60,9 +66,8 @@ class ShadowMulticoloring:
 
 def _pack_goodmask(good: np.ndarray) -> np.ndarray:
     """(N,) uint32 from an (N, c) bool array: bit i-1 set iff column i-1 is."""
-    bits = good.astype(np.uint32)
-    return (bits << np.arange(good.shape[1], dtype=np.uint32)).sum(
-        axis=1, dtype=np.uint32)
+    return (good @ (1 << np.arange(good.shape[1], dtype=np.uint32))).astype(
+        np.uint32, copy=False)
 
 
 @lru_cache(maxsize=64)
@@ -185,21 +190,40 @@ def _peel_counts(h: ColoredHypergraph, t: int) -> np.ndarray:
 
 
 def _tally(h: ColoredHypergraph, ranks: np.ndarray) -> np.ndarray:
-    """(M, c) int64: per row of an (M, L) edge-rank array, its edges of each color."""
-    cols = h.colors[ranks]
-    return np.stack([np.count_nonzero(cols == i, axis=1)
-                     for i in range(1, h.params.c + 1)], axis=1)
+    """(M, c) int64: per row of an (M, L) edge-rank array, its edges of each color.
+
+    The colors are gathered column-major, (L, M), so a color's count is a
+    sum of L contiguous byte rows, not M reductions along rows of L.  The
+    sum runs in the smallest unsigned type that holds L, so no count
+    wraps: uint8 for a K_n^4 pair's 28 first-block witnesses, uint16 for a
+    locked pair's 376-wide widening block.  A cached first block is stored
+    column-major, so its `ranks.T` is contiguous; widening blocks come
+    row-major from `edges_through` and take the same path.
+    """
+    cols = h.colors[ranks.T]
+    sum_type = np.min_scalar_type(cols.shape[0])
+    out = np.empty((cols.shape[1], h.params.c), dtype=np.int64)
+    for i in range(1, h.params.c + 1):
+        out[:, i - 1] = np.add.reduce(cols == i, axis=0, dtype=sum_type)
+    return out
 
 
 @lru_cache(maxsize=16)
 def _first_block(n: int, r: int, k: int) -> np.ndarray:
     """Read-only (C(n,k), C(f, r-k)): the first block of every k-set's
     `edges_through` row, the edges whose free part lies in its f lowest
-    free vertices, f = min(_FIRST_FREE, n - k)."""
+    free vertices, f = min(_FIRST_FREE, n - k).
+
+    The block is cached column-major and returned as its `.T` view, so
+    `_tally` gathers its colors into contiguous byte rows.  Building it
+    holds the row-major block and its transposed copy at once: a
+    transient peak of twice the cached array, once per (n, r, k).
+    """
     ranks = edges_through(n, r, edge_table(n, k),
                           stop=binom(min(_FIRST_FREE, n - k), r - k))
+    ranks = np.ascontiguousarray(ranks.T)
     ranks.setflags(write=False)
-    return ranks
+    return ranks.T
 
 
 def _at_least(h: ColoredHypergraph, k: int, m: int) -> np.ndarray:
@@ -244,10 +268,13 @@ def _at_least(h: ColoredHypergraph, k: int, m: int) -> np.ndarray:
 
 def build_shadow(h: ColoredHypergraph, t: int) -> ShadowMulticoloring:
     """The t-good multi-coloring: color i is good for a t-set in at least
-    r-t+1 edges of color i."""
+    r-t+1 edges of color i.  The goodmask has one uint32 bit per color,
+    so c <= 32: past that a good color would drop out of its mask."""
     p = h.params
     if not 2 <= t <= p.r:
         raise InvalidParams(f"need 2 <= t <= r={p.r}, got t={t}")
+    if p.c > 32:
+        raise InvalidParams(f"the shadow holds c <= 32 colors, got c={p.c}")
     goodmask = _pack_goodmask(_at_least(h, t, p.r - t + 1))
     goodmask.setflags(write=False)
     return ShadowMulticoloring(params=p, t=t, goodmask=goodmask)

@@ -418,6 +418,43 @@ def test_negative_budget_is_one_usage_line(tiny_coloring, tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
+def mono_k6_file(tmp_path, c):
+    """An all-color-c K_6^3 at t = 3, written to a coloring file."""
+    p = Params(n=6, r=3, t=3, c=c)
+    path = tmp_path / f"mono-c{c}.txt"
+    write_coloring(ColoredHypergraph(p, np.full(p.num_edges, c, dtype=np.uint8)),
+                   path)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["search", "extract", "shadow-dump", "stress"])
+def test_more_than_32_colors_is_one_usage_line(tmp_path, capsys, command):
+    # the goodmask holds 32 colors: an all-color-40 K_6^3 once lost its one
+    # color and search printed a false "nonexistent" proof, exit 1
+    path = mono_k6_file(tmp_path, 40)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {"search": ["search", path, "-o", str(out / "cert.json")],
+            "extract": ["extract", path, "-o", str(out / "cert.json"),
+                        "--trace", str(out / "trace.json")],
+            "shadow-dump": ["shadow-dump", path, "-o", str(out / "dump.txt")],
+            "stress": ["stress", "--n", "6", "--r", "3", "--t", "3", "--c", "40",
+                       "--trials", "1", "--reproducer-dir", str(out)]}[command]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the shadow holds c <= 32 colors, got c=40\n"
+    assert list(out.iterdir()) == []
+
+
+def test_32_colors_search_finds_the_color_32_cycle(tmp_path, capsys):
+    path = mono_k6_file(tmp_path, 32)
+    cert = tmp_path / "cert.json"
+    assert main(["search", path, "-o", str(cert)]) == 0
+    assert json.loads(cert.read_text())["color"] == 32
+    assert main(["verify", str(cert), path]) == 0
+
+
 def test_zero_budget_is_a_legal_search(tiny_coloring, capsys):
     assert main(["search", tiny_coloring, "--budget", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["core"]

@@ -732,3 +732,14 @@ def test_stress_verifies_each_found_trial_once(monkeypatch):
     verified, _ = _spy_lifts(monkeypatch)
     rep = stress_theorem(Params(n=8, r=4, t=2, c=2), trials=6, seed=3)
     assert rep.successes and len(verified) == rep.successes
+
+
+def test_negative_budget_raises_and_zero_stays_legal():
+    # a negative budget once ran as budget 0: both found a cycle, 2/2 trials
+    h = random_coloring(Params(n=8, r=3, t=2, c=1), seed=11)
+    with pytest.raises(InvalidParams, match="need budget >= 0, got budget=-5"):
+        find_certificate(h, budget=-5)
+    with pytest.raises(InvalidParams, match="need budget >= 0, got budget=-5"):
+        stress_theorem(Params(6, 3, 2, 2), trials=2, budget=-5)
+    assert find_certificate(h, budget=0).status == "found"
+    assert stress_theorem(Params(6, 3, 2, 2), trials=2, budget=0).trials == 2

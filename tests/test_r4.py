@@ -11,6 +11,7 @@ import pytest
 from bergecycles import r4
 from bergecycles.core import (
     ColoredHypergraph,
+    InvalidParams,
     Params,
     binom,
     edge_table,
@@ -1092,3 +1093,11 @@ def test_vertex_route_scans_equal_the_per_quad_loops(monkeypatch, run, scans):
     monkeypatch.undo()
     assert {name for name, _ in calls} == scans
     _assert_scans_match(calls)
+
+
+def test_r4_find_rejects_a_negative_budget():
+    # it once ran as budget 0 and found the cycle
+    h = random_coloring(Params(n=85, r=4, t=2, c=3), seed=1)
+    with pytest.raises(InvalidParams, match="need budget >= 0, got budget=-5"):
+        r4_find(h, budget=-5)
+    assert r4_find(h, budget=0).status == "found"

@@ -577,3 +577,71 @@ def test_dump_shadow_format():
     # every line parses as verts : counts : goods
     for line in lines:
         assert line.count(":") == 2
+
+
+def tally_reference(h, ranks):
+    """Per row of ranks and color, its edges of that color, counted directly."""
+    return np.stack([np.count_nonzero(h.colors[ranks] == i, axis=1)
+                     for i in range(1, h.params.c + 1)], axis=1)
+
+
+def test_tally_counts_a_cached_first_block():
+    h = random_coloring(Params(n=85, r=4, t=2, c=3), seed=5)
+    ranks = shadow._first_block(85, 4, 2)
+    assert np.array_equal(shadow._tally(h, ranks), tally_reference(h, ranks))
+
+
+def test_tally_counts_a_monochrome_block_past_255():
+    # the locked pair's third block, C(32, 2) - C(16, 2) = 376 edges, all of
+    # color 2: its count passes 255, so it wraps in a uint8 sum
+    h = pair_lock_40()
+    ranks = edges_through(40, 4, [[3, 17]], binom(16, 2), binom(32, 2))
+    assert ranks.shape == (1, 376)
+    got = shadow._tally(h, ranks)
+    assert got.tolist() == [[0, 376, 0]]
+    assert np.array_equal(got, tally_reference(h, ranks))
+
+
+def test_tally_counts_a_monochrome_row_past_65535():
+    # vertex 0 of a monochrome K_85^4 lies in C(84, 3) = 95,284 edges: its
+    # count passes 65,535, so it wraps in a uint16 sum
+    p = Params(n=85, r=4, t=2, c=2)
+    h = ColoredHypergraph(p, np.ones(p.num_edges, dtype=np.uint8))
+    ranks = edges_through(85, 4, [[0]])
+    assert ranks.shape == (1, 95_284)
+    got = shadow._tally(h, ranks)
+    assert got.tolist() == [[95_284, 0]]
+    assert np.array_equal(got, tally_reference(h, ranks))
+
+
+@pytest.mark.parametrize("good,want", [
+    ([[True], [False]], [1, 0]),
+    ([[True, False, True], [False, True, False], [True, True, True],
+      [False, False, False]], [0b101, 0b010, 0b111, 0]),
+    ([[i == 31 for i in range(32)], [True] * 32, [i == 0 for i in range(32)]],
+     [2**31, 2**32 - 1, 1]),
+], ids=["c=1", "c=3", "c=32"])
+def test_pack_goodmask_sets_bit_i_minus_1_for_color_i(good, want):
+    got = _pack_goodmask(np.array(good, dtype=bool))
+    assert got.dtype == np.uint32
+    assert got.tolist() == want
+
+
+def test_build_shadow_rejects_more_than_32_colors():
+    # the goodmask has one uint32 bit per color; color 33 would drop out
+    p = Params(n=6, r=3, t=3, c=33)
+    h = ColoredHypergraph(p, np.full(p.num_edges, 33, dtype=np.uint8))
+    with pytest.raises(InvalidParams, match="c <= 32"):
+        build_shadow(h, 3)
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_color_32_is_good_in_bit_31(t):
+    from bergecycles.harness import find_certificate
+    p = Params(n=6, r=3, t=t, c=32)
+    h = ColoredHypergraph(p, np.full(p.num_edges, 32, dtype=np.uint8))
+    s = build_shadow(h, t)
+    assert (s.goodmask == 2**31).all()
+    assert s.good_colors(0) == (32,)
+    res = find_certificate(h)
+    assert res.status == "found" and res.certificate.color == 32
