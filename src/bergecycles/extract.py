@@ -10,10 +10,13 @@ re-verify the assembled certificate from scratch.
 
 The matcher reads a position's candidates in ascending rank, and the next
 one only after the earlier ones fail; it rarely needs more than a few.  So
-each position's candidates are a lazy `CandidateRow`.  One `edges_through`
-call fills every row with the edges whose free part lies in the window's 8
-lowest free vertices (`core._FIRST_FREE`, the shadow's first block too),
-and a row doubles that prefix only when the matcher reads past its end.
+each position's candidates are a lazy `CandidateRow`.  Every row starts
+with the edges whose free part lies in the window's 8 lowest free vertices
+(`core._FIRST_FREE`): the window's row of the shadow's first block.  When
+the shadow reads first blocks (`shadow._reads_first_blocks`), the rows are
+looked up in its `_first_block` cache, which the solve's shadow has
+filled; past that gate one `edges_through` call fills them.  A row doubles
+its prefix only when the matcher reads past its end.
 The k-th candidate read is the k-th of the full row, so the matching is
 the one the full rows give.  The covering bound is checked after the
 matching, over the candidates read so far.
@@ -43,7 +46,7 @@ from .core import (
     unrank_rows,
     verify_berge_certificate,
 )
-from .shadow import ShadowMulticoloring
+from .shadow import ShadowMulticoloring, _first_block, _reads_first_blocks
 
 
 class WitnessInvalid(ValueError):
@@ -128,12 +131,16 @@ def cycle_windows(core: tuple[int, ...], t: int) -> np.ndarray:
 
 def build_position_bipartite(w: TightCycleWitness,
                              h: ColoredHypergraph) -> PositionEdgeBipartite:
-    """A lazy candidate row per position; one `edges_through` call fills
-    the first block of every row."""
+    """A lazy candidate row per position, starting with its window's first
+    block: the windows' rows of the shadow's `_first_block` cache when the
+    shadow reads first blocks, else one `edges_through` call for all."""
     p = h.params
     windows = cycle_windows(w.core, w.t)
     free = min(_FIRST_FREE, p.n - w.t)
-    ranks = edges_through(p.n, p.r, windows, stop=binom(free, p.r - w.t))
+    if _reads_first_blocks(p.n, p.r, w.t):
+        ranks = _first_block(p.n, p.r, w.t)[rank_rows(windows)]
+    else:
+        ranks = edges_through(p.n, p.r, windows, stop=binom(free, p.r - w.t))
     hit = h.colors[ranks] == w.color
     cands = ranks[hit].tolist()                 # row by row, ascending
     ends = np.cumsum(hit.sum(axis=1)).tolist()

@@ -31,8 +31,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import InternalError, TightCycleWitness, edge_table, rank_subset
-from .shadow import ShadowMulticoloring
+from .core import InternalError, TightCycleWitness, rank_subset
+from .shadow import ShadowMulticoloring, _pair_rank_matrix
 
 DEFAULT_BUDGET = 10**7
 
@@ -263,15 +263,15 @@ def _check_found(g: SimpleGraph, cyc: Sequence[int], engine: str) -> None:
 
 
 def good_pair_graph(s: ShadowMulticoloring, color: int) -> SimpleGraph:
-    """Graph on the vertex set whose edges are pairs with `color` 2-good,
-    built from the n x n bool adjacency matrix of the good pairs."""
+    """Graph on the vertex set whose edges are pairs with `color` 2-good:
+    the pairs' good bits gathered through the shadow's pair-rank matrix
+    into an n x n bool adjacency, with the diagonal cleared."""
     if s.t != 2:
         raise ValueError(f"pair graph needs a t=2 shadow, got t={s.t}")
-    n = s.params.n
-    good = edge_table(n, 2)[((s.goodmask >> np.uint32(color - 1)) & 1).astype(bool)]
-    adj = np.zeros((n, n), dtype=bool)
-    adj[good[:, 0], good[:, 1]] = True
-    return SimpleGraph.from_adjacency(adj | adj.T)
+    good = ((s.goodmask >> np.uint32(color - 1)) & 1).astype(bool)
+    adj = good[_pair_rank_matrix(s.params.n)]
+    np.fill_diagonal(adj, False)            # {v, v} is no pair
+    return SimpleGraph.from_adjacency(adj)
 
 
 @dataclass(frozen=True)

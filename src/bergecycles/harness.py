@@ -47,7 +47,7 @@ from .r4 import (
     r4_find,
     shadow_guided_cert,
 )
-from .shadow import _at_least, build_shadow
+from .shadow import MAX_COLORS, _at_least, build_shadow
 
 ORACLE_MAX_N = 10
 
@@ -239,7 +239,9 @@ def stress_theorem(params: Params, generator: str = "random",
     so reports are reproducible and jobs only changes the wall time.
     Counterexamples go to reproducer_dir (default: the temp dir); a trial
     that raises a ContractBreach leaves breach-*.coloring and its trace there.
-    A negative trials or budget, or jobs below 1, raises InvalidParams.
+    A negative trials or budget, jobs below 1, or more colors than the
+    shadow holds (c > shadow.MAX_COLORS) raises InvalidParams before any
+    coloring is made or any pool starts.
     File names carry the generator, n, r, t, c, seed and trial index, so the
     files of a sweep over n do not overwrite each other.
     """
@@ -249,6 +251,9 @@ def stress_theorem(params: Params, generator: str = "random",
         raise InvalidParams(f"need jobs >= 1, got jobs={jobs}")
     if budget < 0:
         raise InvalidParams(f"need budget >= 0, got budget={budget}")
+    if params.c > MAX_COLORS:       # every trial's shadow would raise it
+        raise InvalidParams(
+            f"the shadow holds c <= {MAX_COLORS} colors, got c={params.c}")
     t0 = time.monotonic()
     outdir = reproducer_dir or tempfile.gettempdir()
     work = [(params, generator, seed, i, budget, outdir)

@@ -63,7 +63,7 @@ from .hamilton import (
     find_hamiltonian_cycle,
     find_mono_ham_tight_cycle,
 )
-from .shadow import ShadowMulticoloring, _at_least, build_shadow
+from .shadow import ShadowMulticoloring, _at_least, _pair_rank_matrix, build_shadow
 
 MIN_N = 85
 
@@ -213,18 +213,6 @@ def _quads(*cols) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=16)
-def _pair_rank_matrix(n: int) -> np.ndarray:
-    """Read-only n x n matrix of the pairs' colex ranks (0 on the diagonal)."""
-    tab = edge_table(n, 2)
-    ranks = np.arange(len(tab), dtype=np.int64)
-    m = np.zeros((n, n), dtype=np.int64)
-    m[tab[:, 0], tab[:, 1]] = ranks
-    m[tab[:, 1], tab[:, 0]] = ranks
-    m.setflags(write=False)
-    return m
-
-
 def relabel_colors(h: ColoredHypergraph, s: ShadowMulticoloring,
                    sigma: tuple[int, int, int]) -> tuple[ColoredHypergraph, ShadowMulticoloring]:
     """Rename colors by sigma (old i -> sigma[i-1]) in both views; the
@@ -246,8 +234,22 @@ def relabel_colors(h: ColoredHypergraph, s: ShadowMulticoloring,
 # profiles, dominance classes, pivot
 
 
+@lru_cache(maxsize=16)
+def _all_but_each(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per vertex v of K_n, the ascending tuple of every vertex but v."""
+    verts = tuple(range(n))
+    return tuple(verts[:v] + verts[v + 1:] for v in range(n))
+
+
 def compute_u_profiles(s: ShadowMulticoloring) -> list[UProfile]:
     """Mixed-class profile of every vertex under the pair shadow.
+
+    A class that no pair has gives every vertex `()`, and one that every
+    pair has gives each vertex all the others (`_all_but_each`, cached per
+    n): on a random coloring every pair is good in all three colors, so
+    no member is listed.  The other classes share one gather of the masks
+    through the pair-rank matrix, and each slices one tuple of its
+    members, row by row.
 
     Raises SingleGoodEdge on the lowest-ranked pair whose good set has at
     most one color -- that situation bypasses the pivot analysis entirely.
@@ -255,23 +257,29 @@ def compute_u_profiles(s: ShadowMulticoloring) -> list[UProfile]:
     p = s.params
     if s.t != 2 or p.c != 3:
         raise InvalidParams(f"profiles need t=2, c=3; got t={s.t}, c={p.c}")
-    gm = s.goodmask.astype(np.int64)
+    gm = s.goodmask.astype(np.uint8)        # c = 3: every mask fits a byte
     thin = np.flatnonzero(_POPCOUNT3[gm] <= 1)
     if thin.size:
         rank = int(thin[0])
         pair = unrank_subset(rank, p.n, 2)
         raise SingleGoodEdge(pair, s.good_colors(rank))
-    masks = gm[_pair_rank_matrix(p.n)]      # masks[v, u]: good colors of {v, u}
-    np.fill_diagonal(masks, 0)              # {v, v} is no pair
+    masks = None                            # masks[v, u]: good colors of {v, u}
     classes = []                            # per class, each vertex's members
     for bits in (0b011, 0b101, 0b110, 0b111):
-        hit = masks == bits
-        if not hit.any():                               # no pair has this class
+        pairs = np.count_nonzero(gm == bits)
+        if not pairs:
             classes.append([()] * p.n)
             continue
-        members = np.nonzero(hit)[1].tolist()           # row by row, ascending
+        if pairs == len(gm):
+            classes.append(_all_but_each(p.n))
+            continue
+        if masks is None:                   # one gather serves every class
+            masks = gm[_pair_rank_matrix(p.n)]
+            np.fill_diagonal(masks, 0)      # {v, v} is no pair
+        hit = masks == bits
+        members = tuple(np.nonzero(hit)[1].tolist())    # row by row, ascending
         ends = np.cumsum(hit.sum(axis=1)).tolist()
-        classes.append([tuple(members[a:b]) for a, b in zip([0, *ends], ends)])
+        classes.append([members[a:b] for a, b in zip([0, *ends], ends)])
     return [UProfile(v, *c) for v, c in enumerate(zip(*classes))]
 
 

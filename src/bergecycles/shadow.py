@@ -18,8 +18,11 @@ settled by its first 120 of 3,403 edges.
 A block is counted by `_tally` column-major: its colors gathered as an
 (L, M) byte array, one row per witness slot, so each color's count is a
 sum of L contiguous byte rows in the smallest unsigned type that holds L.
-The cached first blocks are stored column-major for that reason.  The
-goodmask has one uint32 bit per color, so `build_shadow` serves c <= 32.
+The cached first blocks are stored column-major for that reason, and
+the lift (`extract.build_position_bipartite`) reads its rows from the same
+cache whenever `_reads_first_blocks` says the shadow reads them.  The
+goodmask has one uint32 bit per color, so `build_shadow` serves
+c <= MAX_COLORS = 32.
 
 Every full count comes from `subset_color_counts`, exact on two routes: a
 block peel over every edge or, when few edges lie outside the most
@@ -48,6 +51,8 @@ from .core import (
     rank_rows,
     unrank_rows,
 )
+
+MAX_COLORS = 32     # the goodmask's uint32 bits, one per color
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,6 +214,26 @@ def _tally(h: ColoredHypergraph, ranks: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
+def _pair_rank_matrix(n: int) -> np.ndarray:
+    """Read-only n x n matrix of the pairs' colex ranks (0 on the diagonal)."""
+    tab = edge_table(n, 2)
+    ranks = np.arange(len(tab), dtype=np.int64)
+    m = np.zeros((n, n), dtype=np.int64)
+    m[tab[:, 0], tab[:, 1]] = ranks
+    m[tab[:, 1], tab[:, 0]] = ranks
+    m.setflags(write=False)
+    return m
+
+
+def _reads_first_blocks(n: int, r: int, k: int) -> bool:
+    """Whether the first blocks of all k-sets, C(f, r-k) ranks each with
+    f = min(_FIRST_FREE, n - k), hold fewer ranks than K_n^r has edges:
+    then `_at_least` reads them from the `_first_block` cache, and the
+    lift reads its windows' rows there too."""
+    return binom(n, k) * binom(min(_FIRST_FREE, n - k), r - k) < binom(n, r)
+
+
+@lru_cache(maxsize=16)
 def _first_block(n: int, r: int, k: int) -> np.ndarray:
     """Read-only (C(n,k), C(f, r-k)): the first block of every k-set's
     `edges_through` row, the edges whose free part lies in its f lowest
@@ -224,6 +249,15 @@ def _first_block(n: int, r: int, k: int) -> np.ndarray:
     ranks = np.ascontiguousarray(ranks.T)
     ranks.setflags(write=False)
     return ranks.T
+
+
+def _in_doubt(counts: np.ndarray, m: int) -> np.ndarray:
+    """(M,) bool: does some color of each row of an (M, c) count array have
+    fewer than m?  One compare per count column: c is small, M is not."""
+    need = counts[:, 0] < m
+    for i in range(1, counts.shape[1]):
+        need |= counts[:, i] < m
+    return need
 
 
 def _at_least(h: ColoredHypergraph, k: int, m: int) -> np.ndarray:
@@ -245,17 +279,15 @@ def _at_least(h: ColoredHypergraph, k: int, m: int) -> np.ndarray:
     n, r = p.n, p.r
     if not 1 <= k <= r:
         raise InvalidParams(f"need 1 <= k <= r={r}, got k={k}")
+    if not _reads_first_blocks(n, r, k):
+        return subset_color_counts(h, k) >= m
+
     free = min(_FIRST_FREE, n - k)
     start = binom(free, r - k)
-    if binom(n, k) * start >= p.num_edges:
-        return subset_color_counts(h, k) >= m
     counts = _tally(h, _first_block(n, r, k))
-    live = np.arange(len(counts))
+    live = np.flatnonzero(_in_doubt(counts, m))
     budget = p.num_edges // 8
-    while True:
-        live = live[(counts[live] < m).any(axis=1)]
-        if not live.size or free == n - k:
-            return counts >= m
+    while live.size and free < n - k:
         free = min(2 * free, n - k)
         stop = binom(free, r - k)
         budget -= live.size * (stop - start)
@@ -264,17 +296,20 @@ def _at_least(h: ColoredHypergraph, k: int, m: int) -> np.ndarray:
         counts[live] += _tally(h, edges_through(n, r, edge_table(n, k)[live],
                                                 start, stop))
         start = stop
+        live = live[_in_doubt(counts[live], m)]
+    return counts >= m
 
 
 def build_shadow(h: ColoredHypergraph, t: int) -> ShadowMulticoloring:
     """The t-good multi-coloring: color i is good for a t-set in at least
     r-t+1 edges of color i.  The goodmask has one uint32 bit per color,
-    so c <= 32: past that a good color would drop out of its mask."""
+    so c <= MAX_COLORS: past that a good color would drop out of its mask."""
     p = h.params
     if not 2 <= t <= p.r:
         raise InvalidParams(f"need 2 <= t <= r={p.r}, got t={t}")
-    if p.c > 32:
-        raise InvalidParams(f"the shadow holds c <= 32 colors, got c={p.c}")
+    if p.c > MAX_COLORS:
+        raise InvalidParams(
+            f"the shadow holds c <= {MAX_COLORS} colors, got c={p.c}")
     goodmask = _pack_goodmask(_at_least(h, t, p.r - t + 1))
     goodmask.setflags(write=False)
     return ShadowMulticoloring(params=p, t=t, goodmask=goodmask)

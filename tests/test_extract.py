@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergecycles import extract, shadow
 from bergecycles.core import (
     ColoredHypergraph,
     InternalError,
     Params,
     TightCycleWitness,
+    binom,
+    edges_through,
     random_coloring,
     rank_rows,
     rank_subset,
@@ -216,3 +219,30 @@ def test_lazy_rows_read_only_a_first_block():
     full = [list(row) for row in g.adj]          # reading to the end widens
     assert {row.free for row in g.adj} == {38}
     assert all(row.ranks == got for row, got in zip(g.adj, full))
+
+
+@pytest.mark.parametrize("params,reads_cache", [
+    # C(85, 2) * C(8, 2) = 99,960 first-block ranks < C(85, 4) edges: the
+    # rows are looked up in the shadow's cache
+    (Params(n=85, r=4, t=2, c=3), True),
+    # C(24, 4) * C(8, 4) = 743,820 ranks >= C(24, 8) = 735,471 edges: the
+    # shadow reads no first block, and the lift calls edges_through
+    (Params(n=24, r=8, t=4, c=2), False),
+])
+def test_first_block_rows_on_both_sides_of_the_gate(monkeypatch, params, reads_cache):
+    h = random_coloring(params, seed=5)
+    core = tuple(np.random.default_rng(5).permutation(params.n).tolist())
+    w = TightCycleWitness(color=2, core=core, t=params.t)
+    assert shadow._reads_first_blocks(params.n, params.r, params.t) is reads_cache
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the other route was taken")
+    monkeypatch.setattr(extract, "edges_through" if reads_cache else "_first_block",
+                        unused)
+    g = build_position_bipartite(w, h)
+    monkeypatch.undo()
+    stop = binom(min(8, params.n - params.t), params.r - params.t)
+    for win, row in zip(cycle_windows(w.core, w.t), g.adj):
+        ranks = edges_through(params.n, params.r, [win], stop=stop)[0]
+        assert row.free == min(8, params.n - params.t)
+        assert row.ranks == ranks[h.colors[ranks] == w.color].tolist()

@@ -743,3 +743,16 @@ def test_negative_budget_raises_and_zero_stays_legal():
         stress_theorem(Params(6, 3, 2, 2), trials=2, budget=-5)
     assert find_certificate(h, budget=0).status == "found"
     assert stress_theorem(Params(6, 3, 2, 2), trials=2, budget=0).trials == 2
+
+
+def test_stress_rejects_more_than_32_colors_before_any_trial(monkeypatch):
+    # with jobs > 1 the pool once ran every trial before the first trial's
+    # InvalidParams reached the caller
+    import multiprocessing
+
+    def unused(*args, **kwargs):
+        raise AssertionError("a pool or trial started")
+    monkeypatch.setattr(multiprocessing, "Pool", unused)
+    monkeypatch.setattr(harness, "_run_trial", unused)
+    with pytest.raises(InvalidParams, match="c <= 32 colors, got c=40"):
+        stress_theorem(Params(n=6, r=3, t=3, c=40), trials=5, jobs=2)

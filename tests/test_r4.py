@@ -113,6 +113,22 @@ def test_profiles_equal_the_per_vertex_loop(label, make):
     assert compute_u_profiles(s) == loop_profiles(s)
 
 
+@pytest.mark.parametrize("pair_colors,full", [((1, 2), "U12"), ((1, 3), "U13"),
+                                               ((2, 3), "U23")])
+def test_a_full_mixed_class_lists_every_other_vertex(pair_colors, full):
+    # two colors on K_12^4: each pair lies in 45 edges and is good in both,
+    # so one mixed class holds every pair and the others none
+    p = Params(n=12, r=4, t=2, c=3)
+    rng = np.random.default_rng(3)
+    h = ColoredHypergraph(p, rng.choice(np.array(pair_colors, dtype=np.uint8),
+                                        size=p.num_edges))
+    s = build_shadow(h, 2)
+    profiles = compute_u_profiles(s)
+    assert profiles == loop_profiles(s)
+    for prof in profiles:
+        assert getattr(prof, full) == tuple(u for u in range(12) if u != prof.vertex)
+
+
 def test_thin_pair_interrupts_profiles():
     p = Params(n=10, r=4, t=2, c=3)
     colors = random_coloring(p, seed=0).colors.copy()

@@ -645,3 +645,12 @@ def test_color_32_is_good_in_bit_31(t):
     assert s.good_colors(0) == (32,)
     res = find_certificate(h)
     assert res.status == "found" and res.certificate.color == 32
+
+
+@pytest.mark.parametrize("c", [1, 32])
+def test_at_least_reads_first_blocks_at_1_and_32_colors(c):
+    # C(40, 2) * C(8, 2) = 21,840 first-block ranks < C(40, 4) = 91,390
+    # edges, so every pair's doubt test runs over all c count columns
+    h = random_coloring(Params(n=40, r=4, t=2, c=c), seed=7)
+    assert shadow._reads_first_blocks(40, 4, 2)
+    assert np.array_equal(_at_least(h, 2, 3), subset_color_counts(h, 2) >= 3)
