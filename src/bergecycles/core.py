@@ -8,9 +8,9 @@ Colors are 1-based (1..c) in every public interface.
 A Berge certificate is the proof object used throughout: a cyclic core
 sequence v_1..v_n covering every vertex plus n pairwise-distinct hyperedges,
 where the i-th edge contains the t consecutive core vertices starting at v_i
-(indices mod n).  `verify_berge_certificate` checks one from scratch against
-a coloring and trusts nothing; checker.check_certificate checks one against
-a coloring file with the standard library alone.
+(indices mod n).  The checker module is the only code that decides whether
+a certificate, its JSON or a coloring file is valid: verify_berge_certificate,
+BergeCertificate.from_json_dict and read_coloring call into it.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .checker import HEADER, MAX_N, MAX_R, ColoringFormatError, domain_error
-from .checker import MAGIC as COLORING_MAGIC   # the one format read and written
+from . import checker
+from .checker import MAX_N, MAX_R, ColoringFormatError, domain_error
 
 _MAX_K = MAX_R - 1   # widest subset size served by the vectorized table
 _THROUGH_SIZE = 1 << 17  # entries of edges_through's int64 gather block: 1 MB
@@ -284,30 +284,11 @@ class BergeCertificate:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BergeCertificate":
-        """The certificate a parsed JSON object holds.  Only JSON integers
-        and lists are read as such: a float, bool or string is not coerced,
-        it raises ValueError("malformed certificate JSON: ...")."""
-        def integer(v):
-            if type(v) is not int:
-                raise ValueError(f"expected an integer, got {v!r}")
-            return v
-
-        def listed(vs):
-            if type(vs) is not list:
-                raise ValueError(f"expected a list, got {vs!r}")
-            return vs
-
-        def integers(vs):
-            return tuple(map(integer, listed(vs)))
-
-        try:
-            color = integer(d["color"])
-            core = integers(d["core"])
-            edges = tuple(map(integers, listed(d["edges"])))
-            t = integer(d["t"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed certificate JSON: {exc}") from exc
-        return cls(color=color, core=core, edges=edges, t=t)
+        """The certificate a parsed JSON object holds.  Its shape is
+        checker.certificate_fields's to check: a float, bool or string is
+        not coerced, it raises ColoringFormatError, a ValueError."""
+        color, core, edges, t = checker.certificate_fields(d)
+        return cls(color=color, core=tuple(core), edges=tuple(map(tuple, edges)), t=t)
 
 
 @dataclass(frozen=True)
@@ -321,59 +302,11 @@ class TightCycleWitness:
 
 def verify_berge_certificate(cert: BergeCertificate, h: ColoredHypergraph) -> str | None:
     """Check a certificate from scratch at its own t; None on pass, else the
-    first violation.
-
-    This is the solver's in-process guard, run on every result on the
-    arrays the solver already holds.  checker.check_certificate, which
-    `berge verify` runs, is the independent guard: it shares no code with
-    this one and returns the same violations word for word, those of the
-    loop reference the tests keep.
-
-    Check order: tightness in 2..r, color in 1..c, core is a permutation,
-    edge count, then edge by edge: well-formedness and distinctness from
-    the edges before it; then claimed color, then window containment.
-
-    Vertex ranges are checked in Python, so that no integer too large for
-    numpy reaches it; everything after that runs on one (n, r) array.  The
-    first edge that is malformed or repeats an earlier edge is reported:
-    the first repeat (np.unique keeps first occurrences) among the edges
-    before the first malformed one, else the malformed one.
-    """
+    first violation.  The solver's guard on every result is the check
+    `berge verify` runs, checker.certificate_error, on h's colors uncopied."""
     p = h.params
-    n, r, t = p.n, p.r, cert.t
-    if not 2 <= t <= r:
-        return f"tightness t={t} outside 2..r={r}"
-    if not 1 <= cert.color <= p.c:
-        return f"color {cert.color} outside 1..{p.c}"
-    core, edges = cert.core, cert.edges
-    if len(core) != n or sorted(core) != list(range(n)):
-        return "core is not a permutation of all vertices"
-    if len(edges) != n:
-        return f"expected {n} edges, got {len(edges)}"
-    bad = next((i for i, e in enumerate(edges)
-                if len(e) != r or min(e) < 0 or max(e) >= n), n)
-    rows = np.array(edges[:bad], dtype=np.intp).reshape(bad, r)
-    unsorted = np.flatnonzero((rows[:, 1:] <= rows[:, :-1]).any(axis=1))
-    bad = int(unsorted[0]) if unsorted.size else bad
-    ranks = rank_rows(rows[:bad])
-    repeat = np.ones(bad, dtype=bool)
-    repeat[np.unique(ranks, return_index=True)[1]] = False
-    if repeat.any():
-        i = int(repeat.argmax())
-        return f"edge {i} duplicates another certificate edge: {edges[i]}"
-    if bad < n:
-        return f"edge {bad} is not a sorted r-subset of the vertex set: {edges[bad]}"
-    wrong = np.flatnonzero(h.colors[ranks] != cert.color)
-    if wrong.size:
-        i = int(wrong[0])
-        return f"edge {i} does not have color {cert.color}: {edges[i]}"
-    windows = np.asarray(core)[(np.arange(n)[:, None] + np.arange(t)) % n]
-    held = (windows[:, :, None] == rows[:, None, :]).any(axis=2).all(axis=1)
-    if not held.all():
-        i = int(held.argmin())
-        window = sorted(core[(i + j) % n] for j in range(t))
-        return f"edge {i} misses core window {window}: {edges[i]}"
-    return None
+    return checker.certificate_error(memoryview(h.colors), p.n, p.r, p.c,
+                                     **cert.to_json_dict())
 
 
 def write_coloring(h: ColoredHypergraph, path) -> None:
@@ -381,36 +314,16 @@ def write_coloring(h: ColoredHypergraph, path) -> None:
     C(n, r) bytes, the color of each edge in colex order."""
     p = h.params
     with open(path, "wb") as fh:
-        fh.write(f"{COLORING_MAGIC}\nr={p.r} n={p.n} t={p.t} c={p.c}\n".encode())
+        fh.write(f"{checker.MAGIC}\nr={p.r} n={p.n} t={p.t} c={p.c}\n".encode())
         fh.write(h.colors.tobytes())
 
 
 def read_coloring(path) -> ColoredHypergraph:
-    """Read a v2 coloring file, the format write_coloring writes.
-
-    The file must start with checker.HEADER, the magic line and an
-    `r= n= t= c=` line exactly as write_coloring writes them, name Params
-    in checker.domain_error's domain, then hold exactly C(n, r) color
-    bytes, each in 1..c.  Anything else, such as the retired v1 text
-    layout, raises ColoringFormatError with the message the checker gives.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    head = HEADER.match(data)
-    if head is None:
-        raise ColoringFormatError(f"not a {COLORING_MAGIC} file: it starts with {data[:40]!r}")
-    r, n, t, c = map(int, head.groups())
-    try:
-        params = Params(n=n, r=r, t=t, c=c)
-    except InvalidParams as exc:
-        raise ColoringFormatError(str(exc)) from exc
-    colors = np.frombuffer(data, dtype=np.uint8, offset=head.end())
-    if len(colors) != params.num_edges:
-        raise ColoringFormatError(
-            f"expected {params.num_edges} color bytes, found {len(colors)}")
-    if colors.min() < 1 or colors.max() > c:
-        raise ColoringFormatError("color out of range")
-    return ColoredHypergraph(params, colors)
+    """Read a v2 coloring file, the format write_coloring writes.  A file
+    checker.read_coloring_file rejects raises its ColoringFormatError; the
+    colors share the file's read-only bytes."""
+    r, n, t, c, body = checker.read_coloring_file(path)
+    return ColoredHypergraph(Params(n=n, r=r, t=t, c=c), np.frombuffer(body, np.uint8))
 
 
 from . import _export  # noqa: E402  (last: the package binds this module's public names)

@@ -6,7 +6,7 @@ A window that is t-good offers at least r-t+1 candidate edges, while a single
 r-edge holds at most r-t+1 windows of a cycle on n > r vertices (the proof
 is in `lift_to_berge`), so a perfect matching of positions to edges exists
 whenever the witness is valid; we find one with augmenting paths and
-re-verify the assembled certificate from scratch.
+verify the assembled certificate from scratch with the checker.
 
 The matcher reads a position's candidates in ascending rank, and the next
 one only after the earlier ones fail; it rarely needs more than a few.  So
@@ -208,7 +208,8 @@ def lift_to_berge(w: TightCycleWitness, h: ColoredHypergraph) -> BergeCertificat
     MatchingIncomplete when no system of distinct representatives exists,
     and InternalError if the core does not order the vertex set, if an edge
     is a candidate for more windows than the covering bound allows, or if
-    the assembled certificate fails verification.
+    the assembled certificate fails verify_berge_certificate, which is
+    checker.certificate_error, the check `berge verify` runs.
 
     The covering bound: when the core is a permutation of range(n) and
     n > r, an r-set S holds at most r - t + 1 windows.  The vertices of S

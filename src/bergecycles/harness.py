@@ -19,7 +19,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -199,8 +199,7 @@ def _coloring_for_trial(params: Params, generator: str, master: int,
                         index: int) -> ColoredHypergraph:
     if generator == "random":
         return random_coloring(params, seed=_trial_seed(master, index))
-    gp = {"n": params.n, "r": params.r, "t": params.t, "c": params.c}
-    size, make = _family(generator, gp)
+    size, make = _family(generator, asdict(params))
     return make(index if size is None else index % size)
 
 
@@ -239,9 +238,10 @@ def stress_theorem(params: Params, generator: str = "random",
     so reports are reproducible and jobs only changes the wall time.
     Counterexamples go to reproducer_dir (default: the temp dir); a trial
     that raises a ContractBreach leaves breach-*.coloring and its trace there.
-    A negative trials or budget, jobs below 1, or more colors than the
-    shadow holds (c > shadow.MAX_COLORS) raises InvalidParams before any
-    coloring is made or any pool starts.
+    A negative trials or budget, jobs below 1, more colors than the shadow
+    holds (c > shadow.MAX_COLORS), or a generator that is unknown or whose
+    family rejects params raises InvalidParams before any coloring is made
+    or any pool starts, at trials = 0 too.
     File names carry the generator, n, r, t, c, seed and trial index, so the
     files of a sweep over n do not overwrite each other.
     """
@@ -254,6 +254,8 @@ def stress_theorem(params: Params, generator: str = "random",
     if params.c > MAX_COLORS:       # every trial's shadow would raise it
         raise InvalidParams(
             f"the shadow holds c <= {MAX_COLORS} colors, got c={params.c}")
+    if generator != "random":
+        _family(generator, asdict(params))
     t0 = time.monotonic()
     outdir = reproducer_dir or tempfile.gettempdir()
     work = [(params, generator, seed, i, budget, outdir)

@@ -42,6 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
+    _FIRST_FREE,
     BergeCertificate,
     ColoredHypergraph,
     ContractBreach,
@@ -395,13 +396,13 @@ def _reserve(h: ColoredHypergraph, color: int, contain: tuple[int, ...], count: 
              excluded: set[tuple[int, ...]], who: str) -> list[tuple[int, ...]]:
     """First `count` `color` edges containing `contain`, colex order, minus
     the already-consumed backings.  The row of edges through `contain` is
-    read in ascending blocks, those inside its 8, 16, 32, ... lowest free
-    vertices, up to the block holding the last edge picked."""
+    read in ascending blocks, those inside its `_FIRST_FREE`, then doubling,
+    lowest free vertices, up to the block holding the last edge picked."""
     if count <= 0:
         return []
     n, k = h.params.n, len(contain)
     out: list[tuple[int, ...]] = []
-    lo, m = 0, 8
+    lo, m = 0, _FIRST_FREE
     while lo < binom(n - k, 4 - k):
         hi = binom(min(m, n - k), 4 - k)
         ranks = edges_through(n, 4, [contain], lo, hi)[0]

@@ -337,8 +337,9 @@ def test_verify_rejects_tightness_outside_edge():
 
 
 def loop_verify(cert, h):
-    """The verifier as a loop over edges and windows: the reference the
-    vectorized one must match string for string."""
+    """The verifier as a loop over edges and windows: the reference that
+    checker.certificate_error, run by verify_berge_certificate and by
+    check_certificate, must match string for string."""
     p = h.params
     n, r, t = p.n, p.r, cert.t
     if not 2 <= t <= r:
@@ -453,6 +454,16 @@ def test_verifier_matches_its_loop_reference(tmp_path_factory, case):
     verdict, blob = check_certificate(*write_case(cert, h, tmp_path_factory.mktemp("case")))
     assert verdict == verify_berge_certificate(cert, h) == loop_verify(cert, h)
     assert blob == cert.to_json_dict()
+
+
+def test_an_extra_edge_is_rejected(tmp_path):
+    # n valid edges plus one more distinct edge of the color: every window
+    # is still held, so only the edge count rejects it
+    h, good = _mono_graph(6, 3), _mono_cert(6, 3)
+    extra = BergeCertificate(1, good.core, good.edges + ((0, 2, 4),), t=2)
+    want = "expected 6 edges, got 7"
+    assert loop_verify(extra, h) == verify_berge_certificate(extra, h) == want
+    assert check_certificate(*write_case(extra, h, tmp_path))[0] == want
 
 
 def test_verifier_matches_its_loop_reference_on_every_mutator(tmp_path):

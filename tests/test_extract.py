@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergecycles import extract, shadow
+from bergecycles import checker, extract, shadow
 from bergecycles.core import (
     ColoredHypergraph,
     InternalError,
@@ -101,6 +101,16 @@ def test_lift_rejects_a_core_that_is_no_permutation():
     # the covering bound, and the lift, assume a cycle through every vertex
     with pytest.raises(InternalError, match="not a permutation"):
         lift_to_berge(TightCycleWitness(1, (0, 1, 2, 3, 3), 2), mono(5, 3))
+
+
+def test_the_solvers_guard_is_the_checker(monkeypatch):
+    # the verdict on every solver certificate is checker.certificate_error's
+    h, w = mono(7, 4), TightCycleWitness(1, tuple(range(7)), 2)
+    cert = lift_to_berge(w, h)
+    monkeypatch.setattr(checker, "certificate_error", lambda *args, **kwargs: "sentinel")
+    assert verify_berge_certificate(cert, h) == "sentinel"
+    with pytest.raises(InternalError, match="^assembled certificate invalid: sentinel$"):
+        lift_to_berge(w, h)
 
 
 def test_right_degree_bound_holds():

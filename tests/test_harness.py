@@ -756,3 +756,18 @@ def test_stress_rejects_more_than_32_colors_before_any_trial(monkeypatch):
     monkeypatch.setattr(harness, "_run_trial", unused)
     with pytest.raises(InvalidParams, match="c <= 32 colors, got c=40"):
         stress_theorem(Params(n=6, r=3, t=3, c=40), trials=5, jobs=2)
+
+
+@pytest.mark.parametrize("generator,params,message", [
+    ("bogus", Params(n=6, r=3, t=2, c=2), "unknown generator kind: 'bogus'"),
+    ("u-profile", Params(n=85, r=4, t=2, c=3), "u-profile needs class sizes"),
+])
+@pytest.mark.parametrize("trials", [0, 3])
+def test_stress_rejects_an_unusable_generator_before_any_trial(monkeypatch, generator,
+                                                               params, message, trials):
+    # at trials = 0 a bogus generator once gave a report that named it
+    def unused(*args, **kwargs):
+        raise AssertionError("a trial started")
+    monkeypatch.setattr(harness, "_run_trial", unused)
+    with pytest.raises(InvalidParams, match=message):
+        stress_theorem(params, generator=generator, trials=trials)
