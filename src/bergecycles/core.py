@@ -178,6 +178,19 @@ def edges_through(n: int, r: int, fixed_sets, start: int = 0,
     return ranks
 
 
+@lru_cache(maxsize=64)
+def row_blocks(n: int, r: int, k: int) -> tuple[tuple[int, int], ...]:
+    """The (start, stop) column ranges in which every reader of a k-set's
+    `edges_through` row reads it, in order: the free parts inside its
+    _FIRST_FREE, then 16, 32, ... lowest free vertices, the last block
+    reaching all n - k.  Each block starts where the one before stops."""
+    free = [_FIRST_FREE]
+    while free[-1] < n - k:
+        free.append(2 * free[-1])
+    stops = [binom(min(f, n - k), r - k) for f in free]
+    return tuple(zip([0, *stops], stops))
+
+
 def rank_rows(rows: np.ndarray) -> np.ndarray:
     """Vectorized colex rank of each row of an (m, k) array of sorted subsets."""
     rows = np.asarray(rows)

@@ -10,13 +10,13 @@ verify the assembled certificate from scratch with the checker.
 
 The matcher reads a position's candidates in ascending rank, and the next
 one only after the earlier ones fail; it rarely needs more than a few.  So
-each position's candidates are a lazy `CandidateRow`.  Every row starts
-with the edges whose free part lies in the window's 8 lowest free vertices
-(`core._FIRST_FREE`): the window's row of the shadow's first block.  When
-the shadow reads first blocks (`shadow._reads_first_blocks`), the rows are
-looked up in its `_first_block` cache, which the solve's shadow has
-filled; past that gate one `edges_through` call fills them.  A row doubles
-its prefix only when the matcher reads past its end.
+each position's candidates are a lazy `CandidateRow`, read in the blocks
+of `core.row_blocks`.  Its first block, the edges whose free part lies in
+the window's 8 lowest free vertices, is the window's row of the shadow's
+`_first_block` cache when the shadow reads first blocks
+(`shadow._reads_first_blocks`); past that gate one `edges_through` call
+fills the first blocks.  A row reads its next block only when the matcher
+reads past its end.
 The k-th candidate read is the k-th of the full row, so the matching is
 the one the full rows give.  The covering bound is checked after the
 matching, over the candidates read so far.
@@ -35,14 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _FIRST_FREE,
     BergeCertificate,
     ColoredHypergraph,
     InternalError,
     TightCycleWitness,
-    binom,
     edges_through,
     rank_rows,
+    row_blocks,
     unrank_rows,
     verify_berge_certificate,
 )
@@ -70,15 +69,14 @@ class CandidateRow:
     """One window's candidates: the ascending ranks of the `color` edges of
     h through `window`, read lazily.
 
-    `ranks` holds the ones whose free part lies in the window's `free`
-    lowest free vertices.  In colex order those are the first C(free, r-t)
-    rows of the free-part table, so `ranks` is a prefix of the full row.
-    Iterating yields the full row and doubles `free` whenever it runs past
-    the end of `ranks`.
+    `ranks` holds the ones in the first `read` blocks of the window's
+    `row_blocks`, so it is a prefix of the full row.  Iterating yields the
+    full row and reads the next block whenever it runs past the end of
+    `ranks`; a row started empty, at `read` 0, reads its first block then.
     """
 
     ranks: list[int]
-    free: int
+    read: int
     window: np.ndarray
     h: ColoredHypergraph
     color: int
@@ -94,14 +92,13 @@ class CandidateRow:
 
     def _widen(self) -> bool:
         """Append the next block of the row; False once the row is whole."""
-        p, t = self.h.params, len(self.window)
-        if self.free == p.n - t:
+        p = self.h.params
+        blocks = row_blocks(p.n, p.r, len(self.window))
+        if self.read == len(blocks):
             return False
-        wider = min(2 * self.free, p.n - t)
-        ranks = edges_through(p.n, p.r, [self.window], binom(self.free, p.r - t),
-                              binom(wider, p.r - t))[0]
+        ranks = edges_through(p.n, p.r, [self.window], *blocks[self.read])[0]
         self.ranks += ranks[self.h.colors[ranks] == self.color].tolist()
-        self.free = wider
+        self.read += 1
         return True
 
 
@@ -136,16 +133,15 @@ def build_position_bipartite(w: TightCycleWitness,
     shadow reads first blocks, else one `edges_through` call for all."""
     p = h.params
     windows = cycle_windows(w.core, w.t)
-    free = min(_FIRST_FREE, p.n - w.t)
     if _reads_first_blocks(p.n, p.r, w.t):
         ranks = _first_block(p.n, p.r, w.t)[rank_rows(windows)]
     else:
-        ranks = edges_through(p.n, p.r, windows, stop=binom(free, p.r - w.t))
+        ranks = edges_through(p.n, p.r, windows, *row_blocks(p.n, p.r, w.t)[0])
     hit = h.colors[ranks] == w.color
     cands = ranks[hit].tolist()                 # row by row, ascending
     ends = np.cumsum(hit.sum(axis=1)).tolist()
     return PositionEdgeBipartite(n_positions=p.n, adj=[
-        CandidateRow(cands[a:b], free, win, h, w.color)
+        CandidateRow(cands[a:b], 1, win, h, w.color)
         for a, b, win in zip([0, *ends], ends, windows)])
 
 

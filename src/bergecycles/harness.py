@@ -166,19 +166,7 @@ class TrialReport:
             raise ValueError("distinct colorings must be 1..trials")
 
     def to_json_dict(self) -> dict:
-        p = self.params
-        return {
-            "params": {"n": p.n, "r": p.r, "t": p.t, "c": p.c},
-            "generator": self.generator,
-            "seed": self.seed,
-            "trials": self.trials,
-            "successes": self.successes,
-            "unresolved": self.unresolved,
-            "counterexamples": self.counterexamples,
-            "counterexample_files": list(self.counterexample_files),
-            "distinct_colorings": self.distinct_colorings,
-            "wall_time": self.wall_time,
-        }
+        return {**asdict(self), "counterexample_files": list(self.counterexample_files)}
 
     def summary(self) -> str:
         p = self.params

@@ -24,11 +24,13 @@ Both Gamma cases share one bool adjacency scaffold for the pair families
 E1-E5 (`_gamma_base`) and one repair rule: each computes how many E6 pairs
 its two low-degree vertices need, before any repair, and `_top_up` adds
 them; only the leaves that share or narrow reserved edges, and the star at
-x, differ.  Every vertex-route construction only decides a core: `_lift_core`
-backs its pairs, and the opposite-color and terminal cycles through a hub
-vertex share one pattern check (`_close_hub_cycle`).  Renaming moves only
-names: every route reads the input coloring, in the input's color names,
-and `extract.lift_to_berge` builds and verifies each certificate once.
+x, differ.  A reservation reads its edges as an `extract.CandidateRow`, in
+the blocks of `core.row_blocks` the lift reads.  Every vertex-route
+construction only decides a core: `_lift_core` backs its pairs, and the
+opposite-color and terminal cycles through a hub vertex share one pattern
+check (`_close_hub_cycle`).  Renaming moves only names: every route reads
+the input coloring, in the input's color names, and `extract.lift_to_berge`
+builds and verifies each certificate once.
 
 Everything is deterministic: vertex sets iterate in sorted order, candidate
 edges scan in colex order, and ties break toward smaller ids.
@@ -36,28 +38,26 @@ edges scan in colex order, and ties break toward smaller ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .core import (
-    _FIRST_FREE,
     BergeCertificate,
     ColoredHypergraph,
     ContractBreach,
     InvalidParams,
     Params,
     TightCycleWitness,
-    binom,
     edge_table,
     edges_through,
     rank_rows,
     rank_subset,
-    unrank_rows,
     unrank_subset,
 )
-from .extract import MatchingIncomplete, extend_tight_cycle, lift_to_berge
+from .extract import CandidateRow, MatchingIncomplete, extend_tight_cycle, lift_to_berge
 from .hamilton import (
     DEFAULT_BUDGET,
     SimpleGraph,
@@ -177,14 +177,7 @@ class ConstructionTrace:
     degree_report: dict | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "subcase": self.subcase,
-            "fallbacks": self.fallbacks,
-            "steps": self.steps,
-            "pivot": self.pivot,
-            "degree_report": self.degree_report,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -395,22 +388,14 @@ def _gamma_base(h: ColoredHypergraph, sel: PivotSelection,
 def _reserve(h: ColoredHypergraph, color: int, contain: tuple[int, ...], count: int,
              excluded: set[tuple[int, ...]], who: str) -> list[tuple[int, ...]]:
     """First `count` `color` edges containing `contain`, colex order, minus
-    the already-consumed backings.  The row of edges through `contain` is
-    read in ascending blocks, those inside its `_FIRST_FREE`, then doubling,
-    lowest free vertices, up to the block holding the last edge picked."""
-    if count <= 0:
-        return []
-    n, k = h.params.n, len(contain)
-    out: list[tuple[int, ...]] = []
-    lo, m = 0, _FIRST_FREE
-    while lo < binom(n - k, 4 - k):
-        hi = binom(min(m, n - k), 4 - k)
-        ranks = edges_through(n, 4, [contain], lo, hi)[0]
-        ones = unrank_rows(ranks[h.colors[ranks] == color], n, 4).tolist()
-        out += [g for g in map(tuple, ones) if g not in excluded]
-        if len(out) >= count:
-            return out[:count]
-        lo, m = hi, 2 * m
+    the already-consumed backings.  They are read from a `CandidateRow` of
+    `contain` started empty, so its `core.row_blocks` blocks are read in
+    order up to the one holding the last edge picked."""
+    row = CandidateRow([], 0, np.asarray(contain), h, color)
+    quads = (unrank_subset(q, h.params.n, 4) for q in row)
+    out = list(itertools.islice((g for g in quads if g not in excluded), count))
+    if len(out) >= count:
+        return out
     raise ReservationUnsatisfiable(
         f"needed {count} color-1 edges around {who}, found {len(out)}",
         detail={"contain": list(contain), "needed": count, "found": len(out)})

@@ -8,12 +8,12 @@ carries no counts: goodness is certified, not counted.
 
 m edges of color i through a k-set prove "at least m"; only an exact
 count proves "fewer than m".  So `_at_least` reads every k-set's edges in
-ascending rank, in blocks: first the C(8, r-k) through its 8 lowest free
-vertices, then, on the k-sets still in doubt, the next ones up to 16, 32,
-... free vertices, under one budget of C(n,r)/8 ranks read, past which
-every k-set is counted at once.  On a random 3-coloring of K_85^4, 6-19
-of the 3,570 pairs stay in doubt after their first block (seeds 0-9), each
-settled by its first 120 of 3,403 edges.
+ascending rank, in the blocks of `core.row_blocks`: first the C(8, r-k)
+through its 8 lowest free vertices, then, on the k-sets still in doubt,
+the next ones up to 16, 32, ... free vertices, under one budget of
+C(n,r)/8 ranks read, past which every k-set is counted at once.  On a
+random 3-coloring of K_85^4, 6-19 of the 3,570 pairs stay in doubt after
+their first block (seeds 0-9), each settled by its first 120 of 3,403 edges.
 
 A block is counted by `_tally` column-major: its colors gathered as an
 (L, M) byte array, one row per witness slot, so each color's count is a
@@ -44,11 +44,11 @@ from .core import (
     InvalidParams,
     Params,
     _BINOM,
-    _FIRST_FREE,
     binom,
     edge_table,
     edges_through,
     rank_rows,
+    row_blocks,
     unrank_rows,
 )
 
@@ -226,26 +226,24 @@ def _pair_rank_matrix(n: int) -> np.ndarray:
 
 
 def _reads_first_blocks(n: int, r: int, k: int) -> bool:
-    """Whether the first blocks of all k-sets, C(f, r-k) ranks each with
-    f = min(_FIRST_FREE, n - k), hold fewer ranks than K_n^r has edges:
-    then `_at_least` reads them from the `_first_block` cache, and the
-    lift reads its windows' rows there too."""
-    return binom(n, k) * binom(min(_FIRST_FREE, n - k), r - k) < binom(n, r)
+    """Whether the first `row_blocks` blocks of all k-sets hold fewer ranks
+    than K_n^r has edges: then `_at_least` reads them from the
+    `_first_block` cache, and the lift reads its windows' rows there too."""
+    return binom(n, k) * row_blocks(n, r, k)[0][1] < binom(n, r)
 
 
 @lru_cache(maxsize=16)
 def _first_block(n: int, r: int, k: int) -> np.ndarray:
-    """Read-only (C(n,k), C(f, r-k)): the first block of every k-set's
-    `edges_through` row, the edges whose free part lies in its f lowest
-    free vertices, f = min(_FIRST_FREE, n - k).
+    """Read-only (C(n,k), C(f, r-k)): the first `row_blocks` block of every
+    k-set's `edges_through` row, the edges whose free part lies in its f
+    lowest free vertices, f = min(8, n - k).
 
     The block is cached column-major and returned as its `.T` view, so
     `_tally` gathers its colors into contiguous byte rows.  Building it
     holds the row-major block and its transposed copy at once: a
     transient peak of twice the cached array, once per (n, r, k).
     """
-    ranks = edges_through(n, r, edge_table(n, k),
-                          stop=binom(min(_FIRST_FREE, n - k), r - k))
+    ranks = edges_through(n, r, edge_table(n, k), *row_blocks(n, r, k)[0])
     ranks = np.ascontiguousarray(ranks.T)
     ranks.setflags(write=False)
     return ranks.T
@@ -265,9 +263,9 @@ def _at_least(h: ColoredHypergraph, k: int, m: int) -> np.ndarray:
 
     m edges of one color through a k-set prove "at least m"; only an
     exact count proves "fewer than m".  So every k-set's row of ascending
-    edge ranks (`edges_through`) is read in blocks: first the edges whose
-    free part lies in its f = 8 lowest free vertices (`_first_block`), then
-    the next ones up to its 2f, 4f, ... lowest, capped at n - k.  A row
+    edge ranks (`edges_through`) is read in its `row_blocks`: first the
+    edges whose free part lies in its 8 lowest free vertices
+    (`_first_block`), then the next ones up to its 16, 32, ... lowest.  A row
     drops out once every color has m; counts only grow, so ">= m" then
     holds for the whole row too.  Every other row is read to its end, where
     its count is exact.  The first blocks are read when they hold fewer
@@ -282,20 +280,17 @@ def _at_least(h: ColoredHypergraph, k: int, m: int) -> np.ndarray:
     if not _reads_first_blocks(n, r, k):
         return subset_color_counts(h, k) >= m
 
-    free = min(_FIRST_FREE, n - k)
-    start = binom(free, r - k)
     counts = _tally(h, _first_block(n, r, k))
     live = np.flatnonzero(_in_doubt(counts, m))
     budget = p.num_edges // 8
-    while live.size and free < n - k:
-        free = min(2 * free, n - k)
-        stop = binom(free, r - k)
+    for start, stop in row_blocks(n, r, k)[1:]:
+        if not live.size:
+            break
         budget -= live.size * (stop - start)
         if budget < 0:
             return subset_color_counts(h, k) >= m
         counts[live] += _tally(h, edges_through(n, r, edge_table(n, k)[live],
                                                 start, stop))
-        start = stop
         live = live[_in_doubt(counts[live], m)]
     return counts >= m
 

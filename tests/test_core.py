@@ -203,6 +203,29 @@ def test_edges_through_spans_several_row_blocks(monkeypatch):
             assert got.tolist() == [rank_subset(s) for s in want]
 
 
+@pytest.mark.parametrize("n,r,fixed,stops", [
+    (40, 4, (3, 17), [28, 120, 496, 703]),     # 8, 16, 32, then all 38 free
+    (85, 4, (0,), [56, 560, 4960, 41664, 95284]),
+    (10, 4, (2, 5), [28]),                     # 8 free vertices: one block
+    (18, 9, (), [0, 11440, 48620]),            # no 9-set inside 8 vertices
+])
+def test_row_blocks_read_the_row_from_its_lowest_free_vertices(n, r, fixed, stops):
+    # each block ends at the last edge whose other vertices lie in the
+    # set's 8, 16, 32, ... lowest free vertices, the last one at the row's end
+    k = len(fixed)
+    blocks = core.row_blocks(n, r, k)
+    assert blocks == tuple(zip([0, *stops], stops))
+    assert core.row_blocks(n, r, k) is blocks
+    row = edges_through(n, r, [fixed])[0]
+    assert len(row) == stops[-1]
+    edges = unrank_rows(row, n, r)
+    free = [v for v in range(n) if v not in fixed]
+    for i, (_, stop) in enumerate(blocks):
+        inside = set(fixed) | set(free[:8 << i])
+        assert all(set(e) <= inside for e in edges[:stop].tolist())
+        assert not any(set(e) <= inside for e in edges[stop:].tolist())
+
+
 def test_params_validation():
     Params(n=5, r=3, t=2, c=2)  # fine
     with pytest.raises(InvalidParams):

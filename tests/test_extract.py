@@ -220,14 +220,15 @@ def test_covering_bound_holds_on_the_census_cores(label, make):
 
 
 def test_lazy_rows_read_only_a_first_block():
-    # every row starts with the edges through the 8 lowest free vertices
-    # and widens, doubling that prefix, only when read past its end
+    # every row starts with its first block, the edges through the 8
+    # lowest free vertices, and reads the next block, through the 16, 32,
+    # then all 38, only when read past its end
     h = random_coloring(Params(n=40, r=4, t=2, c=3), seed=3)
     w = TightCycleWitness(color=1, core=tuple(range(40)), t=2)
     g = build_position_bipartite(w, h)
-    assert {row.free for row in g.adj} == {8}
+    assert {row.read for row in g.adj} == {1}
     full = [list(row) for row in g.adj]          # reading to the end widens
-    assert {row.free for row in g.adj} == {38}
+    assert {row.read for row in g.adj} == {4}
     assert all(row.ranks == got for row, got in zip(g.adj, full))
 
 
@@ -254,5 +255,5 @@ def test_first_block_rows_on_both_sides_of_the_gate(monkeypatch, params, reads_c
     stop = binom(min(8, params.n - params.t), params.r - params.t)
     for win, row in zip(cycle_windows(w.core, w.t), g.adj):
         ranks = edges_through(params.n, params.r, [win], stop=stop)[0]
-        assert row.free == min(8, params.n - params.t)
+        assert row.read == 1
         assert row.ranks == ranks[h.colors[ranks] == w.color].tolist()

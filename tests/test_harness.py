@@ -72,6 +72,23 @@ def test_oracle_k4_4_nonexistent_for_any_coloring():
         assert brute_force_exists(h) is None
 
 
+@pytest.mark.parametrize("n,fallbacks", [
+    # K_2^2: the good-graph search has no cycle to find below 3 vertices
+    (2, [{"stage": "good-graph", "color": 1, "status": "none", "expansions": 0}]),
+    # at n = r the one edge holds every window: position 0 takes it and
+    # the lift leaves every other position unmatched
+    *((n, [{"stage": "good-graph", "color": 1, "status": "found", "expansions": n - 1},
+           {"stage": "extract", "color": 1, "status": "matching-incomplete",
+            "unmatched": list(range(1, n))}]) for n in (3, 4)),
+])
+def test_one_edge_k_n_n_is_nonexistent_through_the_oracle(n, fallbacks):
+    h = ColoredHypergraph(Params(n=n, r=n, t=n, c=1), np.ones(1, dtype=np.uint8))
+    res = find_certificate(h)
+    assert (res.status, res.certificate) == ("nonexistent", None)
+    assert res.trace.branch == "oracle"
+    assert res.trace.fallbacks == fallbacks
+
+
 def test_oracle_five_five_split_golden():
     # rank-alternating 2-coloring of K_5^3; verdict frozen at first run
     p = Params(n=5, r=3, t=2, c=2)

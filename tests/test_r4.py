@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from bergecycles import r4
+from bergecycles import extract, r4
 from bergecycles.core import (
     ColoredHypergraph,
     InvalidParams,
@@ -25,6 +25,7 @@ from bergecycles.extract import MatchingIncomplete
 from bergecycles.hamilton import SimpleGraph
 from bergecycles.harness import find_certificate, structured_colorings
 from bergecycles.r4 import (
+    BClassification,
     ExtensionFailed,
     FallbackExhausted,
     PivotInvariantViolation,
@@ -414,6 +415,30 @@ def test_construction_case2_half_cover_window():
     res = found(h)
     assert res.trace.branch == "case-2"
     assert res.trace.subcase["w"] is not None
+
+
+@pytest.mark.parametrize("perm", [(2, 1, 3), (3, 1, 2)])
+def test_case2_early_exit_reads_the_b_class_of_the_pivot_color(monkeypatch, perm):
+    # the half-cover window exits early when every U123 vertex lies in B1
+    # under the pivot's renaming, B_k of the input with k = sel.color.  The
+    # window fixture recolored so sel.color = 3, with classify_and_pivot
+    # patched to put U123 in B_3 alone: only the lookup by sel.color sees it
+    base = u_profile(n=85, k23=1, k12=1, k13=40)
+    h = ColoredHypergraph(base.params, np.array((0, *perm), dtype=np.uint8)[base.colors])
+    colors = []
+
+    def pivot(profiles, _real=classify_and_pivot):
+        bc, sel = _real(profiles)
+        colors.append(sel.color)
+        classes = [sel.U123 if k == sel.color else () for k in (1, 2, 3)]
+        return BClassification(*classes, B4=(), remainder=bc.remainder), sel
+
+    monkeypatch.setattr(r4, "classify_and_pivot", pivot)
+    res = found(h)
+    monkeypatch.undo()
+    assert colors == [3]
+    assert res.trace.branch == "case-2"
+    assert res.trace.subcase == {"case": 2, "early_exit": True}
 
 
 def test_repair_adds_the_pair_and_sends_the_rest_of_its_edge_to_d():
@@ -966,14 +991,15 @@ def ref_reserve(h, color, contain, count, excluded, who):
 
 
 def _spy_reads(monkeypatch):
-    """Record (fixed set, start, stop) of every r4.edges_through call."""
+    """Record (fixed set, start, stop) of every edges_through call the
+    candidate rows make, where `_reserve` reads its row."""
     reads = []
 
-    def through(n, r, fixed, start=0, stop=None, _real=r4.edges_through):
+    def through(n, r, fixed, start=0, stop=None, _real=extract.edges_through):
         reads.append((tuple(fixed[0]), start, stop))
         return _real(n, r, fixed, start, stop)
 
-    monkeypatch.setattr(r4, "edges_through", through)
+    monkeypatch.setattr(extract, "edges_through", through)
     return reads
 
 
@@ -1007,6 +1033,7 @@ def test_reserve_crosses_blocks_as_the_whole_row_does(monkeypatch, contain):
         got = outcome(r4._reserve, count)
         monkeypatch.undo()
         assert got == outcome(ref_reserve, count)
+        assert reads and {fixed for fixed, _, _ in reads} == {contain}
         _assert_prefix_blocks(reads, 40)
     assert outcome(r4._reserve, len(ones) - 3)[-1] == ones[-1]
 
@@ -1014,20 +1041,27 @@ def test_reserve_crosses_blocks_as_the_whole_row_does(monkeypatch, contain):
 @pytest.mark.parametrize("label,make", _case_fixtures())
 def test_reservations_read_only_prefix_blocks(monkeypatch, label, make):
     # each reservation equals the whole-row reference's, and its reads are
-    # prefix blocks; u23's reads stop short of its 95,284-edge row
-    calls = []
+    # prefix blocks of its own set; u23's reads stop short of its
+    # 95,284-edge row.  The lift's widening reads reach the same spy, so
+    # only the reads made inside a reservation are kept
+    calls, reads = [], []
 
     def reserve(*args, _real=r4._reserve):
+        first = len(seen)
         calls.append((args, _real(*args)))
+        reads.extend(seen[first:])
+        assert {fixed for fixed, _, _ in seen[first:]} <= {args[2]}
         return calls[-1][1]
 
-    reads = _spy_reads(monkeypatch)
+    seen = _spy_reads(monkeypatch)
     monkeypatch.setattr(r4, "_reserve", reserve)
     res = found(make())
     monkeypatch.undo()
     assert calls
     for args, got in calls:
         assert got == ref_reserve(*args)
+    assert {fixed for fixed, _, _ in reads} == {
+        args[2] for args, _ in calls if args[3] > 0}
     _assert_prefix_blocks(reads, 85)
     u23 = res.trace.subcase.get("u23")
     if u23 is not None and res.trace.subcase["l"]:
@@ -1109,6 +1143,32 @@ def test_vertex_route_scans_equal_the_per_quad_loops(monkeypatch, run, scans):
     monkeypatch.undo()
     assert {name for name, _ in calls} == scans
     _assert_scans_match(calls)
+
+
+@pytest.mark.parametrize("params,match", [
+    (Params(n=84, r=4, t=2, c=3), "need n >= 85, got n=84"),
+    (Params(n=85, r=4, t=2, c=2), "need r=4 and c=3, got r=4, c=2"),
+    (Params(n=20, r=5, t=2, c=3), "need r=4 and c=3, got r=5, c=3"),
+])
+def test_r4_find_rejects_shapes_outside_its_domain(params, match):
+    with pytest.raises(InvalidParams, match=match):
+        r4_find(random_coloring(params, seed=0))
+
+
+def test_vertex_route_rejects_a_vertex_on_two_edges_of_its_color():
+    colors = np.full(binom(12, 4), 2, dtype=np.uint8)
+    colors[[rank_subset((0, 1, 2, 3)), rank_subset((0, 1, 2, 4))]] = 1
+    h = ColoredHypergraph(Params(n=12, r=4, t=2, c=3), colors)
+    with pytest.raises(InvalidParams, match="vertex 0 touches 2 edges of color 1"):
+        r4.lemma_a_construct(h, 0, 1)
+
+
+@pytest.mark.parametrize("params", [Params(n=12, r=4, t=2, c=2),
+                                    Params(n=12, r=4, t=3, c=3)])
+def test_u_profiles_need_a_pair_shadow_of_three_colors(params):
+    s = build_shadow(random_coloring(params, seed=0), params.t)
+    with pytest.raises(InvalidParams, match=f"got t={params.t}, c={params.c}"):
+        compute_u_profiles(s)
 
 
 def test_r4_find_rejects_a_negative_budget():
