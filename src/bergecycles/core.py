@@ -92,18 +92,7 @@ def rank_subset(s: Sequence[int], n: int | None = None) -> int:
 
 def unrank_subset(rank: int, n: int, size: int) -> tuple[int, ...]:
     """Inverse of rank_subset: the k-subset of {0..n-1} with the given colex rank."""
-    if not 0 <= rank < binom(n, size):
-        raise ValueError(f"rank {rank} out of range for C({n},{size})")
-    out = [0] * size
-    m = n
-    rest = rank
-    for j in range(size, 0, -1):
-        m -= 1
-        while binom(m, j) > rest:
-            m -= 1
-        rest -= binom(m, j)
-        out[j - 1] = m
-    return tuple(out)
+    return tuple(unrank_rows([rank], n, size)[0].tolist())
 
 
 @lru_cache(maxsize=64)
@@ -208,10 +197,14 @@ def unrank_rows(ranks, n: int, k: int) -> np.ndarray:
 
     Column j-1 holds the largest v with C(v, j) <= the rank left after the
     columns above it, found by one searchsorted per column over C(., j).
+    The columns are those of the binomial table, so n is at most MAX_N.
     """
-    rest = np.array(ranks, dtype=np.int64)
+    if n > MAX_N:
+        raise ValueError(f"n={n} exceeds table bound {MAX_N}")
+    rest = np.array(ranks)          # checked before int64 can overflow
     if rest.size and not (0 <= rest.min() and rest.max() < binom(n, k)):
         raise ValueError(f"ranks out of range for C({n},{k})")
+    rest = rest.astype(np.int64, copy=False)
     out = np.empty((len(rest), k), dtype=np.intp)
     for j in range(k, 0, -1):
         col = _BINOM[:n, j]
@@ -258,9 +251,6 @@ class ColoredHypergraph:
             raise InvalidParams("colors must lie in 1..c")
         colors.setflags(write=False)
         object.__setattr__(self, "colors", colors)
-
-    def color_of_rank(self, rank: int) -> int:
-        return int(self.colors[rank])
 
     def color_of(self, edge: Iterable[int]) -> int:
         return int(self.colors[rank_subset(tuple(sorted(edge)))])

@@ -1,4 +1,4 @@
-"""Hamiltonicity: degree-condition checks and cycle search.
+"""Hamiltonicity: Hamiltonian-cycle and tight-cycle search.
 
 After a degree/connectivity shortcut for "none", two engines, tried in
 order of cost:
@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -45,11 +45,6 @@ class SimpleGraph:
     rows: list[int]
 
     @classmethod
-    def complete(cls, n: int) -> "SimpleGraph":
-        full = (1 << n) - 1
-        return cls(n, [full ^ (1 << v) for v in range(n)])
-
-    @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> "SimpleGraph":
         """The graph of a symmetric n x n bool adjacency matrix: each row
         packs little-endian into the bitmask int of its vertex."""
@@ -58,13 +53,6 @@ class SimpleGraph:
             raise ValueError(f"loop at vertex {loops[0]}")
         rows = np.packbits(adj, axis=1, bitorder="little")
         return cls(len(adj), [int.from_bytes(r.tobytes(), "little") for r in rows])
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
-        uv = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
-        adj = np.zeros((n, n), dtype=bool)
-        adj[uv[:, 0], uv[:, 1]] = adj[uv[:, 1], uv[:, 0]] = True
-        return cls.from_adjacency(adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -88,18 +76,6 @@ class SimpleGraph:
             frontier = grow & ~seen
             seen |= grow
         return seen == (1 << self.n) - 1
-
-
-def chvatal_holds(d: Sequence[int]) -> bool:
-    """Chvátal's Hamiltonicity condition: for 1 <= i < n/2, d_i > i or d_{n-i} >= n-i."""
-    degs = sorted(d)
-    n = len(degs)
-    if n < 3:
-        raise ValueError(f"degree condition needs n >= 3, got n={n}")
-    for i in range(1, (n + 1) // 2):     # i <= (n-1)/2, so i < n/2
-        if degs[i - 1] <= i and degs[n - i - 1] < n - i:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,10 @@ from .r4 import (
     ConstructionTrace,
     SearchResult,
     Unresolved,
-    _pair_rank_matrix,
     r4_find,
     shadow_guided_cert,
 )
-from .shadow import MAX_COLORS, _at_least, build_shadow
+from .shadow import MAX_COLORS, _at_least, _pair_rank_matrix, build_shadow
 
 ORACLE_MAX_N = 10
 
@@ -276,8 +275,8 @@ def structured_colorings(kind: str, params: dict):
     "majority" (most common part among the edge's vertices), "near-mono"
     (one off-color edge, streaming over its position), "pair-lock" (every
     edge through one pair gets a single color), and "u-profile"
-    (engineered pivot profiles for the K_n^4 construction; 4-uniform,
-    3 colors only).  "partition" and "majority" yield one coloring and
+    (engineered pivot profiles for the K_n^4 construction; r = 4, c = 3
+    and t = 2 only).  "partition" and "majority" yield one coloring and
     "near-mono" one per edge (one, the monochromatic coloring, at c = 1);
     the others never end.
     """
@@ -399,7 +398,7 @@ _W, _T, _Y, _Z = 0, 1, 2, 3
 
 
 def _u_profile_family(params: dict):
-    """Colorings of K_n^4 (3 colors) whose pivot 0 has a chosen profile.
+    """Colorings of K_n^4 (3 colors, t = 2) whose pivot 0 has a chosen profile.
 
     k23/k12/k13 set the mixed-class sizes at vertex 0; every other vertex
     sees all three colors on all its pairs.  Optional degree engineering:
@@ -410,6 +409,8 @@ def _u_profile_family(params: dict):
     recomputed shadow before it leaves the generator.
     """
     n = params["n"]
+    if (params.get("r", 4), params.get("t", 2), params.get("c", 3)) != (4, 2, 3):
+        raise InvalidParams("u-profile colors K_n^4 with 3 colors at t = 2 only")
     try:
         k23, k12, k13 = params["k23"], params["k12"], params["k13"]
     except KeyError as exc:

@@ -65,9 +65,6 @@ class ShadowMulticoloring:
         mask = int(self.goodmask[rank])
         return tuple(i for i in range(1, self.params.c + 1) if mask >> (i - 1) & 1)
 
-    def is_good(self, rank: int, color: int) -> bool:
-        return bool(self.goodmask[rank] >> (color - 1) & 1)
-
 
 def _pack_goodmask(good: np.ndarray) -> np.ndarray:
     """(N,) uint32 from an (N, c) bool array: bit i-1 set iff column i-1 is."""

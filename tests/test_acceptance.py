@@ -24,7 +24,6 @@ from bergecycles.core import (
 from bergecycles.extract import MatchingIncomplete, extend_tight_cycle
 from bergecycles.hamilton import (
     SimpleGraph,
-    chvatal_holds,
     find_hamiltonian_cycle,
     find_mono_ham_tight_cycle,
 )
@@ -36,6 +35,8 @@ from bergecycles.harness import (
 )
 from bergecycles.r4 import r4_find
 from bergecycles.shadow import build_shadow
+from test_core import loop_verify
+from test_hamilton import chvatal_holds
 
 
 # ---------------------------------------------------------------------------
@@ -56,34 +57,6 @@ def _mono_certificate(r, t, n):
     except MatchingIncomplete:
         return None, None
     return cert, h
-
-
-def _locally_invalid(cert, h):
-    """Re-derive invalidity from first principles, without the verifier.
-
-    Mutants that remain valid certificates must be skipped, not counted, so
-    this check is the arbiter of what counts as a rejection test case.
-    """
-    p = h.params
-    n, r = p.n, p.r
-    if not 2 <= cert.t <= r or not 1 <= cert.color <= p.c:
-        return True
-    if len(cert.core) != n or sorted(cert.core) != list(range(n)):
-        return True
-    if len(cert.edges) != n or len(set(cert.edges)) != n:
-        return True
-    for e in cert.edges:
-        if len(e) != r or len(set(e)) != r or list(e) != sorted(e):
-            return True
-        if e[0] < 0 or e[-1] >= n:
-            return True
-        if h.color_of_rank(rank_subset(e, n)) != cert.color:
-            return True
-    for i in range(n):
-        win = {cert.core[(i + j) % n] for j in range(cert.t)}
-        if not win <= set(cert.edges[i]):
-            return True
-    return False
 
 
 def _mut_dup_edge(rng, cert, p):
@@ -176,7 +149,7 @@ def test_criterion_1_verifier_rejects_single_mutations():
         while per_combo < 40 and attempts < 400:
             attempts += 1
             mut = _MUTATORS[int(rng.integers(len(_MUTATORS)))](rng, cert, h.params)
-            if mut is None or not _locally_invalid(mut, h):
+            if mut is None or loop_verify(mut, h) is None:
                 continue    # the mutation landed on another valid certificate
             per_combo += 1
             if verify_berge_certificate(mut, h) is None:

@@ -75,9 +75,14 @@ def test_rank_rejects_bad_input():
         unrank_subset(10, 5, 3)
     with pytest.raises(ValueError):
         unrank_subset(-1, 5, 3)
-    for ranks in ([10], [0, -1]):
+    for ranks in ([10], [0, -1], [2**64]):     # 2**64: no int64 overflow first
         with pytest.raises(ValueError):
             unrank_rows(ranks, 5, 3)
+    # past MAX_N the table once clipped: [[128, 128]] for (148, 149)
+    with pytest.raises(ValueError, match="exceeds table bound"):
+        unrank_rows([binom(150, 2) - 1], 150, 2)
+    with pytest.raises(ValueError, match="exceeds table bound"):
+        unrank_subset(binom(150, 2) - 1, 150, 2)
 
 
 @given(st.sets(st.integers(0, 60), min_size=1, max_size=6))
@@ -261,7 +266,7 @@ def test_hypergraph_validation_and_recolor():
     recolored = h.colors.copy()
     recolored[0] = 2
     h2 = ColoredHypergraph(p, recolored)
-    assert h.color_of_rank(0) == 1 and h2.color_of_rank(0) == 2
+    assert h.colors[0] == 1 and h2.colors[0] == 2
     assert h2.color_of((2, 1, 0)) == 2  # unsorted input is sorted internally
     with pytest.raises(ValueError):
         h.colors[0] = 2  # immutable storage
@@ -273,7 +278,7 @@ def test_hypergraph_copies_a_writeable_input():
     h = ColoredHypergraph(p, colors)
     colors[0] = 2                       # the caller's array stays its own
     assert colors.flags.writeable and not np.shares_memory(colors, h.colors)
-    assert h.color_of_rank(0) == 1 and not h.colors.flags.writeable
+    assert h.colors[0] == 1 and not h.colors.flags.writeable
     frozen = h.colors
     assert ColoredHypergraph(p, frozen).colors is frozen   # read-only: shared
 
@@ -383,7 +388,7 @@ def loop_verify(cert, h):
             return f"edge {i} duplicates another certificate edge: {e}"
         seen.add(e)
     for i, e in enumerate(cert.edges):
-        if h.color_of_rank(rank_subset(e)) != cert.color:
+        if h.colors[rank_subset(e)] != cert.color:
             return f"edge {i} does not have color {cert.color}: {e}"
     for i in range(n):
         window = {core[(i + j) % n] for j in range(t)}

@@ -19,7 +19,6 @@ from bergecycles.hamilton import (
     SimpleGraph,
     _peel_closure_cycle,
     bondy_chvatal_closure,
-    chvatal_holds,
     find_hamiltonian_cycle,
     find_mono_ham_tight_cycle,
     good_pair_graph,
@@ -28,15 +27,33 @@ from bergecycles.harness import _coloring_for_trial
 from bergecycles.shadow import build_shadow
 
 
+def graph(n, edges):
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return SimpleGraph(n, rows)
+
+
+def complete(n):
+    return graph(n, itertools.combinations(range(n), 2))
+
+
+def chvatal_holds(d):
+    """Chvátal's Hamiltonicity condition: for 1 <= i < n/2, d_i > i or d_{n-i} >= n-i."""
+    d, n = sorted(d), len(d)
+    return all(d[i - 1] > i or d[n - i - 1] >= n - i for i in range(1, (n + 1) // 2))
+
+
 def cycle_graph(n):
-    return SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def petersen():
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
-    return SimpleGraph.from_edges(10, edges)
+    return graph(10, edges)
 
 
 def is_cycle_of(g, cycle):
@@ -57,22 +74,9 @@ def hamiltonian_oracle(g):
     return False
 
 
-def test_chvatal_reference_values():
-    assert chvatal_holds((3, 3, 3, 3)) is True           # K_4
-    assert chvatal_holds((2, 2, 2, 2, 2)) is False       # C_5: sufficient, not necessary
-    assert chvatal_holds((1, 1, 2)) is False             # path on 3 vertices
-    assert chvatal_holds(SimpleGraph.complete(6).degrees())
-    with pytest.raises(ValueError):
-        chvatal_holds((1, 1))
-
-
-def test_chvatal_unsorted_input_is_sorted():
-    assert chvatal_holds([3, 3, 3, 3]) == chvatal_holds([3, 3, 3, 3][::-1])
-
-
 def test_find_on_complete_graph():
-    res = find_hamiltonian_cycle(SimpleGraph.complete(5))
-    assert res.status == "found" and is_cycle_of(SimpleGraph.complete(5), res.cycle)
+    res = find_hamiltonian_cycle(complete(5))
+    assert res.status == "found" and is_cycle_of(complete(5), res.cycle)
 
 
 def test_find_on_cycle_graph():
@@ -87,9 +91,9 @@ def test_petersen_is_not_hamiltonian():
 
 
 def test_low_degree_and_disconnection_shortcut():
-    g = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])  # path: degree-1 ends
+    g = graph(4, [(0, 1), (1, 2), (2, 3)])  # path: degree-1 ends
     assert find_hamiltonian_cycle(g).status == "none"
-    g2 = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    g2 = graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     assert find_hamiltonian_cycle(g2).status == "none"
 
 
@@ -166,11 +170,11 @@ def test_route_names_the_engine_that_decided():
         res = find_hamiltonian_cycle(good_pair_graph(build_shadow(h, 2), color))
         assert (res.status, res.route) == (status, "backtracking")
         assert res.expansions > 0
-    assert find_hamiltonian_cycle(SimpleGraph.complete(5)).route == "closure-peel"
+    assert find_hamiltonian_cycle(complete(5)).route == "closure-peel"
     assert find_hamiltonian_cycle(cycle_graph(5)).route == "backtracking"
     assert find_hamiltonian_cycle(petersen(), budget=3).route == "backtracking"
     # the degree/connectivity shortcut names no engine
-    two = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    two = graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     assert find_hamiltonian_cycle(two) == HamiltonSearch("none", None, 0, None)
 
 
@@ -183,7 +187,7 @@ def test_closure_adds_nothing_below_threshold():
 def test_closure_route_on_dense_graph():
     # complete graph minus a perfect matching: degrees n-2, closure completes
     n = 10
-    g = SimpleGraph.complete(n)
+    g = complete(n)
     for v in range(0, n, 2):
         g.rows[v] &= ~(1 << (v + 1))
         g.rows[v + 1] &= ~(1 << v)
@@ -198,10 +202,10 @@ def test_peel_removes_the_wrap_edge_in_either_orientation(removed):
     # the removed edge closes the cycle (cyc[-1], cyc[0]): the path to repair
     # runs 0..4, and the first crossing chord pair reverses its tail
     n = 5
-    rows = SimpleGraph.complete(n).rows
+    rows = complete(n).rows
     cyc = _peel_closure_cycle(rows, [removed], list(range(n)))
     assert cyc == [0, 1, 4, 3, 2]
-    g = SimpleGraph.complete(n)
+    g = complete(n)
     g.rows[0] &= ~(1 << 4)
     g.rows[4] &= ~(1 << 0)
     assert is_cycle_of(g, cyc)
@@ -209,8 +213,7 @@ def test_peel_removes_the_wrap_edge_in_either_orientation(removed):
 
 def _graph_from_mask(n, mask):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return SimpleGraph.from_edges(
-        n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+    return graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
 
 
 @given(st.integers(0, 2**15 - 1))
@@ -266,12 +269,12 @@ def test_good_pair_graph_matches_edge_by_edge(n, r, c):
     s = build_shadow(h, 2)
     rows = {}
     for color in range(1, c + 1):
-        ref = SimpleGraph.from_edges(n, [unrank_subset(k, n, 2) for k in range(binom(n, 2))
-                                         if s.is_good(k, color)])
+        ref = graph(n, [unrank_subset(k, n, 2) for k in range(binom(n, 2))
+                        if s.goodmask[k] >> (color - 1) & 1])
         rows[color] = good_pair_graph(s, color).rows
         assert rows[color] == ref.rows
     if n == 3:
-        assert rows == {1: SimpleGraph.complete(3).rows, 2: [0, 0, 0]}
+        assert rows == {1: complete(3).rows, 2: [0, 0, 0]}
 
 
 def test_tight_cycle_t3_single_color():
@@ -286,7 +289,7 @@ def test_tight_cycle_t3_single_color():
     # every consecutive window is good per the shadow itself
     for i in range(6):
         win = tuple(sorted(w.core[(i + j) % 6] for j in range(3)))
-        assert s.is_good(rank_subset(win), 1)
+        assert s.goodmask[rank_subset(win)] & 1
 
 
 def test_tight_cycle_t3_respects_bad_windows():
@@ -300,7 +303,7 @@ def test_tight_cycle_t3_respects_bad_windows():
             w = res.witness
             for i in range(7):
                 win = tuple(sorted(w.core[(i + j) % 7] for j in range(3)))
-                assert s.is_good(rank_subset(win), color)
+                assert s.goodmask[rank_subset(win)] >> (color - 1) & 1
 
 
 def test_tight_cycle_budget_report():

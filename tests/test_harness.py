@@ -663,6 +663,8 @@ def test_u_profile_rejects_infeasible_requests():
         {"n": 85, "k23": 1, "k12": 1, "k13": 41, "deg_w": 5},
         {"n": 85, "k23": 1, "k12": 1, "k13": 41, "deg_w2": 1},
         {"n": 85, "k23": 0, "k12": 1, "k13": 42, "deg_w2": 1},
+        *({"n": 40, "k23": 0, "k12": 1, "k13": 20, **shape}   # once K_40^4, c = 3
+          for shape in ({"r": 5, "c": 2}, {"r": 5}, {"t": 3}, {"c": 2})),
     ):
         with pytest.raises(InvalidParams):
             next(structured_colorings("u-profile", bad))
@@ -778,6 +780,7 @@ def test_stress_rejects_more_than_32_colors_before_any_trial(monkeypatch):
 @pytest.mark.parametrize("generator,params,message", [
     ("bogus", Params(n=6, r=3, t=2, c=2), "unknown generator kind: 'bogus'"),
     ("u-profile", Params(n=85, r=4, t=2, c=3), "u-profile needs class sizes"),
+    ("u-profile", Params(n=40, r=5, t=2, c=2), "3 colors at t = 2 only"),
 ])
 @pytest.mark.parametrize("trials", [0, 3])
 def test_stress_rejects_an_unusable_generator_before_any_trial(monkeypatch, generator,

@@ -3,8 +3,11 @@
 Each test starts a fresh interpreter with -O (which strips `assert`), forces
 one guard to fail by patching the module it lives in, and expects an
 `InternalError` (a `ContractBreach`) instead of an unverified result.
+The last test checks that every definition in src/ has a reader outside
+the tests.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -13,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def run_optimized(code: str) -> subprocess.CompletedProcess:
@@ -91,20 +95,20 @@ def test_extend_tight_cycle_guards(patch, message):
     ("""
         from bergecycles import hamilton
         hamilton._peel_closure_cycle = lambda rows, added, cycle: [0, 1, 2, 3, 3]
-        hamilton.find_hamiltonian_cycle(hamilton.SimpleGraph.complete(5))
+        k5 = [0b11111 ^ 1 << v for v in range(5)]
+        hamilton.find_hamiltonian_cycle(hamilton.SimpleGraph(5, k5))
     """, "closure peel returned a non-Hamiltonian cycle: [0, 1, 2, 3, 3]"),
     ("""
         from bergecycles import hamilton
         # two triangles sharing vertex 2, with a closure that claims K_5
-        bowtie = hamilton.SimpleGraph.from_edges(
-            5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+        bowtie = hamilton.SimpleGraph(5, [0b110, 0b101, 0b11011, 0b10100, 0b1100])
         hamilton.bondy_chvatal_closure = lambda g: (
-            hamilton.SimpleGraph.complete(5).rows, [(0, 3), (0, 4), (1, 3), (1, 4)])
+            [0b11111 ^ 1 << v for v in range(5)], [(0, 3), (0, 4), (1, 3), (1, 4)])
         hamilton.find_hamiltonian_cycle(bowtie)
     """, "closure peel found no crossing chord for added edge (0, 3)"),
     ("""
         from bergecycles import hamilton
-        c6 = hamilton.SimpleGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+        c6 = hamilton.SimpleGraph(6, [1 << (v - 1) % 6 | 1 << (v + 1) % 6 for v in range(6)])
         hamilton._backtrack_hamilton = lambda g, budget: hamilton.HamiltonSearch(
             "found", (0, 1, 2, 3, 5, 4), 7)
         hamilton.find_hamiltonian_cycle(c6)
@@ -123,3 +127,31 @@ def test_returned_result_guards(code, message):
     """)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip() == message
+
+
+def test_every_src_definition_has_a_reader():
+    # each function, class and method in src/ serves src/, scripts/ or the
+    # benchmark; one that only tests read belongs in the tests.  A module
+    # reads the names, attributes, imports and strings (the tracer's keys)
+    # it holds; the package's public names and dunders need no reader
+    from bergecycles import _MODULE
+    package = sorted((SRC / "bergecycles").glob("*.py"))
+    bench = [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
+    read = set(_MODULE)
+    for path in [*package, *(ROOT / "scripts").glob("*.py"), *bench]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    defs = [(path.stem, node) for path in package for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    defs += [(f"{where}.{cls.name}", m) for where, cls in defs if isinstance(cls, ast.ClassDef)
+             for m in cls.body if isinstance(m, ast.FunctionDef)]
+    unread = [f"{where}.{node.name}" for where, node in defs if node.name not in read
+              and not node.name[:2] == node.name[-2:] == "__"]
+    assert unread == []

@@ -548,14 +548,14 @@ def test_goodness_boundary_single_case():
     s = build_shadow(h, 2)
     pair = rank_subset((0, 1))
     assert subset_color_counts(h, 2)[pair, 1] == 3
-    assert s.is_good(pair, 2)
+    assert s.goodmask[pair] >> 1 & 1
     # drop one: exactly r-t = 2 edges -> no longer good
     colors = colors.copy()
     colors[rank_subset(target[-1])] = 1
     h2 = ColoredHypergraph(p, colors)
     s2 = build_shadow(h2, 2)
     assert subset_color_counts(h2, 2)[pair, 1] == 2
-    assert not s2.is_good(pair, 2)
+    assert not s2.goodmask[pair] >> 1 & 1
 
 
 @given(st.integers(0, 10**6))
