@@ -99,23 +99,27 @@ def unrank_subset(rank: int, n: int, size: int) -> tuple[int, ...]:
 def edge_table(n: int, k: int) -> np.ndarray:
     """All k-subsets of {0..n-1} as a read-only (C(n,k), k) uint8 array in colex order.
 
-    One array, filled in place block by block through colex nesting: the
+    Stored column by column: the table is the transposed view of one
+    (k, C(n,k)) buffer, so each column is contiguous and the rows are not.
+    It is filled in place block by block through colex nesting: the
     k-subsets of {0..m-1} are the first C(m,k) rows of the table for any
     larger ground set, so the rows with top vertex m, [C(m,k), C(m+1,k)),
     are the first C(m,k-1) rows of the (cached) (k-1)-table with m appended.
-    Entries wrap past 255: cast before doing arithmetic on them.
+    Each block is k - 1 contiguous copies from the (k-1)-table's columns
+    and one contiguous fill of m.  Entries wrap past 255: cast before doing
+    arithmetic on them.
     """
     if n > MAX_N:
         raise InvalidParams(f"n={n} exceeds table bound {MAX_N}")
-    tab = np.empty((binom(n, k), k), dtype=np.uint8)
+    cols = np.empty((k, binom(n, k)), dtype=np.uint8)
     if k:                                # the one 0-subset has no columns
-        low = edge_table(n, k - 1)
+        low = edge_table(n, k - 1).T
         for m in range(k - 1, n):
             rows = slice(binom(m, k), binom(m + 1, k))
-            tab[rows, :-1] = low[:binom(m, k - 1)]
-            tab[rows, -1] = m
-    tab.setflags(write=False)
-    return tab
+            cols[:-1, rows] = low[:, :binom(m, k - 1)]
+            cols[-1, rows] = m
+    cols.setflags(write=False)
+    return cols.T
 
 
 def edges_through(n: int, r: int, fixed_sets, start: int = 0,

@@ -128,27 +128,40 @@ def bondy_chvatal_closure(g: SimpleGraph) -> tuple[list[int], list[tuple[int, in
 
 def _peel_closure_cycle(rows_closed: list[int], added: list[tuple[int, int]],
                         cycle: list[int]) -> list[int]:
-    """Undo closure additions in reverse, repairing the cycle at each removal."""
+    """Undo closure additions in reverse, repairing the cycle at each removal.
+
+    `nbrs[v]` holds the bits of v's two neighbours on the current cycle, so
+    an added edge off the cycle costs one bit test.
+    """
     rows = list(rows_closed)
     cyc = cycle
     n = len(cyc)
+    nbrs = [0] * n
+    for i, v in enumerate(cyc):
+        nbrs[v] = 1 << cyc[i - 1] | 1 << cyc[(i + 1) % n]
     for u, v in reversed(added):
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
+        if not nbrs[u] >> v & 1:
+            continue
         # the edge joins cyc[pos] and cyc[pos + 1]; pos = -1 and pos = n - 1
         # slice out the same path below
         pos = cyc.index(u)
         if cyc[(pos + 1) % n] != v:
             pos -= 1
-            if cyc[pos] != v:
-                continue
         # path from one endpoint to the other, the removed edge now absent
         path = cyc[pos + 1:] + cyc[:pos + 1]
         a, b = path[0], path[-1]
         # degree sum >= n at insertion time guarantees a crossing chord pair
         for j in range(1, n - 1):
-            if rows[b] >> path[j] & 1 and rows[a] >> path[j + 1] & 1:
+            p, q = path[j], path[j + 1]
+            if rows[b] >> p & 1 and rows[a] >> q & 1:
                 cyc = path[:j + 1] + path[j + 1:][::-1]
+                # the cycle loses a-b and p-q and gains b-p and a-q
+                nbrs[a] ^= 1 << b | 1 << q
+                nbrs[b] ^= 1 << a | 1 << p
+                nbrs[p] ^= 1 << q | 1 << b
+                nbrs[q] ^= 1 << p | 1 << a
                 break
         else:
             raise InternalError(

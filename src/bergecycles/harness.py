@@ -353,11 +353,22 @@ def _majority_family(params: dict):
     parts = _parts(params, p)
 
     def make(_):
-        label = edge_table(p.n, p.r).astype(np.int64) * parts // p.n
-        counts = np.stack([(label == k).sum(axis=1) for k in range(parts)],
-                          axis=1)
-        return ColoredHypergraph(
-            p, (np.argmax(counts, axis=1) + 1).astype(np.uint8))
+        # vertex v lies in part v * parts // n; count each edge's vertices
+        # per part one table column at a time, then keep the first part
+        # with the most (a later part wins only with strictly more)
+        counts = np.zeros((parts, p.num_edges), dtype=np.uint8)
+        for col in edge_table(p.n, p.r).T:
+            label = col.astype(np.uint16)
+            label *= parts
+            label //= p.n
+            for k, row in enumerate(counts):
+                row += label == k
+        colors = np.ones(p.num_edges, dtype=np.uint8)
+        best = counts[0]
+        for k in range(1, parts):
+            colors[counts[k] > best] = k + 1
+            np.maximum(best, counts[k], out=best)
+        return ColoredHypergraph(p, colors)
     return 1, make
 
 

@@ -78,7 +78,8 @@ def _subset_keys(n: int, k: int, cols: tuple[int, ...], c: int) -> np.ndarray:
     {0..n-2}, in the smallest signed type that also holds a key plus a
     color 1..c (every such sum is below C(n-1, len(cols)) * c).
 
-    The rows are a prefix of the cached edge_table(n, k).
+    The k-subsets are the first C(n-1, k) rows of the cached
+    edge_table(n, k), read one contiguous column at a time.
     """
     top = binom(n - 1, len(cols)) * c - 1
     dtype = next(d for d in (np.int16, np.int32, np.int64)
@@ -310,10 +311,9 @@ def build_shadow(h: ColoredHypergraph, t: int) -> ShadowMulticoloring:
 def dump_shadow(h: ColoredHypergraph, s: ShadowMulticoloring, fh) -> None:
     """Write one line per t-set: `v1 .. vt : counts.. : good colors..`,
     the counts exact from `subset_color_counts`."""
-    tab = edge_table(s.params.n, s.t)
-    counts = subset_color_counts(h, s.t)
-    for rank in range(len(tab)):
-        verts = " ".join(str(int(v)) for v in tab[rank])
-        cnts = " ".join(str(int(x)) for x in counts[rank])
-        goods = " ".join(str(i) for i in s.good_colors(rank))
+    rows = edge_table(s.params.n, s.t).tolist()
+    counts = subset_color_counts(h, s.t).tolist()
+    for rank, (verts, cnts) in enumerate(zip(rows, counts)):
+        verts, cnts = " ".join(map(str, verts)), " ".join(map(str, cnts))
+        goods = " ".join(map(str, s.good_colors(rank)))
         fh.write(f"{verts} : {cnts} : {goods}".rstrip() + "\n")

@@ -111,6 +111,23 @@ def test_edge_table_matches_enumeration(n, k):
     assert np.array_equal(rank_rows(tab), np.arange(len(expected)))
 
 
+@pytest.mark.parametrize("n,k", [(0, 0), (10, 0), (1, 1), (40, 1), (12, 5),
+                                 (13, core.MAX_R), (20, core.MAX_R),
+                                 (128, 2), (128, 3), (85, 4)])
+def test_edge_table_is_stored_column_by_column(n, k):
+    # the table is the transposed view of one read-only (k, C(n, k)) buffer,
+    # so a reader that slices a column reads contiguous bytes
+    tab = edge_table(n, k)
+    assert tab.shape == (binom(n, k), k) and tab.dtype == np.uint8
+    assert tab.T.flags.c_contiguous
+    assert all(tab[:, j].flags.c_contiguous for j in range(k))
+    assert not tab.flags.writeable and not tab.base.flags.writeable
+    if len(tab) <= 10_000:
+        assert [tuple(row) for row in tab.tolist()] == colex_order(n, k)
+    for m in (k, (n + k) // 2, n):
+        assert np.array_equal(edge_table(m, k), tab[:binom(m, k)])
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_colex_table_up_to_k9(data):

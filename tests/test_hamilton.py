@@ -211,6 +211,67 @@ def test_peel_removes_the_wrap_edge_in_either_orientation(removed):
     assert is_cycle_of(g, cyc)
 
 
+def index_peel(rows_closed, added, cycle):
+    """The closure peel that finds each removed edge by `cyc.index`: the
+    reference."""
+    rows = list(rows_closed)
+    cyc = cycle
+    n = len(cyc)
+    for u, v in reversed(added):
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+        pos = cyc.index(u)
+        if cyc[(pos + 1) % n] != v:
+            pos -= 1
+            if cyc[pos] != v:
+                continue
+        path = cyc[pos + 1:] + cyc[:pos + 1]
+        a, b = path[0], path[-1]
+        for j in range(1, n - 1):
+            if rows[b] >> path[j] & 1 and rows[a] >> path[j + 1] & 1:
+                cyc = path[:j + 1] + path[j + 1:][::-1]
+                break
+        else:
+            raise AssertionError(f"no crossing chord for ({u}, {v})")
+    return cyc
+
+
+@pytest.mark.parametrize("n", [8, 12, 40, 85, 128])
+def test_peel_matches_its_index_reference_on_random_graphs(n):
+    rng = np.random.default_rng(n)
+    peeled = 0
+    for density in (0.45, 0.5, 0.55, 0.6, 0.75, 0.9):
+        g = random_graph(n, density, rng)
+        rows, added = bondy_chvatal_closure(g)
+        if any(r != (1 << n) - 1 ^ 1 << v for v, r in enumerate(rows)):
+            continue
+        for start in (list(range(n)), rng.permutation(n).tolist()):
+            cyc = _peel_closure_cycle(rows, added, list(start))
+            assert cyc == index_peel(rows, added, list(start)), density
+            assert is_cycle_of(g, cyc)
+        peeled += 1
+    assert peeled >= 3
+
+
+def test_peel_matches_its_index_reference_on_the_census_peels(monkeypatch):
+    # every peel the 16 branch-census solves run: good-pair graphs on the
+    # B-cover and vertex routes, Gamma on the case fixtures
+    from bergecycles import hamilton
+    from bergecycles.r4 import r4_find
+    from test_shadow import _census_fixtures
+    peel, seen = hamilton._peel_closure_cycle, []
+
+    def spy(rows, added, cycle):
+        got = peel(rows, added, list(cycle))
+        assert got == index_peel(rows, added, list(cycle))
+        seen.append(len(added))
+        return got
+    monkeypatch.setattr(hamilton, "_peel_closure_cycle", spy)
+    for label, make in _census_fixtures():
+        assert r4_find(make()).status == "found", label
+    assert len(seen) >= 16 and sum(seen) > 10_000
+
+
 def _graph_from_mask(n, mask):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1])

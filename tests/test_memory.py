@@ -7,6 +7,7 @@ collector off and then expect a collection to find nothing unreachable.
 """
 
 import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from bergecycles.core import (
     ColoredHypergraph,
@@ -26,7 +28,11 @@ from bergecycles.core import (
 )
 from bergecycles.extract import cycle_windows, lift_to_berge
 from bergecycles.hamilton import find_mono_ham_tight_cycle
-from bergecycles.harness import _u_profile_colors, brute_force_exists
+from bergecycles.harness import (
+    _u_profile_colors,
+    brute_force_exists,
+    structured_colorings,
+)
 from bergecycles.shadow import build_shadow
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -153,3 +159,32 @@ def test_u_profile_coloring_peaks_at_two_int64_columns():
         tracemalloc.stop()
     column = 8 * colors.size
     assert peak <= 2.25 * column, (peak, column)
+
+
+# sha256 of the majority coloring per (n, r, c, parts), recorded from the
+# whole-table int64 count it replaced
+MAJORITY_DIGESTS = {
+    (60, 5, 3, 3): "5b9b5a187569011abc5bac7958b874ec7cd0945b1ec149f0d1630ee889d98a63",
+    (85, 4, 3, 3): "31765b8de3827122733feb1c022c59b9bf67aaf54442bcabcb802135bf3936cb",
+    (85, 4, 3, 2): "19b78c27a3a01ebc1acab1924d93086a4b227ce2676340b5b6395890d7de6b8c",
+    (24, 8, 2, 2): "cb62aa9114f9e861476b5be557b71351eb01a10e5eae6134a886159f4d318b00",
+    (12, 9, 2, 2): "bf65c75380d127d6261bfb28ee116878bf502cfe4ef156d797bf96e21a49c8b2",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MAJORITY_DIGESTS))
+def test_majority_coloring_counts_in_bytes(shape):
+    # the parts are counted one table column at a time into a (parts, edges)
+    # uint8 array; the whole-table int64 labels peaked at 80-96 bytes an edge
+    n, r, c, parts = shape
+    edge_table(n, r)                      # the table is cached now
+    tracemalloc.start()
+    try:
+        h = next(structured_colorings(
+            "majority", {"n": n, "r": r, "c": c, "parts": parts}))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hashlib.sha256(h.colors.tobytes()).hexdigest() == MAJORITY_DIGESTS[shape]
+    if h.colors.size > 100_000:
+        assert peak <= (parts + 5) * h.colors.size, (peak, h.colors.size)
