@@ -301,14 +301,45 @@ def _family(kind: str, params: dict):
 
 
 def _base_params(params: dict) -> Params:
-    return Params(n=params["n"], r=params["r"], t=params.get("t", 2),
-                  c=params["c"])
+    try:
+        n, r, c = params["n"], params["r"], params["c"]
+    except KeyError as exc:
+        raise InvalidParams(f"generator params need n, r and c "
+                            f"(missing {exc})") from exc
+    return Params(n=n, r=r, t=params.get("t", 2), c=c)
+
+
+_CHUNK = 1 << 16        # edge-table rows a generator rule reads at a time
+
+
+def _chunked_colors(n: int, r: int, rule) -> np.ndarray:
+    """A uint8 color for each row of edge_table(n, r), `rule(rows)` filling
+    one block of at most _CHUNK consecutive rows at a time.
+
+    No temporary spans the table: a rule's int64 arrays hold at most
+    _CHUNK entries (512 kB each), whatever n and r.  The result is writable.
+    """
+    tab = edge_table(n, r)
+    colors = np.empty(len(tab), dtype=np.uint8)
+    for start in range(0, len(tab), _CHUNK):
+        colors[start:start + _CHUNK] = rule(tab[start:start + _CHUNK])
+    return colors
+
+
+def _frozen(p: Params, colors: np.ndarray) -> ColoredHypergraph:
+    """The coloring over a finished array, made read-only first so that the
+    hypergraph shares it instead of copying it."""
+    colors.setflags(write=False)
+    return ColoredHypergraph(p, colors)
 
 
 def _hash_mix(tab: np.ndarray, offset: int) -> np.ndarray:
     """Weighted vertex sum of each row, one column at a time (no int64 copy
-    of the whole table), plus a scramble of it by the offset.
+    of the rows), plus a scramble of it by the offset.
 
+    Each row's mix depends on that row alone, so the int64 arrays here are
+    only as long as the rows passed: a block of at most _CHUNK table rows
+    from `_hash_colors`, or the C(n - 1, 3) pivot rows of u-profile.
     The scramble is the high 32 bits of sum * offset * 0x9E3779B97F4A7C15
     mod 2^64.  An offset added as is would make a stream repeat every c
     colorings once the mix is taken mod c; the high bits do not repeat
@@ -326,8 +357,8 @@ def _hash_mix(tab: np.ndarray, offset: int) -> np.ndarray:
     return mix
 
 
-def _hash_colors(tab: np.ndarray, c: int, offset: int) -> np.ndarray:
-    return (1 + _hash_mix(tab, offset) % c).astype(np.uint8)
+def _hash_colors(n: int, r: int, c: int, offset: int) -> np.ndarray:
+    return _chunked_colors(n, r, lambda rows: 1 + _hash_mix(rows, offset) % c)
 
 
 def _parts(params: dict, p: Params) -> int:
@@ -337,14 +368,22 @@ def _parts(params: dict, p: Params) -> int:
     return parts
 
 
+def _part_of(col: np.ndarray, parts: int, n: int) -> np.ndarray:
+    """Part v * parts // n of each vertex v of a table column (uint16 holds
+    v * parts: v < 128, parts <= 255)."""
+    label = col.astype(np.uint16)
+    label *= parts
+    label //= n
+    return label
+
+
 def _partition_family(params: dict):
     p = _base_params(params)
     parts = _parts(params, p)
 
     def make(_):
-        tab = edge_table(p.n, p.r)
-        return ColoredHypergraph(
-            p, (tab[:, -1].astype(np.int64) * parts // p.n + 1).astype(np.uint8))
+        return _frozen(p, _chunked_colors(
+            p.n, p.r, lambda rows: 1 + _part_of(rows[:, -1], parts, p.n)))
     return 1, make
 
 
@@ -352,24 +391,23 @@ def _majority_family(params: dict):
     p = _base_params(params)
     parts = _parts(params, p)
 
-    def make(_):
-        # vertex v lies in part v * parts // n; count each edge's vertices
-        # per part one table column at a time, then keep the first part
-        # with the most (a later part wins only with strictly more)
-        counts = np.zeros((parts, p.num_edges), dtype=np.uint8)
-        for col in edge_table(p.n, p.r).T:
-            label = col.astype(np.uint16)
-            label *= parts
-            label //= p.n
+    def rule(rows):
+        """The first part holding the most of each row's vertices (a later
+        part wins only with strictly more), counted one column at a time
+        in a (parts, at most _CHUNK) uint8 array."""
+        counts = np.zeros((parts, len(rows)), dtype=np.uint8)
+        for col in rows.T:
+            label = _part_of(col, parts, p.n)
             for k, row in enumerate(counts):
                 row += label == k
-        colors = np.ones(p.num_edges, dtype=np.uint8)
+        colors = np.ones(len(rows), dtype=np.uint8)
         best = counts[0]
         for k in range(1, parts):
             colors[counts[k] > best] = k + 1
             np.maximum(best, counts[k], out=best)
-        return ColoredHypergraph(p, colors)
-    return 1, make
+        return colors
+
+    return 1, lambda _: _frozen(p, _chunked_colors(p.n, p.r, rule))
 
 
 def _near_mono_family(params: dict):
@@ -377,8 +415,7 @@ def _near_mono_family(params: dict):
     base = params.get("base", 1)
     if p.c == 1 and base == 1 and "off" not in params:
         # no second color for the off edge: the one member is monochromatic
-        return 1, lambda _: ColoredHypergraph(
-            p, np.ones(p.num_edges, dtype=np.uint8))
+        return 1, lambda _: _frozen(p, np.ones(p.num_edges, dtype=np.uint8))
     off = params.get("off", 2 if base != 2 else 1)
     if not (1 <= base <= p.c and 1 <= off <= p.c) or base == off:
         raise InvalidParams(f"bad base/off pair ({base}, {off}) for c={p.c}")
@@ -386,7 +423,7 @@ def _near_mono_family(params: dict):
     def make(k):
         colors = np.full(p.num_edges, base, dtype=np.uint8)
         colors[k] = off
-        return ColoredHypergraph(p, colors)
+        return _frozen(p, colors)
     return p.num_edges, make
 
 
@@ -398,9 +435,9 @@ def _pair_lock_family(params: dict):
         raise InvalidParams(f"bad pair-lock parameters ({a}, {b}, {lock})")
 
     def make(offset):
-        colors = _hash_colors(edge_table(p.n, p.r), p.c, offset)
+        colors = _hash_colors(p.n, p.r, p.c, offset)
         colors[edges_through(p.n, p.r, [(a, b)])[0]] = lock
-        return ColoredHypergraph(p, colors)
+        return _frozen(p, colors)
     return None, make
 
 
@@ -419,13 +456,12 @@ def _u_profile_family(params: dict):
     repair sub-cases.  Every coloring made is re-verified against the
     recomputed shadow before it leaves the generator.
     """
-    n = params["n"]
     if (params.get("r", 4), params.get("t", 2), params.get("c", 3)) != (4, 2, 3):
         raise InvalidParams("u-profile colors K_n^4 with 3 colors at t = 2 only")
     try:
-        k23, k12, k13 = params["k23"], params["k12"], params["k13"]
+        n, k23, k12, k13 = (params[key] for key in ("n", "k23", "k12", "k13"))
     except KeyError as exc:
-        raise InvalidParams(f"u-profile needs class sizes k23/k12/k13 "
+        raise InvalidParams(f"u-profile needs class sizes k23/k12/k13 and n "
                             f"(missing {exc})") from exc
     deg_u23 = params.get("deg_u23")
     deg_w = params.get("deg_w")
@@ -471,7 +507,7 @@ def _u_profile_family(params: dict):
     p = Params(n=n, r=4, t=2, c=3)
 
     def make(offset):
-        h = ColoredHypergraph(p, _u_profile_colors(
+        h = _frozen(p, _u_profile_colors(
             n, t_set, y_set, z_set, specials1, blocks, offset))
         _check_u_profile(h, t_set, y_set, z_set, specials1, blocks)
         return h
@@ -479,10 +515,9 @@ def _u_profile_family(params: dict):
 
 
 def _u_profile_colors(n, t_set, y_set, z_set, specials1, blocks, offset):
-    tab = edge_table(n, 4)
-    colors = _hash_colors(tab, 3, offset)
+    colors = _hash_colors(n, 4, 3, offset)
     m = edges_through(n, 4, [(0,)])[0]          # the edges at the pivot
-    piv = tab[m].astype(np.int64)
+    piv = edge_table(n, 4)[m].astype(np.int64)
     b, c_, d = piv[:, 1], piv[:, 2], piv[:, 3]
     cls = np.full(n, _W, dtype=np.int8)
     cls[t_set] = _T

@@ -441,6 +441,50 @@ def test_first_k85_coloring_is_pinned(generator):
     assert digest == FIRST_K85_DIGESTS[generator]
 
 
+# sha256 of the first three colorings of the hashed K_85^4 streams: offsets
+# 1 and 2 scramble the mix of all 32 table chunks
+K85_STREAM_DIGESTS = {
+    "pair-lock": (
+        "2ac94df7e8b92ae04a7de45e9cf58dbb3c849897e7ac46b46881a2ec75201098",
+        "78e47b7054c2000f0bfd9774b718ee433ca8a64b0fd5ee3dec34a85bd3124b45",
+        "64d8a090d428cff53a2823de63d4f4312a71c9421e1660a2fc21de398452be86"),
+    "u-profile": (
+        "a392c62d110996d3ee3d3ac4760d6699c462c9d8aface2fa7f47bd4da59db83b",
+        "52177e04c62ece70f66ae6425518217f136f16e55c8d839529aae898c0a6417e",
+        "83e3eb425dde90c09f214375c40c6a0a4ff65ae4673cab9ab19fd647edbea4ba"),
+}
+
+
+@pytest.mark.parametrize("generator", sorted(K85_STREAM_DIGESTS))
+def test_first_three_k85_stream_colorings_are_pinned(generator):
+    if generator == "u-profile":
+        stream = structured_colorings(
+            "u-profile", {"n": 85, "k23": 1, "k12": 1, "k13": 40})
+        got = [h.colors for h in itertools.islice(stream, 3)]
+    else:
+        p = Params(n=85, r=4, t=2, c=3)
+        got = [_coloring_for_trial(p, generator, 0, i).colors for i in range(3)]
+    assert tuple(hashlib.sha256(colors.tobytes()).hexdigest()
+                 for colors in got) == K85_STREAM_DIGESTS[generator]
+
+
+# sha256 of each generator's first K_128^4 coloring.  C(128, 4) = 10,668,000
+# rows leave 51,168 in the last 2^16-row chunk, so a lost or doubled partial
+# chunk moves these digests
+FIRST_K128_DIGESTS = {
+    "partition": "e2aa0cb8d59049aad1a97a790f0195d2faa5a57bc5f1bbe39e0d17deba357415",
+    "majority": "8120e4896a4b248c37c725cb6e0c414fe7f442cd10b187c41e611be82253facd",
+    "pair-lock": "a307632760acc34543e8e843d3e84fc8d4ff6ace21ca206e21a89c511d51d14a",
+}
+
+
+@pytest.mark.parametrize("generator", sorted(FIRST_K128_DIGESTS))
+def test_first_k128_coloring_is_pinned(generator):
+    h = next(structured_colorings(generator, {"n": 128, "r": 4, "c": 3}))
+    digest = hashlib.sha256(h.colors.tobytes()).hexdigest()
+    assert digest == FIRST_K128_DIGESTS[generator]
+
+
 def test_u_profile_stream_is_pinned():
     stream = structured_colorings(
         "u-profile", {"n": 30, "k23": 1, "k12": 1, "k13": 18})
@@ -639,6 +683,20 @@ def test_pair_lock_hits_exactly_the_pair_rows():
 def test_unknown_kind_is_an_error():
     with pytest.raises(InvalidParams):
         structured_colorings("no-such-kind", {"n": 6, "r": 3, "c": 2})
+
+
+@pytest.mark.parametrize("kind,params,missing", [
+    ("partition", {"n": 10, "r": 4}, "c"),
+    ("majority", {"r": 4, "c": 3}, "n"),
+    ("near-mono", {"n": 10, "c": 2}, "r"),
+    ("pair-lock", {"r": 4, "c": 3}, "n"),
+    ("u-profile", {"k23": 1, "k12": 1, "k13": 40}, "n"),
+    ("u-profile", {"n": 85, "k12": 1, "k13": 40}, "k23"),
+])
+def test_a_missing_param_is_invalid_params_naming_it(kind, params, missing):
+    # n, r and c once reached the family as a bare dict lookup: KeyError
+    with pytest.raises(InvalidParams, match=f"missing '{missing}'"):
+        next(structured_colorings(kind, params))
 
 
 def test_u_profile_matches_requested_sizes():

@@ -188,3 +188,26 @@ def test_majority_coloring_counts_in_bytes(shape):
     assert hashlib.sha256(h.colors.tobytes()).hexdigest() == MAJORITY_DIGESTS[shape]
     if h.colors.size > 100_000:
         assert peak <= (parts + 5) * h.colors.size, (peak, h.colors.size)
+
+
+@pytest.mark.parametrize("kind,params,per_edge", [
+    ("partition", {"n": 85, "r": 4, "c": 3}, 2),
+    ("majority", {"n": 85, "r": 4, "c": 3}, 2),
+    ("near-mono", {"n": 85, "r": 4, "c": 3}, 2),
+    ("pair-lock", {"n": 85, "r": 4, "c": 3}, 2),
+    # the pivot rows, C(84, 3) of them, are mixed again in int64
+    ("u-profile", {"n": 85, "k23": 1, "k12": 1, "k13": 40}, 5),
+    ("pair-lock", {"n": 128, "r": 4, "c": 3}, 2),
+])
+def test_structured_coloring_peaks_near_its_colors(kind, params, per_edge):
+    # the rules read the edge table in row chunks and hand the finished
+    # array over read-only; whole-table int64 arrays peaked at 7-16 bytes
+    # an edge (171 MB for one K_128^4 pair-lock coloring)
+    next(structured_colorings(kind, params))  # edge tables and shadow caches filled
+    tracemalloc.start()
+    try:
+        h = next(structured_colorings(kind, params))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= per_edge * h.colors.size, (peak, h.colors.size)
