@@ -3,6 +3,9 @@
 Runs the fixture colorings that steer the n >= 85 pipeline down each of its
 branches and sub-cases, printing one line per run.  Handy as a smoke test
 after touching the construction and as a catalog of what traces look like.
+Each line also says whether the shadow route alone (the good-pair graphs
+of colors 1, 2, 3 in turn, lifted through the shadow) finds a certificate,
+and in which color: `shadow=-` when none of the three does.
 
     python3 scripts/branch_census.py
     python3 scripts/branch_census.py --json traces.jsonl
@@ -21,6 +24,9 @@ from bergecycles import (
     structured_colorings,
     verify_berge_certificate,
 )
+from bergecycles.hamilton import DEFAULT_BUDGET
+from bergecycles.r4 import shadow_guided_cert
+from bergecycles.shadow import build_shadow
 
 N = 85
 
@@ -70,8 +76,11 @@ def main(argv=None):
             sub = {k: v for k, v in tr.subcase.items()
                    if k in ("case", "variant", "r", "l", "pair")}
             seen.add(tr.branch)
+            alone = shadow_guided_cert(h, build_shadow(h, 2), (1, 2, 3),
+                                       DEFAULT_BUDGET, [])
             print(f"{label:<36} {tr.branch:<22} {json.dumps(sub):<34} "
-                  f"color={res.certificate.color} {dt:5.2f}s")
+                  f"color={res.certificate.color} {dt:5.2f}s "
+                  f"shadow={alone.color if alone else '-'}")
             sink.write(json.dumps(tr.to_json_dict()) + "\n")
     missing = {"B-cover", "single-good-fallback", "lemma-3.1",
                "case-1", "case-2"} - seen

@@ -222,7 +222,9 @@ def stress_theorem(params: Params, generator: str = "random",
     """Seeded trials of the existence statements; see TrialReport.
 
     Each trial's coloring depends only on (params, generator, seed, index),
-    so reports are reproducible and jobs only changes the wall time.
+    so reports are reproducible and jobs only changes the wall time; a pool
+    of min(jobs, trials) workers runs them, and none starts for fewer than
+    two.
     Counterexamples go to reproducer_dir (default: the temp dir); a trial
     that raises a ContractBreach leaves breach-*.coloring and its trace there.
     A negative trials or budget, jobs below 1, more colors than the shadow
@@ -247,9 +249,10 @@ def stress_theorem(params: Params, generator: str = "random",
     outdir = reproducer_dir or tempfile.gettempdir()
     work = [(params, generator, seed, i, budget, outdir)
             for i in range(trials)]
-    if jobs > 1:
+    workers = min(jobs, trials)         # a worker past the last trial would idle
+    if workers > 1:
         import multiprocessing          # here: only a pool needs it, not each CLI start
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_run_trial, work)
     else:
         results = [_run_trial(w) for w in work]
@@ -566,23 +569,18 @@ def _u_profile_colors(n, t_set, y_set, z_set, specials1, blocks, offset):
 
 
 def _check_u_profile(h, t_set, y_set, z_set, specials1, blocks):
-    """Recompute the shadow and fail loudly if the engineering missed."""
+    """Recompute the shadow and fail loudly if the engineering missed: each
+    pivot pair has its class's good set, and every other pair all three."""
     n = h.params.n
-    s = build_shadow(h, 2)
-    gm = s.goodmask
-    pr = _pair_rank_matrix(n)
-    want = {v: 0b110 for v in t_set}
-    want.update({v: 0b011 for v in y_set})
-    want.update({v: 0b101 for v in z_set})
-    for v in range(1, n):
-        got = int(gm[pr[0, v]])
-        if got != want.get(v, 0b111):
-            raise RuntimeError(
-                f"pivot pair (0,{v}) has goodmask {got:03b}, "
-                f"wanted {want.get(v, 0b111):03b}")
-        others = np.concatenate([np.arange(1, v), np.arange(v + 1, n)])
-        if not np.all(gm[pr[v, others]] == 0b111):
-            raise RuntimeError(f"vertex {v} is not fully covered")
+    want = np.full((n, n), 0b111, dtype=np.uint32)
+    for vs, bits in ((t_set, 0b110), (y_set, 0b011), (z_set, 0b101)):
+        want[0, vs] = want[vs, 0] = bits
+    got = build_shadow(h, 2).goodmask[_pair_rank_matrix(n)]
+    bad = np.argwhere(np.triu(got != want, 1))      # off the diagonal, u < v
+    if bad.size:
+        u, v = bad[0].tolist()
+        raise RuntimeError(f"pair ({u},{v}) has goodmask {int(got[u, v]):03b}, "
+                           f"wanted {int(want[u, v]):03b}")
     if not _at_least(h, 1, 2).all():
         raise RuntimeError("engineering left a sparse vertex behind")
     if t_set and y_set:

@@ -1,9 +1,9 @@
 """Monochromatic Hamiltonian Berge-cycles in 3-colored complete 4-graphs.
 
-Input: a 3-coloring of K_n^4 with n >= 85.  Output: a `SearchResult`
-holding a verified Berge certificate and the trace of the construction
-route taken; a ContractBreach carries the trace so far.  The dispatcher
-`r4_find` tries, in order:
+Input: a 3-coloring of K_n^4 with n >= 85, searched at t = 2.  Output: a
+`SearchResult` holding a verified Berge certificate and the trace of the
+construction route taken; a ContractBreach carries the trace so far.  The
+dispatcher `r4_find` tries, in order:
 
   1. a vertex that touches at most one edge of some color -- the cycle is
      built inside that vertex's link and the vertex is re-inserted
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -102,20 +101,6 @@ class Unresolved(RuntimeError):
     def __init__(self, message: str, trace: "ConstructionTrace | None" = None):
         super().__init__(message)
         self.trace = trace
-
-
-@dataclass(frozen=True)
-class UProfile:
-    """Mixed-class decomposition of one vertex's pair neighborhood."""
-
-    vertex: int
-    U12: tuple[int, ...]
-    U13: tuple[int, ...]
-    U23: tuple[int, ...]
-    U123: tuple[int, ...]
-
-    def mixed_sizes(self) -> tuple[int, int, int]:
-        return (len(self.U23), len(self.U12), len(self.U13))
 
 
 @dataclass(frozen=True)
@@ -228,22 +213,11 @@ def relabel_colors(h: ColoredHypergraph, s: ShadowMulticoloring,
 # profiles, dominance classes, pivot
 
 
-@lru_cache(maxsize=16)
-def _all_but_each(n: int) -> tuple[tuple[int, ...], ...]:
-    """Per vertex v of K_n, the ascending tuple of every vertex but v."""
-    verts = tuple(range(n))
-    return tuple(verts[:v] + verts[v + 1:] for v in range(n))
-
-
-def compute_u_profiles(s: ShadowMulticoloring) -> list[UProfile]:
-    """Mixed-class profile of every vertex under the pair shadow.
-
-    A class that no pair has gives every vertex `()`, and one that every
-    pair has gives each vertex all the others (`_all_but_each`, cached per
-    n): on a random coloring every pair is good in all three colors, so
-    no member is listed.  The other classes share one gather of the masks
-    through the pair-rank matrix, and each slices one tuple of its
-    members, row by row.
+def compute_u_profiles(s: ShadowMulticoloring) -> np.ndarray:
+    """Mixed-class profile of every vertex under the pair shadow, as the
+    n x n uint8 matrix of pair good sets: masks[v, u] has bit i-1 set when
+    color i is good on {v, u}, so row v is v's profile (U12 = 0b011,
+    U13 = 0b101, U23 = 0b110, U123 = 0b111) and the diagonal is 0.
 
     Raises SingleGoodEdge on the lowest-ranked pair whose good set has at
     most one color -- that situation bypasses the pivot analysis entirely.
@@ -257,24 +231,9 @@ def compute_u_profiles(s: ShadowMulticoloring) -> list[UProfile]:
         rank = int(thin[0])
         pair = unrank_subset(rank, p.n, 2)
         raise SingleGoodEdge(pair, s.good_colors(rank))
-    masks = None                            # masks[v, u]: good colors of {v, u}
-    classes = []                            # per class, each vertex's members
-    for bits in (0b011, 0b101, 0b110, 0b111):
-        pairs = np.count_nonzero(gm == bits)
-        if not pairs:
-            classes.append([()] * p.n)
-            continue
-        if pairs == len(gm):
-            classes.append(_all_but_each(p.n))
-            continue
-        if masks is None:                   # one gather serves every class
-            masks = gm[_pair_rank_matrix(p.n)]
-            np.fill_diagonal(masks, 0)      # {v, v} is no pair
-        hit = masks == bits
-        members = tuple(np.nonzero(hit)[1].tolist())    # row by row, ascending
-        ends = np.cumsum(hit.sum(axis=1)).tolist()
-        classes.append([members[a:b] for a, b in zip([0, *ends], ends)])
-    return [UProfile(v, *c) for v, c in enumerate(zip(*classes))]
+    masks = gm[_pair_rank_matrix(p.n)]
+    np.fill_diagonal(masks, 0)              # {v, v} is no pair
+    return masks
 
 
 def _alternating_split(vals: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -283,73 +242,54 @@ def _alternating_split(vals: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[in
     return tuple(s[0::2]), tuple(s[1::2])
 
 
-def classify_and_pivot(profiles: list[UProfile]) -> tuple[BClassification, PivotSelection | None]:
+def classify_and_pivot(masks: np.ndarray) -> tuple[BClassification, PivotSelection | None]:
     """Dominance classes plus, if they do not cover, the pivot selection.
 
-    B_i (i = 1,2,3) holds the vertices whose mixed pairs all avoid color i;
-    B_4 holds those whose U123 covers at least half the vertex count.  The
-    pivot minimizes (smallest mixed-class size, |U123|, id) over uncovered
-    vertices.  Colors are then renamed so the pivot's classes satisfy
-    |U23| <= |U12| <= |U13|, preferring the identity renaming on ties.
-    Sizes outside the guaranteed range (|U23| >= 2, or |U23| = 1 with
-    |U12| >= 3, or U12 empty) raise PivotInvariantViolation.
+    `masks` is `compute_u_profiles`' matrix, row v holding v's profile; only
+    class sizes are counted per row, and members are listed for the pivot
+    alone.  B_i (i = 1,2,3) holds the vertices whose mixed pairs all avoid
+    color i; B_4 holds those whose U123 covers at least half the row
+    count.  The pivot minimizes (smallest mixed-class size, |U123|, id) over
+    uncovered vertices.  Colors are then renamed so the pivot's classes
+    satisfy |U23| <= |U12| <= |U13|, preferring the identity renaming on
+    ties.  Sizes outside the guaranteed range (|U23| >= 2, or |U23| = 1
+    with |U12| >= 3, or U12 empty) raise PivotInvariantViolation.
     """
-    n = len(profiles)
-    b: dict[int, list[int]] = {1: [], 2: [], 3: [], 4: []}
-    rem = []
-    for p in profiles:
-        v = p.vertex
-        in_any = False
-        if 2 * len(p.U123) >= n:
-            b[4].append(v)
-            in_any = True
-        if not p.U12 and not p.U13 and p.U23:
-            b[1].append(v)
-            in_any = True
-        elif not p.U12 and not p.U23 and p.U13:
-            b[2].append(v)
-            in_any = True
-        elif not p.U13 and not p.U23 and p.U12:
-            b[3].append(v)
-            in_any = True
-        if not in_any:
-            rem.append(v)
-    bc = BClassification(tuple(b[1]), tuple(b[2]), tuple(b[3]), tuple(b[4]),
-                         tuple(rem))
+    k23, k12, k13, k123 = (np.count_nonzero(masks == bits, axis=1)
+                           for bits in (0b110, 0b011, 0b101, 0b111))
+    b = ((k12 == 0) & (k13 == 0) & (k23 > 0),          # B1
+         (k12 == 0) & (k23 == 0) & (k13 > 0),          # B2
+         (k13 == 0) & (k23 == 0) & (k12 > 0),          # B3
+         2 * k123 >= len(masks))                       # B4
+    rem = ~np.logical_or.reduce(b)
+    bc = BClassification(*(tuple(np.flatnonzero(c).tolist()) for c in (*b, rem)))
     if bc.covers:
         return bc, None
 
-    def pivot_key(v: int):
-        p = profiles[v]
-        return (min(p.mixed_sizes()), len(p.U123), v)
-
-    x = min(rem, key=pivot_key)
-    px = profiles[x]
+    mixed = np.minimum(np.minimum(k23, k12), k13)
+    cand = np.flatnonzero(rem)
+    x = int(cand[np.lexsort((cand, k123[cand], mixed[cand]))[0]])
+    members = lambda bits: tuple(np.flatnonzero(masks[x] == bits).tolist())  # noqa: E731
     # omits[i]: the class whose good set omits color i; old color order[k]
     # is renamed (1, 3, 2)[k], and the stable sort keeps the identity on ties
-    omits = {1: px.U23, 2: px.U13, 3: px.U12}
+    omits = {i: members(0b111 ^ (1 << i - 1)) for i in (1, 2, 3)}
     order = sorted((1, 3, 2), key=lambda i: len(omits[i]))
     sigma = tuple((1, 3, 2)[order.index(i)] for i in (1, 2, 3))
     U23, U12, U13 = (omits[i] for i in order)
+    U123 = members(0b111)
     sizes = (len(U23), len(U12), len(U13))
     if sizes[0] >= 2 or (sizes[0] == 1 and sizes[1] >= 3) or sizes[1] == 0:
         raise PivotInvariantViolation(
             f"pivot {x} has |U23|={sizes[0]}, |U12|={sizes[1]}, |U13|={sizes[2]}",
             detail={"x": x, "sizes": {"U23": sizes[0], "U12": sizes[1],
-                                      "U13": sizes[2], "U123": len(px.U123)},
+                                      "U13": sizes[2], "U123": len(U123)},
                     "sigma": list(sigma)})
-    a, bpart = _alternating_split(px.U123)
+    a, bpart = _alternating_split(U123)
     a2, b2 = _alternating_split(U12)
-    y = min(U12)
-    z = min(U13)
-    u23 = U23[0] if U23 else None
-    u12_rest = [u for u in U12 if u != y]
     sel = PivotSelection(
-        x=x, pi=min(px.mixed_sizes()), sigma=sigma,
-        U12=tuple(sorted(U12)), U13=tuple(sorted(U13)),
-        U23=tuple(sorted(U23)), U123=tuple(sorted(px.U123)),
-        y=y, z=z, u23=u23, u12=(u12_rest[0] if u12_rest else None),
-        A=a, B=bpart, A2=a2, B2=b2)
+        x=x, pi=sizes[0], sigma=sigma, U12=U12, U13=U13, U23=U23, U123=U123,
+        y=U12[0], z=U13[0], u23=(U23[0] if U23 else None),
+        u12=(U12[1] if len(U12) > 1 else None), A=a, B=bpart, A2=a2, B2=b2)
     return bc, sel
 
 
@@ -857,8 +797,9 @@ def lemma_a_construct(h: ColoredHypergraph, vertex: int, color: int,
     detail dict for the trace.
     """
     p = h.params
-    if p.r != 4 or p.c != 3:
-        raise InvalidParams(f"vertex route needs r=4, c=3; got r={p.r} c={p.c}")
+    if (p.r, p.t, p.c) != (4, 2, 3):
+        raise InvalidParams(
+            f"vertex route needs r=4, t=2, c=3; got r={p.r} t={p.t} c={p.c}")
     n = p.n
     detail: dict = {"vertex": vertex, "color": color, "fallbacks": []}
 
@@ -938,12 +879,16 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
     is the one `extract.lift_to_berge` built and verified against h.
     Raises Unresolved when every applicable route exhausts its budget, and
     a ContractBreach carrying the trace so far (`exc.trace`) if the input
-    falsifies a structural guarantee or the lift fails its check.  A
-    negative budget raises InvalidParams; budget 0 allows no expansion.
+    falsifies a structural guarantee or the lift fails its check.  Every
+    route builds a 2-tight certificate, so a coloring searched at t != 2
+    raises InvalidParams, as does a negative budget; budget 0 allows no
+    expansion.
     """
     p = h.params
     if p.r != 4 or p.c != 3:
         raise InvalidParams(f"need r=4 and c=3, got r={p.r}, c={p.c}")
+    if p.t != 2:
+        raise InvalidParams(f"need t=2, got t={p.t}")
     if p.n < MIN_N:
         raise InvalidParams(f"need n >= {MIN_N}, got n={p.n}")
     if budget < 0:
@@ -966,7 +911,7 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
 
         s = build_shadow(h, 2)
         try:
-            profiles = compute_u_profiles(s)
+            masks = compute_u_profiles(s)
         except SingleGoodEdge as exc:
             trace.branch = "single-good-fallback"
             trace.subcase = {"pair": list(exc.pair), "goodset": list(exc.goodset)}
@@ -976,7 +921,7 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
                                  trace) from exc
             return SearchResult("found", cert, trace)
 
-        bc, sel = classify_and_pivot(profiles)
+        bc, sel = classify_and_pivot(masks)
         if sel is None:
             trace.branch = "B-cover"
             trace.subcase = {"B_sizes": [len(bc.B1), len(bc.B2), len(bc.B3),

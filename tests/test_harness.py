@@ -706,9 +706,18 @@ def test_u_profile_matches_requested_sizes():
     s = build_shadow(h, 2)
     # recount through the real shadow, not the generator's own bookkeeping
     from bergecycles.r4 import compute_u_profiles
-    prof = compute_u_profiles(s)[0]
-    assert (len(prof.U23), len(prof.U12), len(prof.U13)) == (1, 2, 41)
-    assert len(prof.U123) == 85 - 1 - 1 - 2 - 41
+    row = compute_u_profiles(s)[0]            # the pivot's good sets, U23 first
+    sizes = [np.count_nonzero(row == bits) for bits in (0b110, 0b011, 0b101, 0b111)]
+    assert sizes == [1, 2, 41, 85 - 1 - 1 - 2 - 41]
+
+
+def test_u_profile_check_fires_on_a_coloring_that_missed(monkeypatch):
+    # the plain hash coloring leaves every pair good in all three colors, so
+    # the first pivot pair, wanted in U23 (k23 = 1), is named
+    monkeypatch.setattr(harness, "_u_profile_colors",
+                        lambda n, *args: harness._hash_colors(n, 4, 3, args[-1]))
+    with pytest.raises(RuntimeError, match=r"pair \(0,1\) has goodmask 111, wanted 110"):
+        next(structured_colorings("u-profile", {"n": 85, "k23": 1, "k12": 1, "k13": 41}))
 
 
 def test_u_profile_rejects_infeasible_requests():
@@ -833,6 +842,34 @@ def test_stress_rejects_more_than_32_colors_before_any_trial(monkeypatch):
     monkeypatch.setattr(harness, "_run_trial", unused)
     with pytest.raises(InvalidParams, match="c <= 32 colors, got c=40"):
         stress_theorem(Params(n=6, r=3, t=3, c=40), trials=5, jobs=2)
+
+
+@pytest.mark.parametrize("trials,jobs,workers", [(0, 4, []), (1, 4, []), (3, 8, [3])])
+def test_stress_starts_no_more_workers_than_trials(monkeypatch, tmp_path, trials, jobs,
+                                                   workers):
+    # --trials 1 --jobs 64 once started 64 workers for one trial
+    import multiprocessing
+    started = []
+
+    class Pool:                         # runs the trials here, recording its size
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return [fn(w) for w in work]
+
+    monkeypatch.setattr(multiprocessing, "Pool", Pool)
+    p = Params(6, 3, 2, 2)
+    rep = stress_theorem(p, trials=trials, budget=0, jobs=jobs, reproducer_dir=str(tmp_path))
+    assert started == workers
+    serial = stress_theorem(p, trials=trials, budget=0, reproducer_dir=str(tmp_path))
+    assert {**rep.to_json_dict(), "wall_time": 0} == {**serial.to_json_dict(), "wall_time": 0}
 
 
 @pytest.mark.parametrize("generator,params,message", [

@@ -33,7 +33,6 @@ from bergecycles.r4 import (
     ReservationUnsatisfiable,
     SingleGoodEdge,
     Unresolved,
-    UProfile,
     _alternating_split,
     _lemma_terminal_cycle,
     _repair,
@@ -62,24 +61,34 @@ def found(h, budget=None):
 # profile computation
 
 
+# the class bits of U12, U13, U23 and U123 in a profile matrix row
+_CLASS_BITS = (0b011, 0b101, 0b110, 0b111)
+
+
+def classes_of(masks):
+    """Per row of a profile matrix, its members of U12, U13, U23, U123."""
+    return [tuple(tuple(np.flatnonzero(row == bits).tolist()) for bits in _CLASS_BITS)
+            for row in masks]
+
+
 def test_profiles_partition_the_other_vertices():
     h = random_coloring(Params(n=10, r=4, t=2, c=3), seed=2)
     s = build_shadow(h, 2)
-    for prof in compute_u_profiles(s):
-        parts = (set(prof.U12) | set(prof.U13) | set(prof.U23)
-                 | set(prof.U123))
-        assert parts == set(range(10)) - {prof.vertex}
+    for v, (u12, u13, u23, u123) in enumerate(classes_of(compute_u_profiles(s))):
+        parts = set(u12) | set(u13) | set(u23) | set(u123)
+        assert parts == set(range(10)) - {v}
         # classes agree with a per-pair recount straight off the shadow
-        for u in prof.U12:
-            pr = rank_subset(tuple(sorted((prof.vertex, u))), n=10)
+        for u in u12:
+            pr = rank_subset(tuple(sorted((v, u))), n=10)
             assert s.good_colors(pr) == (1, 2)
-        for u in prof.U123:
-            pr = rank_subset(tuple(sorted((prof.vertex, u))), n=10)
+        for u in u123:
+            pr = rank_subset(tuple(sorted((v, u))), n=10)
             assert s.good_colors(pr) == (1, 2, 3)
 
 
 def loop_profiles(s):
-    """compute_u_profiles's per-vertex loop, kept as the reference."""
+    """compute_u_profiles's per-vertex loop, kept as the reference: each
+    vertex's (U12, U13, U23, U123)."""
     n = s.params.n
     gm = s.goodmask.astype(np.int64)
     ranks = r4._pair_rank_matrix(n)
@@ -87,13 +96,8 @@ def loop_profiles(s):
     for v in range(n):
         others = np.concatenate([np.arange(v), np.arange(v + 1, n)])
         masks = gm[ranks[v, others]]
-        profiles.append(UProfile(
-            vertex=v,
-            U12=tuple(others[masks == 0b011].tolist()),
-            U13=tuple(others[masks == 0b101].tolist()),
-            U23=tuple(others[masks == 0b110].tolist()),
-            U123=tuple(others[masks == 0b111].tolist()),
-        ))
+        profiles.append(tuple(tuple(others[masks == bits].tolist())
+                              for bits in _CLASS_BITS))
     return profiles
 
 
@@ -111,7 +115,7 @@ def test_profiles_equal_the_per_vertex_loop(label, make):
         with pytest.raises(SingleGoodEdge):
             compute_u_profiles(s)
         return
-    assert compute_u_profiles(s) == loop_profiles(s)
+    assert classes_of(compute_u_profiles(s)) == loop_profiles(s)
 
 
 @pytest.mark.parametrize("pair_colors,full", [((1, 2), "U12"), ((1, 3), "U13"),
@@ -124,10 +128,11 @@ def test_a_full_mixed_class_lists_every_other_vertex(pair_colors, full):
     h = ColoredHypergraph(p, rng.choice(np.array(pair_colors, dtype=np.uint8),
                                         size=p.num_edges))
     s = build_shadow(h, 2)
-    profiles = compute_u_profiles(s)
+    profiles = classes_of(compute_u_profiles(s))
     assert profiles == loop_profiles(s)
-    for prof in profiles:
-        assert getattr(prof, full) == tuple(u for u in range(12) if u != prof.vertex)
+    for v, classes in enumerate(profiles):
+        assert classes[("U12", "U13", "U23").index(full)] == tuple(
+            u for u in range(12) if u != v)
 
 
 def test_thin_pair_interrupts_profiles():
@@ -149,14 +154,28 @@ def test_thin_pair_interrupts_profiles():
 
 
 def prof(v, u12=(), u13=(), u23=(), u123=()):
-    return UProfile(vertex=v, U12=tuple(u12), U13=tuple(u13),
-                    U23=tuple(u23), U123=tuple(u123))
+    """Vertex v's members of each class, keyed by the class bits."""
+    return v, dict(zip(_CLASS_BITS, (u12, u13, u23, u123)))
+
+
+def profile_matrix(*profiles):
+    """The profile matrix whose row v writes each member's class bits.  n
+    covers every vertex named; a vertex given no profile sees all three
+    colors on each of its pairs, so it lands in B4."""
+    n = 1 + max(max((v, *itertools.chain(*cls.values()))) for v, cls in profiles)
+    masks = np.full((n, n), 0b111, dtype=np.uint8)
+    np.fill_diagonal(masks, 0)
+    for v, cls in profiles:
+        masks[v] = 0
+        for bits, members in cls.items():
+            masks[v, list(members)] = bits
+    return masks
 
 
 def test_b_classes_and_cover():
     n = 6
     profiles = [prof(v, u123=tuple(range(3))) for v in range(n)]
-    cls, sel = classify_and_pivot(profiles)
+    cls, sel = classify_and_pivot(profile_matrix(*profiles))
     assert cls.covers and sel is None
     assert cls.B4 == tuple(range(n))
 
@@ -166,7 +185,7 @@ def test_b1_requires_both_mixed_classes_empty():
                 prof(1, u13=(2,)),                    # B2
                 prof(2, u12=(3,)),                    # B3
                 prof(3, u12=(1,), u23=(2,))]          # none
-    cls, sel = classify_and_pivot(profiles)
+    cls, sel = classify_and_pivot(profile_matrix(*profiles))
     assert cls.B1 == (0,) and cls.B2 == (1,) and cls.B3 == (2,)
     assert cls.remainder == (3,)
     assert sel is not None and sel.x == 3
@@ -180,7 +199,7 @@ def test_pivot_minimizes_smallest_mixed_class_then_u123():
     ]
     # all uncovered; vertices 0 and 2 have min mixed size 0 via U23, tie on
     # |U123| broken toward vertex 2
-    cls, sel = classify_and_pivot(profiles)
+    cls, sel = classify_and_pivot(profile_matrix(*profiles))
     assert sel.x == 2
 
 
@@ -188,14 +207,14 @@ def test_pivot_renames_colors_to_canonical_order():
     # |U23|=1, |U12|=4, |U13|=1 forces swapping colors 2 and 3
     profiles = [prof(0, u12=(1, 2, 3, 4), u13=(5,), u23=(6,),
                      u123=tuple())]
-    cls, sel = classify_and_pivot(profiles)
+    cls, sel = classify_and_pivot(profile_matrix(*profiles))
     assert sel.sigma == (1, 3, 2)
     assert sel.U12 == (5,) and sel.U13 == (1, 2, 3, 4)
 
 
 def test_pivot_identity_on_ties():
     profiles = [prof(0, u12=(1,), u13=(2,), u23=(), u123=())]
-    _, sel = classify_and_pivot(profiles)
+    _, sel = classify_and_pivot(profile_matrix(*profiles))
     assert sel.sigma == (1, 2, 3)
 
 
@@ -203,22 +222,23 @@ def test_pivot_invariant_violations():
     # renaming sorts the class sizes, so only size multisets that stay bad
     # after sorting can raise: min >= 2, or min = 1 with the middle >= 3
     with pytest.raises(PivotInvariantViolation):
-        classify_and_pivot([prof(0, u12=(1, 2), u13=(3, 4), u23=(5, 6))])
+        classify_and_pivot(
+            profile_matrix(prof(0, u12=(1, 2), u13=(3, 4), u23=(5, 6))))
     with pytest.raises(PivotInvariantViolation):
         classify_and_pivot(
-            [prof(0, u12=(1, 2, 3), u13=(4, 5, 6, 7), u23=(8,))])
+            profile_matrix(prof(0, u12=(1, 2, 3), u13=(4, 5, 6, 7), u23=(8,))))
 
 
 def test_pivot_relabel_repairs_a_transposed_profile():
     # sizes (2,1,1) are out of order but fixable by renaming colors
-    _, sel = classify_and_pivot([prof(0, u12=(1,), u13=(2,), u23=(3, 4))])
+    _, sel = classify_and_pivot(profile_matrix(prof(0, u12=(1,), u13=(2,), u23=(3, 4))))
     assert sel.sigma != (1, 2, 3)
     assert (len(sel.U23), len(sel.U12), len(sel.U13)) == (1, 1, 2)
 
 
 def _random_profiles(rng):
-    """Profiles on 4..8 vertices; each vertex spreads the others over a
-    random nonempty set of its four classes, so B1-B3 are often nonempty."""
+    """Profile matrix on 4..8 vertices; each vertex spreads the others over
+    a random nonempty set of its four classes, so B1-B3 are often nonempty."""
     n = int(rng.integers(4, 9))
     profiles = []
     for v in range(n):
@@ -228,17 +248,17 @@ def _random_profiles(rng):
             if u != v:
                 classes[int(rng.choice(allowed))].append(u)
         profiles.append(prof(v, *classes))
-    return profiles
+    return profile_matrix(*profiles)
 
 
 def ref_relabel_profile(p, sigma):
-    """The profile with colors renamed by sigma (old i -> sigma[i-1]): the
-    reference for the classes the pivot names."""
-    classes = {tuple(sorted((sigma[0], sigma[1]))): p.U12,
-               tuple(sorted((sigma[0], sigma[2]))): p.U13,
-               tuple(sorted((sigma[1], sigma[2]))): p.U23}
-    return UProfile(vertex=p.vertex, U12=classes[(1, 2)], U13=classes[(1, 3)],
-                    U23=classes[(2, 3)], U123=p.U123)
+    """The classes p = (U12, U13, U23, U123) with colors renamed by sigma
+    (old i -> sigma[i-1]): the reference for the classes the pivot names."""
+    u12, u13, u23, u123 = p
+    classes = {tuple(sorted((sigma[0], sigma[1]))): u12,
+               tuple(sorted((sigma[0], sigma[2]))): u13,
+               tuple(sorted((sigma[1], sigma[2]))): u23}
+    return classes[(1, 2)], classes[(1, 3)], classes[(2, 3)], u123
 
 
 @pytest.mark.parametrize("sigma", list(itertools.permutations((1, 2, 3))))
@@ -250,23 +270,49 @@ def test_b1_after_renaming_is_the_b_class_of_the_color_renamed_to_1(sigma):
     rng = np.random.default_rng(17)
     checked = nonempty = pivots = 0
     for _ in range(300):
-        profiles = _random_profiles(rng)
+        profiles = classes_of(masks := _random_profiles(rng))
         try:
-            bc, sel = classify_and_pivot(profiles)
+            bc, sel = classify_and_pivot(masks)
         except PivotInvariantViolation:
             continue
         relabeled = (ref_relabel_profile(q, sigma) for q in profiles)
-        want = {q.vertex for q in relabeled if not q.U12 and not q.U13 and q.U23}
+        want = {v for v, (u12, u13, u23, _) in enumerate(relabeled)
+                if not u12 and not u13 and u23}
         assert set((bc.B1, bc.B2, bc.B3)[sigma.index(1)]) == want
         checked += 1
         nonempty += bool(want)
         if sel is not None:
             rp = ref_relabel_profile(profiles[sel.x], sel.sigma)
             assert (sel.U12, sel.U13, sel.U23, sel.U123) == tuple(
-                tuple(sorted(c)) for c in (rp.U12, rp.U13, rp.U23, rp.U123))
+                tuple(sorted(c)) for c in rp)
             assert sel.sigma[sel.color - 1] == 1
             pivots += 1
     assert checked >= 250 and nonempty >= 100 and pivots >= 100
+
+
+def _pivot_outcome(profiles_of):
+    """The B classes and every PivotSelection field, or the exception's type
+    and detail, of classifying what `profiles_of()` returns."""
+    try:
+        bc, sel = classify_and_pivot(profiles_of())
+    except (SingleGoodEdge, PivotInvariantViolation) as exc:
+        return [type(exc).__name__, str(exc), getattr(exc, "detail", None)]
+    return [dataclasses.asdict(bc), sel and dataclasses.asdict(sel)]
+
+
+def test_pivot_outcomes_are_pinned():
+    # one digest over the census fixtures, random K_85^4 colorings and the
+    # synthetic profile stream, recorded before the profiles became one
+    # pair-mask matrix; json rejects a numpy scalar that slips into a field
+    outcomes = [_pivot_outcome(lambda: compute_u_profiles(build_shadow(make(), 2)))
+                for _, make in _census_fixtures()]
+    outcomes += [_pivot_outcome(lambda: compute_u_profiles(build_shadow(
+        random_coloring(Params(n=85, r=4, t=2, c=3), seed=seed), 2)))
+        for seed in range(10)]
+    rng = np.random.default_rng(17)
+    outcomes += [_pivot_outcome(lambda: _random_profiles(rng)) for _ in range(1000)]
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == "a73f537c9919dca30ca62db42cfaa7cc954cfe855a7b890ddbf29fc7b67691c0"
 
 
 def test_relabel_permutes_colors_and_shadow():
@@ -1149,6 +1195,8 @@ def test_vertex_route_scans_equal_the_per_quad_loops(monkeypatch, run, scans):
     (Params(n=84, r=4, t=2, c=3), "need n >= 85, got n=84"),
     (Params(n=85, r=4, t=2, c=2), "need r=4 and c=3, got r=4, c=2"),
     (Params(n=20, r=5, t=2, c=3), "need r=4 and c=3, got r=5, c=3"),
+    # a t=3 coloring once came back "found" with a 2-tight certificate
+    (Params(n=85, r=4, t=3, c=3), "need t=2, got t=3"),
 ])
 def test_r4_find_rejects_shapes_outside_its_domain(params, match):
     with pytest.raises(InvalidParams, match=match):
@@ -1161,6 +1209,14 @@ def test_vertex_route_rejects_a_vertex_on_two_edges_of_its_color():
     h = ColoredHypergraph(Params(n=12, r=4, t=2, c=3), colors)
     with pytest.raises(InvalidParams, match="vertex 0 touches 2 edges of color 1"):
         r4.lemma_a_construct(h, 0, 1)
+
+
+def test_vertex_route_rejects_a_coloring_searched_at_t_3():
+    # the route builds 2-tight certificates, whatever t the coloring asks for
+    h = _sparse_vertex_coloring(4815)
+    h3 = ColoredHypergraph(Params(h.params.n, 4, 3, 3), h.colors)
+    with pytest.raises(InvalidParams, match="got r=4 t=3 c=3"):
+        r4.lemma_a_construct(h3, 0, 1, 10**5)
 
 
 @pytest.mark.parametrize("params", [Params(n=12, r=4, t=2, c=2),
