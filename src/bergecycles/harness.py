@@ -444,8 +444,21 @@ def _pair_lock_family(params: dict):
     return None, make
 
 
-# pivot-profile engineering: vertex classes around the designated pivot 0
-_W, _T, _Y, _Z = 0, 1, 2, 3
+def _pivot_good(n: int, t_set, y_set, z_set) -> np.ndarray:
+    """The good set (bit c - 1 for color c) engineered on each vertex's pair
+    with the pivot 0: U23, U12 and U13 for t, y and z, all three else."""
+    good = np.full(n, 0b111, dtype=np.uint8)
+    for vs, bits in ((t_set, 0b110), (y_set, 0b011), (z_set, 0b101)):
+        good[vs] = bits
+    return good
+
+
+# _PICK[keep, mix % 6]: the colors of good set `keep` in turn.  An edge at the
+# pivot takes a color all three of its pivot pairs keep good, so each pair
+# stays inside its color budget; only an edge meeting U23, U12 and U13 has
+# none, and takes 2, one of the two color-2 slots of its U13 vertex
+_PICK = np.array([np.resize([c for c in (1, 2, 3) if keep >> (c - 1) & 1] or [2], 6)
+                  for keep in range(8)], dtype=np.uint8)
 
 
 def _u_profile_family(params: dict):
@@ -520,51 +533,15 @@ def _u_profile_family(params: dict):
 def _u_profile_colors(n, t_set, y_set, z_set, specials1, blocks, offset):
     colors = _hash_colors(n, 4, 3, offset)
     m = edges_through(n, 4, [(0,)])[0]          # the edges at the pivot
-    piv = edge_table(n, 4)[m].astype(np.int64)
-    b, c_, d = piv[:, 1], piv[:, 2], piv[:, 3]
-    cls = np.full(n, _W, dtype=np.int8)
-    cls[t_set] = _T
-    cls[y_set] = _Y
-    cls[z_set] = _Z
-    cb, cc, cd = cls[b], cls[c_], cls[d]
-    hasT = (cb == _T) | (cc == _T) | (cd == _T)
-    hasY = (cb == _Y) | (cc == _Y) | (cd == _Y)
-    hasZ = (cb == _Z) | (cc == _Z) | (cd == _Z)
-    mixx = _hash_mix(piv, offset)
-    h23 = (2 + mixx % 2).astype(np.uint8)
-    h12 = (1 + mixx % 2).astype(np.uint8)
-    h13 = np.where(mixx % 2 == 0, 1, 3).astype(np.uint8)
-    h123 = (1 + mixx % 3).astype(np.uint8)
-    # the fixed rules keep every pair at the pivot inside its color budget:
-    # edges seen by a T vertex avoid 1, by a Y vertex avoid 3, by a Z
-    # vertex avoid 2; three-class edges cannot satisfy all and default to
-    # 2, spending one of the two color-2 slots of their Z vertex
-    sub = np.select(
-        [hasT & hasY & hasZ,
-         hasT & hasY,
-         hasT & hasZ,
-         hasY & hasZ,
-         hasT,
-         hasY,
-         hasZ],
-        [np.full(mixx.shape, 2, dtype=np.uint8),
-         np.full(mixx.shape, 2, dtype=np.uint8),
-         np.full(mixx.shape, 3, dtype=np.uint8),
-         np.full(mixx.shape, 1, dtype=np.uint8),
-         h23, h12, h13],
-        default=h123)
-    zmem = (b * (cb == _Z) + c_ * (cc == _Z) + d * (cd == _Z))
-    if specials1:
-        spec = hasT & hasY & hasZ & np.isin(zmem, sorted(specials1))
-        sub = np.where(spec, np.uint8(1), sub)
-    if blocks:
-        wmem = (b * (cb == _W) + c_ * (cc == _W) + d * (cd == _W))
-        onew = ((cb == _W).astype(np.int8) + (cc == _W) + (cd == _W))
-        yzw = hasY & hasZ & ~hasT & (onew == 1)
-        for w_id, zblock in sorted(blocks.items()):
-            bm = yzw & (wmem == w_id) & np.isin(zmem, sorted(zblock))
-            sub = np.where(bm, np.uint8(2), sub)
-    colors[m] = sub
+    piv = edge_table(n, 4)[m]
+    good = _pivot_good(n, t_set, y_set, z_set)
+    keep = good[piv[:, 1]] & good[piv[:, 2]] & good[piv[:, 3]]
+    colors[m] = _PICK[keep, _hash_mix(piv, offset) % 6]
+    for z in specials1:                         # {0, t, y, z} in color 1
+        colors[rank_subset((0, t_set[0], y_set[0], z))] = 1
+    for w, zblock in blocks.items():            # {0, y, z, w} out of color 1
+        for z in zblock:
+            colors[rank_subset((0, y_set[0], z, w))] = 2
     return colors
 
 
@@ -572,9 +549,8 @@ def _check_u_profile(h, t_set, y_set, z_set, specials1, blocks):
     """Recompute the shadow and fail loudly if the engineering missed: each
     pivot pair has its class's good set, and every other pair all three."""
     n = h.params.n
-    want = np.full((n, n), 0b111, dtype=np.uint32)
-    for vs, bits in ((t_set, 0b110), (y_set, 0b011), (z_set, 0b101)):
-        want[0, vs] = want[vs, 0] = bits
+    want = np.full((n, n), 0b111, dtype=np.uint8)
+    want[0] = want[:, 0] = _pivot_good(n, t_set, y_set, z_set)
     got = build_shadow(h, 2).goodmask[_pair_rank_matrix(n)]
     bad = np.argwhere(np.triu(got != want, 1))      # off the diagonal, u < v
     if bad.size:

@@ -50,7 +50,6 @@ from .core import (
     InvalidParams,
     Params,
     TightCycleWitness,
-    edge_table,
     edges_through,
     rank_rows,
     rank_subset,
@@ -62,8 +61,15 @@ from .hamilton import (
     SimpleGraph,
     find_hamiltonian_cycle,
     find_mono_ham_tight_cycle,
+    good_pair_graph,
 )
-from .shadow import ShadowMulticoloring, _at_least, _pair_rank_matrix, build_shadow
+from .shadow import (
+    ShadowMulticoloring,
+    _at_least,
+    _pack_goodmask,
+    _pair_rank_matrix,
+    build_shadow,
+)
 
 MIN_N = 85
 
@@ -147,7 +153,6 @@ class GammaConstruction:
     """Auxiliary graph whose Hamiltonian cycles lift to sel.color Berge-cycles."""
 
     graph: SimpleGraph
-    w1: int | None
     subcase: dict
     degree_report: dict
 
@@ -462,7 +467,7 @@ def construct_gamma_case1(h: ColoredHypergraph,
         info.append(("w1", w1, 2))
     if w2 is not None:
         info.append(("w2", w2, 3))
-    return GammaConstruction(graph=graph, w1=w1, subcase=subcase,
+    return GammaConstruction(graph=graph, subcase=subcase,
                              degree_report=_degree_report(degs, hard, info))
 
 
@@ -528,7 +533,7 @@ def construct_gamma_case2(h: ColoredHypergraph, s: ShadowMulticoloring,
             ("y", y, n - len(sel.B) - 9)]
     if w1 is not None:
         info.append(("w1", w1, 3))
-    return GammaConstruction(graph=graph, w1=w1, subcase=subcase,
+    return GammaConstruction(graph=graph, subcase=subcase,
                              degree_report=_degree_report(degs, hard, info))
 
 
@@ -615,13 +620,9 @@ def _mono_ham_berge_in_link(k: ColoredHypergraph, budget: int,
         return cert
     # weaker route: a Hamiltonian cycle over the pairs covered at least
     # once, lifted by the position -> edge matching
-    n1 = k.params.n
-    tab2 = edge_table(n1, 2)
-    covered = _at_least(k, 2, 1)
+    covered = ShadowMulticoloring(k.params, 2, _pack_goodmask(_at_least(k, 2, 1)))
     for color in (1, 2):
-        adj = np.zeros((n1, n1), dtype=bool)
-        adj[tab2[:, 0], tab2[:, 1]] = covered[:, color - 1]
-        res = find_hamiltonian_cycle(SimpleGraph.from_adjacency(adj | adj.T), budget)
+        res = find_hamiltonian_cycle(good_pair_graph(covered, color), budget)
         fallbacks.append({"stage": "link-weak-graph", "color": color,
                           "status": res.status})
         if res.status != "found":
@@ -871,6 +872,17 @@ def shadow_guided_cert(h: ColoredHypergraph, s: ShadowMulticoloring,
     return None
 
 
+def _shadow_exit(h: ColoredHypergraph, s: ShadowMulticoloring, color_order,
+                 budget: int, trace: ConstructionTrace, reason: str) -> SearchResult:
+    """A branch that ends on the shadow route: its certificate, or Unresolved
+    with `reason` also logged as the trace's last step."""
+    cert = shadow_guided_cert(h, s, color_order, budget, trace.fallbacks)
+    if cert is None:
+        trace.steps.append({"step": "unresolved", "reason": reason})
+        raise Unresolved(reason, trace)
+    return SearchResult("found", cert, trace)
+
+
 def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Monochromatic Hamiltonian Berge-cycle in a 3-colored K_n^4, n >= 85.
 
@@ -915,21 +927,16 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
         except SingleGoodEdge as exc:
             trace.branch = "single-good-fallback"
             trace.subcase = {"pair": list(exc.pair), "goodset": list(exc.goodset)}
-            cert = shadow_guided_cert(h, s, (1, 2, 3), budget, trace.fallbacks)
-            if cert is None:
-                raise Unresolved("single-good fallback found no cycle in budget",
-                                 trace) from exc
-            return SearchResult("found", cert, trace)
+            return _shadow_exit(h, s, (1, 2, 3), budget, trace,
+                                "single-good fallback found no cycle in budget")
 
         bc, sel = classify_and_pivot(masks)
         if sel is None:
             trace.branch = "B-cover"
             trace.subcase = {"B_sizes": [len(bc.B1), len(bc.B2), len(bc.B3),
                                          len(bc.B4)]}
-            cert = shadow_guided_cert(h, s, (1, 2, 3), budget, trace.fallbacks)
-            if cert is None:
-                raise Unresolved("B-cover search found no cycle in budget", trace)
-            return SearchResult("found", cert, trace)
+            return _shadow_exit(h, s, (1, 2, 3), budget, trace,
+                                "B-cover search found no cycle in budget")
 
         trace.pivot = {"x": sel.x, "pi": sel.pi, "sigma": list(sel.sigma),
                        "sizes": {"U23": len(sel.U23), "U12": len(sel.U12),
@@ -951,12 +958,9 @@ def r4_find(h: ColoredHypergraph, budget: int = DEFAULT_BUDGET) -> SearchResult:
                 outside = [u for u in sel.U123 if u not in b1]
                 if not outside:
                     trace.subcase = {"case": 2, "early_exit": True}
-                    cert = shadow_guided_cert(h, s, (sel.sigma.index(2) + 1,),
-                                              budget, trace.fallbacks)
-                    if cert is None:
-                        raise Unresolved("early-exit good graph was not "
-                                         "Hamiltonian in budget", trace)
-                    return SearchResult("found", cert, trace)
+                    return _shadow_exit(
+                        h, s, (sel.sigma.index(2) + 1,), budget, trace,
+                        "early-exit good graph was not Hamiltonian in budget")
                 w = outside[0]
             gamma = construct_gamma_case2(h, s, sel, w)
         trace.subcase = gamma.subcase

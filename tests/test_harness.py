@@ -39,6 +39,7 @@ from bergecycles.harness import (
 )
 from bergecycles.r4 import ConstructionTrace
 from bergecycles.shadow import _at_least, build_shadow
+from test_r4 import _CASE_STREAMS
 from test_shadow import _census_fixtures
 
 
@@ -493,6 +494,56 @@ def test_u_profile_stream_is_pinned():
         digest.update(h.colors.tobytes())
     assert digest.hexdigest() == \
         "acde13377c76a667dc427d169b0f129ab2f8b833645095d834a95284f4eb3f11"
+
+
+# sha256 of the first two colorings of each census u-profile stream, recorded
+# from the seven-way class rule and member masks the pick table replaced;
+# the engineered deg_w, deg_w2 and deg_u23 edges land in these colors
+U_PROFILE_CENSUS_DIGESTS = {
+    "u-profile split deg=0": (
+        "5f6daa5d84ce8c528df47c7c8be45ca094cc0df47c194957ab7edb6b27cd48e0",
+        "6915984cfdc4bc75fc05e54232acfbd1f4f1f5aa9f9321c2cb700e016c03c6e5"),
+    "u-profile split deg=1": (
+        "229a07bc07258d216691a0105218ca2e499d2bf3f03a0c153e67f5f81be13123",
+        "c07107ed87ebbe465bb5253f440249a93bc714f18508757e81c496fcb8ae16bf"),
+    "u-profile repair deg_w=0 deg_u23=0": (
+        "6fc5557550763ea528145c5d8c58d23c75fb4f7a437ed84c94e586f254383e35",
+        "871181fa61793ca3f987b8171bdc217250463f4b8e233dfd795eadaffcab0ac7"),
+    "u-profile repair deg_w=0 deg_u23=1": (
+        "b0fc1512c96b989c0f6dd39aaf3719c27ee8e3bd6ff3d345364af65ae3b8c189",
+        "d8680b280340fbbc9ee692fa3ce3a953c56f8041eb8d42774eb445be6a03442f"),
+    "u-profile repair deg_w=0 deg_u23=2": (
+        "9f88893c55f95e0a5f376adaba0b7a56d8e5408469964f42fd3fb55fb54b6885",
+        "c633427a2270b12f8690704d511aa418fa331298ad9a9f6eda9be5554d0cf02a"),
+    "u-profile repair deg_w=1 deg_u23=0": (
+        "fa439bd89b23058a283ee5d1d88c73daf03f31f7da69d6ef9d0687d4c2e180dc",
+        "1afa4d61ede98313128d44b267dd59404f9671ba9aa5e3352372ae540d2786b2"),
+    "u-profile repair deg_w=1 deg_u23=1": (
+        "ec6cd33bde5fbbd7247f3ecd9611f64f7ef423830c9b3a058659784a3d464dae",
+        "99056f8e445eeb6474db36bc2e281d42a4be76f8d242be1c4957612da697084e"),
+    "u-profile repair deg_w=1 deg_u23=2": (
+        "5a307526957cd4ee6dd73a198ff669f05c7418831da7dae83259226ac6ea62c4",
+        "e3e8a3ebc9798f66d872bb78a83a06799c07fe544027671a593d1c6f437b6761"),
+    "u-profile repair deg_w=2 deg_u23=0": (
+        "0853a6b12867440d0a57230b34c1f2c9cc6a982b5b77c45d10580a0f69e6eba1",
+        "2ae98d277675fc2acb754c26cbb634b13c26ede655a7762fbc0bf5b01a28fd74"),
+    "u-profile repair deg_w=2 deg_u23=1": (
+        "a0c0668bbd538bd5fc16fb1a9ce8c6eddf28823a61297f3c478ead6e9cae2d19",
+        "c41d80813d2f34294d97b35ea84b0ae88331e29e7151436839014364f69f3d5e"),
+    "u-profile repair deg_w=2 deg_u23=2": (
+        "b00c113174aa2ee8c4a4cccbebe7a332072e00adeb9086d38f7151f523d44489",
+        "ab3a749f8b813985b95612f023a8ecb3c4e6be4e61e00f10b2e23ac6d03b4582"),
+    "u-profile window": (
+        "a392c62d110996d3ee3d3ac4760d6699c462c9d8aface2fa7f47bd4da59db83b",
+        "52177e04c62ece70f66ae6425518217f136f16e55c8d839529aae898c0a6417e"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(U_PROFILE_CENSUS_DIGESTS))
+def test_census_u_profile_streams_are_pinned(label):
+    stream = structured_colorings("u-profile", {"n": 85, **_CASE_STREAMS[label]})
+    assert tuple(hashlib.sha256(h.colors.tobytes()).hexdigest()
+                 for h in itertools.islice(stream, 2)) == U_PROFILE_CENSUS_DIGESTS[label]
 
 
 def test_hashed_streams_do_not_repeat():

@@ -195,9 +195,14 @@ def test_majority_coloring_counts_in_bytes(shape):
     ("majority", {"n": 85, "r": 4, "c": 3}, 2),
     ("near-mono", {"n": 85, "r": 4, "c": 3}, 2),
     ("pair-lock", {"n": 85, "r": 4, "c": 3}, 2),
-    # the pivot rows, C(84, 3) of them, are mixed again in int64
-    ("u-profile", {"n": 85, "k23": 1, "k12": 1, "k13": 40}, 5),
+    # the C(84, 3) pivot rows are gathered in uint8 and mixed again in
+    # int64; class masks over those rows peaked at 4.6 bytes an edge
+    ("u-profile", {"n": 85, "k23": 1, "k12": 1, "k13": 40}, 3.5),
     ("pair-lock", {"n": 128, "r": 4, "c": 3}, 2),
+    # the engineered deg_w/deg_u23 edges are point writes; member masks over
+    # the pivot rows to find them peaked at 5.25 bytes an edge
+    ("u-profile", {"n": 85, "k23": 1, "k12": 1, "k13": 41, "deg_w": 1,
+                   "deg_u23": 1}, 3.5),
 ])
 def test_structured_coloring_peaks_near_its_colors(kind, params, per_edge):
     # the rules read the edge table in row chunks and hand the finished

@@ -560,6 +560,10 @@ def test_gamma_matching_failure_is_a_traced_extension_breach(monkeypatch):
     assert exc.value.trace.branch == "case-1"
 
 
+_MISS_REASONS = {"B-cover": "B-cover search found no cycle in budget",
+                 "single-good-fallback": "single-good fallback found no cycle in budget"}
+
+
 @pytest.mark.parametrize("make, branch", [
     (lambda: random_coloring(Params(n=85, r=4, t=2, c=3), seed=3), "B-cover"),
     (lambda: next(structured_colorings(
@@ -567,14 +571,18 @@ def test_gamma_matching_failure_is_a_traced_extension_breach(monkeypatch):
      "single-good-fallback"),
 ])
 def test_search_miss_is_unresolved(monkeypatch, make, branch):
+    # the reason is the trace's last step, so find_certificate's trace,
+    # which drops the exception, still says why the search gave up
+    reason = _MISS_REASONS[branch]
     monkeypatch.setattr(r4, "shadow_guided_cert", lambda *args: None)
     h = make()
-    with pytest.raises(Unresolved) as exc:
+    with pytest.raises(Unresolved, match=reason) as exc:
         r4_find(h)
     assert exc.value.trace.branch == branch
     res = find_certificate(h)
     assert (res.status, res.certificate) == ("unresolved", None)
     assert res.trace.branch == branch
+    assert res.trace.steps[-1] == {"step": "unresolved", "reason": reason}
 
 
 def test_trace_serializes_to_json():
@@ -622,7 +630,7 @@ def _gamma_outcome(build):
     sub = g.subcase
     leaf = ((sub["variant"], sub["r2"], sub["intersecting"]) if sub["case"] == 1
             else (sub["r"], sub["l"], sub["intersecting"]))
-    return [sub, g.graph.rows, g.degree_report, g.w1], (sub["case"], *leaf)
+    return [sub, g.graph.rows, g.degree_report, sub["w1"]], (sub["case"], *leaf)
 
 
 def test_gamma_sweep_reaches_every_repair_leaf():
