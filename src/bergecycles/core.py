@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -255,9 +255,6 @@ class ColoredHypergraph:
             raise InvalidParams("colors must lie in 1..c")
         colors.setflags(write=False)
         object.__setattr__(self, "colors", colors)
-
-    def color_of(self, edge: Iterable[int]) -> int:
-        return int(self.colors[rank_subset(tuple(sorted(edge)))])
 
 
 def random_coloring(params: Params, seed) -> ColoredHypergraph:

@@ -6,8 +6,8 @@ construction route taken; a ContractBreach carries the trace so far.  The
 dispatcher `r4_find` tries, in order:
 
   1. a vertex that touches at most one edge of some color -- the cycle is
-     built inside that vertex's link and the vertex is re-inserted
-     (`lemma_a_construct`);
+     built inside that vertex's link, the only part of the coloring the
+     route reads, and the vertex is re-inserted (`lemma_a_construct`);
   2. a pair with at most one good color in the pair shadow -- signalled as
      `SingleGoodEdge` and handled by `shadow_guided_cert`;
   3. every vertex lands in a dominance class (B-cover) -- one of the three
@@ -25,9 +25,9 @@ E1-E5 (`_gamma_base`) and one repair rule: each computes how many E6 pairs
 its two low-degree vertices need, before any repair, and `_top_up` adds
 them; only the leaves that share or narrow reserved edges, and the star at
 x, differ.  A reservation reads its edges as an `extract.CandidateRow`, in
-the blocks of `core.row_blocks` the lift reads.  Every vertex-route
-construction only decides a core: `_lift_core` backs its pairs, and the
-opposite-color and terminal cycles through a hub vertex share one pattern
+the blocks of `core.row_blocks` the lift reads.  The vertex route reads
+its link alone (`_link_ranks`), and each of its constructions only decides
+a core: `_lift_core` backs its pairs, and the hub cycles share one pattern
 check (`_close_hub_cycle`).  Renaming moves only names: every route reads
 the input coloring, in the input's color names, and `extract.lift_to_berge`
 builds and verifies each certificate once.
@@ -38,7 +38,6 @@ edges scan in colex order, and ties break toward smaller ids.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -52,7 +51,7 @@ from .core import (
     TightCycleWitness,
     edges_through,
     rank_rows,
-    rank_subset,
+    unrank_rows,
     unrank_subset,
 )
 from .extract import CandidateRow, MatchingIncomplete, extend_tight_cycle, lift_to_berge
@@ -186,15 +185,15 @@ class SearchResult:
 # small shared helpers
 
 
-def _quads(*cols) -> np.ndarray:
-    """Sorted (m, 4) rows of the 4-sets {a, b, c, d}, each column one vertex
-    or an (m,) array: `rank_rows` of them makes a color scan one gather."""
-    out = np.empty((max((len(c) for c in cols if np.ndim(c)), default=1), 4),
-                   dtype=np.intp)
-    for j, col in enumerate(cols):
-        out[:, j] = col
-    out.sort(axis=1)
-    return out
+def _rows(*cols) -> np.ndarray:
+    """Sorted rows of the sets {a, b, ...}, each column one vertex or an (m,)
+    array: `rank_rows` of them makes a color scan one gather."""
+    return np.sort(np.column_stack(np.broadcast_arrays(*cols)), axis=1)
+
+
+def _link_ranks(v: int, rows: np.ndarray) -> np.ndarray:
+    """Link ranks of sorted 3-set rows avoiding v: `edges_through` order."""
+    return rank_rows(rows - (rows > v))
 
 
 def relabel_colors(h: ColoredHypergraph, s: ShadowMulticoloring,
@@ -323,7 +322,7 @@ def _gamma_base(h: ColoredHypergraph, sel: PivotSelection,
         vv = np.tile(cands, len(centers))
         keep = (uu != vv) & ~np.isin(vv, drop)
         uu, vv = uu[keep], vv[keep]
-        hit = h.colors[rank_rows(_quads(*hub, uu, vv))] == sel.color
+        hit = h.colors[rank_rows(_rows(*hub, uu, vv))] == sel.color
         adj[uu[hit], vv[hit]] = True
     adj[y, u13] = True                                                     # E5
     adj |= adj.T
@@ -334,11 +333,13 @@ def _reserve(h: ColoredHypergraph, color: int, contain: tuple[int, ...], count: 
              excluded: set[tuple[int, ...]], who: str) -> list[tuple[int, ...]]:
     """First `count` `color` edges containing `contain`, colex order, minus
     the already-consumed backings.  They are read from a `CandidateRow` of
-    `contain` started empty, so its `core.row_blocks` blocks are read in
-    order up to the one holding the last edge picked."""
+    `contain` started empty, so its `core.row_blocks` blocks are read, and
+    each unranked at once, in order up to the one holding the last pick."""
     row = CandidateRow([], 0, np.asarray(contain), h, color)
-    quads = (unrank_subset(q, h.params.n, 4) for q in row)
-    out = list(itertools.islice((g for g in quads if g not in excluded), count))
+    out, done = [], 0
+    while len(out) < count and row._widen():
+        block, done = unrank_rows(row.ranks[done:], h.params.n, 4), len(row.ranks)
+        out += [g for g in map(tuple, block.tolist()) if g not in excluded][:count - len(out)]
     if len(out) >= count:
         return out
     raise ReservationUnsatisfiable(
@@ -649,7 +650,7 @@ def _lift_core(h: ColoredHypergraph, color: int, core) -> BergeCertificate:
         raise FallbackExhausted(f"no distinct backing edges: {exc}") from exc
 
 
-def _lemma_insert(work: np.ndarray, lift, v: int,
+def _lemma_insert(link: np.ndarray, lift, v: int,
                   xs: list[int], es: list[tuple[int, ...]], chi: int,
                   detail: dict) -> BergeCertificate | None:
     """Insert v into the link cycle using a chi-colored chord at x1.
@@ -657,8 +658,8 @@ def _lemma_insert(work: np.ndarray, lift, v: int,
     xs is already rotated so x1 avoids the companion edge of v.  Tries an
     inner chord {x1, xk, xk'} first, then a wrap chord next to x1 on either
     side, and lifts the new core.  Returns None when no usable chord exists.
-    Each family is one gather over its triples plus v, less the cycle edge
-    it skips; the new core depends on the family, not on the chord.
+    Each family is one gather over its triples in v's link, less the cycle
+    edge it skips; the new core depends on the family, not on the chord.
     """
     n1 = len(xs)
     x1, ring = xs[0], np.array(xs)
@@ -667,15 +668,15 @@ def _lemma_insert(work: np.ndarray, lift, v: int,
             ("chord", (x1, ring[ki + 2], ring[kj + 2]), None, [x1, v] + xs[1:]),
             ("wrap-left", (xs[-1], x1, ring[2:n1 - 2]), es[-1], [v] + xs),
             ("wrap-right", (x1, xs[1], ring[3:n1 - 1]), es[0], [x1, v] + xs[1:])):
-        ranks = rank_rows(_quads(v, *cols))
-        skip = -1 if e is None else rank_subset(sorted((v, *e)))
-        if ((work[ranks] == chi) & (ranks != skip)).any():
+        ranks = _link_ranks(v, _rows(*cols))
+        skip = -1 if e is None else _link_ranks(v, np.array([e]))[0]
+        if ((link[ranks] == chi) & (ranks != skip)).any():
             detail["insertion"] = insertion
             return lift(chi, core)
     return None
 
 
-def _lemma_opposite_cycle(work: np.ndarray, lift, v: int, xs: list[int],
+def _lemma_opposite_cycle(link: np.ndarray, lift, v: int, xs: list[int],
                           chi: int, detail: dict) -> BergeCertificate:
     """Opposite-color cycle through x1 when no chi-chord at x1 exists.
 
@@ -687,7 +688,7 @@ def _lemma_opposite_cycle(work: np.ndarray, lift, v: int, xs: list[int],
     cadj = _cycle_adjacency(xs)
     banned = {xs[-2], xlast, x1, x2, xs[2]}
     cand = np.array([u for u in sorted(xs) if u not in banned], dtype=np.intp)
-    pool_l, pool_r = (cand[work[rank_rows(_quads(v, a, cand, x1))] == other].tolist()
+    pool_l, pool_r = (cand[link[_link_ranks(v, _rows(a, cand, x1))] == other].tolist()
                       for a in (xlast, x2))
     try:
         y2 = pool_l[0]
@@ -702,12 +703,12 @@ def _lemma_opposite_cycle(work: np.ndarray, lift, v: int, xs: list[int],
     if tail is None:
         raise FallbackExhausted("could not arrange the opposite-color cycle")
     ys = [v, y2, xlast, y4, y5, x2, y7] + tail + [x1]   # ys[j-1] is y_j
-    cert = _close_hub_cycle(work, lift, ys, other, "opposite")
+    cert = _close_hub_cycle(link, lift, ys, other, "opposite")
     detail["insertion"] = "opposite-cycle"
     return cert
 
 
-def _close_hub_cycle(work: np.ndarray, lift, ys: list[int], color: int,
+def _close_hub_cycle(link: np.ndarray, lift, ys: list[int], color: int,
                      pattern: str) -> BergeCertificate:
     """Close the `color` cycle ys = v, y2, ..., y_{n-1}, hub.
 
@@ -716,7 +717,7 @@ def _close_hub_cycle(work: np.ndarray, lift, ys: list[int], color: int,
     that does not is reported.  Then `lift` backs every pair of ys.
     """
     v, hub = ys[0], ys[-1]
-    bad = np.flatnonzero(work[rank_rows(_quads(v, ys[1:-2], ys[2:-1], hub))] != color)
+    bad = np.flatnonzero(link[_link_ranks(v, _rows(ys[1:-2], ys[2:-1], hub))] != color)
     if bad.size:
         j = int(bad[0]) + 2
         raise FallbackExhausted(
@@ -724,20 +725,19 @@ def _close_hub_cycle(work: np.ndarray, lift, ys: list[int], color: int,
     return lift(color, ys)
 
 
-def _color2_spares(work: np.ndarray, v: int, u: int, verts: list[int],
+def _color2_spares(link: np.ndarray, v: int, u: int, verts: list[int],
                    cycle: np.ndarray) -> np.ndarray:
     """Color-2 link triples through u that are not cycle edges (`cycle`:
-    their ranks plus v), as sorted rows in `itertools.combinations` order
+    their link ranks), as sorted rows in `itertools.combinations` order
     over the other vertices, by one gather; callers convert the rows they read."""
     rest = np.array(sorted(w for w in verts if w != u), dtype=np.intp)
     a, b = np.triu_indices(len(rest), 1)
-    quads = _quads(v, u, rest[a], rest[b])
-    ranks = rank_rows(quads)
-    spare = quads[(work[ranks] == 2) & ~np.isin(ranks, cycle)]
-    return spare[spare != v].reshape(-1, 3)
+    tris = _rows(u, rest[a], rest[b])
+    ranks = _link_ranks(v, tris)
+    return tris[(link[ranks] == 2) & ~np.isin(ranks, cycle)]
 
 
-def _lemma_in_cycle(work: np.ndarray, lift, v: int,
+def _lemma_in_cycle(link: np.ndarray, lift, v: int,
                     core: list[int], cedges: list[tuple[int, ...]],
                     e_core: tuple[int, ...], detail: dict) -> BergeCertificate:
     """The companion edge of v lies on C, covering a consecutive pair."""
@@ -745,10 +745,10 @@ def _lemma_in_cycle(work: np.ndarray, lift, v: int,
     xs = core[j:] + core[:j]
     es = cedges[j:] + cedges[:j]
     v2, v3 = xs[0], xs[1]
-    cycle = rank_rows(_quads(v, *np.array(es).T))
+    cycle = _link_ranks(v, np.array(es))
 
-    p2 = _color2_spares(work, v, v2, xs, cycle)
-    p3 = _color2_spares(work, v, v3, xs, cycle)
+    p2 = _color2_spares(link, v, v2, xs, cycle)
+    p3 = _color2_spares(link, v, v3, xs, cycle)
     if any(g2 != g3 for g2 in p2[:2].tolist() for g3 in p3[:2].tolist()):
         detail["insertion"] = "two-chords"
         return lift(2, [v2, v, v3] + xs[2:])
@@ -757,7 +757,7 @@ def _lemma_in_cycle(work: np.ndarray, lift, v: int,
     # cycle ending at that vertex with all edges {v, ., ., u} of color 3
     for u, e_other, spares, at in ((v2, es[-1], p2, "v2"), (v3, es[1], p3, "v3")):
         try:
-            cert = _lemma_terminal_cycle(work, lift, v, xs, u, e_core, e_other,
+            cert = _lemma_terminal_cycle(link, lift, v, xs, u, e_core, e_other,
                                          spares.tolist())
             detail["insertion"] = f"terminal-cycle-at-{at}"
             return cert
@@ -766,7 +766,7 @@ def _lemma_in_cycle(work: np.ndarray, lift, v: int,
     raise FallbackExhausted("in-cycle companion: both terminal cycles failed")
 
 
-def _lemma_terminal_cycle(work: np.ndarray, lift, v: int,
+def _lemma_terminal_cycle(link: np.ndarray, lift, v: int,
                           xs: list[int], u: int, e_core: tuple[int, ...],
                           e_other: tuple[int, ...],
                           spares: list[tuple[int, ...]]) -> BergeCertificate:
@@ -782,20 +782,20 @@ def _lemma_terminal_cycle(work: np.ndarray, lift, v: int,
     seq = _order_avoiding(pool, None, u, blocked)
     if seq is None:
         raise FallbackExhausted("could not arrange the terminal cycle")
-    return _close_hub_cycle(work, lift, [v] + seq + [u], 3, "terminal")
+    return _close_hub_cycle(link, lift, [v] + seq + [u], 3, "terminal")
 
 
 def lemma_a_construct(h: ColoredHypergraph, vertex: int, color: int,
                       budget: int = DEFAULT_BUDGET) -> tuple[BergeCertificate, dict]:
     """Certificate for a vertex touching at most one edge of `color`.
 
-    The route conditions read the colors renamed so the sparse color is 1
-    (work, one `take`, a copy when no color moves), with the companion edge
-    e_v, if any, counted as color 2.  A monochromatic Hamiltonian cycle of
-    the vertex's link then absorbs the vertex back in, and the new core
-    lifts on h itself in the input's name for the work color, so e_v never
-    backs a pair.  Returns the certificate, in the input's colors, plus a
-    detail dict for the trace.
+    Every route condition reads an edge through the vertex, so the route
+    reads only its link: the `edges_through` colors renamed so the sparse
+    color is 1, with the companion edge e_v (its one edge, else the first)
+    counted as 2.  A monochromatic Hamiltonian cycle of the link, a
+    2-colored K_{n-1}^3, absorbs the vertex back in, and the new core lifts
+    on h in the input's name for the work color, so e_v never backs a pair.
+    Returns the certificate, in the input's colors, and a trace detail dict.
     """
     p = h.params
     if (p.r, p.t, p.c) != (4, 2, 3):
@@ -804,29 +804,27 @@ def lemma_a_construct(h: ColoredHypergraph, vertex: int, color: int,
     n = p.n
     detail: dict = {"vertex": vertex, "color": color, "fallbacks": []}
 
-    lut = np.arange(4, dtype=np.uint8)      # color in h -> color in work
+    lut = np.arange(4, dtype=np.uint8)      # color in h -> work color
     lut[1], lut[color] = color, 1
     ranks = edges_through(n, 4, [(vertex,)])[0]
-    ones = np.flatnonzero(lut[h.colors[ranks]] == 1)
+    ones = np.flatnonzero(h.colors[ranks] == color)
     if ones.size > 1:
         raise InvalidParams(
             f"vertex {vertex} touches {ones.size} edges of color {color}")
-    if ones.size == 1:
-        e_v = unrank_subset(int(ranks[ones[0]]), n, 4)
-    else:
-        e_v = tuple(sorted([vertex] + [a for a in range(n) if a != vertex][:3]))
+    at_e = int(ones[0]) if ones.size else 0     # e_v's index in the link
+    e_v = unrank_subset(int(ranks[at_e]), n, 4)
     detail["companion_edge"] = list(e_v)
-    if lut[h.color_of(e_v)] == 3:
+    if lut[h.colors[ranks[at_e]]] == 3:     # e_v counts as 2: swap 2 and 3
         lut = np.array([0, 1, 3, 2], dtype=np.uint8)[lut]
+    link = lut[h.colors[ranks]]
+    link[at_e] = 2
     back = lut.tolist()
-    work = h.colors.copy() if back == [0, 1, 2, 3] else lut.take(h.colors)
-    work[rank_subset(e_v)] = 2
     lift = lambda c, core: _lift_core(h, back.index(c), core)  # noqa: E731
 
     # the link of v: the edges through v, minus v, in the colex order of
     # the other vertices; work colors {2,3} become link colors {1,2}
     others = [u for u in range(n) if u != vertex]
-    k = ColoredHypergraph(Params(n=n - 1, r=3, t=2, c=2), work[ranks] - 1)
+    k = ColoredHypergraph(Params(n=n - 1, r=3, t=2, c=2), link - 1)
     link_cert = _mono_ham_berge_in_link(k, budget, detail["fallbacks"])
     core = [others[i] for i in link_cert.core]
     cedges = [tuple(sorted(others[i] for i in e)) for e in link_cert.edges]
@@ -836,15 +834,15 @@ def lemma_a_construct(h: ColoredHypergraph, vertex: int, color: int,
 
     if chi == 2 and frozenset(e_core) in set(map(frozenset, cedges)):
         detail["case"] = "in-cycle"
-        cert = _lemma_in_cycle(work, lift, vertex, core, cedges, e_core, detail)
+        cert = _lemma_in_cycle(link, lift, vertex, core, cedges, e_core, detail)
     else:
         detail["case"] = "off-cycle" if chi == 2 else "companion-free"
         rot = next(i for i in range(len(core)) if core[i] not in e_core)
         xs = core[rot:] + core[:rot]
         es = cedges[rot:] + cedges[:rot]
-        cert = _lemma_insert(work, lift, vertex, xs, es, chi, detail)
+        cert = _lemma_insert(link, lift, vertex, xs, es, chi, detail)
         if cert is None:
-            cert = _lemma_opposite_cycle(work, lift, vertex, xs, chi, detail)
+            cert = _lemma_opposite_cycle(link, lift, vertex, xs, chi, detail)
     return cert, detail
 
 

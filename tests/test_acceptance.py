@@ -175,7 +175,7 @@ def _window_good_by_recount(h, win, color, t):
     rest = [v for v in range(n) if v not in win]
     hits = 0
     for extra in itertools.combinations(rest, r - t):
-        if h.color_of(tuple(sorted(win + extra))) == color:
+        if h.colors[rank_subset(sorted(win + extra))] == color:
             hits += 1
     return hits >= r - t + 1
 

@@ -279,12 +279,12 @@ def test_hypergraph_validation_and_recolor():
     with pytest.raises(InvalidParams):
         ColoredHypergraph(p, np.zeros(10, dtype=np.uint8))
     h = ColoredHypergraph(p, np.ones(10, dtype=np.uint8))
-    assert h.color_of((0, 1, 2)) == 1
+    assert h.colors[rank_subset((0, 1, 2))] == 1
     recolored = h.colors.copy()
     recolored[0] = 2
     h2 = ColoredHypergraph(p, recolored)
     assert h.colors[0] == 1 and h2.colors[0] == 2
-    assert h2.color_of((2, 1, 0)) == 2  # unsorted input is sorted internally
+    assert h2.colors[rank_subset(sorted((2, 1, 0)))] == 2
     with pytest.raises(ValueError):
         h.colors[0] = 2  # immutable storage
 
@@ -571,7 +571,7 @@ def check_codec(h, tmp_path):
     write_coloring(h, path)
     data = path.read_bytes()
     assert len(data) == len(v2_header(p)) + math.comb(p.n, p.r)
-    assert data == v2_header(p) + bytes(h.color_of(e) for e in colex_order(p.n, p.r))
+    assert data == v2_header(p) + bytes(int(h.colors[rank_subset(e)]) for e in colex_order(p.n, p.r))
     h2 = read_coloring(path)
     assert h2.params == p
     assert np.array_equal(h2.colors, h.colors)

@@ -704,16 +704,16 @@ def test_stress_summary_mentions_counts():
 
 def test_partition_colors_by_part_of_max_vertex():
     h = next(structured_colorings("partition", {"n": 8, "r": 3, "c": 2}))
-    assert h.color_of((0, 1, 2)) == 1      # max vertex 2 in the low part
-    assert h.color_of((0, 1, 7)) == 2
-    assert h.color_of((5, 6, 7)) == 2
+    assert h.colors[rank_subset((0, 1, 2))] == 1      # max vertex 2 in the low part
+    assert h.colors[rank_subset((0, 1, 7))] == 2
+    assert h.colors[rank_subset((5, 6, 7))] == 2
 
 
 def test_majority_breaks_ties_toward_low_part():
     h = next(structured_colorings("majority", {"n": 8, "r": 4, "c": 2}))
-    assert h.color_of((0, 1, 2, 3)) == 1
-    assert h.color_of((4, 5, 6, 7)) == 2
-    assert h.color_of((0, 1, 6, 7)) == 1   # 2-2 tie goes to part 0
+    assert h.colors[rank_subset((0, 1, 2, 3))] == 1
+    assert h.colors[rank_subset((4, 5, 6, 7))] == 2
+    assert h.colors[rank_subset((0, 1, 6, 7))] == 1   # 2-2 tie goes to part 0
 
 
 def test_near_mono_streams_over_the_off_edge():
@@ -728,7 +728,7 @@ def test_pair_lock_hits_exactly_the_pair_rows():
         "pair-lock", {"n": 7, "r": 3, "c": 3, "pair": (1, 3), "lock": 3}))
     for tri in itertools.combinations(range(7), 3):
         if {1, 3} <= set(tri):
-            assert h.color_of(tri) == 3
+            assert h.colors[rank_subset(tri)] == 3
 
 
 def test_unknown_kind_is_an_error():
@@ -793,9 +793,9 @@ def test_u_profile_engineered_degrees_re_derivable():
         "u-profile", {"n": 85, "k23": 1, "k12": 1, "k13": 41,
                       "deg_w": 1, "deg_u23": 1}))
     # t=1, y=2, z-class = 3..43, first all-good vertex = 44
-    got_l = sum(h.color_of(tuple(sorted((0, 1, 2, z)))) == 1
+    got_l = sum(h.colors[rank_subset(sorted((0, 1, 2, z)))] == 1
                 for z in range(3, 44))
-    got_w = sum(h.color_of(tuple(sorted((0, 2, z, 44)))) == 1
+    got_w = sum(h.colors[rank_subset(sorted((0, 2, z, 44)))] == 1
                 for z in range(3, 44))
     assert got_l == 1 and got_w == 1
 

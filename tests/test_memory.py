@@ -33,6 +33,7 @@ from bergecycles.harness import (
     brute_force_exists,
     structured_colorings,
 )
+from bergecycles.r4 import lemma_a_construct
 from bergecycles.shadow import build_shadow
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -74,6 +75,22 @@ def test_lift_peaks_at_its_first_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000, peak
+
+
+def test_vertex_route_peaks_at_its_vertex_link():
+    # vertex 0 lies on the one color-2 edge, so the route renames 1 and 2;
+    # a recolored copy of all C(85, 4) edges, through an intp index array,
+    # peaked at ~19 MB here, and the link the route reads is C(84, 3) bytes
+    h = next(structured_colorings("near-mono", {"n": 85, "r": 4, "c": 3}))
+    lemma_a_construct(h, 0, 2)            # every table the route reads is cached now
+    tracemalloc.start()
+    try:
+        cert, detail = lemma_a_construct(h, 0, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert detail["companion_edge"] == [0, 1, 2, 3] and cert.color == 1
+    assert peak < 6_000_000, peak
 
 
 def test_t3_tight_cycle_search_leaves_no_cycle():

@@ -18,6 +18,7 @@ from bergecycles.core import (
     edges_through,
     random_coloring,
     rank_subset,
+    unrank_rows,
     unrank_subset,
     verify_berge_certificate,
 )
@@ -321,7 +322,7 @@ def test_relabel_permutes_colors_and_shadow():
     s = build_shadow(h, 2)
     assert len(set(s.goodmask.tolist())) == 5
     h2, s2 = relabel_colors(h, s, (2, 3, 1))
-    assert h2.color_of((0, 1, 2, 3)) == (2, 3, 1)[h.color_of((0, 1, 2, 3)) - 1]
+    assert h2.colors[0] == (2, 3, 1)[h.colors[0] - 1]      # rank 0 is {0, 1, 2, 3}
     assert np.array_equal(s2.goodmask, build_shadow(h2, 2).goodmask)
 
 
@@ -686,6 +687,12 @@ def test_gamma_on_the_input_equals_gamma_on_the_renamed_copy(u23):
                         == _gamma_outcome(lambda: construct_gamma_case1(h2, base)))
 
 
+def _link(work, n):
+    """Vertex 0's link in the K_n^4 coloring `work`, as the vertex route
+    reads it: the colors of the edges through 0 in `edges_through` order."""
+    return work[edges_through(n, 4, [(0,)])[0]]
+
+
 def _hub_coloring(n, seed, color):
     """A seeded order xs of 1..n-1 and a random 3-coloring of K_n^4 whose
     edges through {0, xs[0]} get `color`, except a seeded 3% of them."""
@@ -712,7 +719,7 @@ def _opposite_outcome(n, seed, chi):
     hw = ColoredHypergraph(Params(n, 4, 2, 3), work)
     detail: dict = {}
     out, ok = _hub_outcome(hw, lambda: r4._lemma_opposite_cycle(
-        work, functools.partial(r4._lift_core, hw), 0, xs, chi, detail))
+        _link(work, n), functools.partial(r4._lift_core, hw), 0, xs, chi, detail))
     return out + [detail], ok
 
 
@@ -724,8 +731,8 @@ def _terminal_outcome(n, seed):
     e_other = tuple(sorted((xs[-1], u, xs[7])))
     spares = [tuple(sorted((u, xs[3], xs[9])))]
     return _hub_outcome(hw, lambda: _lemma_terminal_cycle(
-        work, functools.partial(r4._lift_core, hw), 0, xs, u, e_core, e_other,
-        spares))
+        _link(work, n), functools.partial(r4._lift_core, hw), 0, xs, u, e_core,
+        e_other, spares))
 
 
 def test_hub_cycle_sweep():
@@ -779,8 +786,8 @@ def _insert_fixture(block_left):
             work[rank_subset((0, 1, xs[li], 9))] = 3
     hw = ColoredHypergraph(Params(n, 4, 2, 3), work)
     detail: dict = {}
-    cert = r4._lemma_insert(work, functools.partial(r4._lift_core, hw), 0, xs,
-                            es, 2, detail)
+    cert = r4._lemma_insert(_link(work, n), functools.partial(r4._lift_core, hw),
+                            0, xs, es, 2, detail)
     assert cert is not None and cert.color == 2
     assert verify_berge_certificate(cert, hw) is None
     return cert.core, detail["insertion"]
@@ -796,17 +803,17 @@ def test_lemma_insert_wrap_right():
 
 # ---------------------------------------------------------------------------
 # lemma_a_construct's opposite-cycle and terminal-cycle routes.  The route
-# checks no MIN_N, so seeded K_10..16^4 colorings reach them: vertex 0 is on
-# no color-1 edge except at most one, and its other edges are colors 2/3
-# in a seeded proportion.
+# checks no MIN_N, so seeded K_10..16^4 colorings reach them: vertex v (0
+# unless given) is on no color-1 edge except at most one, and its other
+# edges are colors 2/3 in a seeded proportion.
 
 
-def _sparse_vertex_coloring(seed):
+def _sparse_vertex_coloring(seed, v=0):
     rng = np.random.default_rng(seed)
     n = int(rng.choice([10, 12, 14, 16]))
     p = Params(n, 4, 2, 3)
     cols = rng.integers(1, 4, size=p.num_edges).astype(np.uint8)
-    through = edges_through(n, 4, [(0,)])[0]
+    through = edges_through(n, 4, [(v,)])[0]
     q = rng.uniform()
     sub = np.where(rng.uniform(size=through.size) < q, 3, 2).astype(np.uint8)
     if rng.uniform() < 0.7:
@@ -830,6 +837,36 @@ def test_vertex_route_hub_cycles(seed, n, case, insertion, digest):
     assert (detail["case"], detail["insertion"]) == (case, insertion)
     assert verify_berge_certificate(cert, h) is None
     assert _digest(cert.to_json_dict()) == digest
+
+
+@pytest.mark.parametrize("seed, case, insertion, digest", [
+    (1793, "off-cycle", "opposite-cycle",
+     "d11c2acd3e24c1b1ea883c3b9e96f7a35436864a7fc19ca33b6fb91922ecf6eb"),
+    (4815, "in-cycle", "terminal-cycle-at-v2",
+     "ceb545cea7b312dbe6daa233f29c27244d232a651a9bd956d14c15f276a76a97"),
+    (206, "off-cycle", "wrap-left",
+     "1ad91704b52b3f89d8d7fe69b5129954add9bc897daadee7b7eeea39634ca6e8"),
+    (331, "off-cycle", "wrap-right",
+     "6710925a86da04d74b1c74c8324d4914453043fb8085585664a558c63927dcfc"),
+    (4, "in-cycle", "two-chords",
+     "976771b590f64d6d49cd110e4744096c36aa138d3cc2596c8883e7a8a8d7c06c"),
+])
+def test_vertex_route_around_vertex_5(seed, case, insertion, digest):
+    # the link numbers the vertices past v down by one, so around vertex 0
+    # a scan that ignored v would read the same ranks; the digests were
+    # recorded on the route that read a recolored copy of the whole coloring
+    h = _sparse_vertex_coloring(seed, 5)
+    cert, detail = r4.lemma_a_construct(h, 5, 1, 10**5)
+    assert (detail["case"], detail["insertion"]) == (case, insertion)
+    assert verify_berge_certificate(cert, h) is None
+    assert _digest(cert.to_json_dict()) == digest
+
+
+@pytest.mark.parametrize("n, v", [(10, 0), (10, 4), (10, 9), (85, 41)])
+def test_link_ranks_follow_edges_through(n, v):
+    quads = unrank_rows(edges_through(n, 4, [(v,)])[0], n, 4)
+    tris = quads[quads != v].reshape(-1, 3)
+    assert np.array_equal(r4._link_ranks(v, tris), np.arange(binom(n - 1, 3)))
 
 
 def test_vertex_route_thin_pools_at_x1():
@@ -1130,25 +1167,41 @@ def _outcome(build):
     return ["ok", None if cert is None else cert.to_json_dict()]
 
 
+def _unlinked(link, v):
+    """The K_n^4 coloring that holds v's `link` on the edges through v and
+    0 elsewhere: a scan that reads only those edges sees the route's full
+    recolored coloring in it."""
+    n = 4
+    while binom(n - 1, 3) < len(link):
+        n += 1
+    work = np.zeros(binom(n, 4), dtype=np.uint8)
+    work[edges_through(n, 4, [(v,)])[0]] = link
+    return work
+
+
 def _assert_scans_match(calls):
-    """Rerun every recorded vertex-route scan beside its reference."""
-    for name, args in calls:
+    """Rerun every recorded vertex-route scan, which reads v's link, beside
+    its reference, which reads whole 4-sets of the full coloring."""
+    for name, (link, *rest) in calls:
         if name == "_color2_spares":
-            work, v, u, verts, cycle = args
-            n = max(*verts, v) + 1
-            cset = {frozenset(unrank_subset(int(q), n, 4)) - {v} for q in cycle}
-            got = r4._color2_spares(*args)
+            v, u, verts, cycle = rest
+            n = len(verts) + 1
+            through = edges_through(n, 4, [(v,)])[0]
+            cset = {frozenset(unrank_subset(int(through[q]), n, 4)) - {v} for q in cycle}
+            got = r4._color2_spares(link, *rest)
             assert repr([tuple(t) for t in got.tolist()]) == repr(
-                ref_color2_spares(work, v, u, verts, cset))
+                ref_color2_spares(_unlinked(link, v), v, u, verts, cset))
         elif name == "_close_hub_cycle":
-            assert (_outcome(lambda: r4._close_hub_cycle(*args))
-                    == _outcome(lambda: ref_close_hub_cycle(*args)))
+            work = _unlinked(link, rest[1][0])
+            assert (_outcome(lambda: r4._close_hub_cycle(link, *rest))
+                    == _outcome(lambda: ref_close_hub_cycle(work, *rest)))
         else:
             ref = {"_lemma_insert": ref_lemma_insert,
                    "_lemma_opposite_cycle": ref_lemma_opposite_cycle}[name]
+            work = _unlinked(link, rest[1])
             got, want = {}, {}
-            assert (_outcome(lambda: getattr(r4, name)(*args[:-1], got))
-                    == _outcome(lambda: ref(*args[:-1], want)))
+            assert (_outcome(lambda: getattr(r4, name)(link, *rest[:-1], got))
+                    == _outcome(lambda: ref(work, *rest[:-1], want)))
             assert got == want
 
 
@@ -1190,6 +1243,14 @@ def _near_mono(base):
      {"_lemma_opposite_cycle", "_close_hub_cycle"}),
     (lambda: [_terminal_outcome(n, seed) for n in (20, 40) for seed in range(12)],
      {"_close_hub_cycle"}),
+    # the same scans around vertex 5, where the link renumbers past v
+    *[(lambda seed=seed: r4.lemma_a_construct(
+        _sparse_vertex_coloring(seed, 5), 5, 1, 10**5), scans)
+      for seed, scans in (
+          (1793, {"_lemma_insert", "_lemma_opposite_cycle", "_close_hub_cycle"}),
+          (4815, {"_color2_spares", "_close_hub_cycle"}),
+          (331, {"_lemma_insert"}),
+          (4, {"_color2_spares"}))],
 ])
 def test_vertex_route_scans_equal_the_per_quad_loops(monkeypatch, run, scans):
     calls = _record_scans(monkeypatch)

@@ -39,7 +39,7 @@ def shadow_oracle(h, t):
     p = h.params
     counts = np.zeros((math.comb(p.n, t), p.c), dtype=np.int64)
     for edge in itertools.combinations(range(p.n), p.r):
-        col = h.color_of(edge)
+        col = int(h.colors[rank_subset(edge)])
         for sub in itertools.combinations(edge, t):
             counts[rank_subset(sub), col - 1] += 1
     return counts
